@@ -29,7 +29,6 @@ from .ingest import (
     fetch_archive,
     ingest_local_dir,
     parse_repo_index,
-    record_snapshot,
 )
 from .quality import (
     DuplicateConfig,
@@ -73,7 +72,7 @@ __all__ = [
     "detect_irregularities", "emit_diff", "fetch_archive", "flatten_documents",
     "ingest_local_dir", "learn_variability", "mangle_stem",
     "parse_chart_archive", "parse_repo_index", "period_metrics",
-    "plan_rewrite", "record_snapshot", "render_chart", "resampled_group_test",
+    "plan_rewrite", "render_chart", "resampled_group_test",
     "stabilize_render", "verify_rewrite", "versioning_overhead",
     "wilcoxon_signed_rank",
 ]

@@ -328,14 +328,7 @@ def cmd_suggest(settings: _Settings) -> int:
         if not plan.assignments:
             log.warning("%s: every duplicate group failed span location", pkg.metadata.name)
             continue
-        # pin variable keys in an ephemeral copy so verification compares
-        # stable renders instead of fresh random draws
-        kb_work = kb.copy()
-        try:
-            learn_variability(pkg, kb_work, engine)
-        except ChartQAError:
-            pass
-        if not rewrite.verify_rewrite(pkg, plan, kb_work, engine):
+        if not rewrite.verify_rewrite(pkg, plan, kb, engine):
             log.warning("%s: rewrite failed verification, diff suppressed", pkg.metadata.name)
             continue
         diff_text = rewrite.emit_diff(pkg, plan)
@@ -491,10 +484,14 @@ def cmd_livecheck(settings: _Settings) -> int:
     findings = []
     for pkg in sorted(packages, key=lambda p: p.ref.file_name):
         dup = detect_duplicates(pkg, config)
+        # one chart per index keeps the rules exact when two charts share a file name
+        irregular = analytics.detect_irregularities(
+            index_from_packages([pkg], settings.args.path)
+        )
         chart_findings = []
-        if not any(m.well_formed for m in pkg.metadata.maintainers):
+        if irregular.no_maintainer:
             chart_findings.append({"kind": "no-maintainer", "detail": "no maintainer is defined"})
-        if any(m.name == pkg.metadata.name for m in pkg.metadata.maintainers if m.name):
+        if irregular.name_collision:
             chart_findings.append({
                 "kind": "name-collision", "detail": "chart name matches a maintainer name"
             })

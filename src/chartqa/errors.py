@@ -61,10 +61,6 @@ class RenderFailed(ChartQAError):
 
 # --- quality / rewriting ---
 
-class TemplateUnparseable(ChartQAError):
-    """Template is not YAML-shaped even after sentinel substitution."""
-
-
 class SpanLocationFailed(ChartQAError):
     """A reported duplicate occurrence cannot be located as a literal in any template."""
 

@@ -55,11 +55,14 @@ class RepoIndex:
 
 @dataclass(frozen=True)
 class Snapshot:
-    """A timestamped repository state; append-only once recorded."""
+    """A timestamped repository state; append-only once recorded.
+
+    Loading reads the index and the content digests only; the archives stay
+    in the store for ``parse_chart_archive`` to read when a caller needs one.
+    """
 
     id: str
     index: RepoIndex
-    packages: Mapping[str, ChartPackage]
     content_digests: Mapping[str, str]
 
 
@@ -263,7 +266,7 @@ class SnapshotStore:
         return snapshot_id
 
     def load(self, snapshot_id: str) -> Snapshot:
-        base, archive_dir, manifest_path = self._paths(snapshot_id)
+        base, _, manifest_path = self._paths(snapshot_id)
         try:
             with open(manifest_path, encoding="utf-8") as fh:
                 manifest = json.load(fh)
@@ -273,23 +276,11 @@ class SnapshotStore:
             raise StorageError(f"cannot load snapshot {snapshot_id}: {exc}") from exc
         fetched_at = datetime.datetime.fromisoformat(manifest["fetched_at"])
         index = parse_repo_index(raw_index, manifest["source"], fetched_at=fetched_at)
-        packages = {}
-        for file_name in manifest["digests"]:
-            try:
-                with open(os.path.join(archive_dir, file_name), "rb") as fh:
-                    packages[file_name] = parse_chart_archive(fh.read())
-            except (OSError, ChartQAError):
-                continue  # digest still drives change detection
         return Snapshot(
             id=snapshot_id,
             index=index,
-            packages=packages,
             content_digests=dict(manifest["digests"]),
         )
-
-
-def record_snapshot(index: RepoIndex, archives: Mapping[str, bytes], store: SnapshotStore) -> str:
-    return store.record(index, archives)
 
 
 def index_from_packages(packages: list[ChartPackage], source: str) -> RepoIndex:

@@ -8,7 +8,6 @@ correctly through variable substitution.
 
 from __future__ import annotations
 
-import datetime
 import json
 import os
 import tempfile
@@ -21,10 +20,11 @@ from .render import (
     RenderedManifestSet,
     Renderer,
     RenderFailure,
+    RenderResult,
     flatten_documents,
     render_chart,
 )
-from .yamlutil import SentinelParse, sentinel_parse
+from .yamlutil import SourceLeaf, sentinel_parse
 
 DEFAULT_THRESHOLD = 3
 # v1 and extensions/v1beta1 are mandatory API markers; the rest are
@@ -39,12 +39,10 @@ class VariabilityKnowledgeBase:
     Entries are keyed by (chart stem, rendered key path); an existing entry
     is never replaced unless explicitly reset. Persisted as a single JSON
     mapping ``"<stem>|<key_path>" -> override`` written atomically.
-    learned_at timestamps are session-local; the file schema is a flat map.
     """
 
     def __init__(self):
         self.entries: dict[tuple[str, str], str] = {}
-        self.learned_at: dict[tuple[str, str], datetime.datetime] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -62,20 +60,17 @@ class VariabilityKnowledgeBase:
         if key in self.entries:
             return False
         self.entries[key] = value
-        self.learned_at[key] = datetime.datetime.now(datetime.timezone.utc)
         return True
 
     def reset(self, stem: str) -> int:
         doomed = [key for key in self.entries if key[0] == stem]
         for key in doomed:
             del self.entries[key]
-            self.learned_at.pop(key, None)
         return len(doomed)
 
     def copy(self) -> "VariabilityKnowledgeBase":
         dup = VariabilityKnowledgeBase()
         dup.entries = dict(self.entries)
-        dup.learned_at = dict(self.learned_at)
         return dup
 
     @classmethod
@@ -105,6 +100,34 @@ class VariabilityKnowledgeBase:
             raise
 
 
+def probe_variability(
+    pkg: ChartPackage,
+    kb: VariabilityKnowledgeBase,
+    engine: Renderer | None = None,
+) -> tuple[RenderResult, list[str]]:
+    """Render twice, learn the leaves that differ, and return the pinned first render.
+
+    Existing knowledge-base overrides are injected into both renders; every
+    key path whose scalar value still differs between them is appended to
+    the knowledge base with the first render's value as override. Those
+    values are then pinned onto the first render, so it is the stabilized
+    render of the chart without a third pass. Returns that render, with its
+    failures, and the newly learned key paths.
+    """
+    engine = engine or BuiltinEngine()
+    overrides = kb.overrides_for(pkg.stem)
+    first = render_chart(pkg, overrides, engine)
+    second = render_chart(pkg, overrides, engine)
+    second_leaves = dict(flatten_documents(second.manifests))
+    learned: dict[str, str] = {}
+    for key_path, value in dict(flatten_documents(first.manifests)).items():
+        if key_path in second_leaves and second_leaves[key_path] != value:
+            if kb.learn(pkg.stem, key_path, value):
+                learned[key_path] = value
+    first.manifests.pin(learned)
+    return first, sorted(learned)
+
+
 def learn_variability(
     pkg: ChartPackage,
     kb: VariabilityKnowledgeBase,
@@ -112,27 +135,13 @@ def learn_variability(
 ) -> tuple[VariabilityKnowledgeBase, list[str]]:
     """Detect variable template values by comparing two fresh renders.
 
-    Existing knowledge-base overrides are injected into both renders; every
-    key path whose scalar value still differs between them is appended to
-    the knowledge base with the first render's value as override. Returns
-    the knowledge base and the newly learned key paths.
+    Returns the knowledge base and the newly learned key paths; raises
+    RenderFailed when no template of the chart rendered.
     """
-    engine = engine or BuiltinEngine()
-    overrides = kb.overrides_for(pkg.stem)
-    first = render_chart(pkg, overrides, engine)
-    second = render_chart(pkg, overrides, engine)
-    if not first.manifests.documents and not second.manifests.documents:
-        raise RenderFailed(
-            f"{pkg.metadata.name}: no template rendered in either probe render"
-        )
-    first_leaves = dict(flatten_documents(first.manifests))
-    second_leaves = dict(flatten_documents(second.manifests))
-    learned = []
-    for key_path, value in first_leaves.items():
-        if key_path in second_leaves and second_leaves[key_path] != value:
-            if kb.learn(pkg.stem, key_path, value):
-                learned.append(key_path)
-    return kb, sorted(learned)
+    result, learned = probe_variability(pkg, kb, engine)
+    if not result.manifests.documents:
+        raise RenderFailed(f"{pkg.metadata.name}: no template rendered in the probe render")
+    return kb, learned
 
 
 def stabilize_render(
@@ -154,11 +163,16 @@ def stabilize_render(
 @dataclass(frozen=True)
 class DuplicateGroup:
     canonical_value: str
-    occurrences: tuple[str, ...]  # key paths, source order
+    leaves: tuple[SourceLeaf, ...]  # source order
+
+    @property
+    def occurrences(self) -> tuple[str, ...]:
+        """Key paths of the leaves, in source order."""
+        return tuple(leaf.path for leaf in self.leaves)
 
     @property
     def count(self) -> int:
-        return len(self.occurrences)
+        return len(self.leaves)
 
 
 @dataclass(frozen=True)
@@ -188,10 +202,6 @@ class DuplicateConfig:
             raise ValueError("duplicate threshold must be at least 2")
 
 
-def chart_sentinel_parses(pkg: ChartPackage) -> list[SentinelParse]:
-    return [sentinel_parse(path, body) for path, body in pkg.templates]
-
-
 def detect_duplicates(
     pkg: ChartPackage, config: DuplicateConfig | None = None
 ) -> DuplicateReport:
@@ -204,9 +214,10 @@ def detect_duplicates(
     """
     config = config or DuplicateConfig()
     blacklist = set(config.blacklist)
-    occurrences: dict[str, list[str]] = {}
+    occurrences: dict[str, list[SourceLeaf]] = {}
     unparseable = []
-    for parse in chart_sentinel_parses(pkg):
+    for path, body in pkg.templates:
+        parse = sentinel_parse(path, body)
         if parse.error is not None:
             unparseable.append((parse.template_path, parse.error))
             continue
@@ -215,13 +226,13 @@ def detect_duplicates(
                 continue
             if leaf.value in blacklist:
                 continue
-            occurrences.setdefault(leaf.value, []).append(leaf.path)
+            occurrences.setdefault(leaf.value, []).append(leaf)
     groups = tuple(
-        DuplicateGroup(canonical_value=value, occurrences=tuple(paths))
-        for value, paths in sorted(
+        DuplicateGroup(canonical_value=value, leaves=tuple(leaves))
+        for value, leaves in sorted(
             occurrences.items(), key=lambda item: (-len(item[1]), item[0])
         )
-        if len(paths) >= config.threshold
+        if len(leaves) >= config.threshold
     )
     return DuplicateReport(
         chart=pkg.ref,
@@ -253,21 +264,13 @@ def analyze_chart(
     against an ephemeral copy, and the reported count reflects that copy's
     entries for this chart's stem.
     """
-    engine = engine or BuiltinEngine()
     kb = kb.copy() if kb is not None else VariabilityKnowledgeBase()
-    render_failures: tuple[RenderFailure, ...] = ()
-    try:
-        learn_variability(pkg, kb, engine)
-        result = render_chart(pkg, kb.overrides_for(pkg.stem), engine)
-        render_failures = tuple(result.failures)
-    except RenderFailed:
-        probe = render_chart(pkg, {}, engine)
-        render_failures = tuple(probe.failures)
+    probe, _ = probe_variability(pkg, kb, engine)
     variable_paths = tuple(sorted(kb.overrides_for(pkg.stem)))
     return QualityReport(
         chart=pkg.ref,
         variable_value_count=len(variable_paths),
         variable_key_paths=variable_paths,
         duplicate=detect_duplicates(pkg, config),
-        render_failures=render_failures,
+        render_failures=tuple(probe.failures),
     )

@@ -65,11 +65,20 @@ class RenderedManifestSet:
             chunks.append(f"--- # {template_path}#{doc_index}\n{dumped}")
         return "".join(chunks)
 
-    def document_set(self) -> set[tuple[str, int, str]]:
-        return {
-            (tp, di, yaml.safe_dump(body, sort_keys=True))
-            for tp, di, body in self.documents
-        }
+    def pin(self, overrides: Mapping[str, str]) -> None:
+        """Set each override's key path in place and record the ones that applied.
+
+        Key paths that do not parse or name no existing leaf are ignored.
+        """
+        by_doc = {(tp, di): body for tp, di, body in self.documents}
+        for key_path, value in overrides.items():
+            try:
+                template_path, doc_index, segments = parse_path(key_path)
+            except ValueError:
+                continue
+            body = by_doc.get((template_path, doc_index))
+            if body is not None and set_at(body, segments, value):
+                self.render_overrides_used[key_path] = value
 
 
 @dataclass
@@ -301,7 +310,6 @@ def render_chart(
     per template; successfully rendered templates are still returned.
     """
     engine = engine or BuiltinEngine()
-    overrides = dict(overrides or {})
     rendered, failures = engine.render_package(pkg)
 
     documents: list[tuple[str, int, Any]] = []
@@ -322,21 +330,9 @@ def render_chart(
             documents.append((template_path, doc_index, body))
             doc_index += 1
 
-    used: dict[str, str] = {}
-    if overrides:
-        by_doc = {(tp, di): body for tp, di, body in documents}
-        for key_path, value in overrides.items():
-            try:
-                template_path, doc_index, segments = parse_path(key_path)
-            except ValueError:
-                continue
-            body = by_doc.get((template_path, doc_index))
-            if body is None:
-                continue
-            if segments and set_at(body, segments, value):
-                used[key_path] = value
-
-    return RenderResult(RenderedManifestSet(documents, used), failures)
+    manifests = RenderedManifestSet(documents)
+    manifests.pin(overrides or {})
+    return RenderResult(manifests, failures)
 
 
 def flatten_documents(manifests: RenderedManifestSet) -> list[tuple[str, str]]:

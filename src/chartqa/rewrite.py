@@ -23,14 +23,9 @@ from .analytics import IrregularityReport
 from .core import ChartPackage, ChartRef
 from .errors import EmptyReport, SpanLocationFailed
 from .ingest import RepoIndex
-from .quality import (
-    DuplicateReport,
-    VariabilityKnowledgeBase,
-    chart_sentinel_parses,
-    stabilize_render,
-)
-from .render import Renderer
-from .yamlutil import SourceLeaf
+from .quality import DuplicateReport, VariabilityKnowledgeBase, probe_variability
+from .render import Renderer, render_chart
+from .yamlutil import SourceLeaf, sentinel_parse
 
 log = logging.getLogger(__name__)
 
@@ -93,24 +88,15 @@ def plan_rewrite(pkg: ChartPackage, report: DuplicateReport) -> RewritePlan:
         raise ValueError("values.yaml already defines a 'suggestions' block")
 
     bodies = dict(pkg.templates)
-    leaf_by_path: dict[str, SourceLeaf] = {}
-    for parse in chart_sentinel_parses(pkg):
-        for leaf in parse.leaves:
-            leaf_by_path[leaf.path] = leaf
-
     assignments = []
     skipped = []
     var_index = 1
     for group in report.groups:
         try:
-            occurrences = []
-            for path in group.occurrences:
-                leaf = leaf_by_path.get(path)
-                if leaf is None:
-                    raise SpanLocationFailed(f"{path}: leaf vanished from sentinel parse")
-                occurrences.append(
-                    _locate_occurrence(leaf, bodies[path.partition("#")[0]])
-                )
+            occurrences = [
+                _locate_occurrence(leaf, bodies[leaf.path.partition("#")[0]])
+                for leaf in group.leaves
+            ]
         except SpanLocationFailed as exc:
             log.warning("skipping group %r: %s", group.canonical_value, exc)
             skipped.append((group.canonical_value, str(exc)))
@@ -238,16 +224,6 @@ def emit_diff(pkg: ChartPackage, plan: RewritePlan) -> str:
     return "".join(pieces)
 
 
-def _literal_leaf_counts(pkg: ChartPackage, values: Iterable[str]) -> dict[str, int]:
-    wanted = set(values)
-    counts = {value: 0 for value in wanted}
-    for parse in chart_sentinel_parses(pkg):
-        for leaf in parse.leaves:
-            if not leaf.templated and leaf.value in wanted:
-                counts[leaf.value] += 1
-    return counts
-
-
 def verify_rewrite(
     pkg: ChartPackage,
     plan: RewritePlan,
@@ -256,25 +232,31 @@ def verify_rewrite(
 ) -> bool:
     """Check that the rewrite preserves rendering and actually took effect.
 
-    True iff the stabilized renders of original and rewritten package
-    produce equal canonical document sets and every planned occurrence was
-    removed from literal leaf positions (an inert rewrite is unsafe: it
-    would ship a diff that changes nothing).
+    Variable keys are pinned first: the original is probed against a copy
+    of ``kb`` (never mutated), the pinned probe is the "before" render, and
+    the rewritten package is rendered once with the same overrides. True iff
+    the original renders a document (or has no template), both renders
+    parse to equal documents, and no literal leaf of an assigned value
+    remains in a template the plan edits (an inert rewrite is unsafe: it
+    would ship a diff that changes nothing). For plans from plan_rewrite
+    this is the same as every planned occurrence being removed: such a plan
+    assigns a value only when every literal occurrence of it was located.
     """
-    kb = kb or VariabilityKnowledgeBase()
-    rewritten = apply_plan(pkg, plan)
-    before = stabilize_render(pkg, kb, engine).document_set()
-    after = stabilize_render(rewritten, kb, engine).document_set()
-    if before != after:
+    kb = kb.copy() if kb is not None else VariabilityKnowledgeBase()
+    before, _ = probe_variability(pkg, kb, engine)
+    if pkg.templates and not before.manifests.documents:
         return False
-    values = [a.value for a in plan.assignments]
-    counts_before = _literal_leaf_counts(pkg, values)
-    counts_after = _literal_leaf_counts(rewritten, values)
-    for assignment in plan.assignments:
-        removed = counts_before[assignment.value] - counts_after[assignment.value]
-        if removed != len(assignment.target_occurrences):
-            return False
-    return True
+    rewritten = apply_plan(pkg, plan)
+    after = render_chart(rewritten, kb.overrides_for(pkg.stem), engine)
+    if before.manifests.documents != after.manifests.documents:
+        return False
+    values = {a.value for a in plan.assignments}
+    edited = {occ.template_path for a in plan.assignments for occ in a.target_occurrences}
+    return not any(
+        not leaf.templated and leaf.value in values
+        for path, body in rewritten.templates if path in edited
+        for leaf in sentinel_parse(path, body).leaves
+    )
 
 
 # --- maintainer digests ---

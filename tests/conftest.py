@@ -47,6 +47,20 @@ def make_archive(files: dict[str, str | bytes], chart_name: str = "web") -> byte
     return buf.getvalue()
 
 
+def count_calls(monkeypatch, name: str, *modules) -> list[tuple]:
+    """Replace ``name`` in each module with a wrapper recording its positional args."""
+    original = getattr(modules[0], name)
+    calls: list[tuple] = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def make_index_yaml(entries: dict[str, list[dict]], api_version: str = "v1") -> bytes:
     return yaml.safe_dump(
         {"apiVersion": api_version, "entries": entries}, sort_keys=False

@@ -41,7 +41,7 @@ def make_index(records, source="memory:"):
 def make_snapshot(snapshot_id, records, digests=None):
     index = make_index(records)
     return Snapshot(
-        id=snapshot_id, index=index, packages={},
+        id=snapshot_id, index=index,
         content_digests=digests or {},
     )
 

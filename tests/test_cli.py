@@ -190,6 +190,21 @@ def test_suggest_verifies_charts_with_random_values(tmp_path):
     assert "dup-me" in diff_text
 
 
+def test_suggest_skips_chart_that_cannot_render(tmp_path):
+    charts = tmp_path / "charts"
+    write_chart_dir(charts, "web", chart_files(values={}, templates={
+        "t.yaml": 'a: dup-me\nb: dup-me\nc: dup-me\nd: {{ include "x" . }}\n',
+    }, maintainers=MAINTAINED))
+    write_chart_dir(charts, "ok", chart_files(name="ok", values={}, templates={
+        "t.yaml": "a: dup-ok\nb: dup-ok\nc: dup-ok\n",
+    }, maintainers=MAINTAINED))
+    out = tmp_path / "out"
+    assert cli_dispatch(["suggest", "--path", str(charts), "--out", str(out)]) == 1
+    summary = json.loads((out / "suggest.json").read_text())
+    assert [d["chart"] for d in summary["diffs"]] == ["ok-1.0.0.tgz"]
+    assert sorted(p.name for p in (out / "outbox").iterdir()) == ["a_at_x.io.eml"]
+
+
 def test_authorsets_and_irregularities_from_index_file(tmp_path, capsys):
     raw = make_index_yaml({
         "redis": [

@@ -1,0 +1,63 @@
+"""Golden outputs of livecheck, dupes, analyze and suggest on a fixed corpus.
+
+The corpus under ``golden/charts`` holds a random-value key, quoted and
+plain duplicates, a multi-document template, an ``EngineUnsupported``
+template, a missing value and metadata irregularities. The files under
+``golden/expected`` were recorded by ``golden_outputs`` before the
+one-pass render refactor; every output must stay byte-identical to them
+apart from ``generated_at``, with paths relative to the run directory.
+"""
+
+import contextlib
+import io
+import json
+import os
+import re
+import shutil
+
+from chartqa.cli import cli_dispatch
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+COMMANDS = (
+    ("livecheck", ["livecheck", "--path", "charts"]),
+    ("dupes", ["dupes", "--path", "charts"]),
+    ("analyze", ["analyze", "--path", "charts", "--out", "out/analyze"]),
+    ("suggest", ["suggest", "--path", "charts", "--out", "out/suggest",
+                 "--base-url", "http://qa.local"]),
+)
+_GENERATED_AT = re.compile(r'"generated_at": "[^"]*"')
+
+
+def _read_tree(root: str) -> dict[str, str]:
+    out = {}
+    for base, _dirs, names in os.walk(root):
+        for name in names:
+            path = os.path.join(base, name)
+            with open(path, encoding="utf-8") as fh:
+                out[os.path.relpath(path, root).replace(os.sep, "/")] = fh.read()
+    return out
+
+
+def golden_outputs() -> dict[str, str]:
+    """Run every command on ``charts`` in the working directory; file name -> text."""
+    outputs, codes = {}, {}
+    for name, argv in COMMANDS:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            codes[name] = cli_dispatch(argv)
+        if stdout.getvalue():
+            outputs[f"{name}.stdout"] = stdout.getvalue()
+    outputs.update(_read_tree("out"))
+    outputs["exit_codes.json"] = json.dumps(codes, indent=2, sort_keys=True) + "\n"
+    return {name: _GENERATED_AT.sub('"generated_at": null', text)
+            for name, text in outputs.items()}
+
+
+def test_outputs_match_golden_files(tmp_path, monkeypatch):
+    shutil.copytree(os.path.join(GOLDEN, "charts"), tmp_path / "charts")
+    monkeypatch.chdir(tmp_path)
+    actual = golden_outputs()
+    expected = _read_tree(os.path.join(GOLDEN, "expected"))
+    assert sorted(actual) == sorted(expected)
+    for name, text in expected.items():
+        assert actual[name] == text, name

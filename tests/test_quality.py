@@ -5,6 +5,7 @@ import random
 import pytest
 import yaml
 
+from chartqa import quality
 from chartqa.errors import RenderFailed
 from chartqa.quality import (
     DEFAULT_BLACKLIST,
@@ -16,7 +17,7 @@ from chartqa.quality import (
     stabilize_render,
 )
 
-from conftest import make_package
+from conftest import count_calls, make_package
 
 
 # --- variability ---
@@ -277,6 +278,18 @@ def test_analyze_chart_leaves_kb_untouched():
     assert report.variable_key_paths == ("templates/t.yaml#0/pw",)
     assert [g.canonical_value for g in report.duplicate.groups] == ["d1"]
     assert report.render_failures == ()
+
+
+def test_analyze_chart_renders_twice(monkeypatch):
+    pkg = make_package(values={}, templates={
+        "t.yaml": "pw: {{ randAlphaNum 16 }}\na: d1\nb: d1\nc: d1\n",
+        "bad.yaml": "a: {{ .Values.absent }}\n",
+    })
+    renders = count_calls(monkeypatch, "render_chart", quality)
+    report = analyze_chart(pkg)
+    assert len(renders) == 2
+    assert report.variable_key_paths == ("templates/t.yaml#0/pw",)
+    assert [f.category for f in report.render_failures] == ["MissingValue"]
 
 
 def test_analyze_chart_reports_render_failures():

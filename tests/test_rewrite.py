@@ -5,6 +5,7 @@ import subprocess
 
 import pytest
 
+from chartqa import quality, rewrite
 from chartqa.core import write_package_dir
 from chartqa.errors import EmptyReport
 from chartqa.ingest import index_from_packages, package_from_dir
@@ -27,7 +28,7 @@ from chartqa.rewrite import (
     write_outbox,
 )
 
-from conftest import make_package
+from conftest import count_calls, make_package
 
 
 def five_occurrence_package():
@@ -136,6 +137,36 @@ def test_verify_rewrite_rejects_corrupting_span():
         values_patch=plan.values_patch,
     )
     assert verify_rewrite(pkg, bad) is False
+
+
+def test_verify_rewrite_renders_original_twice_and_rewrite_once(monkeypatch):
+    pkg = five_occurrence_package()
+    plan = plan_rewrite(pkg, detect_duplicates(pkg))
+    renders = count_calls(monkeypatch, "render_chart", quality, rewrite)
+    assert verify_rewrite(pkg, plan) is True
+    assert [args[0] is pkg for args in renders] == [True, True, False]
+
+
+def test_pipeline_parses_each_original_template_once(monkeypatch):
+    pkg = make_package(values={}, templates={
+        "deploy.yaml": "volume: httpd-data\nclaim: httpd-data\n",
+        "svc.yaml": "selector: httpd-data\n",
+        "cm.yaml": "kind: ConfigMap\ndata: untouched\n",
+    })
+    parses = count_calls(monkeypatch, "sentinel_parse", quality, rewrite)
+    plan = plan_rewrite(pkg, detect_duplicates(pkg))
+    assert verify_rewrite(pkg, plan) is True
+    originals = [args for args in parses if args in pkg.templates]
+    assert sorted(originals) == sorted(pkg.templates)
+
+
+def test_verify_rewrite_nan_leaf_and_mixed_key_types():
+    pkg = make_package(values={}, templates={
+        "t.yaml": "a: dup-me\nb: dup-me\nc: dup-me\nratio: .nan\n",
+        "ports.yaml": "ports:\n  80: http\n  web: 8080\n",
+    })
+    plan = plan_rewrite(pkg, detect_duplicates(pkg))
+    assert verify_rewrite(pkg, plan) is True
 
 
 def test_verify_rewrite_empty_plan_vacuously_true():
