@@ -1,3 +1,5 @@
 from .cli import main
 
-main()
+# spawn workers re-import the main module; only a real run may start the CLI
+if __name__ == "__main__":
+    main()

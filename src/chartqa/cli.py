@@ -9,11 +9,13 @@ environment variable, then built-in default.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
+import multiprocessing
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Sequence
 
 import yaml
@@ -154,7 +156,7 @@ class _Settings:
             binary = self._resolve(
                 self.args.renderer_bin, "renderer_bin", "CHARTQA_RENDERER", None
             )
-            return ExternalEngine(binary=binary, max_procs=max(1, self.args.jobs))
+            return ExternalEngine(binary=binary)
         return BuiltinEngine()
 
     @property
@@ -203,11 +205,21 @@ def _load_kb(settings: _Settings) -> VariabilityKnowledgeBase:
     return VariabilityKnowledgeBase()
 
 
-def _parallel_map(func, items, jobs: int):
-    if jobs <= 1 or len(items) <= 1:
-        return [func(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(func, items))
+def _analyze_all(packages, kb, config, engine, jobs: int):
+    """One QualityReport per package, in input order.
+
+    With more than one job the charts go to a spawn process pool of at most
+    ``min(jobs, charts, CPUs)`` workers. Rendering holds the GIL, so threads
+    would only take turns. The knowledge base, config and engine travel with
+    each chunk of charts, and nothing is kept in worker globals.
+    """
+    analyze = functools.partial(analyze_chart, kb=kb, config=config, engine=engine)
+    workers = min(jobs, len(packages), os.cpu_count() or 1)
+    if workers <= 1:
+        return [analyze(pkg) for pkg in packages]
+    chunksize = max(1, len(packages) // (4 * workers))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(analyze, packages, chunksize=chunksize))
 
 
 def _store(settings: _Settings) -> SnapshotStore:
@@ -250,9 +262,7 @@ def cmd_analyze(settings: _Settings) -> int:
     config = settings.duplicate_config
     engine = settings.engine
     packages = sorted(packages, key=lambda p: p.ref.file_name)
-    reports = _parallel_map(
-        lambda pkg: analyze_chart(pkg, kb, config, engine), packages, settings.args.jobs
-    )
+    reports = _analyze_all(packages, kb, config, engine, settings.args.jobs)
     index = index_from_packages(packages, settings.args.path)
     irregularities = analytics.detect_irregularities(index)
     sets, metrics = analytics.compute_maintainer_sets(index)

@@ -15,7 +15,6 @@ import shutil
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import requests
 import yaml
 
 from .core import ChartPackage, ChartRef, Maintainer, package_from_files, parse_chart_archive
@@ -81,6 +80,20 @@ def _maintainers_from_record(record: Mapping) -> tuple[Maintainer, ...]:
     return tuple(maintainers)
 
 
+def _file_name_part(kind: str, text: str, chart_name: str) -> str:
+    """Return ``text`` when it can be part of a snapshot archive file name.
+
+    Chart names and versions become ``<name>-<version>.tgz`` under the store's
+    archive directory, so a path separator, NUL, ``.`` or ``..`` would let an
+    index entry write outside it.
+    """
+    if text in ("", ".", "..") or any(ch in text for ch in "/\\\0"):
+        raise IndexParseError(
+            f"version record under {chart_name!r} has unusable {kind} {text!r}"
+        )
+    return text
+
+
 def parse_repo_index(
     raw: bytes, source: str, fetched_at: datetime.datetime | None = None
 ) -> RepoIndex:
@@ -108,7 +121,10 @@ def parse_repo_index(
                 raise IndexParseError(f"version record under {chart_name!r} lacks a version")
             digest = record.get("digest")
             entries.append(IndexEntry(
-                ref=ChartRef.from_name_version(name, str(version)),
+                ref=ChartRef.from_name_version(
+                    _file_name_part("name", name, chart_name),
+                    _file_name_part("version", str(version), chart_name),
+                ),
                 maintainers=_maintainers_from_record(record),
                 urls=tuple(str(u) for u in record.get("urls") or []),
                 digest=str(digest) if digest is not None else None,
@@ -127,6 +143,8 @@ def sha256_digest(data: bytes) -> str:
 def fetch_archive(url_or_path: str, expected_digest: str | None = None) -> bytes:
     """Fetch raw archive bytes from an HTTP(S) URL or a filesystem path."""
     if url_or_path.startswith(("http://", "https://")):
+        import requests  # only http(s) fetches need it; importing chartqa stays cheap
+
         try:
             resp = requests.get(url_or_path, timeout=60)
             resp.raise_for_status()
@@ -204,7 +222,8 @@ def ingest_local_dir(path: str) -> tuple[list[ChartPackage], list[IngestFailure]
                 full = os.path.join(root, name)
                 location = os.path.relpath(full, path)
                 try:
-                    packages.append(parse_chart_archive(open(full, "rb").read()))
+                    with open(full, "rb") as fh:
+                        packages.append(parse_chart_archive(fh.read()))
                 except ChartQAError as exc:
                     failures.append(IngestFailure(location, f"{type(exc).__name__}: {exc}"))
     return packages, failures

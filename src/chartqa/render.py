@@ -17,7 +17,6 @@ import shutil
 import string
 import subprocess
 import tempfile
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -97,6 +96,8 @@ class _TemplateError(Exception):
 _MISSING = object()
 _WORD_RE = re.compile(r'"(?:[^"\\]|\\.)*"|\S+')
 _ALPHANUM = string.ascii_letters + string.digits
+# module level, not per engine: an engine must pickle to reach a worker process
+_RAND = random.SystemRandom()
 
 
 class BuiltinEngine:
@@ -106,7 +107,6 @@ class BuiltinEngine:
 
     def __init__(self, release_name: str = "release-name"):
         self.release_name = release_name
-        self._rand = random.SystemRandom()
 
     def render_package(self, pkg: ChartPackage) -> tuple[list[tuple[str, str]], list[RenderFailure]]:
         rendered = []
@@ -176,7 +176,7 @@ class BuiltinEngine:
             return pkg.metadata.version
         if head == "randAlphaNum" and len(words) == 2 and words[1].isdigit():
             n = int(words[1])
-            return "".join(self._rand.choice(_ALPHANUM) for _ in range(n))
+            return "".join(_RAND.choice(_ALPHANUM) for _ in range(n))
         literal = self._literal(head)
         if literal is not None and len(words) == 1:
             return literal
@@ -223,9 +223,8 @@ class ExternalEngine:
 
     name = "external"
 
-    def __init__(self, binary: str | None = None, max_procs: int = 4):
+    def __init__(self, binary: str | None = None):
         self.binary = binary or os.environ.get("CHARTQA_RENDERER")
-        self._sem = threading.Semaphore(max(1, max_procs))
 
     def render_package(self, pkg: ChartPackage) -> tuple[list[tuple[str, str]], list[RenderFailure]]:
         if not self.binary or shutil.which(self.binary) is None and not os.path.isfile(self.binary):
@@ -235,14 +234,13 @@ class ExternalEngine:
         with tempfile.TemporaryDirectory(prefix="chartqa-render-") as workdir:
             chart_dir = os.path.join(workdir, pkg.metadata.name)
             write_package_dir(pkg, chart_dir)
-            with self._sem:
-                try:
-                    proc = subprocess.run(
-                        [self.binary, "template", chart_dir],
-                        capture_output=True, text=True, timeout=120,
-                    )
-                except OSError as exc:
-                    raise EngineUnavailable(f"cannot execute renderer: {exc}") from exc
+            try:
+                proc = subprocess.run(
+                    [self.binary, "template", chart_dir],
+                    capture_output=True, text=True, timeout=120,
+                )
+            except OSError as exc:
+                raise EngineUnavailable(f"cannot execute renderer: {exc}") from exc
         if proc.returncode != 0:
             return [], self._failures_from_stderr(proc.stderr)
         return self._attribute_output(proc.stdout, pkg), []

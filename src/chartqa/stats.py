@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import AllZeroDifferences
 
 EXACT_ENUMERATION_LIMIT = 12
@@ -149,6 +147,8 @@ def resampled_group_test(
         raise ValueError("iterations must be at least 1")
     if seed < 0:
         raise ValueError("seed must be non-negative")
+
+    import numpy as np  # only this function needs numpy; importing chartqa stays cheap
 
     pool = np.asarray(n1_values, dtype=float)
     target = [float(v) for v in n2_values]

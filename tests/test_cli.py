@@ -91,6 +91,32 @@ def test_analyze_writes_schema_valid_report(tmp_path, capsys):
     assert report["sections"]["quality"][0]["chart"] == "web-1.0.0.tgz"
 
 
+def test_analyze_jobs_missing_external_renderer_exits_two(tmp_path):
+    # with two jobs the error is raised in a pool worker and must reach cli_dispatch
+    for name in ("api", "web"):
+        write_chart_dir(tmp_path / "charts", name,
+                        chart_files(name=name, values={"app": "x"},
+                                    templates=CLEAN_TEMPLATES, maintainers=MAINTAINED))
+    for jobs in ("1", "2"):
+        proc = run_cli("analyze", "--path", str(tmp_path / "charts"), "--jobs", jobs,
+                       "--engine", "external",
+                       "--renderer-bin", str(tmp_path / "no-such-renderer"))
+        assert proc.returncode == 2, (jobs, proc.stderr)
+        assert "external renderer binary not found" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_import_leaves_numpy_and_requests_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, chartqa, chartqa.cli; "
+         "print(sorted({'numpy', 'requests'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_analyze_findings_exit_code(tmp_path):
     write_chart_dir(tmp_path / "charts", "web",
                     chart_files(values={}, templates=DUPE_TEMPLATES,

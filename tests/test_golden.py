@@ -6,6 +6,8 @@ template, a missing value and metadata irregularities. The files under
 ``golden/expected`` were recorded by ``golden_outputs`` before the
 one-pass render refactor; every output must stay byte-identical to them
 apart from ``generated_at``, with paths relative to the run directory.
+``analyze --jobs 2``, run on its own, must write the same report and exit
+code as the serial ``analyze``.
 """
 
 import contextlib
@@ -25,6 +27,8 @@ COMMANDS = (
     ("suggest", ["suggest", "--path", "charts", "--out", "out/suggest",
                  "--base-url", "http://qa.local"]),
 )
+ANALYZE_J2 = ("analyze_j2", ["analyze", "--path", "charts", "--jobs", "2",
+                             "--out", "out/analyze"])
 _GENERATED_AT = re.compile(r'"generated_at": "[^"]*"')
 
 
@@ -38,10 +42,10 @@ def _read_tree(root: str) -> dict[str, str]:
     return out
 
 
-def golden_outputs() -> dict[str, str]:
-    """Run every command on ``charts`` in the working directory; file name -> text."""
+def golden_outputs(commands=COMMANDS) -> dict[str, str]:
+    """Run the commands on ``charts`` in the working directory; file name -> text."""
     outputs, codes = {}, {}
-    for name, argv in COMMANDS:
+    for name, argv in commands:
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             codes[name] = cli_dispatch(argv)
@@ -53,11 +57,22 @@ def golden_outputs() -> dict[str, str]:
             for name, text in outputs.items()}
 
 
-def test_outputs_match_golden_files(tmp_path, monkeypatch):
+def _run_in(tmp_path, monkeypatch, commands=COMMANDS):
     shutil.copytree(os.path.join(GOLDEN, "charts"), tmp_path / "charts")
     monkeypatch.chdir(tmp_path)
-    actual = golden_outputs()
-    expected = _read_tree(os.path.join(GOLDEN, "expected"))
+    return golden_outputs(commands), _read_tree(os.path.join(GOLDEN, "expected"))
+
+
+def test_outputs_match_golden_files(tmp_path, monkeypatch):
+    actual, expected = _run_in(tmp_path, monkeypatch)
     assert sorted(actual) == sorted(expected)
     for name, text in expected.items():
         assert actual[name] == text, name
+
+
+def test_parallel_analyze_matches_golden_report(tmp_path, monkeypatch):
+    actual, expected = _run_in(tmp_path, monkeypatch, [ANALYZE_J2])
+    assert sorted(actual) == ["analyze/report.json", "exit_codes.json"]
+    assert actual["analyze/report.json"] == expected["analyze/report.json"]
+    codes = json.loads(expected["exit_codes.json"])
+    assert json.loads(actual["exit_codes.json"]) == {"analyze_j2": codes["analyze"]}

@@ -1,9 +1,12 @@
 """repo-ingest: index parsing, fetching, local discovery, snapshots."""
 
 import datetime
+import gc
 import os
+import warnings
 
 import pytest
+import requests
 import yaml
 
 from chartqa.errors import (
@@ -70,6 +73,60 @@ def test_parse_repo_index_errors():
         parse_repo_index(b"apiVersion: v1\nentries: {}\n", "memory:")
 
 
+@pytest.mark.parametrize("name, version", [
+    ("../../escaped", "1.0.0"), ("..", "1.0.0"), (".", "1.0.0"), ("a/b", "1.0.0"),
+    ("a\\b", "1.0.0"), ("a\0b", "1.0.0"), ("web", "../1"), ("web", ".."),
+    ("web", "1/0"), ("web", ""),
+])
+def test_parse_repo_index_rejects_unusable_file_name_parts(name, version):
+    raw = make_index_yaml({"web": [{"name": name, "version": version}]})
+    with pytest.raises(IndexParseError):
+        parse_repo_index(raw, "memory:")
+
+
+def test_snapshot_cli_keeps_hostile_index_inside_the_store(tmp_path):
+    from chartqa.cli import cli_dispatch
+
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    (repo / "web.tgz").write_bytes(make_archive(chart_files(), "web"))
+    (repo / "index.yaml").write_bytes(make_index_yaml(
+        {"web": [{"name": "../../escaped", "version": "1.0.0", "urls": ["web.tgz"]}]}
+    ))
+    assert cli_dispatch(["snapshot", "--index", str(repo / "index.yaml"),
+                         "--snapshot-store", str(tmp_path / "store")]) == 2
+    assert list(tmp_path.rglob("escaped*")) == []
+
+
+class _Response:
+    def __init__(self, content: bytes):
+        self.content = content
+
+    def raise_for_status(self) -> None:
+        pass
+
+
+def test_fetch_archive_http_returns_response_content(monkeypatch):
+    seen = []
+
+    def get(url, timeout):
+        seen.append(url)
+        return _Response(b"archive bytes")
+
+    monkeypatch.setattr(requests, "get", get)
+    assert fetch_archive("http://charts.example/web-1.0.0.tgz") == b"archive bytes"
+    assert seen == ["http://charts.example/web-1.0.0.tgz"]
+
+
+def test_fetch_archive_http_connection_error_is_fetch_error(monkeypatch):
+    def get(url, timeout):
+        raise requests.ConnectionError("refused")
+
+    monkeypatch.setattr(requests, "get", get)
+    with pytest.raises(FetchError, match="refused"):
+        fetch_archive("https://charts.example/index.yaml")
+
+
 def test_fetch_archive_filesystem_and_digest(tmp_path):
     data = make_archive(chart_files(), "web")
     target = tmp_path / "web-1.0.0.tgz"
@@ -126,6 +183,18 @@ def test_ingest_local_dir_archives_too(tmp_path):
     packages, failures = ingest_local_dir(str(tmp_path))
     assert [p.metadata.name for p in packages] == ["redis"]
     assert len(failures) == 1 and "MalformedArchive" in failures[0].error
+
+
+def test_ingest_local_dir_closes_archive_files(tmp_path):
+    (tmp_path / "redis-1.0.0.tgz").write_bytes(
+        make_archive(chart_files(name="redis"), "redis")
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        packages, _ = ingest_local_dir(str(tmp_path))
+        gc.collect()
+    assert [p.metadata.name for p in packages] == ["redis"]
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def _index_with_archive(tmp_path, version="1.0.0"):
