@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import logging
+import math
 import multiprocessing
 import os
 import sys
@@ -455,12 +456,25 @@ def cmd_trends(settings: _Settings) -> int:
     return EXIT_CLEAN
 
 
+def _finite_numbers(value: Any) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+        for v in value
+    )
+
+
 def cmd_stats(settings: _Settings) -> int:
     groups_path = settings.args.groups
     if not groups_path:
         raise ChartQAError("stats needs --groups FILE with n1 and n2 arrays")
     with open(groups_path, encoding="utf-8") as fh:
         groups = json.load(fh)
+    if not isinstance(groups, dict) or not all(
+        _finite_numbers(groups.get(name)) for name in ("n1", "n2")
+    ):
+        raise ChartQAError(
+            f"{groups_path}: want a JSON object with n1 and n2 lists of finite numbers"
+        )
     result = stats.resampled_group_test(
         groups["n1"], groups["n2"],
         iterations=settings.iterations, seed=settings.seed,

@@ -69,6 +69,10 @@ class EmptyReport(ChartQAError):
     """Rewrite planning needs a non-empty duplicate report."""
 
 
+class KnowledgeBaseError(ChartQAError):
+    """Variability knowledge-base file is not a JSON object of string values."""
+
+
 # --- statistics ---
 
 class AllZeroDifferences(ChartQAError):

@@ -14,7 +14,7 @@ import tempfile
 from dataclasses import dataclass
 
 from .core import ChartPackage, ChartRef
-from .errors import RenderFailed
+from .errors import KnowledgeBaseError, RenderFailed
 from .render import (
     BuiltinEngine,
     RenderedManifestSet,
@@ -79,7 +79,12 @@ class VariabilityKnowledgeBase:
         if not os.path.exists(path):
             return kb
         with open(path, encoding="utf-8") as fh:
-            flat = json.load(fh)
+            try:
+                flat = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise KnowledgeBaseError(f"{path}: not JSON: {exc}") from exc
+        if not isinstance(flat, dict) or not all(isinstance(v, str) for v in flat.values()):
+            raise KnowledgeBaseError(f"{path}: want a JSON object of string values")
         for key, value in flat.items():
             stem, _, key_path = key.partition("|")
             kb.entries[(stem, key_path)] = value

@@ -3,13 +3,15 @@
 The two-sided p-value is defined as the probability, under uniform random
 sign assignment to the ranked absolute differences, that min(W+, W-) is at
 most the observed statistic. For n <= 12 non-zero differences this is
-computed by exhaustive enumeration of all 2^n sign vectors (exact even
-under mid-rank ties); larger samples use the normal approximation with the
+computed exactly, even under mid-rank ties, from the distribution of W+
+over all 2^n sign vectors; that distribution is counted and cached per
+tie pattern. Larger samples use the normal approximation with the
 standard tie correction of the rank variance.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -44,18 +46,31 @@ def _midranks(values: Sequence[float]) -> list[float]:
     return ranks
 
 
+@functools.lru_cache(maxsize=None)
+def _sign_sum_counts(double_ranks: tuple[int, ...]) -> tuple[int, ...]:
+    """counts[s] = number of the 2^n sign assignments whose doubled W+ is s.
+
+    A subset-sum count over the ranks, O(n * sum(ranks)) integer steps.
+    Callers pass the ranks sorted, so the cache holds one entry per tie
+    pattern; for n <= 12 there are at most 4095 of them.
+    """
+    counts = [1] + [0] * sum(double_ranks)
+    for rank in double_ranks:
+        for s in range(len(counts) - 1, rank - 1, -1):
+            counts[s] += counts[s - rank]
+    return tuple(counts)
+
+
 def _exact_p(double_ranks: list[int], double_w: int) -> float:
-    """P(min(W+, W-) <= observed) by enumerating every sign assignment.
+    """P(min(W+, W-) <= observed) over every sign assignment.
 
     Ranks are doubled so mid-ranks stay integral and every comparison is
     exact integer arithmetic.
     """
-    total = sum(double_ranks)
-    sums = [0]
-    for rank in double_ranks:
-        sums = sums + [s + rank for s in sums]
-    hits = sum(1 for wp in sums if min(wp, total - wp) <= double_w)
-    return hits / len(sums)
+    counts = _sign_sum_counts(tuple(sorted(double_ranks)))
+    total = len(counts) - 1
+    hits = sum(c for wp, c in enumerate(counts) if min(wp, total - wp) <= double_w)
+    return hits / 2 ** len(double_ranks)
 
 
 def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> WilcoxonResult:

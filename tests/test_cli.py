@@ -344,6 +344,35 @@ def test_stats_command(tmp_path, capsys):
     assert 0.0 <= stats_section["smallest_p"] <= 1.0
 
 
+@pytest.mark.parametrize("document", [
+    [1, 2, 3],
+    {"n1": [1, 2, 3]},
+    {"n1": [1, 2, 3], "n2": [1, None]},
+    {"n1": [1, 2, 3], "n2": [1, "2"]},
+    {"n1": [1, 2, True], "n2": [1]},
+    {"n1": [1, 2, 3], "n2": [float("nan"), 1]},
+], ids=["list", "missing-n2", "null-value", "string-value", "bool-value", "nan-value"])
+def test_stats_malformed_groups_file_exits_two(tmp_path, document):
+    groups = tmp_path / "groups.json"
+    groups.write_text(json.dumps(document))
+    proc = run_cli("stats", "--groups", str(groups), "--iterations", "5")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "want a JSON object with n1 and n2 lists of finite numbers" in proc.stderr
+
+
+def test_variability_kb_list_document_exits_two(tmp_path):
+    write_chart_dir(tmp_path / "charts", "web",
+                    chart_files(values={}, templates=CLEAN_TEMPLATES, maintainers=MAINTAINED))
+    kb_path = tmp_path / "kb.json"
+    kb_path.write_text("[]")
+    proc = run_cli("variability", "--path", str(tmp_path / "charts"), "--kb", str(kb_path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"{kb_path}: want a JSON object of string values" in proc.stderr
+    assert kb_path.read_text() == "[]"  # a rejected file is not overwritten
+
+
 def test_snapshot_duplicate_day_is_operational_error(tmp_path, capsys):
     store_dir = tmp_path / "store"
     repo = _write_repo(tmp_path, "1.0.0")

@@ -1,11 +1,14 @@
-"""Golden outputs of livecheck, dupes, analyze and suggest on a fixed corpus.
+"""Golden outputs of livecheck, dupes, analyze, suggest and stats on fixed inputs.
 
 The corpus under ``golden/charts`` holds a random-value key, quoted and
 plain duplicates, a multi-document template, an ``EngineUnsupported``
-template, a missing value and metadata irregularities. The files under
+template, a missing value and metadata irregularities. ``golden/groups.json``
+holds small discrete counts with 16 pairs, so resampling iterations take
+both the exact and the normal signed-rank branch. The files under
 ``golden/expected`` were recorded by ``golden_outputs`` before the
-one-pass render refactor; every output must stay byte-identical to them
-apart from ``generated_at``, with paths relative to the run directory.
+one-pass render refactor (``stats.stdout`` before the counted sign-sum
+distribution); every output must stay byte-identical to them apart from
+``generated_at``, with paths relative to the run directory.
 ``analyze --jobs 2``, run on its own, must write the same report and exit
 code as the serial ``analyze``.
 """
@@ -26,6 +29,8 @@ COMMANDS = (
     ("analyze", ["analyze", "--path", "charts", "--out", "out/analyze"]),
     ("suggest", ["suggest", "--path", "charts", "--out", "out/suggest",
                  "--base-url", "http://qa.local"]),
+    ("stats", ["stats", "--groups", "groups.json", "--seed", "42",
+               "--iterations", "2000"]),
 )
 ANALYZE_J2 = ("analyze_j2", ["analyze", "--path", "charts", "--jobs", "2",
                              "--out", "out/analyze"])
@@ -59,6 +64,7 @@ def golden_outputs(commands=COMMANDS) -> dict[str, str]:
 
 def _run_in(tmp_path, monkeypatch, commands=COMMANDS):
     shutil.copytree(os.path.join(GOLDEN, "charts"), tmp_path / "charts")
+    shutil.copy(os.path.join(GOLDEN, "groups.json"), tmp_path / "groups.json")
     monkeypatch.chdir(tmp_path)
     return golden_outputs(commands), _read_tree(os.path.join(GOLDEN, "expected"))
 

@@ -6,7 +6,7 @@ import pytest
 import yaml
 
 from chartqa import quality
-from chartqa.errors import RenderFailed
+from chartqa.errors import KnowledgeBaseError, RenderFailed
 from chartqa.quality import (
     DEFAULT_BLACKLIST,
     DuplicateConfig,
@@ -100,6 +100,14 @@ def test_kb_persistence_round_trip(tmp_path):
     import json
     flat = json.loads(path.read_text())
     assert flat == {"web|templates/t.yaml#0/pw": "secret", "db|templates/x.yaml#0/a": "other"}
+
+
+@pytest.mark.parametrize("text", ["[]", '["web|a"]', '{"web|a": 3}', '{"web|a": null}', "{"])
+def test_kb_load_rejects_malformed_file(tmp_path, text):
+    path = tmp_path / "kb.json"
+    path.write_text(text)
+    with pytest.raises(KnowledgeBaseError):
+        VariabilityKnowledgeBase.load(str(path))
 
 
 # --- duplicate detection ---

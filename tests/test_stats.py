@@ -5,9 +5,11 @@ import random
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chartqa.errors import AllZeroDifferences
-from chartqa.stats import resampled_group_test, wilcoxon_signed_rank
+from chartqa.stats import _midranks, _sign_sum_counts, resampled_group_test, wilcoxon_signed_rank
 
 
 def enumeration_oracle(x, y):
@@ -63,6 +65,35 @@ def test_exact_branch_matches_enumeration_for_small_n():
         assert result.statistic == pytest.approx(observed, abs=1e-12)
         assert result.p_value == pytest.approx(expected_p, abs=1e-12)
         checked += 1
+
+
+# non-zero paired differences for the exact branch: small magnitudes tie
+# often, distinct magnitudes never do
+_tied = st.lists(st.integers(-4, 4).filter(bool), min_size=1, max_size=12)
+_untied = st.lists(st.integers(1, 10_000), min_size=1, max_size=12, unique=True).flatmap(
+    lambda mags: st.lists(st.sampled_from((1, -1)), min_size=len(mags), max_size=len(mags))
+    .map(lambda signs: [m * s for m, s in zip(mags, signs)])
+)
+_differences = st.one_of(_tied, _untied)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_differences)
+def test_exact_p_is_bit_identical_to_enumeration(diffs):
+    zeros = [0] * len(diffs)
+    result = wilcoxon_signed_rank(diffs, zeros)
+    assert result.method == "exact"
+    assert result.p_value == enumeration_oracle(diffs, zeros)[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_differences)
+def test_sign_sum_counts_cover_every_sign_assignment(diffs):
+    double_ranks = tuple(sorted(round(2 * r) for r in _midranks([abs(d) for d in diffs])))
+    counts = _sign_sum_counts(double_ranks)
+    assert sum(counts) == 2 ** len(double_ranks)
+    assert len(counts) == sum(double_ranks) + 1
+    assert counts == counts[::-1]  # flipping every sign maps W+ to total - W+
 
 
 def test_normal_branch_matches_scipy_approximation():
