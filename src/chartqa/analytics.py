@@ -14,12 +14,20 @@ import datetime
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .core import ChartRef
+from .core import ChartRef, Maintainer
 from .ingest import RepoIndex, Snapshot
 
 REGULARLY_CHANGED = "RegularlyChanged"
 INFREQUENTLY_CHANGED = "InfrequentlyChanged"
 UNCHANGED = "Unchanged"
+
+NO_MAINTAINER = "no-maintainer"
+NAME_COLLISION = "name-collision"
+# kind -> detail of each per-chart irregularity rule
+CHART_RULES = {
+    NO_MAINTAINER: "no maintainer is defined",
+    NAME_COLLISION: "chart name matches a maintainer name",
+}
 
 
 @dataclass(frozen=True)
@@ -56,10 +64,24 @@ class IrregularityReport:
             + len(self.multiple_versions) + len(self.alias_names)
         )
 
+    def chart_findings(self) -> list[tuple[str, ChartRef]]:
+        """(kind, chart) for each per-chart rule a chart breaks, kind by kind."""
+        return [(NO_MAINTAINER, ref) for ref in self.no_maintainer] + \
+            [(NAME_COLLISION, ref) for ref in self.name_collision]
 
-def _identity_key(name: str | None, email: str | None, mode: str) -> str | None:
-    name = name.strip() if name else ""
-    email = email.strip().lower() if email else ""
+
+def chart_irregularities(ref: ChartRef, maintainers: Sequence[Maintainer]) -> list[str]:
+    """Kinds of the CHART_RULES that one chart breaks, in table order."""
+    kinds = []
+    if not any(m.well_formed for m in maintainers):
+        kinds.append(NO_MAINTAINER)
+    if any(m.name and m.name == ref.name for m in maintainers):
+        kinds.append(NAME_COLLISION)
+    return kinds
+
+
+def _identity_key(maintainer: Maintainer, mode: str) -> str | None:
+    name, email = maintainer.normalized_name, maintainer.normalized_email
     if not name and not email:
         return None
     if mode == "pair":
@@ -84,15 +106,15 @@ def compute_maintainer_sets(
     for entry in index.entries:
         keys = []
         for maintainer in entry.maintainers:
-            key = _identity_key(maintainer.name, maintainer.email, identity_mode)
+            key = _identity_key(maintainer, identity_mode)
             if key is None:
                 continue
             names_by_key.setdefault(key, set())
             emails_by_key.setdefault(key, set())
-            if maintainer.name and maintainer.name.strip():
-                names_by_key[key].add(maintainer.name.strip())
-            if maintainer.email and maintainer.email.strip():
-                emails_by_key[key].add(maintainer.email.strip().lower())
+            if maintainer.normalized_name:
+                names_by_key[key].add(maintainer.normalized_name)
+            if maintainer.normalized_email:
+                emails_by_key[key].add(maintainer.normalized_email)
             keys.append(key)
         combo = tuple(sorted(set(keys)))
         if combo:
@@ -142,24 +164,19 @@ def compute_maintainer_sets(
 
 def detect_irregularities(index: RepoIndex) -> IrregularityReport:
     """Catalogue metadata irregularities of a parsed repository index."""
-    no_maintainer = []
-    name_collision = []
+    charts_by_kind: dict[str, list[ChartRef]] = {kind: [] for kind in CHART_RULES}
     names_by_email: dict[str, set[str]] = {}
     stem_counts: dict[str, int] = {}
 
     for entry in index.entries:
         stem_counts[entry.ref.stem] = stem_counts.get(entry.ref.stem, 0) + 1
-        well_formed = [m for m in entry.maintainers if m.well_formed]
-        if not well_formed:
-            no_maintainer.append(entry.ref)
-        if any(m.name == entry.ref.name for m in well_formed if m.name):
-            name_collision.append(entry.ref)
-        for maintainer in well_formed:
-            if maintainer.email and maintainer.email.strip():
-                email = maintainer.email.strip().lower()
-                names_by_email.setdefault(email, set())
-                if maintainer.name and maintainer.name.strip():
-                    names_by_email[email].add(maintainer.name.strip())
+        for kind in chart_irregularities(entry.ref, entry.maintainers):
+            charts_by_kind[kind].append(entry.ref)
+        for maintainer in entry.maintainers:
+            if maintainer.normalized_email:
+                names = names_by_email.setdefault(maintainer.normalized_email, set())
+                if maintainer.normalized_name:
+                    names.add(maintainer.normalized_name)
 
     multiple_versions = tuple(sorted(s for s, n in stem_counts.items() if n >= 2))
     alias_names = tuple(
@@ -168,8 +185,8 @@ def detect_irregularities(index: RepoIndex) -> IrregularityReport:
         if len(names) >= 2
     )
     return IrregularityReport(
-        no_maintainer=tuple(no_maintainer),
-        name_collision=tuple(name_collision),
+        no_maintainer=tuple(charts_by_kind[NO_MAINTAINER]),
+        name_collision=tuple(charts_by_kind[NAME_COLLISION]),
         multiple_versions=multiple_versions,
         alias_names=alias_names,
     )
@@ -317,7 +334,6 @@ def _snapshot_date(snapshot: Snapshot) -> datetime.date:
 def period_metrics(
     snapshots: Sequence[Snapshot],
     periods: Iterable[tuple[str, str, str]],
-    quality_by_snapshot: Mapping[str, Mapping[str, float]] | None = None,
 ) -> dict:
     """Per-period trend metrics, normalized to monthly rates.
 
@@ -326,7 +342,6 @@ def period_metrics(
     changed-charts percentage counts chart files with at least one update
     plus stems with at least one vupdate, relative to the chart-file count
     at period start, arithmetically divided by the period length in months.
-    Optional per-snapshot quality metrics ride along as extra growth rows.
     """
     by_id = {snapshot.id: snapshot for snapshot in snapshots}
     ordered_ids = [snapshot.id for snapshot in snapshots]
@@ -381,14 +396,6 @@ def period_metrics(
             "irregularity_alias_names": (
                 len(irr_start.alias_names), len(irr_end.alias_names)),
         }
-        if quality_by_snapshot and start.id in quality_by_snapshot \
-                and end.id in quality_by_snapshot:
-            for name in sorted(quality_by_snapshot[start.id]):
-                if name in quality_by_snapshot[end.id]:
-                    metric_pairs[name] = (
-                        quality_by_snapshot[start.id][name],
-                        quality_by_snapshot[end.id][name],
-                    )
 
         out_periods.append({
             "label": label,

@@ -119,7 +119,10 @@ class _Settings:
         self.config: dict[str, Any] = {}
         if getattr(args, "config", None):
             with open(args.config, encoding="utf-8") as fh:
-                loaded = yaml.safe_load(fh) or {}
+                try:
+                    loaded = yaml.safe_load(fh) or {}
+                except yaml.YAMLError as exc:
+                    raise ChartQAError(f"{args.config}: config file is not YAML: {exc}") from exc
             if not isinstance(loaded, dict):
                 raise ChartQAError("config file must hold a YAML mapping")
             self.config = loaded
@@ -183,13 +186,14 @@ def _emit_json(document: Any, out_dir: str | None, file_name: str) -> None:
 
 
 def _load_packages(settings: _Settings) -> tuple[list[ChartPackage], list]:
+    """Packages under --path sorted by file name, and the charts that failed to parse."""
     path = settings.args.path
     if not path:
         raise ChartQAError("this command needs --path pointing at charts")
     packages, failures = ingest_local_dir(path)
     for failure in failures:
         log.warning("skipping %s: %s", failure.location, failure.error)
-    return packages, failures
+    return sorted(packages, key=lambda p: p.ref.file_name), failures
 
 def _load_index(settings: _Settings) -> RepoIndex:
     if settings.args.index:
@@ -262,7 +266,6 @@ def cmd_analyze(settings: _Settings) -> int:
     kb = _load_kb(settings)
     config = settings.duplicate_config
     engine = settings.engine
-    packages = sorted(packages, key=lambda p: p.ref.file_name)
     reports = _analyze_all(packages, kb, config, engine, settings.args.jobs)
     index = index_from_packages(packages, settings.args.path)
     irregularities = analytics.detect_irregularities(index)
@@ -290,10 +293,7 @@ def cmd_analyze(settings: _Settings) -> int:
 def cmd_dupes(settings: _Settings) -> int:
     packages, _ = _load_packages(settings)
     config = settings.duplicate_config
-    reports = [
-        detect_duplicates(pkg, config)
-        for pkg in sorted(packages, key=lambda p: p.ref.file_name)
-    ]
+    reports = [detect_duplicates(pkg, config) for pkg in packages]
     document = report_mod.build_report(
         subject=settings.args.path,
         sections={"duplicates": [report_mod.duplicate_report_to_mapping(r) for r in reports]},
@@ -307,7 +307,7 @@ def cmd_variability(settings: _Settings) -> int:
     kb = _load_kb(settings)
     engine = settings.engine
     learned = {}
-    for pkg in sorted(packages, key=lambda p: p.ref.file_name):
+    for pkg in packages:
         _, new_paths = learn_variability(pkg, kb, engine)
         learned[pkg.ref.file_name] = new_paths
     if settings.args.kb:
@@ -323,7 +323,6 @@ def cmd_suggest(settings: _Settings) -> int:
     config = settings.duplicate_config
     engine = settings.engine
     out = settings.args.out or "."
-    packages = sorted(packages, key=lambda p: p.ref.file_name)
     duplicate_reports = []
     emitted = []
     for pkg in packages:
@@ -506,19 +505,12 @@ def cmd_livecheck(settings: _Settings) -> int:
         raise ChartQAError(f"no chart found under {settings.args.path}")
     config = settings.duplicate_config
     findings = []
-    for pkg in sorted(packages, key=lambda p: p.ref.file_name):
+    for pkg in packages:
         dup = detect_duplicates(pkg, config)
-        # one chart per index keeps the rules exact when two charts share a file name
-        irregular = analytics.detect_irregularities(
-            index_from_packages([pkg], settings.args.path)
-        )
-        chart_findings = []
-        if irregular.no_maintainer:
-            chart_findings.append({"kind": "no-maintainer", "detail": "no maintainer is defined"})
-        if irregular.name_collision:
-            chart_findings.append({
-                "kind": "name-collision", "detail": "chart name matches a maintainer name"
-            })
+        chart_findings = [
+            {"kind": kind, "detail": analytics.CHART_RULES[kind]}
+            for kind in analytics.chart_irregularities(pkg.ref, pkg.metadata.maintainers)
+        ]
         for group in dup.groups:
             chart_findings.append({
                 "kind": "duplicate-values",

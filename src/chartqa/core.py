@@ -51,6 +51,33 @@ class Maintainer:
     def well_formed(self) -> bool:
         return bool(self.name) or bool(self.email)
 
+    @property
+    def normalized_name(self) -> str:
+        """The name trimmed, case kept; empty when absent."""
+        return self.name.strip() if self.name else ""
+
+    @property
+    def normalized_email(self) -> str:
+        """The e-mail trimmed and lowercased; empty when absent."""
+        return self.email.strip().lower() if self.email else ""
+
+
+def maintainers_from_field(raw: Any) -> tuple[Maintainer, ...]:
+    """Records of a ``maintainers`` field (Chart.yaml or index); a non-list holds none."""
+    if not isinstance(raw, list):
+        return ()
+    maintainers = []
+    for entry in raw:
+        if isinstance(entry, Mapping):
+            name, email = entry.get("name"), entry.get("email")
+            maintainers.append(Maintainer(
+                name=str(name) if name is not None else None,
+                email=str(email) if email is not None else None,
+            ))
+        elif isinstance(entry, str):
+            maintainers.append(Maintainer(name=entry))
+    return tuple(maintainers)
+
 
 @dataclass(frozen=True)
 class ChartRef:
@@ -89,26 +116,13 @@ class ChartMetadata:
         version = data.get("version")
         if not name or not version:
             raise MetadataParseError("Chart.yaml lacks a non-empty name or version")
-        maintainers = []
-        raw = data.get("maintainers") or []
-        if isinstance(raw, list):
-            for entry in raw:
-                if isinstance(entry, Mapping):
-                    name_field = entry.get("name")
-                    email_field = entry.get("email")
-                    maintainers.append(Maintainer(
-                        name=str(name_field) if name_field is not None else None,
-                        email=str(email_field) if email_field is not None else None,
-                    ))
-                elif isinstance(entry, str):
-                    maintainers.append(Maintainer(name=entry))
         description = data.get("description")
         icon = data.get("icon")
         return cls(
             name=str(name),
             version=str(version),
             description=str(description) if description is not None else None,
-            maintainers=tuple(maintainers),
+            maintainers=maintainers_from_field(data.get("maintainers")),
             icon=str(icon) if icon is not None else None,
         )
 

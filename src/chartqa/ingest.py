@@ -17,7 +17,10 @@ from typing import Mapping
 
 import yaml
 
-from .core import ChartPackage, ChartRef, Maintainer, package_from_files, parse_chart_archive
+from .core import (
+    ChartPackage, ChartRef, Maintainer, maintainers_from_field, package_from_files,
+    parse_chart_archive,
+)
 from .errors import (
     ChartQAError,
     ChecksumMismatch,
@@ -65,21 +68,6 @@ class Snapshot:
     content_digests: Mapping[str, str]
 
 
-def _maintainers_from_record(record: Mapping) -> tuple[Maintainer, ...]:
-    maintainers = []
-    for entry in record.get("maintainers") or []:
-        if isinstance(entry, Mapping):
-            name = entry.get("name")
-            email = entry.get("email")
-            maintainers.append(Maintainer(
-                name=str(name) if name is not None else None,
-                email=str(email) if email is not None else None,
-            ))
-        elif isinstance(entry, str):
-            maintainers.append(Maintainer(name=entry))
-    return tuple(maintainers)
-
-
 def _file_name_part(kind: str, text: str, chart_name: str) -> str:
     """Return ``text`` when it can be part of a snapshot archive file name.
 
@@ -125,7 +113,7 @@ def parse_repo_index(
                     _file_name_part("name", name, chart_name),
                     _file_name_part("version", str(version), chart_name),
                 ),
-                maintainers=_maintainers_from_record(record),
+                maintainers=maintainers_from_field(record.get("maintainers")),
                 urls=tuple(str(u) for u in record.get("urls") or []),
                 digest=str(digest) if digest is not None else None,
             ))

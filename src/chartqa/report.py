@@ -18,7 +18,6 @@ from typing import Iterable, Mapping
 from .analytics import IrregularityReport, MaintainerSet
 from .core import mangle_stem
 from .quality import DuplicateReport, QualityReport
-from .rewrite import DigestBatch
 
 SCHEMA_VERSION = "1"
 
@@ -217,7 +216,6 @@ def emit_distributions(
     quality_reports: Iterable[QualityReport],
     sets: Iterable[MaintainerSet] | None = None,
     set_metrics: Mapping | None = None,
-    digests: DigestBatch | None = None,
 ) -> dict[str, str]:
     """Long-tail histograms and the maintainer-set heatmap as CSV tables.
 
@@ -235,11 +233,6 @@ def emit_distributions(
             _histogram(r.duplicate.total_duplicate_values for r in reports),
         ),
     }
-    if digests is not None:
-        tables["emails_per_issue_count"] = _csv_table(
-            ["issues", "emails"],
-            _histogram(len(d.issues) for d in digests.digests),
-        )
     if sets is not None:
         cells: dict[tuple[int, int], int] = {}
         total = 0

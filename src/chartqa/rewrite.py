@@ -19,7 +19,7 @@ from typing import Iterable
 
 import yaml
 
-from .analytics import IrregularityReport
+from .analytics import CHART_RULES, IrregularityReport
 from .core import ChartPackage, ChartRef
 from .errors import EmptyReport, SpanLocationFailed
 from .ingest import RepoIndex
@@ -30,6 +30,7 @@ from .yamlutil import SourceLeaf, sentinel_parse
 log = logging.getLogger(__name__)
 
 UNADDRESSABLE = "unaddressable"
+SUBJECT_PREFIX = "chartqa"
 
 
 @dataclass(frozen=True)
@@ -294,13 +295,10 @@ class DigestBatch:
 def _chart_emails(index: RepoIndex) -> dict[str, list[str]]:
     emails: dict[str, list[str]] = {}
     for entry in index.entries:
-        found = []
+        found = emails[entry.ref.file_name] = []
         for maintainer in entry.maintainers:
-            if maintainer.email:
-                email = maintainer.email.strip().lower()
-                if email and email not in found:
-                    found.append(email)
-        emails[entry.ref.file_name] = found
+            if maintainer.normalized_email and maintainer.normalized_email not in found:
+                found.append(maintainer.normalized_email)
     return emails
 
 
@@ -321,19 +319,10 @@ def build_issue_digests(
     for entry in index.entries:
         refs_by_stem.setdefault(entry.ref.stem, []).append(entry.ref)
 
-    chart_issues: list[Issue] = []
-    for ref in irregularities.no_maintainer:
-        chart_issues.append(Issue(
-            kind="no-maintainer",
-            detail=f"{ref.file_name}: no maintainer is defined",
-            chart=ref,
-        ))
-    for ref in irregularities.name_collision:
-        chart_issues.append(Issue(
-            kind="name-collision",
-            detail=f"{ref.file_name}: chart name matches a maintainer name",
-            chart=ref,
-        ))
+    chart_issues = [
+        Issue(kind=kind, detail=f"{ref.file_name}: {CHART_RULES[kind]}", chart=ref)
+        for kind, ref in irregularities.chart_findings()
+    ]
     for stem in irregularities.multiple_versions:
         refs = sorted(refs_by_stem.get(stem, []), key=lambda r: (r.version, r.file_name))
         if not refs:
@@ -396,7 +385,7 @@ def build_issue_digests(
 _FILENAME_SAFE_RE = re.compile(r"[^A-Za-z0-9._-]+")
 
 
-def write_outbox(batch: DigestBatch, outbox_dir: str, subject_prefix: str = "chartqa") -> list[str]:
+def write_outbox(batch: DigestBatch, outbox_dir: str) -> list[str]:
     """Write one RFC-5322-style .eml text file per digest; transport is out of scope."""
     os.makedirs(outbox_dir, exist_ok=True)
     written = []
@@ -405,7 +394,7 @@ def write_outbox(batch: DigestBatch, outbox_dir: str, subject_prefix: str = "cha
         path = os.path.join(outbox_dir, f"{safe}.eml")
         lines = [
             f"To: {digest.recipient_email}",
-            f"Subject: {subject_prefix}: {len(digest.issues)} chart quality "
+            f"Subject: {SUBJECT_PREFIX}: {len(digest.issues)} chart quality "
             f"finding{'s' if len(digest.issues) != 1 else ''}",
             "",
             "The following findings were detected in charts you maintain:",

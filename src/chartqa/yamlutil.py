@@ -1,7 +1,9 @@
 """Shared YAML helpers: canonical scalars, sentinel parsing, and key paths.
 
 Flattened key paths use the grammar ``<templatePath>#<docIndex>/a/b[2]/c``:
-mapping keys are joined with ``/``, sequence positions append ``[i]``.
+``<docIndex>`` counts the documents of the template that hold a value (an
+empty, comment-only or null document takes no index), mapping keys are
+joined with ``/``, sequence positions append ``[i]``.
 Keys are used verbatim, so keys containing ``/``, ``#`` or ``[`` are outside
 the grammar (chart keys are conventional identifiers in practice).
 """
@@ -256,7 +258,9 @@ def sentinel_parse(template_path: str, source: str) -> SentinelParse:
     constructor = SafeConstructor()
     leaves: list[SourceLeaf] = []
     try:
-        documents = [d for d in yaml.compose_all(substituted, Loader=BaseLoader) if d is not None]
+        # as in render_chart, a document that holds no value takes no index
+        documents = [d for d in yaml.compose_all(substituted, Loader=BaseLoader)
+                     if d.tag != "tag:yaml.org,2002:null"]
         for doc_index, doc in enumerate(documents):
             leaves.extend(
                 _node_leaves(doc, template_path, doc_index, constructor, segment_table)

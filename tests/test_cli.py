@@ -169,6 +169,17 @@ def test_config_file_precedence(tmp_path, capsys):
                          "--config", str(config), "--threshold", "3"]) == 0
 
 
+def test_malformed_config_file_exits_two(tmp_path):
+    write_chart_dir(tmp_path / "charts", "web",
+                    chart_files(values={}, templates=CLEAN_TEMPLATES, maintainers=MAINTAINED))
+    config = tmp_path / "chartqa.yaml"
+    config.write_text("threshold: [1\n")
+    proc = run_cli("dupes", "--path", str(tmp_path / "charts"), "--config", str(config))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_variability_persists_kb(tmp_path, capsys):
     write_chart_dir(tmp_path / "charts", "web",
                     chart_files(values={}, templates={
@@ -253,6 +264,16 @@ def test_authorsets_and_irregularities_from_index_file(tmp_path, capsys):
     section = payload["sections"]["irregularities"]
     assert section["no_maintainer"] == ["orphan-0.1.0.tgz"]
     assert section["multiple_versions"] == ["redis"]
+
+
+def test_irregularities_index_with_non_list_maintainers(tmp_path):
+    index_path = tmp_path / "index.yaml"
+    index_path.write_bytes(make_index_yaml({"redis": [{"version": "1.0.0", "maintainers": 5}]}))
+    proc = run_cli("irregularities", "--index", str(index_path))
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    section = json.loads(proc.stdout)["sections"]["irregularities"]
+    assert section["no_maintainer"] == ["redis-1.0.0.tgz"]
 
 
 def test_graph_from_index_file(tmp_path, capsys):

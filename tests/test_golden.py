@@ -1,4 +1,5 @@
-"""Golden outputs of livecheck, dupes, analyze, suggest and stats on fixed inputs.
+"""Golden outputs of livecheck, dupes, analyze, suggest, stats, irregularities,
+authorsets and graph on fixed inputs.
 
 The corpus under ``golden/charts`` holds a random-value key, quoted and
 plain duplicates, a multi-document template, an ``EngineUnsupported``
@@ -7,7 +8,9 @@ holds small discrete counts with 16 pairs, so resampling iterations take
 both the exact and the normal signed-rank branch. The files under
 ``golden/expected`` were recorded by ``golden_outputs`` before the
 one-pass render refactor (``stats.stdout`` before the counted sign-sum
-distribution); every output must stay byte-identical to them apart from
+distribution; ``irregularities``, ``authorsets`` and ``graph`` before the
+maintainer parser and the per-chart irregularity rules moved to one
+place each); every output must stay byte-identical to them apart from
 ``generated_at``, with paths relative to the run directory.
 ``analyze --jobs 2``, run on its own, must write the same report and exit
 code as the serial ``analyze``.
@@ -31,6 +34,9 @@ COMMANDS = (
                  "--base-url", "http://qa.local"]),
     ("stats", ["stats", "--groups", "groups.json", "--seed", "42",
                "--iterations", "2000"]),
+    ("irregularities", ["irregularities", "--path", "charts"]),
+    ("authorsets", ["authorsets", "--path", "charts"]),
+    ("graph", ["graph", "--path", "charts"]),
 )
 ANALYZE_J2 = ("analyze_j2", ["analyze", "--path", "charts", "--jobs", "2",
                              "--out", "out/analyze"])

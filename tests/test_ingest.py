@@ -9,6 +9,7 @@ import pytest
 import requests
 import yaml
 
+from chartqa.core import package_from_files
 from chartqa.errors import (
     ChecksumMismatch,
     DuplicateSnapshot,
@@ -62,6 +63,22 @@ def test_parse_repo_index_missing_maintainers_is_not_an_error():
     raw = make_index_yaml({"redis": [{"version": "1.0.0"}]})
     index = parse_repo_index(raw, "memory:")
     assert index.entries[0].maintainers == ()
+
+
+@pytest.mark.parametrize("field", [
+    [{"name": "alice", "email": "a@x.io"}, {"email": "b@x.io"}, {"name": 7}],
+    ["alice", "bob"],
+    "bob",
+    5,
+    {"name": "alice", "email": "a@x.io"},
+    None,
+], ids=["mappings", "strings", "string", "int", "mapping", "null"])
+def test_chart_yaml_and_index_agree_on_maintainers(field):
+    files = chart_files(name="redis")
+    files["Chart.yaml"] += yaml.safe_dump({"maintainers": field})
+    from_chart = package_from_files(files).metadata.maintainers
+    raw = make_index_yaml({"redis": [{"version": "1.0.0", "maintainers": field}]})
+    assert parse_repo_index(raw, "memory:").entries[0].maintainers == from_chart
 
 
 def test_parse_repo_index_errors():

@@ -16,6 +16,8 @@ from chartqa.quality import (
     learn_variability,
     stabilize_render,
 )
+from chartqa.render import flatten_documents, render_chart
+from chartqa.yamlutil import sentinel_parse
 
 from conftest import count_calls, make_package
 
@@ -181,6 +183,17 @@ def test_detect_duplicates_rejects_duplicate_keys():
     (unparseable,) = report.unparseable
     assert unparseable[0] == "templates/d.yaml"
     assert "duplicate" in unparseable[1]
+
+
+def test_comment_only_document_takes_no_index():
+    body = "kind: ConfigMap\n---\n# notes\n---\nkind: Secret\n"
+    pkg = make_package(values={}, templates={f"{n}.yaml": body for n in "abc"})
+    report = detect_duplicates(pkg)
+    assert sorted(g.canonical_value for g in report.groups) == ["ConfigMap", "Secret"]
+    leaves = [leaf.path for leaf in sentinel_parse("templates/a.yaml", body).leaves]
+    rendered = [path for path, _ in flatten_documents(render_chart(pkg).manifests)]
+    assert leaves == ["templates/a.yaml#0/kind", "templates/a.yaml#1/kind"]
+    assert leaves == rendered[:2]
 
 
 def test_group_invariants():
