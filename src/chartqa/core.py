@@ -11,7 +11,7 @@ from typing import Any, Iterable, Mapping
 import yaml
 
 from .errors import EmptyCorpus, MalformedArchive, MetadataParseError, MissingMetadata
-from .yamlutil import UniqueKeyLoader, load_unique
+from .yamlutil import load_unique
 
 ValueTree = Any  # nested dict / list / scalar structure of a parsed YAML document
 
@@ -169,19 +169,6 @@ class ChartPackage:
         return yaml.safe_dump(self.values, sort_keys=False)
 
 
-def _parse_requirements(text: str) -> tuple[ChartRef, ...]:
-    try:
-        data = yaml.load(text, Loader=UniqueKeyLoader)
-    except yaml.YAMLError as exc:
-        raise MetadataParseError(f"requirements.yaml invalid: {exc}") from exc
-    refs = []
-    if isinstance(data, Mapping):
-        for dep in data.get("dependencies") or []:
-            if isinstance(dep, Mapping) and dep.get("name") and dep.get("version"):
-                refs.append(ChartRef.from_name_version(str(dep["name"]), str(dep["version"])))
-    return tuple(refs)
-
-
 def package_from_files(files: Mapping[str, bytes | str]) -> ChartPackage:
     """Build a ChartPackage from chart-root-relative file contents.
 
@@ -193,22 +180,21 @@ def package_from_files(files: Mapping[str, bytes | str]) -> ChartPackage:
         body = files[path]
         return body.decode("utf-8") if isinstance(body, bytes) else body
 
+    def parse(path: str) -> Any:
+        try:
+            return load_unique(text(path))
+        except yaml.YAMLError as exc:
+            raise MetadataParseError(f"{path} invalid: {exc}") from exc
+
     if "Chart.yaml" not in files:
         raise MissingMetadata("chart has no Chart.yaml")
-    try:
-        meta_doc = load_unique(text("Chart.yaml"))
-    except yaml.YAMLError as exc:
-        raise MetadataParseError(f"Chart.yaml invalid: {exc}") from exc
-    metadata = ChartMetadata.from_mapping(meta_doc or {})
+    metadata = ChartMetadata.from_mapping(parse("Chart.yaml") or {})
 
     values: ValueTree = {}
     values_text = None
     if "values.yaml" in files:
         values_text = text("values.yaml")
-        try:
-            values = load_unique(values_text)
-        except yaml.YAMLError as exc:
-            raise MetadataParseError(f"values.yaml invalid: {exc}") from exc
+        values = parse("values.yaml")
         if values is None:
             values = {}
 
@@ -218,9 +204,12 @@ def package_from_files(files: Mapping[str, bytes | str]) -> ChartPackage:
         if path.startswith("templates/") and not path.endswith("/")
     )
 
-    requirements: tuple[ChartRef, ...] = ()
-    if "requirements.yaml" in files:
-        requirements = _parse_requirements(text("requirements.yaml"))
+    reqs = parse("requirements.yaml") if "requirements.yaml" in files else None
+    deps = (reqs.get("dependencies") or []) if isinstance(reqs, Mapping) else []
+    requirements = tuple(
+        ChartRef.from_name_version(str(dep["name"]), str(dep["version"]))
+        for dep in deps if isinstance(dep, Mapping) and dep.get("name") and dep.get("version")
+    )
 
     return ChartPackage(
         metadata=metadata, values=values, templates=templates,

@@ -26,11 +26,11 @@ from .core import ChartPackage, write_package_dir
 from .errors import EngineUnavailable
 from .yamlutil import (
     DIRECTIVE_RE,
-    UniqueKeyLoader,
     build_path,
     canon,
     is_scalar,
     iter_tree_leaves,
+    load_documents,
     parse_path,
     set_at,
 )
@@ -216,6 +216,7 @@ class BuiltinEngine:
 
 _SOURCE_MARK_RE = re.compile(r"^# Source:\s*\S*?(templates/\S+)\s*$", re.MULTILINE)
 _ERR_TEMPLATE_RE = re.compile(r"(templates/[\w./-]+)")
+_SEPARATOR_RE = re.compile(r"^---(?: .*)?\r?$\n?", re.MULTILINE)
 
 
 class ExternalEngine:
@@ -264,35 +265,20 @@ class ExternalEngine:
     @staticmethod
     def _attribute_output(stdout: str, pkg: ChartPackage) -> list[tuple[str, str]]:
         """Group rendered chunks back to template paths via Source comments."""
-        per_template: dict[str, list[str]] = {}
-        order: list[str] = []
+        per_template: dict[str, list[str]] = {}  # in order of first appearance
         for chunk in split_documents(stdout):
-            if not chunk.strip():
-                continue
-            m = _SOURCE_MARK_RE.search(chunk)
-            path = m.group(1) if m else ""
-            if path not in per_template:
-                per_template[path] = []
-                order.append(path)
-            per_template[path].append(chunk)
-        return [(path, "\n---\n".join(per_template[path])) for path in order]
+            if chunk.strip():
+                m = _SOURCE_MARK_RE.search(chunk)
+                per_template.setdefault(m.group(1) if m else "", []).append(chunk)
+        return [(path, "\n---\n".join(chunks)) for path, chunks in per_template.items()]
 
 
 Renderer = BuiltinEngine | ExternalEngine
 
 
 def split_documents(text: str) -> list[str]:
-    """Split multi-document YAML on the standard ``---`` separator at column 0."""
-    docs, current = [], []
-    for line in text.splitlines(keepends=True):
-        stripped = line.rstrip("\r\n")
-        if stripped == "---" or stripped.startswith("--- "):
-            docs.append("".join(current))
-            current = []
-        else:
-            current.append(line)
-    docs.append("".join(current))
-    return docs
+    """Split on ``---`` lines at column 0, keeping the ``# Source:`` comments."""
+    return _SEPARATOR_RE.split(text)
 
 
 def render_chart(
@@ -305,28 +291,24 @@ def render_chart(
     Overrides map flattened key paths of the rendered output to replacement
     text and are injected after parsing, taking precedence over whatever the
     engine produced (including fresh random values). Failures are collected
-    per template; successfully rendered templates are still returned.
+    per template; successfully rendered templates are still returned. A
+    template whose rendered text is not YAML gives no documents and one
+    SyntaxError failure.
     """
     engine = engine or BuiltinEngine()
     rendered, failures = engine.render_package(pkg)
 
     documents: list[tuple[str, int, Any]] = []
     for template_path, text in rendered:
-        doc_index = 0
-        for chunk in split_documents(text):
-            if not chunk.strip():
-                continue
-            try:
-                body = yaml.load(chunk, Loader=UniqueKeyLoader)
-            except yaml.YAMLError as exc:
-                failures.append(RenderFailure(
-                    template_path, str(exc).replace("\n", " "), SYNTAX_ERROR
-                ))
-                continue
-            if body is None:
-                continue
-            documents.append((template_path, doc_index, body))
-            doc_index += 1
+        try:
+            parsed = load_documents(text)
+        except yaml.YAMLError as exc:
+            reason = str(exc).replace("\n", " ")
+            failures.append(RenderFailure(template_path, reason, SYNTAX_ERROR))
+            continue
+        documents.extend(
+            (template_path, doc_index, body) for doc_index, (body, _) in enumerate(parsed)
+        )
 
     manifests = RenderedManifestSet(documents)
     manifests.pin(overrides or {})

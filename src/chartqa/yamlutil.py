@@ -1,9 +1,13 @@
-"""Shared YAML helpers: canonical scalars, sentinel parsing, and key paths.
+"""Shared YAML helpers: the document walk, canonical scalars, sentinel parsing, key paths.
 
+Template sources, rendered output and chart metadata are all built by
+:func:`load_documents` or its single-document form :func:`load_unique`.
 Flattened key paths use the grammar ``<templatePath>#<docIndex>/a/b[2]/c``:
 ``<docIndex>`` counts the documents of the template that hold a value (an
 empty, comment-only or null document takes no index), mapping keys are
-joined with ``/``, sequence positions append ``[i]``.
+their ``str()`` forms (``80``, ``True``) joined with ``/``, sequence
+positions append ``[i]``. A template that is not YAML gives no documents.
+Aliases are expanded, up to a fixed number of nodes per text.
 Keys are used verbatim, so keys containing ``/``, ``#`` or ``[`` are outside
 the grammar (chart keys are conventional identifiers in practice).
 """
@@ -25,31 +29,90 @@ DIRECTIVE_RE = re.compile(r"\{\{.*?\}\}", re.DOTALL)
 
 SENTINEL_PREFIX = "__CHARTQA_SENTINEL_"
 
+_NULL_TAG = "tag:yaml.org,2002:null"
+# other scalar tags go through construct_object: timestamps and !!binary
+# build as in PyYAML, merge keys and unknown tags raise
+_SCALARS = {
+    "tag:yaml.org,2002:str": SafeConstructor.construct_yaml_str,
+    "tag:yaml.org,2002:int": SafeConstructor.construct_yaml_int,
+    "tag:yaml.org,2002:float": SafeConstructor.construct_yaml_float,
+    "tag:yaml.org,2002:bool": SafeConstructor.construct_yaml_bool,
+    _NULL_TAG: SafeConstructor.construct_yaml_null,
+}
+# An alias repeats its anchor's subtree, so nine lines of ten aliases to the
+# line above (under 600 bytes) stand for 10**9 nodes. Without aliases a text
+# builds one node per node written; no chart file comes near this many.
+_MAX_NODES = 100_000
+# deeper nesting would overflow the stack here or in the walks over bodies
+_MAX_DEPTH = 100
 
-class UniqueKeyLoader(BaseLoader):
-    """Safe loader that rejects duplicate keys within a mapping level."""
+
+def _reject(problem: str, node: yaml.Node) -> None:
+    raise yaml.constructor.ConstructorError(None, None, problem, node.start_mark)
 
 
-def _construct_mapping_unique(loader, node, deep=False):
-    mapping = {}
-    for key_node, value_node in node.value:
-        key = loader.construct_object(key_node, deep=deep)
-        if not isinstance(key, (str, int, float, bool, type(None))):
-            key = str(key)
-        if key in mapping:
-            raise yaml.constructor.ConstructorError(
-                None, None, "duplicate mapping key %r" % (key,), key_node.start_mark
-            )
-        mapping[key] = loader.construct_object(value_node, deep=deep)
-    return mapping
+class _Walk:
+    """Builds the bodies of one text's documents and collects their scalar leaves."""
+
+    def __init__(self):
+        self.constructor = SafeConstructor()
+        self.nodes = 0
+        self.open: set[yaml.Node] = set()  # collection nodes on the current path
+
+    def scalar(self, node: yaml.Node) -> Any:
+        build = _SCALARS.get(node.tag)
+        return build(self.constructor, node) if build else \
+            self.constructor.construct_object(node, deep=True)
+
+    def build(self, node: yaml.Node, segs: tuple, leaves: list) -> Any:
+        """Body of ``node``; appends each scalar leaf as (segments, node, value)."""
+        self.nodes += 1
+        if self.nodes > _MAX_NODES:
+            _reject(f"expands to more than {_MAX_NODES} nodes", node)
+        if isinstance(node, yaml.ScalarNode):
+            value = self.scalar(node)
+            leaves.append((segs, node, value))
+            return value
+        if node in self.open:
+            _reject("recursive alias", node)
+        if len(self.open) >= _MAX_DEPTH:
+            _reject(f"nested deeper than {_MAX_DEPTH} levels", node)
+        self.open.add(node)
+        if isinstance(node, yaml.SequenceNode):
+            body: Any = [self.build(item, segs + (("idx", i),), leaves)
+                         for i, item in enumerate(node.value)]
+        else:
+            body = {}
+            for key_node, value_node in node.value:
+                if not isinstance(key_node, yaml.ScalarNode):
+                    _reject("non-scalar mapping key", key_node)
+                key = str(self.scalar(key_node))
+                if key in body:
+                    _reject(f"duplicate mapping key {key!r}", key_node)
+                body[key] = self.build(value_node, segs + (("key", key),), leaves)
+        self.open.discard(node)
+        return body
 
 
-UniqueKeyLoader.add_constructor("tag:yaml.org,2002:map", _construct_mapping_unique)
+def load_documents(text: str) -> list[tuple[Any, list]]:
+    """(body, scalar leaves) of each document of ``text`` that holds a value, in ``#N`` order.
+
+    Raises ``yaml.YAMLError`` for text that is not YAML, a duplicate or
+    non-scalar key, a recursive alias, or a walk past ``_MAX_DEPTH`` or ``_MAX_NODES``.
+    """
+    walk = _Walk()
+    documents = []
+    for node in yaml.compose_all(text, Loader=BaseLoader):
+        if node.tag != _NULL_TAG:
+            leaves: list = []
+            documents.append((walk.build(node, (), leaves), leaves))
+    return documents
 
 
 def load_unique(text: str) -> Any:
-    """Parse a single YAML document, rejecting duplicate mapping keys."""
-    return yaml.load(text, Loader=UniqueKeyLoader)
+    """The single document of ``text``, built by the rules of :func:`load_documents`."""
+    node = yaml.compose(text, Loader=BaseLoader)
+    return None if node is None else _Walk().build(node, (), [])
 
 
 def canon(value: Any) -> str:
@@ -201,50 +264,14 @@ def substitute_directives(source: str) -> tuple[str, list[tuple[int, int, int]]]
     return "".join(out), segments
 
 
-def _map_span(segments: list[tuple[int, int, int]], start: int, end: int) -> tuple[int, int] | None:
-    """Map a substituted-text span back to the source, or None if it crosses a sentinel."""
+def _map_span(segments: list[tuple[int, int, int]], node: yaml.Node) -> tuple[int, int] | None:
+    """Map a node's substituted-text span back to the source, or None if it crosses a sentinel."""
+    start, end = node.start_mark.index, node.end_mark.index
     for out_start, orig_start, length in segments:
         if out_start <= start and end <= out_start + length:
             delta = orig_start - out_start
             return start + delta, end + delta
     return None
-
-
-def _node_leaves(node, template_path, doc_index, constructor, segments_map, segs=()):
-    if isinstance(node, yaml.MappingNode):
-        seen = set()
-        for key_node, value_node in node.value:
-            key = str(constructor.construct_object(key_node, deep=True))
-            if key in seen:
-                raise yaml.constructor.ConstructorError(
-                    None, None, "duplicate mapping key %r" % (key,), key_node.start_mark
-                )
-            seen.add(key)
-            yield from _node_leaves(
-                value_node, template_path, doc_index, constructor,
-                segments_map, segs + (("key", key),)
-            )
-    elif isinstance(node, yaml.SequenceNode):
-        for i, item in enumerate(node.value):
-            yield from _node_leaves(
-                item, template_path, doc_index, constructor,
-                segments_map, segs + (("idx", i),)
-            )
-    else:
-        value = canon(constructor.construct_object(node, deep=True))
-        templated = SENTINEL_PREFIX in value
-        span = None
-        if not templated:
-            span = _map_span(segments_map, node.start_mark.index, node.end_mark.index)
-        style = node.style or None
-        yield SourceLeaf(
-            path=build_path(template_path, doc_index, segs),
-            segments=segs,
-            value=value,
-            style=style,
-            span=span,
-            templated=templated,
-        )
 
 
 def sentinel_parse(template_path: str, source: str) -> SentinelParse:
@@ -255,16 +282,16 @@ def sentinel_parse(template_path: str, source: str) -> SentinelParse:
     empty leaf list and a non-None error.
     """
     substituted, segment_table = substitute_directives(source)
-    constructor = SafeConstructor()
-    leaves: list[SourceLeaf] = []
     try:
-        # as in render_chart, a document that holds no value takes no index
-        documents = [d for d in yaml.compose_all(substituted, Loader=BaseLoader)
-                     if d.tag != "tag:yaml.org,2002:null"]
-        for doc_index, doc in enumerate(documents):
-            leaves.extend(
-                _node_leaves(doc, template_path, doc_index, constructor, segment_table)
-            )
+        documents = load_documents(substituted)
     except yaml.YAMLError as exc:
         return SentinelParse(template_path, [], error=str(exc).replace("\n", " "))
+    leaves = []
+    for doc_index, (_, doc_leaves) in enumerate(documents):
+        for segs, node, raw in doc_leaves:
+            value = canon(raw)
+            templated = SENTINEL_PREFIX in value
+            span = None if templated else _map_span(segment_table, node)
+            leaves.append(SourceLeaf(build_path(template_path, doc_index, segs), segs, value,
+                                     node.style or None, span, templated))
     return SentinelParse(template_path, leaves)

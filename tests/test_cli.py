@@ -242,6 +242,36 @@ def test_suggest_skips_chart_that_cannot_render(tmp_path):
     assert sorted(p.name for p in (out / "outbox").iterdir()) == ["a_at_x.io.eml"]
 
 
+def test_self_referencing_alias_is_reported_not_fatal(tmp_path):
+    charts = tmp_path / "charts"
+    write_chart_dir(charts, "bad", chart_files(
+        name="bad", templates={"t.yaml": "a: &x [1, *x]"}, maintainers=MAINTAINED,
+    ))
+    write_chart_dir(charts, "web", chart_files(
+        values={}, templates=DUPE_TEMPLATES, maintainers=MAINTAINED,
+    ))
+    out = tmp_path / "out"
+    runs = {
+        "dupes": run_cli("dupes", "--path", str(charts)),
+        "livecheck": run_cli("livecheck", "--path", str(charts)),
+        "analyze": run_cli("analyze", "--path", str(charts), "--out", str(out)),
+    }
+    for command, proc in runs.items():
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr, (command, proc.stderr)
+    dupes = {d["chart"]: d for d in json.loads(runs["dupes"].stdout)["sections"]["duplicates"]}
+    assert [t["template"] for t in dupes["bad-1.0.0.tgz"]["unparseable_templates"]] == [
+        "templates/t.yaml"
+    ]
+    assert dupes["web-1.0.0.tgz"]["group_count"] == 1
+    livecheck = json.loads(runs["livecheck"].stdout)
+    assert [c["chart"] for c in livecheck["charts"]] == ["bad-1.0.0.tgz", "web-1.0.0.tgz"]
+    quality = {q["chart"]: q for q in
+               json.loads((out / "report.json").read_text())["sections"]["quality"]}
+    assert [(f["template"], f["category"]) for f in quality["bad-1.0.0.tgz"]["render_failures"]] \
+        == [("templates/t.yaml", "SyntaxError")]
+    assert quality["web-1.0.0.tgz"]["duplicate"]["group_count"] == 1
+
+
 def test_authorsets_and_irregularities_from_index_file(tmp_path, capsys):
     raw = make_index_yaml({
         "redis": [

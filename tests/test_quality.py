@@ -76,6 +76,16 @@ def test_stabilize_render_converges_after_one_pass():
         stabilize_render(pkg, kb).canonical_yaml()
 
 
+def test_random_value_under_integer_key_converges():
+    pkg = make_package(values={}, templates={
+        "t.yaml": "ports:\n  80: {{ randAlphaNum 8 }}\n  web: {{ randAlphaNum 8 }}\n",
+    })
+    kb, learned = learn_variability(pkg, VariabilityKnowledgeBase())
+    assert learned == ["templates/t.yaml#0/ports/80", "templates/t.yaml#0/ports/web"]
+    assert stabilize_render(pkg, kb).canonical_yaml() == \
+        stabilize_render(pkg, kb).canonical_yaml()
+
+
 def test_kb_monotonic_and_stable():
     pkg = make_package(values={}, templates={"t.yaml": "pw: {{ randAlphaNum 16 }}\n"})
     kb = VariabilityKnowledgeBase()

@@ -89,6 +89,26 @@ def test_rendered_yaml_syntax_error():
     assert failure.category == "SyntaxError"
 
 
+def test_malformed_middle_document_fails_whole_template():
+    pkg = make_package(values={}, templates={
+        "t.yaml": "a: 1\n---\nb: : x\n---\nc: 3\n", "u.yaml": "d: 4\n",
+    })
+    result = render_chart(pkg)
+    (failure,) = result.failures
+    assert (failure.template_path, failure.category) == ("templates/t.yaml", "SyntaxError")
+    assert result.manifests.documents == [("templates/u.yaml", 0, {"d": 4})]
+
+
+def test_pin_reaches_value_under_integer_key():
+    pkg = make_package(values={}, templates={
+        "t.yaml": "ports:\n  80: {{ randAlphaNum 8 }}\n  web: {{ randAlphaNum 8 }}\n",
+    })
+    overrides = {"templates/t.yaml#0/ports/80": "p80", "templates/t.yaml#0/ports/web": "pweb"}
+    manifests = render_chart(pkg, overrides).manifests
+    assert manifests.render_overrides_used == overrides
+    assert manifests.documents == [("templates/t.yaml", 0, {"ports": {"80": "p80", "web": "pweb"}})]
+
+
 def test_multi_document_split_column_zero():
     text = "a: 1\n---\nb: 2\n--- # trailing comment\nc: 3\n"
     docs = [d for d in split_documents(text) if d.strip()]

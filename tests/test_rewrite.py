@@ -169,6 +169,15 @@ def test_verify_rewrite_nan_leaf_and_mixed_key_types():
     assert verify_rewrite(pkg, plan) is True
 
 
+def test_verify_rewrite_random_value_under_integer_key():
+    pkg = make_package(values={}, templates={
+        "t.yaml": "a: dup-me\nb: dup-me\nc: dup-me\n",
+        "ports.yaml": "ports:\n  80: {{ randAlphaNum 8 }}\n  web: {{ randAlphaNum 8 }}\n",
+    })
+    plan = plan_rewrite(pkg, detect_duplicates(pkg))
+    assert verify_rewrite(pkg, plan) is True
+
+
 def test_verify_rewrite_empty_plan_vacuously_true():
     pkg = make_package(values={}, templates={})
     empty = RewritePlan(chart=pkg.ref, assignments=(), values_patch="")
