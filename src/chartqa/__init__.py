@@ -6,6 +6,7 @@ from .analytics import (
     IrregularityReport,
     MaintainerIdentity,
     MaintainerSet,
+    adjacent_changes,
     change_histories,
     classify_activity,
     compute_maintainer_sets,
@@ -66,7 +67,7 @@ __all__ = [
     "ExternalEngine", "IrregularityReport", "IssueDigest", "Maintainer",
     "MaintainerIdentity", "MaintainerSet", "QualityReport", "RenderFailure",
     "RenderedManifestSet", "RepoIndex", "RewritePlan", "Snapshot",
-    "SnapshotStore", "VariabilityKnowledgeBase", "analyze_chart",
+    "SnapshotStore", "VariabilityKnowledgeBase", "adjacent_changes", "analyze_chart",
     "build_issue_digests", "change_histories", "classify_activity",
     "compute_maintainer_sets", "detect_changes", "detect_duplicates",
     "detect_irregularities", "emit_diff", "fetch_archive", "flatten_documents",

@@ -299,20 +299,30 @@ def classify_activity(histories: Mapping[str, Sequence[bool]]) -> list[ActivityP
     return profiles
 
 
-def change_histories(snapshots: Sequence[Snapshot]) -> dict[str, list[bool]]:
+def adjacent_changes(snapshots: Sequence[Snapshot]) -> list[ChangeSet]:
+    """The ChangeSet of each consecutive pair of an ordered snapshot series."""
+    return [detect_changes(before, after) for before, after in zip(snapshots, snapshots[1:])]
+
+
+def change_histories(
+    snapshots: Sequence[Snapshot], changes: Sequence[ChangeSet] | None = None,
+) -> dict[str, list[bool]]:
     """Daily change flags per stem across an ordered snapshot series.
 
     The observed universe is every stem appearing in any snapshot; each
-    consecutive snapshot pair contributes one flag per stem.
+    consecutive snapshot pair contributes one flag per stem. ``changes``,
+    when given, is ``adjacent_changes(snapshots)``.
     """
     if len(snapshots) < 2:
         raise ValueError("change histories need at least two snapshots")
+    if changes is None:
+        changes = adjacent_changes(snapshots)
     universe: set[str] = set()
     for snapshot in snapshots:
         universe.update(entry.ref.stem for entry in snapshot.index.entries)
     histories = {stem: [] for stem in sorted(universe)}
-    for before, after in zip(snapshots, snapshots[1:]):
-        touched = detect_changes(before, after).touched_stems()
+    for change_set in changes:
+        touched = change_set.touched_stems()
         for stem in histories:
             histories[stem].append(stem in touched)
     return histories
@@ -334,15 +344,19 @@ def _snapshot_date(snapshot: Snapshot) -> datetime.date:
 def period_metrics(
     snapshots: Sequence[Snapshot],
     periods: Iterable[tuple[str, str, str]],
+    changes: Sequence[ChangeSet] | None = None,
 ) -> dict:
     """Per-period trend metrics, normalized to monthly rates.
 
-    ``periods`` lists (label, start snapshot id, end snapshot id). Growth
+    ``periods`` lists (label, start snapshot id, end snapshot id);
+    ``changes``, when given, is ``adjacent_changes(snapshots)``. Growth
     rates are geometric monthly averages over months of 30 days; the
     changed-charts percentage counts chart files with at least one update
     plus stems with at least one vupdate, relative to the chart-file count
     at period start, arithmetically divided by the period length in months.
     """
+    if changes is None:
+        changes = adjacent_changes(snapshots)
     by_id = {snapshot.id: snapshot for snapshot in snapshots}
     ordered_ids = [snapshot.id for snapshot in snapshots]
     out_periods = []
@@ -352,17 +366,15 @@ def period_metrics(
         i, j = ordered_ids.index(start_id), ordered_ids.index(end_id)
         if j <= i:
             raise ValueError(f"period {label!r}: end must come after start")
-        window = snapshots[i:j + 1]
-        start, end = window[0], window[-1]
+        start, end = snapshots[i], snapshots[j]
         days = (_snapshot_date(end) - _snapshot_date(start)).days
         months = days / 30.0 if days > 0 else 1.0
 
         updated_files: set[str] = set()
         vupdated_stems: set[str] = set()
-        for before, after in zip(window, window[1:]):
-            changes = detect_changes(before, after)
-            updated_files.update(ref.file_name for ref in changes.updated)
-            vupdated_stems.update(old.stem for old, _ in changes.vupdates)
+        for change_set in changes[i:j]:
+            updated_files.update(ref.file_name for ref in change_set.updated)
+            vupdated_stems.update(old.stem for old, _ in change_set.vupdates)
         start_files = len(start.index.entries)
         changed_count = len(updated_files) + len(vupdated_stems)
         changed_pct = (

@@ -432,8 +432,9 @@ def cmd_trends(settings: _Settings) -> int:
         raise ChartQAError("trends need at least two snapshots")
     snapshots = [store.load(snapshot_id) for snapshot_id in ids]
     periods = _parse_periods(settings.args.periods, ids)
-    table = analytics.period_metrics(snapshots, periods)
-    histories = analytics.change_histories(snapshots)
+    changes = analytics.adjacent_changes(snapshots)
+    table = analytics.period_metrics(snapshots, periods, changes)
+    histories = analytics.change_histories(snapshots, changes)
     profiles = analytics.classify_activity(histories)
     document = report_mod.build_report(
         subject=store.root,

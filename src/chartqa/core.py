@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import os
 import tarfile
+import zlib
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
@@ -217,30 +218,49 @@ def package_from_files(files: Mapping[str, bytes | str]) -> ChartPackage:
     )
 
 
+# Helm's own defaults for one decompressed file and for a whole chart
+MAX_FILE_BYTES = 5 * 1024 * 1024
+MAX_ARCHIVE_BYTES = 100 * 1024 * 1024
+# a chart holds tens of files; an empty member costs no declared bytes but
+# still a header read and a TarInfo, so a stream of them is bounded by count
+MAX_ARCHIVE_MEMBERS = 10_000
+
+
 def parse_chart_archive(archive: bytes) -> ChartPackage:
     """Parse a gzipped tar chart archive into a ChartPackage.
 
     Templates are returned verbatim (unrendered); a missing values.yaml
-    yields an empty value tree.
+    yields an empty value tree. Members are read one at a time, and the
+    archive is rejected as soon as one file, the running total of declared
+    file sizes or the member count passes its bound, before the data that
+    passes it is decompressed.
     """
-    try:
-        tar = tarfile.open(fileobj=io.BytesIO(archive), mode="r:gz")
-    except (tarfile.TarError, OSError, EOFError) as exc:
-        raise MalformedArchive(f"not a gzipped tar archive: {exc}") from exc
-
     files: dict[str, bytes] = {}
-    with tar:
-        for member in tar.getmembers():
-            if not member.isfile():
-                continue
-            parts = member.name.split("/")
-            # drop the single top-level chart directory
-            rel = "/".join(parts[1:]) if len(parts) > 1 else parts[0]
-            if not rel:
-                continue
-            extracted = tar.extractfile(member)
-            if extracted is not None:
-                files[rel] = extracted.read()
+    total = 0
+    try:
+        with tarfile.open(fileobj=io.BytesIO(archive), mode="r:gz") as tar:
+            for count, member in enumerate(tar, 1):
+                if count > MAX_ARCHIVE_MEMBERS:
+                    raise MalformedArchive(f"archive has over {MAX_ARCHIVE_MEMBERS} members")
+                if not member.isfile():
+                    continue
+                total += member.size
+                if member.size > MAX_FILE_BYTES:
+                    raise MalformedArchive(
+                        f"{member.name} declares {member.size} bytes, over {MAX_FILE_BYTES}"
+                    )
+                if total > MAX_ARCHIVE_BYTES:
+                    raise MalformedArchive(f"archive files declare over {MAX_ARCHIVE_BYTES} bytes")
+                parts = member.name.split("/")
+                # drop the single top-level chart directory
+                rel = "/".join(parts[1:]) if len(parts) > 1 else parts[0]
+                if not rel:
+                    continue
+                extracted = tar.extractfile(member)
+                if extracted is not None:
+                    files[rel] = extracted.read()
+    except (tarfile.TarError, OSError, EOFError, zlib.error) as exc:
+        raise MalformedArchive(f"not a gzipped tar archive: {exc}") from exc
     return package_from_files(files)
 
 

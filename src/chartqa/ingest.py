@@ -3,6 +3,11 @@
 The snapshot store is a directory tree with one subdirectory per snapshot
 id (a UTC date) holding the raw index, the raw archives and a JSON manifest
 of content digests, so any historical state can be replayed byte-exactly.
+The manifest also keeps the index entries as ``parse_repo_index`` built
+them, keyed to the sha256 of ``index.yaml``: loading a snapshot rebuilds
+the entries from there instead of parsing the YAML again, and parses it
+when the key is absent (stores recorded before the key existed) or the
+digest no longer matches the file.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import json
 import os
 import shutil
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Any, Mapping
 
 import yaml
 
@@ -82,6 +87,14 @@ def _file_name_part(kind: str, text: str, chart_name: str) -> str:
     return text
 
 
+def _entry_ref(name: str, version: str, chart_name: str) -> ChartRef:
+    """The chart file of one version record, by the file-name rule of both readers."""
+    return ChartRef.from_name_version(
+        _file_name_part("name", name, chart_name),
+        _file_name_part("version", version, chart_name),
+    )
+
+
 def parse_repo_index(
     raw: bytes, source: str, fetched_at: datetime.datetime | None = None
 ) -> RepoIndex:
@@ -109,10 +122,7 @@ def parse_repo_index(
                 raise IndexParseError(f"version record under {chart_name!r} lacks a version")
             digest = record.get("digest")
             entries.append(IndexEntry(
-                ref=ChartRef.from_name_version(
-                    _file_name_part("name", name, chart_name),
-                    _file_name_part("version", str(version), chart_name),
-                ),
+                ref=_entry_ref(name, str(version), chart_name),
                 maintainers=maintainers_from_field(record.get("maintainers")),
                 urls=tuple(str(u) for u in record.get("urls") or []),
                 digest=str(digest) if digest is not None else None,
@@ -217,6 +227,66 @@ def ingest_local_dir(path: str) -> tuple[list[ChartPackage], list[IngestFailure]
     return packages, failures
 
 
+_CACHED_FIELDS = ("name", "version", "maintainers", "urls", "digest")
+_CACHED_KEYS = frozenset(_CACHED_FIELDS)
+_OPTIONAL_STR = frozenset({str, type(None)})
+
+
+def _cache_item(entry: IndexEntry) -> dict:
+    """One index entry as the manifest keeps it; the inverse of ``_cached_entry``."""
+    return {
+        "name": entry.ref.name,
+        "version": entry.ref.version,
+        "maintainers": [[m.name, m.email] for m in entry.maintainers],
+        "urls": list(entry.urls),
+        "digest": entry.digest,
+    }
+
+
+def _cached_entry(item: Any) -> IndexEntry | None:
+    """The entry a manifest item holds, or None when the item has the wrong shape."""
+    if type(item) is not dict or item.keys() != _CACHED_KEYS:
+        return None
+    name, version, maintainers, urls, digest = (item[key] for key in _CACHED_FIELDS)
+    if not (
+        type(urls) is list and type(maintainers) is list
+        and {type(text) for text in (name, version, *urls)} <= {str}
+        and all(type(m) is list and len(m) == 2 for m in maintainers)
+        and {type(text) for m in maintainers for text in m} | {type(digest)} <= _OPTIONAL_STR
+    ):
+        return None
+    return IndexEntry(
+        ref=_entry_ref(name, version, name),
+        maintainers=tuple(Maintainer(name=m[0], email=m[1]) for m in maintainers),
+        urls=tuple(urls),
+        digest=digest,
+    )
+
+
+def _manifest_fields(manifest: Any, snapshot_id: str) -> tuple[str, datetime.datetime, dict, Any]:
+    """The source, fetch time, archive digests and index entry cache (or None)
+    of a manifest, with their shape checked."""
+    def malformed(problem: str) -> StorageError:
+        return StorageError(f"snapshot {snapshot_id}: manifest {problem}")
+
+    if not isinstance(manifest, dict):
+        raise malformed("is not a JSON object")
+    source, fetched_at, digests = (manifest.get(k) for k in ("source", "fetched_at", "digests"))
+    if not isinstance(source, str):
+        raise malformed("lacks a string 'source'")
+    try:
+        fetched_at = datetime.datetime.fromisoformat(
+            fetched_at if isinstance(fetched_at, str) else "")
+    except ValueError:
+        raise malformed("lacks an ISO 'fetched_at'") from None
+    if not isinstance(digests, dict) or not all(isinstance(v, str) for v in digests.values()):
+        raise malformed("'digests' is not an object of strings")
+    cache = manifest.get("index")
+    if cache is not None and not (isinstance(cache, dict) and isinstance(cache.get("sha256"), str)):
+        raise malformed("'index' is not an object with a string 'sha256'")
+    return source, fetched_at, digests, cache
+
+
 class SnapshotStore:
     """Filesystem store holding at most one snapshot per UTC day."""
 
@@ -264,6 +334,12 @@ class SnapshotStore:
                 "digest_algorithm": "sha256",
                 "digests": digests,
             }
+            if index.raw is not None:
+                # entries of a parsed index, so load can skip the YAML parse
+                manifest["index"] = {
+                    "sha256": sha256_digest(index.raw),
+                    "entries": [_cache_item(entry) for entry in index.entries],
+                }
             with open(os.path.join(staging, "manifest.json"), "w", encoding="utf-8") as fh:
                 json.dump(manifest, fh, indent=2, sort_keys=True)
             os.rename(staging, final)
@@ -273,21 +349,26 @@ class SnapshotStore:
         return snapshot_id
 
     def load(self, snapshot_id: str) -> Snapshot:
+        """The recorded snapshot; its entries come from the manifest when its
+        digest matches ``index.yaml``, else from parsing ``index.yaml``."""
         base, _, manifest_path = self._paths(snapshot_id)
         try:
             with open(manifest_path, encoding="utf-8") as fh:
                 manifest = json.load(fh)
             with open(os.path.join(base, "index.yaml"), "rb") as fh:
                 raw_index = fh.read()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise StorageError(f"cannot load snapshot {snapshot_id}: {exc}") from exc
-        fetched_at = datetime.datetime.fromisoformat(manifest["fetched_at"])
-        index = parse_repo_index(raw_index, manifest["source"], fetched_at=fetched_at)
-        return Snapshot(
-            id=snapshot_id,
-            index=index,
-            content_digests=dict(manifest["digests"]),
-        )
+        source, fetched_at, digests, cache = _manifest_fields(manifest, snapshot_id)
+        if cache is None or cache["sha256"] != sha256_digest(raw_index):
+            index = parse_repo_index(raw_index, source, fetched_at=fetched_at)
+        else:
+            items = cache.get("entries")
+            entries = [_cached_entry(item) for item in items] if isinstance(items, list) else []
+            if not entries or any(entry is None for entry in entries):
+                raise StorageError(f"snapshot {snapshot_id}: manifest index entries are malformed")
+            index = RepoIndex(source, fetched_at, tuple(entries), raw=raw_index)
+        return Snapshot(id=snapshot_id, index=index, content_digests=dict(digests))
 
 
 def index_from_packages(packages: list[ChartPackage], source: str) -> RepoIndex:

@@ -2,15 +2,17 @@
 
 import datetime
 import json
+import logging
 import subprocess
 import sys
 
 import pytest
 
+from chartqa import analytics
 from chartqa.cli import cli_dispatch
 from chartqa.ingest import SnapshotStore, parse_repo_index, sha256_digest
 
-from conftest import chart_files, make_archive, make_index_yaml, write_chart_dir
+from conftest import chart_files, count_calls, make_archive, make_index_yaml, write_chart_dir
 
 CLEAN_TEMPLATES = {"deploy.yaml": "kind: Deployment\nname: {{ .Values.app }}\n"}
 DUPE_TEMPLATES = {"deploy.yaml": "a: dup-me\nb: dup-me\nc: dup-me\n"}
@@ -379,6 +381,50 @@ def test_snapshot_changes_trends_flow(tmp_path, capsys):
     assert period["metrics"]["charts"]["end"] == 2
     levels = {a["stem"]: a["level"] for a in trends["sections"]["activity"]}
     assert levels["web"] == "RegularlyChanged"
+
+
+def _record_days(store_dir, *days):
+    store = SnapshotStore(str(store_dir))
+    for day, version in enumerate(days):
+        index = parse_repo_index(
+            make_index_yaml({"web": [{"version": version}]}), "memory:",
+            fetched_at=datetime.datetime(2018, 5, 14 + day, tzinfo=datetime.timezone.utc),
+        )
+        store.record(index, {f"web-{version}.tgz": version.encode()})
+    return store
+
+
+@pytest.mark.parametrize("edit", [
+    lambda manifest: [],
+    lambda manifest: {**manifest, "fetched_at": 5},
+    lambda manifest: {**manifest, "fetched_at": 20180514},
+    lambda manifest: {k: v for k, v in manifest.items() if k != "fetched_at"},
+    lambda manifest: {**manifest, "fetched_at": "yesterday"},
+    lambda manifest: {**manifest, "source": None},
+    lambda manifest: {**manifest, "digests": ["web-1.0.0.tgz"]},
+    lambda manifest: {**manifest, "digests": {"web-1.0.0.tgz": 5}},
+    lambda manifest: {**manifest, "index": 5},
+    lambda manifest: "{",
+], ids=["list", "int-fetched-at", "int-date-fetched-at", "no-fetched-at", "non-iso-fetched-at", "null-source",
+        "list-digests", "int-digest", "int-index", "not-json"])
+@pytest.mark.parametrize("command", ["changes", "trends"])
+def test_malformed_manifest_exits_two_naming_the_snapshot(tmp_path, caplog, command, edit):
+    store = _record_days(tmp_path / "store", "1.0.0", "1.1.0")
+    manifest_path = tmp_path / "store" / "2018-05-14" / "manifest.json"
+    edited = edit(json.loads(manifest_path.read_text()))
+    manifest_path.write_text(edited if isinstance(edited, str) else json.dumps(edited))
+    with caplog.at_level(logging.ERROR, logger="chartqa"):
+        assert cli_dispatch([command, "--snapshot-store", store.root]) == 2
+    assert "snapshot 2018-05-14" in caplog.text
+
+
+def test_trends_diffs_each_snapshot_pair_once(tmp_path, capsys, monkeypatch):
+    store = _record_days(tmp_path / "store", "1.0.0", "1.1.0", "1.2.0")
+    calls = count_calls(monkeypatch, "detect_changes", analytics)
+    assert cli_dispatch(["trends", "--snapshot-store", store.root]) == 0
+    assert [(a.id, b.id) for a, b in calls] == [
+        ("2018-05-14", "2018-05-15"), ("2018-05-15", "2018-05-16"),
+    ]
 
 
 def test_stats_command(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """chart-core: stem mangling, archive parsing, corpus metrics."""
 
+import gzip
 import io
 import random
 import tarfile
@@ -8,6 +9,9 @@ import pytest
 import yaml
 
 from chartqa.core import (
+    MAX_ARCHIVE_BYTES,
+    MAX_ARCHIVE_MEMBERS,
+    MAX_FILE_BYTES,
     ChartMetadata,
     ChartRef,
     mangle_stem,
@@ -142,6 +146,56 @@ def test_parse_chart_archive_missing_metadata():
 def test_parse_chart_archive_not_an_archive():
     with pytest.raises(MalformedArchive):
         parse_chart_archive(b"this is not a tarball")
+
+
+def test_parse_chart_archive_truncated_stream_is_malformed():
+    archive = make_archive(chart_files(templates={"x.yaml": "a: 1\n" * 2000}))
+    with pytest.raises(MalformedArchive):
+        parse_chart_archive(archive[:len(archive) // 2])
+
+
+def _sparse_header(name: str, size: int) -> bytes:
+    """A GNU sparse member header that declares ``size`` bytes and stores none."""
+    info = tarfile.TarInfo(name)
+    info.type = tarfile.GNUTYPE_SPARSE
+    header = bytearray(info.tobuf(tarfile.GNU_FORMAT))
+    header[483:495] = tarfile.itn(size, 12, tarfile.GNU_FORMAT)
+    header[148:156] = b" " * 8
+    header[148:155] = b"%06o\0" % tarfile.calc_chksums(bytes(header))[0]
+    return bytes(header)
+
+
+def _chart_with(members: bytes) -> bytes:
+    """A gzipped tar of a valid chart followed by raw member ``members``."""
+    chart = gzip.decompress(make_archive(chart_files()))
+    end = len(chart.rstrip(b"\0"))
+    end += -end % tarfile.BLOCKSIZE
+    return gzip.compress(chart[:end] + members + b"\0" * 2 * tarfile.BLOCKSIZE)
+
+
+def test_parse_chart_archive_rejects_one_oversized_file():
+    archive = make_archive({**chart_files(), "templates/big.yaml": b"\0" * (MAX_FILE_BYTES + 1)})
+    assert len(archive) < 32_000
+    with pytest.raises(MalformedArchive, match=f"over {MAX_FILE_BYTES}"):
+        parse_chart_archive(archive)
+
+
+def test_parse_chart_archive_rejects_oversized_total():
+    count = MAX_ARCHIVE_BYTES // MAX_FILE_BYTES + 1
+    members = b"".join(_sparse_header(f"web/templates/{i}.yaml", MAX_FILE_BYTES)
+                       for i in range(count))
+    archive = _chart_with(members)
+    assert len(archive) < 32_000
+    with pytest.raises(MalformedArchive, match=f"over {MAX_ARCHIVE_BYTES}"):
+        parse_chart_archive(archive)
+
+
+def test_parse_chart_archive_rejects_too_many_members():
+    info = tarfile.TarInfo("web/templates/empty.yaml")
+    archive = _chart_with(info.tobuf(tarfile.GNU_FORMAT) * MAX_ARCHIVE_MEMBERS)
+    assert len(archive) < 32_000
+    with pytest.raises(MalformedArchive, match=f"over {MAX_ARCHIVE_MEMBERS} members"):
+        parse_chart_archive(archive)
 
 
 def test_parse_chart_archive_bad_metadata():

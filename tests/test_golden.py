@@ -14,16 +14,26 @@ place each); every output must stay byte-identical to them apart from
 ``generated_at``, with paths relative to the run directory.
 ``analyze --jobs 2``, run on its own, must write the same report and exit
 code as the serial ``analyze``.
+
+``changes`` and ``trends`` run on a store recorded in the test from the
+three index files under ``golden/store``; ``golden/store/expected`` was
+recorded before the store kept parsed index entries in its manifests. A
+store whose manifests lack those entries, as every store recorded before
+then does, must give the same outputs.
 """
 
 import contextlib
+import datetime
 import io
 import json
 import os
 import re
 import shutil
 
+import pytest
+
 from chartqa.cli import cli_dispatch
+from chartqa.ingest import SnapshotStore, parse_repo_index
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 COMMANDS = (
@@ -88,3 +98,56 @@ def test_parallel_analyze_matches_golden_report(tmp_path, monkeypatch):
     assert actual["analyze/report.json"] == expected["analyze/report.json"]
     codes = json.loads(expected["exit_codes.json"])
     assert json.loads(actual["exit_codes.json"]) == {"analyze_j2": codes["analyze"]}
+
+
+STORE_DAYS = ("2018-05-14", "2018-05-15", "2018-06-14")
+# (day, archive) pairs whose bytes differ from the other days'; ``db`` version
+# ``1.10`` is the YAML float 1.1
+REBUILT = {("2018-05-15", "web-ui-3.0.0.tgz"), ("2018-06-14", "db-1.1.tgz")}
+STORE_COMMANDS = (
+    ("changes", ["changes", "--snapshot-store", "store"]),
+    ("changes_span", ["changes", "--snapshot-store", "store",
+                      "--from", "2018-05-14", "--to", "2018-06-14"]),
+    ("trends", ["trends", "--snapshot-store", "store", "--periods",
+                "may=2018-05-14..2018-05-15;all=2018-05-14..2018-06-14;"
+                "june=2018-05-15..2018-06-14"]),
+)
+
+
+def record_golden_store(root: str) -> None:
+    """Record the three golden index files as one snapshot per day."""
+    store = SnapshotStore(root)
+    for day in STORE_DAYS:
+        with open(os.path.join(GOLDEN, "store", f"{day}.yaml"), "rb") as fh:
+            raw = fh.read()
+        fetched_at = datetime.datetime.fromisoformat(f"{day}T06:00:00+00:00")
+        index = parse_repo_index(raw, "index.yaml", fetched_at=fetched_at)
+        archives = {
+            entry.ref.file_name: f"{entry.ref.file_name} rev "
+            f"{2 if (day, entry.ref.file_name) in REBUILT else 1}\n".encode()
+            for entry in index.entries
+        }
+        store.record(index, archives)
+
+
+def _strip_index_key(root: str) -> None:
+    for snapshot_id in os.listdir(root):
+        path = os.path.join(root, snapshot_id, "manifest.json")
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        manifest.pop("index", None)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("cached", [True, False], ids=["as-recorded", "without-index-key"])
+def test_store_outputs_match_golden_files(tmp_path, monkeypatch, cached):
+    record_golden_store(str(tmp_path / "store"))
+    if not cached:
+        _strip_index_key(str(tmp_path / "store"))
+    monkeypatch.chdir(tmp_path)
+    actual = golden_outputs(STORE_COMMANDS)
+    expected = _read_tree(os.path.join(GOLDEN, "store", "expected"))
+    assert sorted(actual) == sorted(expected)
+    for name, text in expected.items():
+        assert actual[name] == text, name

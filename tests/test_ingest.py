@@ -2,20 +2,27 @@
 
 import datetime
 import gc
+import json
 import os
+import string
+import tempfile
 import warnings
 
 import pytest
 import requests
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chartqa.core import package_from_files
+from chartqa import ingest
 from chartqa.errors import (
     ChecksumMismatch,
     DuplicateSnapshot,
     EmptyIndex,
     FetchError,
     IndexParseError,
+    StorageError,
 )
 from chartqa.ingest import (
     SnapshotStore,
@@ -25,7 +32,7 @@ from chartqa.ingest import (
     sha256_digest,
 )
 
-from conftest import chart_files, make_archive, make_index_yaml, write_chart_dir
+from conftest import chart_files, count_calls, make_archive, make_index_yaml, write_chart_dir
 
 UTC = datetime.timezone.utc
 
@@ -202,6 +209,16 @@ def test_ingest_local_dir_archives_too(tmp_path):
     assert len(failures) == 1 and "MalformedArchive" in failures[0].error
 
 
+def test_ingest_local_dir_reports_truncated_archive(tmp_path):
+    archive = make_archive(chart_files(name="redis", templates={"x.yaml": "a: 1\n" * 2000}))
+    (tmp_path / "redis-1.0.0.tgz").write_bytes(archive[:len(archive) // 2])
+    (tmp_path / "web-1.0.0.tgz").write_bytes(make_archive(chart_files()))
+    packages, failures = ingest_local_dir(str(tmp_path))
+    assert [p.metadata.name for p in packages] == ["web"]
+    assert [f.location for f in failures] == ["redis-1.0.0.tgz"]
+    assert "MalformedArchive" in failures[0].error
+
+
 def test_ingest_local_dir_closes_archive_files(tmp_path):
     (tmp_path / "redis-1.0.0.tgz").write_bytes(
         make_archive(chart_files(name="redis"), "redis")
@@ -261,3 +278,117 @@ def test_snapshots_append_only(tmp_path):
     store.record(index2, archives2)
     assert store.ids() == ["2018-05-15", "2018-05-16"]
     assert store.load(first_id).content_digests == before
+
+
+def _recorded(tmp_path, entries):
+    """A store holding one snapshot of ``entries``, and the snapshot's directory."""
+    index = parse_repo_index(make_index_yaml(entries), "memory:",
+                             fetched_at=datetime.datetime(2018, 5, 15, tzinfo=UTC))
+    store = SnapshotStore(str(tmp_path / "store"))
+    return store, tmp_path / "store" / store.record(index, {})
+
+
+def _edit_cached_entries(snapshot_dir, edit):
+    path = snapshot_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest["index"]["entries"])
+    path.write_text(json.dumps(manifest))
+
+
+WEB = {"web": [{"version": "1.0.0", "maintainers": [{"name": "alice"}]}]}
+
+
+def test_load_builds_entries_from_the_manifest_without_parsing(tmp_path, monkeypatch):
+    store, snapshot_dir = _recorded(tmp_path, WEB)
+    manifest = json.loads((snapshot_dir / "manifest.json").read_text())
+    assert manifest["index"]["sha256"] == sha256_digest((snapshot_dir / "index.yaml").read_bytes())
+    calls = count_calls(monkeypatch, "parse_repo_index", ingest)
+    index = store.load("2018-05-15").index
+    assert calls == []
+    assert [entry.ref.file_name for entry in index.entries] == ["web-1.0.0.tgz"]
+    assert index.raw == (snapshot_dir / "index.yaml").read_bytes()
+
+
+def test_load_ignores_cached_entries_of_another_index(tmp_path):
+    store, snapshot_dir = _recorded(tmp_path, WEB)
+    (snapshot_dir / "index.yaml").write_bytes(
+        make_index_yaml({"db": [{"version": "2.0.0"}, {"version": "2.1.0"}]}))
+    entries = store.load("2018-05-15").index.entries
+    assert [entry.ref.file_name for entry in entries] == ["db-2.0.0.tgz", "db-2.1.0.tgz"]
+
+
+def test_load_checks_cached_names_like_parsed_ones(tmp_path):
+    store, snapshot_dir = _recorded(tmp_path, WEB)
+    _edit_cached_entries(snapshot_dir, lambda entries: entries[0].update(name="../x"))
+    with pytest.raises(IndexParseError, match="unusable name '../x'"):
+        store.load("2018-05-15")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda entries: entries.clear(),
+    lambda entries: entries.append(5),
+    lambda entries: entries[0].pop("urls"),
+    lambda entries: entries[0].update(extra=1),
+    lambda entries: entries[0].update(version=1),
+    lambda entries: entries[0].update(digest=["sha256:aa"]),
+    lambda entries: entries[0].update(urls=[1]),
+    lambda entries: entries[0].update(maintainers=[["alice"]]),
+    lambda entries: entries[0].update(maintainers=[{"name": "alice"}]),
+    lambda entries: entries[0].update(maintainers=[[1, None]]),
+], ids=["empty", "int-item", "missing-field", "extra-field", "int-version",
+        "list-digest", "int-url", "short-maintainer", "mapping-maintainer", "int-maintainer"])
+def test_load_rejects_misshapen_cached_entries(tmp_path, monkeypatch, edit):
+    store, snapshot_dir = _recorded(tmp_path, WEB)
+    _edit_cached_entries(snapshot_dir, edit)
+    calls = count_calls(monkeypatch, "parse_repo_index", ingest)
+    with pytest.raises(StorageError, match="snapshot 2018-05-15: manifest index entries"):
+        store.load("2018-05-15")
+    assert calls == []
+
+
+_WORD = st.text(alphabet=string.ascii_letters + string.digits + "-_", max_size=6)
+_TEXT = st.text(alphabet=string.ascii_letters + " .@-", max_size=6)
+# unquoted YAML scalars; several read as numbers or booleans
+_VERSIONS = st.sampled_from(["1.0.0", "1.10", "2", "'1.10'", "0.1.0-rc.1", "2.50", "01", "true"])
+_MAINTAINER = st.one_of(
+    _TEXT,
+    st.fixed_dictionaries({}, optional={"name": st.none() | _TEXT, "email": st.none() | _TEXT}),
+)
+_RECORD = st.fixed_dictionaries({"version": _VERSIONS}, optional={
+    "name": _WORD,
+    "digest": st.none() | _TEXT,
+    "urls": st.lists(_TEXT, max_size=2),
+    "maintainers": st.lists(_MAINTAINER, max_size=3),
+})
+_INDEX = st.dictionaries(_WORD.filter(bool), st.lists(_RECORD, min_size=1, max_size=3),
+                         min_size=1, max_size=4)
+
+
+def _index_text(index: dict) -> bytes:
+    """Index YAML with versions written unquoted and every other scalar as JSON."""
+    lines = ["apiVersion: v1", "entries:"]
+    for key, records in index.items():
+        lines.append(f"  {json.dumps(key)}:")
+        for record in records:
+            fields = [f"version: {record['version']}"] + [
+                f"{field}: {json.dumps(value)}" for field, value in record.items()
+                if field != "version"
+            ]
+            lines += ["    - " + fields[0]] + ["      " + field for field in fields[1:]]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_INDEX)
+def test_cached_entries_equal_parsed_entries(index):
+    raw = _index_text(index)
+    parsed = parse_repo_index(raw, "memory:",
+                              fetched_at=datetime.datetime(2018, 5, 15, tzinfo=UTC))
+    with tempfile.TemporaryDirectory() as root:
+        store = SnapshotStore(root)
+        snapshot_id = store.record(parsed, {})
+        with open(os.path.join(root, snapshot_id, "manifest.json"), encoding="utf-8") as fh:
+            assert json.load(fh)["index"]["sha256"] == sha256_digest(raw)
+        loaded = store.load(snapshot_id).index
+    assert loaded.entries == parse_repo_index(raw, "memory:").entries
+    assert (loaded.source, loaded.fetched_at, loaded.raw) == ("memory:", parsed.fetched_at, raw)
