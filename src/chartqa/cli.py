@@ -49,66 +49,43 @@ EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_ERROR = 2
 
-_COMMANDS = (
-    "snapshot", "analyze", "dupes", "variability", "suggest", "authorsets",
-    "irregularities", "changes", "trends", "stats", "graph", "livecheck",
-)
+_ENGINES = ("builtin", "external")
+
+# add_argument keyword arguments of every flag; _COMMANDS names the flags each command reads
+_FLAGS = {
+    "config": {"help": "optional YAML config file"},
+    "index": {"help": "repository index URL or file path"},
+    "path": {"help": "directory tree holding charts"},
+    "snapshot-store": {"help": "snapshot store directory"},
+    "threshold": {"type": int, "help": f"duplicate threshold (default {DEFAULT_THRESHOLD})"},
+    "blacklist": {"help": "comma-separated values exempt from duplicate detection"},
+    "engine": {"choices": _ENGINES, "help": "template renderer"},
+    "renderer-bin": {"help": "external renderer binary (or env CHARTQA_RENDERER)"},
+    "jobs": {"type": int, "default": 1, "help": "parallel per-chart analysis bound"},
+    "seed": {"type": int, "help": "resampling seed (default 0)"},
+    "iterations": {"type": int, "help": "resampling iterations (default 10000)"},
+    "out": {"help": "output directory for reports, diffs, outbox"},
+    "format": {"choices": ["json", "csv"], "default": "json", "help": "report format"},
+    "kb": {"help": "variability knowledge-base JSON file"},
+    "base-url": {"default": "http://localhost/chartqa",
+                 "help": "base URL prefixed to diff links in digests"},
+    "from": {"dest": "from_id", "help": "older snapshot id"},
+    "to": {"dest": "to_id", "help": "newer snapshot id"},
+    "periods": {"help": "semicolon-separated label=START..END snapshot-id ranges"},
+    "groups": {"help": "JSON file with n1 and n2 value arrays"},
+}
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="optional YAML config file")
-    sub.add_argument("--index", help="repository index URL or file path")
-    sub.add_argument("--path", help="directory tree holding charts")
-    sub.add_argument("--snapshot-store", help="snapshot store directory")
-    sub.add_argument("--threshold", type=int, help=f"duplicate threshold (default {DEFAULT_THRESHOLD})")
-    sub.add_argument("--blacklist", help="comma-separated values exempt from duplicate detection")
-    sub.add_argument("--engine", choices=["builtin", "external"], help="template renderer")
-    sub.add_argument("--renderer-bin", help="external renderer binary (or env CHARTQA_RENDERER)")
-    sub.add_argument("--jobs", type=int, default=1, help="parallel per-chart analysis bound")
-    sub.add_argument("--seed", type=int, help="resampling seed (default 0)")
-    sub.add_argument("--iterations", type=int, help="resampling iterations (default 10000)")
-    sub.add_argument("--out", help="output directory for reports, diffs, outbox")
-    sub.add_argument("--format", choices=["json", "csv", "dot"], default="json",
-                     help="standard-output payload format")
-    sub.add_argument("--kb", help="variability knowledge-base JSON file")
-    sub.add_argument("--base-url", default="http://localhost/chartqa",
-                     help="base URL prefixed to diff links in digests")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="chartqa",
-        description="Quality assessment for declarative cloud-application charts.",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "snapshot": "record a dated snapshot of a repository index and its archives",
-        "analyze": "full per-chart quality reports",
-        "dupes": "duplicate-value reports only",
-        "variability": "learn variable template values into the knowledge base",
-        "suggest": "emit rewrite diffs and maintainer digests",
-        "authorsets": "maintainer-set metrics",
-        "irregularities": "metadata irregularity report",
-        "changes": "classified differences between two snapshots",
-        "trends": "period trend metrics over a snapshot store",
-        "stats": "resampled signed-rank test over two value groups",
-        "graph": "maintainer-chart graph in DOT format",
-        "livecheck": "CI check: exit 1 when a chart has quality findings",
-    }
-    for name in _COMMANDS:
-        sub = subparsers.add_parser(name, help=helps[name])
-        _add_common(sub)
-        if name == "changes":
-            sub.add_argument("--from", dest="from_id", help="older snapshot id")
-            sub.add_argument("--to", dest="to_id", help="newer snapshot id")
-        if name == "trends":
-            sub.add_argument(
-                "--periods",
-                help="semicolon-separated label=START..END snapshot-id ranges",
-            )
-        if name == "stats":
-            sub.add_argument("--groups", help="JSON file with n1 and n2 value arrays")
-    return parser
+# config key -> (check, what the value must be); bools are not integers here
+_CONFIG_KEYS = {
+    "threshold": (lambda v: type(v) is int, "an integer"),
+    "seed": (lambda v: type(v) is int, "an integer"),
+    "iterations": (lambda v: type(v) is int, "an integer"),
+    "blacklist": (lambda v: isinstance(v, str) or isinstance(v, list) and all(
+        isinstance(item, (str, int, float)) for item in v), "a string or a list of scalars"),
+    "engine": (lambda v: v in _ENGINES, " or ".join(_ENGINES)),
+    "renderer_bin": (lambda v: isinstance(v, str), "a string"),
+}
 
 
 class _Settings:
@@ -127,24 +104,23 @@ class _Settings:
                 raise ChartQAError("config file must hold a YAML mapping")
             self.config = loaded
 
-    def _resolve(self, flag: Any, key: str, env: str | None, default: Any) -> Any:
+    def _resolve(self, flag: Any, key: str, default: Any) -> Any:
         if flag is not None:
             return flag
         if key in self.config:
+            valid, want = _CONFIG_KEYS[key]
+            if not valid(self.config[key]):
+                raise ChartQAError(f"{self.args.config}: config key {key!r} must be {want}")
             return self.config[key]
-        if env and os.environ.get(env):
-            return os.environ[env]
         return default
 
     @property
     def threshold(self) -> int:
-        return int(self._resolve(self.args.threshold, "threshold", None, DEFAULT_THRESHOLD))
+        return self._resolve(self.args.threshold, "threshold", DEFAULT_THRESHOLD)
 
     @property
     def blacklist(self) -> tuple[str, ...]:
-        raw = self._resolve(self.args.blacklist, "blacklist", None, None)
-        if raw is None:
-            return DEFAULT_BLACKLIST
+        raw = self._resolve(self.args.blacklist, "blacklist", DEFAULT_BLACKLIST)
         if isinstance(raw, str):
             return tuple(item.strip() for item in raw.split(","))
         return tuple(str(item) for item in raw)
@@ -155,21 +131,18 @@ class _Settings:
 
     @property
     def engine(self):
-        choice = self._resolve(self.args.engine, "engine", None, "builtin")
-        if choice == "external":
-            binary = self._resolve(
-                self.args.renderer_bin, "renderer_bin", "CHARTQA_RENDERER", None
-            )
-            return ExternalEngine(binary=binary)
+        if self._resolve(self.args.engine, "engine", "builtin") == "external":
+            # with neither flag nor config key, ExternalEngine reads CHARTQA_RENDERER
+            return ExternalEngine(self._resolve(self.args.renderer_bin, "renderer_bin", None))
         return BuiltinEngine()
 
     @property
     def seed(self) -> int:
-        return int(self._resolve(self.args.seed, "seed", None, 0))
+        return self._resolve(self.args.seed, "seed", 0)
 
     @property
     def iterations(self) -> int:
-        return int(self._resolve(self.args.iterations, "iterations", None, 10000))
+        return self._resolve(self.args.iterations, "iterations", 10000)
 
 
 def _emit(payload: str, out_dir: str | None, file_name: str) -> None:
@@ -196,10 +169,11 @@ def _load_packages(settings: _Settings) -> tuple[list[ChartPackage], list]:
     return sorted(packages, key=lambda p: p.ref.file_name), failures
 
 def _load_index(settings: _Settings) -> RepoIndex:
-    if settings.args.index:
-        source = settings.args.index
-        raw = fetch_archive(source)
-        return parse_repo_index(raw, source)
+    source = settings.args.index
+    if source:
+        return parse_repo_index(fetch_archive(source), source)
+    if not settings.args.path:
+        raise ChartQAError("this command needs --index or --path")
     packages, _ = _load_packages(settings)
     return index_from_packages(packages, settings.args.path)
 
@@ -284,9 +258,7 @@ def cmd_analyze(settings: _Settings) -> int:
         tables = report_mod.emit_distributions(reports, sets, metrics)
         for name, text in tables.items():
             _emit(text, settings.args.out, f"{name}.csv")
-        _emit_json(document, settings.args.out, "report.json")
-    else:
-        _emit_json(document, settings.args.out, "report.json")
+    _emit_json(document, settings.args.out, "report.json")
     return EXIT_FINDINGS if _quality_findings(reports, irregularities) else EXIT_CLEAN
 
 
@@ -528,20 +500,42 @@ def cmd_livecheck(settings: _Settings) -> int:
     return EXIT_CLEAN if payload["clean"] else EXIT_FINDINGS
 
 
-_HANDLERS = {
-    "snapshot": cmd_snapshot,
-    "analyze": cmd_analyze,
-    "dupes": cmd_dupes,
-    "variability": cmd_variability,
-    "suggest": cmd_suggest,
-    "authorsets": cmd_authorsets,
-    "irregularities": cmd_irregularities,
-    "changes": cmd_changes,
-    "trends": cmd_trends,
-    "stats": cmd_stats,
-    "graph": cmd_graph,
-    "livecheck": cmd_livecheck,
+# name -> (handler, help, flags); each command lists exactly the flags it reads
+_COMMANDS = {
+    "snapshot": (cmd_snapshot, "record a dated snapshot of a repository index and its archives",
+                 "index snapshot-store out"),
+    "analyze": (cmd_analyze, "full per-chart quality reports",
+                "config path threshold blacklist engine renderer-bin kb jobs out format"),
+    "dupes": (cmd_dupes, "duplicate-value reports only", "config path threshold blacklist out"),
+    "variability": (cmd_variability, "learn variable template values into the knowledge base",
+                    "config path engine renderer-bin kb out"),
+    "suggest": (cmd_suggest, "emit rewrite diffs and maintainer digests",
+                "config path threshold blacklist engine renderer-bin kb out base-url"),
+    "authorsets": (cmd_authorsets, "maintainer-set metrics", "index path out"),
+    "irregularities": (cmd_irregularities, "metadata irregularity report", "index path out"),
+    "changes": (cmd_changes, "classified differences between two snapshots",
+                "snapshot-store from to out"),
+    "trends": (cmd_trends, "period trend metrics over a snapshot store",
+               "snapshot-store periods out"),
+    "stats": (cmd_stats, "resampled signed-rank test over two value groups",
+              "config groups seed iterations out"),
+    "graph": (cmd_graph, "maintainer-chart graph in DOT format", "index path out"),
+    "livecheck": (cmd_livecheck, "CI check: exit 1 when a chart has quality findings",
+                  "config path threshold blacklist"),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="chartqa",
+        description="Quality assessment for declarative cloud-application charts.",
+    )
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        sub = subparsers.add_parser(name, help=help_text)
+        for flag in flags.split():
+            sub.add_argument(f"--{flag}", **_FLAGS[flag])
+    return parser
 
 
 def cli_dispatch(argv: Sequence[str]) -> int:
@@ -554,8 +548,8 @@ def cli_dispatch(argv: Sequence[str]) -> int:
         return EXIT_CLEAN if exc.code in (0, None) else EXIT_ERROR
     try:
         settings = _Settings(args)
-        return _HANDLERS[args.command](settings)
-    except (ChartQAError, OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+        return _COMMANDS[args.command][0](settings)
+    except (ChartQAError, OSError, ValueError) as exc:
         log.error("%s", exc)
         return EXIT_ERROR
 

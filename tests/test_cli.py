@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from chartqa import analytics
+from chartqa import analytics, cli
 from chartqa.cli import cli_dispatch
 from chartqa.ingest import SnapshotStore, parse_repo_index, sha256_digest
 
@@ -171,15 +171,73 @@ def test_config_file_precedence(tmp_path, capsys):
                          "--config", str(config), "--threshold", "3"]) == 0
 
 
-def test_malformed_config_file_exits_two(tmp_path):
+@pytest.mark.parametrize("text, command, message", [
+    ("threshold: [1\n", "dupes", "config file is not YAML"),
+    ("threshold: [1]\n", "dupes", "config key 'threshold' must be an integer"),
+    ("threshold: true\n", "livecheck", "config key 'threshold' must be an integer"),
+    ("blacklist: 5\n", "dupes", "config key 'blacklist' must be a string or a list"),
+    ("blacklist: [{a: 1}]\n", "livecheck", "config key 'blacklist' must be a string or a list"),
+    ("iterations: [3]\n", "stats", "config key 'iterations' must be an integer"),
+    ("engine: exernal\n", "variability", "config key 'engine' must be builtin or external"),
+    ("engine: external\nrenderer_bin: 5\n", "variability",
+     "config key 'renderer_bin' must be a string"),
+], ids=["not-yaml", "list-threshold", "bool-threshold", "int-blacklist", "mapping-in-blacklist",
+        "list-iterations", "unknown-engine", "int-renderer-bin"])
+def test_malformed_config_file_exits_two(tmp_path, text, command, message):
     write_chart_dir(tmp_path / "charts", "web",
                     chart_files(values={}, templates=CLEAN_TEMPLATES, maintainers=MAINTAINED))
+    groups = tmp_path / "groups.json"
+    groups.write_text(json.dumps({"n1": [1, 2, 3], "n2": [2, 3, 4]}))
     config = tmp_path / "chartqa.yaml"
-    config.write_text("threshold: [1\n")
-    proc = run_cli("dupes", "--path", str(tmp_path / "charts"), "--config", str(config))
+    config.write_text(text)
+    source = ["--groups", groups] if command == "stats" else ["--path", tmp_path / "charts"]
+    proc = run_cli(command, *map(str, source), "--config", str(config))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["livecheck", "--path", "{charts}", "--out", "{tmp}/out"],
+    ["dupes", "--path", "{charts}", "--kb", "{tmp}/kb.json"],
+    ["stats", "--groups", "{groups}", "--iterations", "5", "--path", "{charts}"],
+    ["graph", "--path", "{charts}", "--format", "dot"],
+    ["trends", "--snapshot-store", "{store}", "--jobs", "4"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_flag_the_command_does_not_read_exits_two(tmp_path, capsys, argv):
+    write_chart_dir(tmp_path / "charts", "web",
+                    chart_files(values={"app": "x"}, templates=CLEAN_TEMPLATES,
+                                maintainers=MAINTAINED))
+    groups = tmp_path / "groups.json"
+    groups.write_text(json.dumps({"n1": [1, 2, 3], "n2": [2, 3, 4]}))
+    store = _record_days(tmp_path / "store", "1.0.0", "1.1.0")
+    argv = [arg.format(charts=tmp_path / "charts", tmp=tmp_path, groups=groups, store=store.root)
+            for arg in argv]
+    assert cli_dispatch(argv[:-2]) == 0  # the same command without the flag runs
+    capsys.readouterr()
+    assert cli_dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {argv[-2]}" in captured.err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "kb.json").exists()
+
+
+@pytest.mark.parametrize("command", ["authorsets", "irregularities", "graph"])
+def test_index_command_without_source_names_both_flags(caplog, command):
+    with caplog.at_level(logging.ERROR, logger="chartqa"):
+        assert cli_dispatch([command]) == 2
+    assert "needs --index or --path" in caplog.text
+
+
+def test_programming_error_in_a_handler_propagates(monkeypatch):
+    def broken(settings):
+        raise KeyError("bug")
+
+    _, help_text, flags = cli._COMMANDS["dupes"]
+    monkeypatch.setitem(cli._COMMANDS, "dupes", (broken, help_text, flags))
+    with pytest.raises(KeyError, match="bug"):
+        cli_dispatch(["dupes", "--path", "."])
 
 
 def test_variability_persists_kb(tmp_path, capsys):
