@@ -102,6 +102,9 @@ class _Settings:
                     raise ChartQAError(f"{args.config}: config file is not YAML: {exc}") from exc
             if not isinstance(loaded, dict):
                 raise ChartQAError("config file must hold a YAML mapping")
+            for key in loaded:
+                if key not in _CONFIG_KEYS:
+                    raise ChartQAError(f"{args.config}: unknown config key {key!r}")
             self.config = loaded
 
     def _resolve(self, flag: Any, key: str, default: Any) -> Any:
@@ -525,12 +528,23 @@ _COMMANDS = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: a flag it does not take is an error shown with its own usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chartqa",
         description="Quality assessment for declarative cloud-application charts.",
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
+    subparsers = parser.add_subparsers(dest="command", required=True,
+                                       parser_class=_CommandParser)
     for name, (_, help_text, flags) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
         for flag in flags.split():

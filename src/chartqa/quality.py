@@ -118,14 +118,19 @@ def probe_variability(
     values are then pinned onto the first render, so it is the stabilized
     render of the chart without a third pass. Returns that render, with its
     failures, and the newly learned key paths.
+
+    The second render is made against the first, so only templates whose
+    rendered text differs are parsed and compared: equal text gives equal
+    leaves, which can teach nothing. Failures come from the first render.
     """
     engine = engine or BuiltinEngine()
     overrides = kb.overrides_for(pkg.stem)
     first = render_chart(pkg, overrides, engine)
-    second = render_chart(pkg, overrides, engine)
+    second = render_chart(pkg, overrides, engine, earlier=first)
+    changed = first.manifests.restricted(second.differing(first))
     second_leaves = dict(flatten_documents(second.manifests))
     learned: dict[str, str] = {}
-    for key_path, value in dict(flatten_documents(first.manifests)).items():
+    for key_path, value in dict(flatten_documents(changed)).items():
         if key_path in second_leaves and second_leaves[key_path] != value:
             if kb.learn(pkg.stem, key_path, value):
                 learned[key_path] = value
@@ -214,7 +219,8 @@ def detect_duplicates(
 
     Values are grouped by canonical scalar form across all templates of the
     chart; blacklisted values, values shorter than two characters and
-    anything carrying a directive placeholder are never reported. Groups
+    anything carrying a directive placeholder are never reported. A value
+    is counted where it is written, so an alias to it adds nothing. Groups
     are ordered by descending occurrence count, ties by value.
     """
     config = config or DuplicateConfig()
@@ -227,7 +233,7 @@ def detect_duplicates(
             unparseable.append((parse.template_path, parse.error))
             continue
         for leaf in parse.leaves:
-            if leaf.templated or len(leaf.value) < MIN_VALUE_LENGTH:
+            if leaf.templated or leaf.via_alias or len(leaf.value) < MIN_VALUE_LENGTH:
                 continue
             if leaf.value in blacklist:
                 continue

@@ -79,11 +79,21 @@ class RenderedManifestSet:
             if body is not None and set_at(body, segments, value):
                 self.render_overrides_used[key_path] = value
 
+    def restricted(self, templates: set[str]) -> RenderedManifestSet:
+        """The documents of the named templates, in render order."""
+        return RenderedManifestSet([doc for doc in self.documents if doc[0] in templates])
+
 
 @dataclass
 class RenderResult:
     manifests: RenderedManifestSet
     failures: list[RenderFailure]
+    texts: dict[str, str]  # template path -> rendered text
+
+    def differing(self, earlier: RenderResult) -> set[str]:
+        """Templates whose rendered text differs from ``earlier``'s or that only one rendered."""
+        return {path for path in self.texts.keys() | earlier.texts.keys()
+                if self.texts.get(path) != earlier.texts.get(path)}
 
 
 class _TemplateError(Exception):
@@ -285,6 +295,7 @@ def render_chart(
     pkg: ChartPackage,
     overrides: Mapping[str, str] | None = None,
     engine: Renderer | None = None,
+    earlier: RenderResult | None = None,
 ) -> RenderResult:
     """Render every template of the chart and parse the output documents.
 
@@ -294,12 +305,22 @@ def render_chart(
     per template; successfully rendered templates are still returned. A
     template whose rendered text is not YAML gives no documents and one
     SyntaxError failure.
+
+    Given ``earlier``, a render of the same override set, a template whose
+    text equals its text there is not parsed: equal text under equal
+    overrides gives equal documents and the same SyntaxError, so its
+    documents and failure are those of ``earlier`` and this result holds
+    neither. ``texts`` holds every rendered template, so
+    ``differing(earlier)`` names the templates whose documents may differ.
     """
     engine = engine or BuiltinEngine()
     rendered, failures = engine.render_package(pkg)
+    known = earlier.texts if earlier is not None else {}
 
     documents: list[tuple[str, int, Any]] = []
     for template_path, text in rendered:
+        if known.get(template_path) == text:
+            continue
         try:
             parsed = load_documents(text)
         except yaml.YAMLError as exc:
@@ -312,7 +333,7 @@ def render_chart(
 
     manifests = RenderedManifestSet(documents)
     manifests.pin(overrides or {})
-    return RenderResult(manifests, failures)
+    return RenderResult(manifests, failures, dict(rendered))
 
 
 def flatten_documents(manifests: RenderedManifestSet) -> list[tuple[str, str]]:

@@ -242,14 +242,21 @@ def verify_rewrite(
     would ship a diff that changes nothing). For plans from plan_rewrite
     this is the same as every planned occurrence being removed: such a plan
     assigns a value only when every literal occurrence of it was located.
+
+    The rewrite is rendered against the "before" probe, so only templates
+    whose rendered text differs, or that render on one side only, are
+    parsed and compared. Equal text under the same overrides gives equal
+    documents, and each document carries its template path, so this is
+    the comparison of all documents.
     """
     kb = kb.copy() if kb is not None else VariabilityKnowledgeBase()
     before, _ = probe_variability(pkg, kb, engine)
     if pkg.templates and not before.manifests.documents:
         return False
     rewritten = apply_plan(pkg, plan)
-    after = render_chart(rewritten, kb.overrides_for(pkg.stem), engine)
-    if before.manifests.documents != after.manifests.documents:
+    after = render_chart(rewritten, kb.overrides_for(pkg.stem), engine, earlier=before)
+    if before.manifests.restricted(after.differing(before)).documents != \
+            after.manifests.documents:
         return False
     values = {a.value for a in plan.assignments}
     edited = {occ.template_path for a in plan.assignments for occ in a.target_occurrences}

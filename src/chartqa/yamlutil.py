@@ -30,10 +30,12 @@ DIRECTIVE_RE = re.compile(r"\{\{.*?\}\}", re.DOTALL)
 SENTINEL_PREFIX = "__CHARTQA_SENTINEL_"
 
 _NULL_TAG = "tag:yaml.org,2002:null"
+# a str scalar builds to its node's value (SafeConstructor.construct_yaml_str
+# returns exactly that), so the walk takes it without the constructor
+_STR_TAG = "tag:yaml.org,2002:str"
 # other scalar tags go through construct_object: timestamps and !!binary
 # build as in PyYAML, merge keys and unknown tags raise
 _SCALARS = {
-    "tag:yaml.org,2002:str": SafeConstructor.construct_yaml_str,
     "tag:yaml.org,2002:int": SafeConstructor.construct_yaml_int,
     "tag:yaml.org,2002:float": SafeConstructor.construct_yaml_float,
     "tag:yaml.org,2002:bool": SafeConstructor.construct_yaml_bool,
@@ -60,6 +62,8 @@ class _Walk:
         self.open: set[yaml.Node] = set()  # collection nodes on the current path
 
     def scalar(self, node: yaml.Node) -> Any:
+        if node.tag == _STR_TAG:
+            return node.value
         build = _SCALARS.get(node.tag)
         return build(self.constructor, node) if build else \
             self.constructor.construct_object(node, deep=True)
@@ -218,7 +222,9 @@ class SourceLeaf:
 
     ``span`` addresses the scalar in the original template source (for
     quoted styles including the quotes); it is None when the leaf or its
-    span overlaps substituted directives.
+    span overlaps substituted directives. ``via_alias`` marks a leaf that
+    an alias repeats from a scalar an earlier leaf of the template already
+    gave; it shares that leaf's node and span.
     """
 
     path: str
@@ -227,6 +233,7 @@ class SourceLeaf:
     style: str | None
     span: tuple[int, int] | None
     templated: bool
+    via_alias: bool
 
 
 @dataclass
@@ -287,11 +294,13 @@ def sentinel_parse(template_path: str, source: str) -> SentinelParse:
     except yaml.YAMLError as exc:
         return SentinelParse(template_path, [], error=str(exc).replace("\n", " "))
     leaves = []
+    seen: set[yaml.Node] = set()
     for doc_index, (_, doc_leaves) in enumerate(documents):
         for segs, node, raw in doc_leaves:
             value = canon(raw)
             templated = SENTINEL_PREFIX in value
             span = None if templated else _map_span(segment_table, node)
             leaves.append(SourceLeaf(build_path(template_path, doc_index, segs), segs, value,
-                                     node.style or None, span, templated))
+                                     node.style or None, span, templated, node in seen))
+            seen.add(node)
     return SentinelParse(template_path, leaves)

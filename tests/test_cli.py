@@ -181,8 +181,9 @@ def test_config_file_precedence(tmp_path, capsys):
     ("engine: exernal\n", "variability", "config key 'engine' must be builtin or external"),
     ("engine: external\nrenderer_bin: 5\n", "variability",
      "config key 'renderer_bin' must be a string"),
+    ("thresold: 2\n", "dupes", "unknown config key 'thresold'"),
 ], ids=["not-yaml", "list-threshold", "bool-threshold", "int-blacklist", "mapping-in-blacklist",
-        "list-iterations", "unknown-engine", "int-renderer-bin"])
+        "list-iterations", "unknown-engine", "int-renderer-bin", "misspelt-key"])
 def test_malformed_config_file_exits_two(tmp_path, text, command, message):
     write_chart_dir(tmp_path / "charts", "web",
                     chart_files(values={}, templates=CLEAN_TEMPLATES, maintainers=MAINTAINED))
@@ -221,6 +222,15 @@ def test_flag_the_command_does_not_read_exits_two(tmp_path, capsys, argv):
     assert captured.out == ""
     assert f"unrecognized arguments: {argv[-2]}" in captured.err
     assert not (tmp_path / "out").exists() and not (tmp_path / "kb.json").exists()
+
+
+def test_flag_the_command_does_not_read_shows_that_commands_usage(tmp_path):
+    proc = run_cli("livecheck", "--path", str(tmp_path), "--out", str(tmp_path / "x"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: chartqa livecheck [-h] [--config CONFIG] [--path PATH]")
+    assert f"chartqa livecheck: error: unrecognized arguments: --out {tmp_path / 'x'}" \
+        in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("command", ["authorsets", "irregularities", "graph"])

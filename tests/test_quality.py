@@ -328,3 +328,43 @@ def test_analyze_chart_reports_render_failures():
     report = analyze_chart(pkg)
     assert report.variable_value_count == 0
     assert [f.category for f in report.render_failures] == ["MissingValue"]
+
+
+def test_aliased_scalar_counted_once():
+    pkg = make_package(values={}, templates={"t.yaml": "a: &x dup-me\nb: *x\nc: *x\nd: dup-me\n"})
+    assert detect_duplicates(pkg).is_empty
+    (group,) = detect_duplicates(pkg, DuplicateConfig(threshold=2)).groups
+    assert group.occurrences == ("templates/t.yaml#0/a", "templates/t.yaml#0/d")
+    leaves = sentinel_parse("templates/t.yaml", pkg.templates[0][1]).leaves
+    assert [leaf.via_alias for leaf in leaves] == [False, True, True, False]
+    assert leaves[0].span == leaves[1].span == leaves[2].span
+
+
+# --- the second probe render parses only templates whose text differs ---
+
+def test_variable_key_in_differing_template_is_learned_and_pinned():
+    pkg = make_package(values={}, templates={
+        "cm.yaml": "kind: ConfigMap\ndata: fixed\n",
+        "s.yaml": "kind: Secret\nstatic: same\npw: {{ randAlphaNum 16 }}\n",
+    })
+    kb = VariabilityKnowledgeBase()
+    probe, learned = quality.probe_variability(pkg, kb)
+    assert learned == ["templates/s.yaml#0/pw"]
+    pinned = kb.entries[(pkg.stem, "templates/s.yaml#0/pw")]
+    assert probe.manifests.render_overrides_used == {"templates/s.yaml#0/pw": pinned}
+    assert probe.manifests.documents == [
+        ("templates/cm.yaml", 0, {"kind": "ConfigMap", "data": "fixed"}),
+        ("templates/s.yaml", 0, {"kind": "Secret", "static": "same", "pw": pinned}),
+    ]
+
+
+def test_syntax_error_in_unchanged_template_reported_once():
+    pkg = make_package(values={}, templates={
+        "bad.yaml": "a: : b\n",
+        "s.yaml": "pw: {{ randAlphaNum 16 }}\n",
+    })
+    report = analyze_chart(pkg)
+    assert [(f.template_path, f.category) for f in report.render_failures] == [
+        ("templates/bad.yaml", "SyntaxError"),
+    ]
+    assert report.variable_key_paths == ("templates/s.yaml#0/pw",)

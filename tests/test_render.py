@@ -260,3 +260,20 @@ def test_external_engine_env_var(fake_renderer, monkeypatch):
     pkg = make_package(values={"a": "x"}, templates={"t.yaml": "k: {{ .Values.a }}\n"})
     result = render_chart(pkg, engine=ExternalEngine())
     assert result.manifests.documents == [("templates/t.yaml", 0, {"k": "x"})]
+
+
+def test_render_against_earlier_parses_only_differing_text():
+    pkg = make_package(values={}, templates={
+        "bad.yaml": "a: : b\n",
+        "fixed.yaml": "k: v\n",
+        "s.yaml": "pw: {{ randAlphaNum 8 }}\n",
+    })
+    first = render_chart(pkg)
+    second = render_chart(pkg, earlier=first)
+    assert second.texts.keys() == first.texts.keys()
+    assert second.differing(first) == {"templates/s.yaml"}
+    assert [tp for tp, _i, _body in second.manifests.documents] == ["templates/s.yaml"]
+    assert second.failures == []
+    assert [(f.template_path, f.category) for f in first.failures] == [
+        ("templates/bad.yaml", "SyntaxError"),
+    ]

@@ -319,3 +319,42 @@ def test_write_outbox(tmp_path):
     assert text.startswith("To: alice@example.org\n")
     assert "Subject: chartqa: 1 chart quality finding" in text
     assert "http://qa.local/diffs/app-a-1.0.0.tgz.patch" in text
+
+
+def _plan(pkg, var_name, value, *spans):
+    """A hand-made plan putting ``var_name``'s placeholder over each (template, start, end)."""
+    return RewritePlan(
+        chart=pkg.ref,
+        assignments=(Assignment(
+            var_name=var_name,
+            value=value,
+            target_occurrences=tuple(
+                Occurrence(f"templates/{name}", (start, end), None) for name, start, end in spans
+            ),
+        ),),
+        values_patch=f"suggestions:\n  {var_name.split('.', 1)[1]}: {value}\n",
+    )
+
+
+def test_verify_rewrite_rejects_a_changed_document():
+    body = "a: dup-me\nb: dup-me\nc: dup-me\n"
+    pkg = make_package(values={}, templates={"t.yaml": body, "svc.yaml": "kind: Service\n"})
+    spans = [("t.yaml", i, i + 6) for i in (3, 13, 23)]
+    assert all(body[start:end] == "dup-me" for _, start, end in spans)
+    assert verify_rewrite(pkg, _plan(pkg, "suggestions.var1", "dup-me", *spans)) is True
+    # the placeholder renders another value: only t.yaml's document changes
+    assert verify_rewrite(pkg, _plan(pkg, "suggestions.var1", "dup-mx", *spans)) is False
+
+
+def test_verify_rewrite_rejects_a_template_rendered_on_one_side():
+    pkg = make_package(values={}, templates={
+        "t.yaml": "a: dup-me\n", "svc.yaml": "kind: Service\n",
+    })
+    # the placeholder names no value, so t.yaml renders before the rewrite only
+    assert verify_rewrite(pkg, _plan(pkg, "missing.var1", "dup-me", ("t.yaml", 3, 9))) is False
+    body = "a: {{ .Values.absent }}\n"
+    pkg = make_package(values={}, templates={"t.yaml": body, "svc.yaml": "kind: Service\n"})
+    # the rewrite fills a missing value, so t.yaml renders after it only
+    end = body.index("\n")
+    assert verify_rewrite(pkg, _plan(pkg, "suggestions.var1", "filled", ("t.yaml", 3, end))) \
+        is False

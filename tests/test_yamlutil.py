@@ -6,13 +6,14 @@ import signal
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from yaml.constructor import SafeConstructor
 
 from chartqa.core import package_from_files
 from chartqa.errors import MetadataParseError
 from chartqa.render import flatten_documents, render_chart
-from chartqa.yamlutil import build_path, load_documents, parse_path, sentinel_parse
+from chartqa.yamlutil import BaseLoader, build_path, load_documents, parse_path, sentinel_parse
 
 from conftest import chart_files, make_package
 
@@ -141,3 +142,68 @@ SEGMENTS = st.lists(st.one_of(
 def test_parse_path_inverts_build_path(template_path, doc_index, segments):
     assert parse_path(build_path(template_path, doc_index, segments)) == \
         (template_path, doc_index, segments)
+
+
+# --- the walk builds what SafeConstructor builds ---
+
+def constructed_documents(text: str) -> list:
+    """load_documents' result when every scalar and key goes through SafeConstructor."""
+    constructor = SafeConstructor()
+
+    def build(node, segs, leaves):
+        if isinstance(node, yaml.ScalarNode):
+            value = constructor.construct_object(node, deep=True)
+            leaves.append((segs, node, value))
+            return value
+        if isinstance(node, yaml.SequenceNode):
+            return [build(item, segs + (("idx", i),), leaves) for i, item in enumerate(node.value)]
+        body = {}
+        for key_node, value_node in node.value:
+            key = str(constructor.construct_object(key_node, deep=True))
+            body[key] = build(value_node, segs + (("key", key),), leaves)
+        return body
+
+    documents = []
+    for node in yaml.compose_all(text, Loader=BaseLoader):
+        if node.tag != "tag:yaml.org,2002:null":
+            leaves: list = []
+            documents.append((build(node, (), leaves), leaves))
+    return documents
+
+
+def typed(value):
+    """``value`` with the type of every scalar spelt out, since ``1 == 1.0 == True``."""
+    if isinstance(value, dict):
+        return {key: typed(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [typed(item) for item in value]
+    return type(value).__name__, value
+
+
+def typed_documents(documents) -> list:
+    return [(typed(body), [(segs, node.start_mark.index, typed(value))
+                           for segs, node, value in leaves])
+            for body, leaves in documents]
+
+
+# keys stay unique in str() form: texts start with "k", and 1 == True is one dict key
+PLAIN_KEYS = st.one_of(st.text(max_size=4).map("k".__add__), st.integers(-2, 300), st.booleans())
+PLAIN_TREES = st.recursive(
+    st.one_of(SCALARS, st.text(max_size=8), st.dates()),
+    lambda kids: st.one_of(st.lists(kids, max_size=3),
+                           st.dictionaries(PLAIN_KEYS, kids, max_size=3)),
+    max_leaves=10,
+)
+DUMP_STYLES = st.sampled_from([
+    {}, {"default_flow_style": True}, {"default_style": '"'}, {"default_style": "'"},
+    {"explicit_start": True, "allow_unicode": True},
+])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(PLAIN_TREES, min_size=1, max_size=3), DUMP_STYLES)
+def test_walk_builds_what_the_constructor_builds(trees, style):
+    text = yaml.safe_dump_all(trees, **style)
+    assume(not any(isinstance(event, yaml.AliasEvent)
+                   for event in yaml.parse(text, Loader=BaseLoader)))
+    assert typed_documents(load_documents(text)) == typed_documents(constructed_documents(text))
