@@ -44,8 +44,8 @@ from .quality import (
 from .render import (
     BuiltinEngine,
     ExternalEngine,
-    RenderedManifestSet,
     RenderFailure,
+    RenderResult,
     flatten_documents,
     render_chart,
 )
@@ -66,7 +66,7 @@ __all__ = [
     "ChartPackage", "ChartRef", "DuplicateConfig", "DuplicateReport",
     "ExternalEngine", "IrregularityReport", "IssueDigest", "Maintainer",
     "MaintainerIdentity", "MaintainerSet", "QualityReport", "RenderFailure",
-    "RenderedManifestSet", "RepoIndex", "RewritePlan", "Snapshot",
+    "RenderResult", "RepoIndex", "RewritePlan", "Snapshot",
     "SnapshotStore", "VariabilityKnowledgeBase", "adjacent_changes", "analyze_chart",
     "build_issue_digests", "change_histories", "classify_activity",
     "compute_maintainer_sets", "detect_changes", "detect_duplicates",

@@ -42,7 +42,6 @@ class MaintainerSet:
     """An exact combination of maintainer identities and what they maintain."""
 
     members: tuple[MaintainerIdentity, ...]
-    charts: frozenset[str]  # stems
     chart_files: tuple[str, ...]  # file names, the non-unique chart view
 
     @property
@@ -80,23 +79,18 @@ def chart_irregularities(ref: ChartRef, maintainers: Sequence[Maintainer]) -> li
     return kinds
 
 
-def _identity_key(maintainer: Maintainer, mode: str) -> str | None:
+def _identity_key(maintainer: Maintainer) -> str | None:
     name, email = maintainer.normalized_name, maintainer.normalized_email
     if not name and not email:
         return None
-    if mode == "pair":
-        return f"pair:{name}|{email}"
     return f"email:{email}" if email else f"name:{name}"
 
 
-def compute_maintainer_sets(
-    index: RepoIndex, identity_mode: str = "email"
-) -> tuple[list[MaintainerSet], dict]:
+def compute_maintainer_sets(index: RepoIndex) -> tuple[list[MaintainerSet], dict]:
     """Group charts by their exact maintainer combination and derive metrics.
 
-    ``identity_mode`` selects how records merge into identities: ``email``
-    (default) keys by normalized e-mail with name-only fallback, ``pair``
-    keys by the exact (name, e-mail) pair.
+    Records merge into identities by normalized e-mail, falling back to the
+    normalized name for a record without one.
     """
     names_by_key: dict[str, set[str]] = {}
     emails_by_key: dict[str, set[str]] = {}
@@ -106,7 +100,7 @@ def compute_maintainer_sets(
     for entry in index.entries:
         keys = []
         for maintainer in entry.maintainers:
-            key = _identity_key(maintainer, identity_mode)
+            key = _identity_key(maintainer)
             if key is None:
                 continue
             names_by_key.setdefault(key, set())
@@ -133,7 +127,6 @@ def compute_maintainer_sets(
     sets = [
         MaintainerSet(
             members=tuple(identities[key] for key in combo),
-            charts=frozenset(ref.stem for ref in refs),
             chart_files=tuple(sorted(ref.file_name for ref in refs)),
         )
         for combo, refs in sorted(combo_files.items())
@@ -305,18 +298,16 @@ def adjacent_changes(snapshots: Sequence[Snapshot]) -> list[ChangeSet]:
 
 
 def change_histories(
-    snapshots: Sequence[Snapshot], changes: Sequence[ChangeSet] | None = None,
+    snapshots: Sequence[Snapshot], changes: Sequence[ChangeSet],
 ) -> dict[str, list[bool]]:
     """Daily change flags per stem across an ordered snapshot series.
 
     The observed universe is every stem appearing in any snapshot; each
-    consecutive snapshot pair contributes one flag per stem. ``changes``,
-    when given, is ``adjacent_changes(snapshots)``.
+    consecutive snapshot pair contributes one flag per stem. ``changes``
+    is ``adjacent_changes(snapshots)``.
     """
     if len(snapshots) < 2:
         raise ValueError("change histories need at least two snapshots")
-    if changes is None:
-        changes = adjacent_changes(snapshots)
     universe: set[str] = set()
     for snapshot in snapshots:
         universe.update(entry.ref.stem for entry in snapshot.index.entries)
@@ -341,22 +332,34 @@ def _snapshot_date(snapshot: Snapshot) -> datetime.date:
     return datetime.date.fromisoformat(snapshot.id)
 
 
+def _index_metrics(index: RepoIndex) -> dict:
+    """The trend metrics of one snapshot's index, by name."""
+    _, set_metrics = compute_maintainer_sets(index)
+    irregularities = detect_irregularities(index)
+    metrics = {"charts": set_metrics["chart_files"], "unique_charts": set_metrics["unique_stems"]}
+    for name in ("maintainers", "maintainer_sets", "avg_charts_per_maintainer",
+                 "avg_charts_per_set", "max_charts_per_set", "avg_maintainers_per_set",
+                 "max_maintainers_per_set"):
+        metrics[name] = set_metrics[name]
+    for kind in ("no_maintainer", "name_collision", "multiple_versions", "alias_names"):
+        metrics[f"irregularity_{kind}"] = len(getattr(irregularities, kind))
+    return metrics
+
+
 def period_metrics(
     snapshots: Sequence[Snapshot],
     periods: Iterable[tuple[str, str, str]],
-    changes: Sequence[ChangeSet] | None = None,
+    changes: Sequence[ChangeSet],
 ) -> dict:
     """Per-period trend metrics, normalized to monthly rates.
 
     ``periods`` lists (label, start snapshot id, end snapshot id);
-    ``changes``, when given, is ``adjacent_changes(snapshots)``. Growth
-    rates are geometric monthly averages over months of 30 days; the
-    changed-charts percentage counts chart files with at least one update
-    plus stems with at least one vupdate, relative to the chart-file count
-    at period start, arithmetically divided by the period length in months.
+    ``changes`` is ``adjacent_changes(snapshots)``. Growth rates are
+    geometric monthly averages over months of 30 days; the changed-charts
+    percentage counts chart files with at least one update plus stems with
+    at least one vupdate, relative to the chart-file count at period start,
+    arithmetically divided by the period length in months.
     """
-    if changes is None:
-        changes = adjacent_changes(snapshots)
     by_id = {snapshot.id: snapshot for snapshot in snapshots}
     ordered_ids = [snapshot.id for snapshot in snapshots]
     out_periods = []
@@ -381,34 +384,7 @@ def period_metrics(
             100.0 * changed_count / start_files / months if start_files else 0.0
         )
 
-        _, m_start = compute_maintainer_sets(start.index)
-        _, m_end = compute_maintainer_sets(end.index)
-        irr_start = detect_irregularities(start.index)
-        irr_end = detect_irregularities(end.index)
-
-        metric_pairs = {
-            "charts": (len(start.index.entries), len(end.index.entries)),
-            "unique_charts": (m_start["unique_stems"], m_end["unique_stems"]),
-            "maintainers": (m_start["maintainers"], m_end["maintainers"]),
-            "maintainer_sets": (m_start["maintainer_sets"], m_end["maintainer_sets"]),
-            "avg_charts_per_maintainer": (
-                m_start["avg_charts_per_maintainer"], m_end["avg_charts_per_maintainer"]),
-            "avg_charts_per_set": (m_start["avg_charts_per_set"], m_end["avg_charts_per_set"]),
-            "max_charts_per_set": (m_start["max_charts_per_set"], m_end["max_charts_per_set"]),
-            "avg_maintainers_per_set": (
-                m_start["avg_maintainers_per_set"], m_end["avg_maintainers_per_set"]),
-            "max_maintainers_per_set": (
-                m_start["max_maintainers_per_set"], m_end["max_maintainers_per_set"]),
-            "irregularity_no_maintainer": (
-                len(irr_start.no_maintainer), len(irr_end.no_maintainer)),
-            "irregularity_name_collision": (
-                len(irr_start.name_collision), len(irr_end.name_collision)),
-            "irregularity_multiple_versions": (
-                len(irr_start.multiple_versions), len(irr_end.multiple_versions)),
-            "irregularity_alias_names": (
-                len(irr_start.alias_names), len(irr_end.alias_names)),
-        }
-
+        start_metrics, end_metrics = _index_metrics(start.index), _index_metrics(end.index)
         out_periods.append({
             "label": label,
             "start": start.id,
@@ -420,10 +396,10 @@ def period_metrics(
             "metrics": {
                 name: {
                     "start": s,
-                    "end": e,
-                    "monthly_growth_pct": _monthly_growth_pct(s, e, months),
+                    "end": end_metrics[name],
+                    "monthly_growth_pct": _monthly_growth_pct(s, end_metrics[name], months),
                 }
-                for name, (s, e) in metric_pairs.items()
+                for name, s in start_metrics.items()
             },
         })
     return {"normalization": "geometric-monthly-30d", "periods": out_periods}

@@ -23,7 +23,7 @@ import yaml
 
 from . import analytics, report as report_mod, rewrite, stats
 from .core import ChartPackage
-from .errors import ChartQAError, EmptyReport
+from .errors import ChartQAError, EmptyReport, RenderFailed
 from .ingest import (
     RepoIndex,
     SnapshotStore,
@@ -158,7 +158,7 @@ def _emit(payload: str, out_dir: str | None, file_name: str) -> None:
 
 
 def _emit_json(document: Any, out_dir: str | None, file_name: str) -> None:
-    _emit(json.dumps(document, indent=2, sort_keys=True) + "\n", out_dir, file_name)
+    _emit(report_mod.report_json(document), out_dir, file_name)
 
 
 def _load_packages(settings: _Settings) -> tuple[list[ChartPackage], list]:
@@ -283,7 +283,11 @@ def cmd_variability(settings: _Settings) -> int:
     engine = settings.engine
     learned = {}
     for pkg in packages:
-        _, new_paths = learn_variability(pkg, kb, engine)
+        try:
+            _, new_paths = learn_variability(pkg, kb, engine)
+        except RenderFailed as exc:
+            log.warning("skipping %s: %s", pkg.ref.file_name, exc)
+            continue
         learned[pkg.ref.file_name] = new_paths
     if settings.args.kb:
         kb.save(settings.args.kb)
@@ -466,8 +470,7 @@ def cmd_graph(settings: _Settings) -> int:
     index = _load_index(settings)
     sets, _ = analytics.compute_maintainer_sets(index)
     irregularities = analytics.detect_irregularities(index)
-    doc = report_mod.emit_dot(sets, irregularities)
-    _emit(doc.text, settings.args.out, "maintainers.dot")
+    _emit(report_mod.emit_dot(sets, irregularities), settings.args.out, "maintainers.dot")
     return EXIT_CLEAN
 
 
@@ -499,7 +502,7 @@ def cmd_livecheck(settings: _Settings) -> int:
         "charts": findings,
         "clean": all(not f["findings"] for f in findings),
     }
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(report_mod.report_json(payload))
     return EXIT_CLEAN if payload["clean"] else EXIT_FINDINGS
 
 

@@ -55,10 +55,6 @@ class RepoIndex:
     entries: tuple[IndexEntry, ...]
     raw: bytes | None = field(default=None, repr=False, compare=False)
 
-    @property
-    def stems(self) -> set[str]:
-        return {entry.ref.stem for entry in self.entries}
-
 
 @dataclass(frozen=True)
 class Snapshot:

@@ -12,12 +12,12 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from typing import Mapping
 
 from .core import ChartPackage, ChartRef
 from .errors import KnowledgeBaseError, RenderFailed
 from .render import (
     BuiltinEngine,
-    RenderedManifestSet,
     Renderer,
     RenderFailure,
     RenderResult,
@@ -37,8 +37,9 @@ class VariabilityKnowledgeBase:
     """Learned override values that make renders deterministic.
 
     Entries are keyed by (chart stem, rendered key path); an existing entry
-    is never replaced unless explicitly reset. Persisted as a single JSON
-    mapping ``"<stem>|<key_path>" -> override`` written atomically.
+    is never replaced, and ``learn_variability`` is the only analysis that
+    adds entries. Persisted as a single JSON mapping
+    ``"<stem>|<key_path>" -> override`` written atomically.
     """
 
     def __init__(self):
@@ -61,17 +62,6 @@ class VariabilityKnowledgeBase:
             return False
         self.entries[key] = value
         return True
-
-    def reset(self, stem: str) -> int:
-        doomed = [key for key in self.entries if key[0] == stem]
-        for key in doomed:
-            del self.entries[key]
-        return len(doomed)
-
-    def copy(self) -> "VariabilityKnowledgeBase":
-        dup = VariabilityKnowledgeBase()
-        dup.entries = dict(self.entries)
-        return dup
 
     @classmethod
     def load(cls, path: str) -> "VariabilityKnowledgeBase":
@@ -107,35 +97,41 @@ class VariabilityKnowledgeBase:
 
 def probe_variability(
     pkg: ChartPackage,
-    kb: VariabilityKnowledgeBase,
+    overrides: Mapping[str, str],
     engine: Renderer | None = None,
-) -> tuple[RenderResult, list[str]]:
-    """Render twice, learn the leaves that differ, and return the pinned first render.
+) -> tuple[RenderResult, dict[str, str]]:
+    """Render twice, find the leaves that differ, and return the pinned first render.
 
-    Existing knowledge-base overrides are injected into both renders; every
-    key path whose scalar value still differs between them is appended to
-    the knowledge base with the first render's value as override. Those
-    values are then pinned onto the first render, so it is the stabilized
+    ``overrides`` (the chart's knowledge-base entries) are injected into
+    both renders; every other key path whose scalar value still differs
+    between them is learned, with the first render's value as override.
+    Those values are pinned onto the first render, so it is the stabilized
     render of the chart without a third pass. Returns that render, with its
-    failures, and the newly learned key paths.
+    failures, and the learned ``{key path: value}``, which only
+    ``learn_variability`` stores in a knowledge base.
 
     The second render is made against the first, so only templates whose
     rendered text differs are parsed and compared: equal text gives equal
     leaves, which can teach nothing. Failures come from the first render.
     """
     engine = engine or BuiltinEngine()
-    overrides = kb.overrides_for(pkg.stem)
     first = render_chart(pkg, overrides, engine)
     second = render_chart(pkg, overrides, engine, earlier=first)
-    changed = first.manifests.restricted(second.differing(first))
-    second_leaves = dict(flatten_documents(second.manifests))
-    learned: dict[str, str] = {}
-    for key_path, value in dict(flatten_documents(changed)).items():
-        if key_path in second_leaves and second_leaves[key_path] != value:
-            if kb.learn(pkg.stem, key_path, value):
-                learned[key_path] = value
-    first.manifests.pin(learned)
-    return first, sorted(learned)
+    second_leaves = dict(flatten_documents(second.documents))
+    changed = dict(flatten_documents(first.restricted(second.differing(first))))
+    learned = {key_path: value for key_path, value in changed.items()
+               if key_path not in overrides and second_leaves.get(key_path, value) != value}
+    first.pin(learned)
+    return first, learned
+
+
+def _require_rendered(pkg: ChartPackage, result: RenderResult) -> None:
+    """Raise RenderFailed when the chart has templates and every one failed."""
+    if not result.documents and result.failures and pkg.templates:
+        raise RenderFailed(
+            f"{pkg.metadata.name}: every template failed: "
+            + "; ".join(f.reason for f in result.failures[:3])
+        )
 
 
 def learn_variability(
@@ -145,29 +141,27 @@ def learn_variability(
 ) -> tuple[VariabilityKnowledgeBase, list[str]]:
     """Detect variable template values by comparing two fresh renders.
 
-    Returns the knowledge base and the newly learned key paths; raises
-    RenderFailed when no template of the chart rendered.
+    Stores each learned value in ``kb`` under the chart's stem and returns
+    the knowledge base and the newly learned key paths; raises RenderFailed
+    when every template of the chart failed.
     """
-    result, learned = probe_variability(pkg, kb, engine)
-    if not result.manifests.documents:
-        raise RenderFailed(f"{pkg.metadata.name}: no template rendered in the probe render")
-    return kb, learned
+    result, learned = probe_variability(pkg, kb.overrides_for(pkg.stem), engine)
+    _require_rendered(pkg, result)
+    for key_path, value in learned.items():
+        kb.learn(pkg.stem, key_path, value)
+    return kb, sorted(learned)
 
 
 def stabilize_render(
     pkg: ChartPackage,
     kb: VariabilityKnowledgeBase,
     engine: Renderer | None = None,
-) -> RenderedManifestSet:
+) -> RenderResult:
     """Single render with all knowledge-base overrides for this stem applied."""
     engine = engine or BuiltinEngine()
     result = render_chart(pkg, kb.overrides_for(pkg.stem), engine)
-    if not result.manifests.documents and result.failures and pkg.templates:
-        raise RenderFailed(
-            f"{pkg.metadata.name}: every template failed: "
-            + "; ".join(f.reason for f in result.failures[:3])
-        )
-    return result.manifests
+    _require_rendered(pkg, result)
+    return result
 
 
 @dataclass(frozen=True)
@@ -271,13 +265,13 @@ def analyze_chart(
 ) -> QualityReport:
     """Compose variability probing, duplicate detection and render failures.
 
-    The caller's knowledge base is never mutated: variability is probed
-    against an ephemeral copy, and the reported count reflects that copy's
-    entries for this chart's stem.
+    The caller's knowledge base is only read: the probe takes this stem's
+    overrides, and the reported key paths are those overrides together
+    with the keys the probe learned.
     """
-    kb = kb.copy() if kb is not None else VariabilityKnowledgeBase()
-    probe, _ = probe_variability(pkg, kb, engine)
-    variable_paths = tuple(sorted(kb.overrides_for(pkg.stem)))
+    overrides = kb.overrides_for(pkg.stem) if kb is not None else {}
+    probe, learned = probe_variability(pkg, overrides, engine)
+    variable_paths = tuple(sorted(overrides.keys() | learned.keys()))
     return QualityReport(
         chart=pkg.ref,
         variable_value_count=len(variable_paths),

@@ -17,7 +17,7 @@ import shutil
 import string
 import subprocess
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 import yaml
@@ -48,11 +48,12 @@ class RenderFailure:
 
 
 @dataclass
-class RenderedManifestSet:
-    """Rendered documents as (template_path, doc_index, parsed body)."""
+class RenderResult:
+    """Rendered documents as (template_path, doc_index, parsed body), with failures and text."""
 
     documents: list[tuple[str, int, Any]]
-    render_overrides_used: dict[str, str] = field(default_factory=dict)
+    failures: list[RenderFailure]
+    texts: dict[str, str]  # template path -> rendered text
 
     def canonical_yaml(self) -> str:
         """Deterministic multi-document serialization for byte comparisons."""
@@ -65,7 +66,7 @@ class RenderedManifestSet:
         return "".join(chunks)
 
     def pin(self, overrides: Mapping[str, str]) -> None:
-        """Set each override's key path in place and record the ones that applied.
+        """Set each override's key path in place.
 
         Key paths that do not parse or name no existing leaf are ignored.
         """
@@ -76,19 +77,12 @@ class RenderedManifestSet:
             except ValueError:
                 continue
             body = by_doc.get((template_path, doc_index))
-            if body is not None and set_at(body, segments, value):
-                self.render_overrides_used[key_path] = value
+            if body is not None:
+                set_at(body, segments, value)
 
-    def restricted(self, templates: set[str]) -> RenderedManifestSet:
+    def restricted(self, templates: set[str]) -> list[tuple[str, int, Any]]:
         """The documents of the named templates, in render order."""
-        return RenderedManifestSet([doc for doc in self.documents if doc[0] in templates])
-
-
-@dataclass
-class RenderResult:
-    manifests: RenderedManifestSet
-    failures: list[RenderFailure]
-    texts: dict[str, str]  # template path -> rendered text
+        return [doc for doc in self.documents if doc[0] in templates]
 
     def differing(self, earlier: RenderResult) -> set[str]:
         """Templates whose rendered text differs from ``earlier``'s or that only one rendered."""
@@ -114,9 +108,6 @@ class BuiltinEngine:
     """Minimal hermetic renderer for the documented directive subset."""
 
     name = "builtin"
-
-    def __init__(self, release_name: str = "release-name"):
-        self.release_name = release_name
 
     def render_package(self, pkg: ChartPackage) -> tuple[list[tuple[str, str]], list[RenderFailure]]:
         rendered = []
@@ -179,7 +170,7 @@ class BuiltinEngine:
                     return _MISSING
             return node
         if head == ".Release.Name" and len(words) == 1:
-            return self.release_name
+            return "release-name"
         if head == ".Chart.Name" and len(words) == 1:
             return pkg.metadata.name
         if head == ".Chart.Version" and len(words) == 1:
@@ -276,7 +267,8 @@ class ExternalEngine:
     def _attribute_output(stdout: str, pkg: ChartPackage) -> list[tuple[str, str]]:
         """Group rendered chunks back to template paths via Source comments."""
         per_template: dict[str, list[str]] = {}  # in order of first appearance
-        for chunk in split_documents(stdout):
+        # split on ``---`` lines at column 0, keeping the ``# Source:`` comments
+        for chunk in _SEPARATOR_RE.split(stdout):
             if chunk.strip():
                 m = _SOURCE_MARK_RE.search(chunk)
                 per_template.setdefault(m.group(1) if m else "", []).append(chunk)
@@ -284,11 +276,6 @@ class ExternalEngine:
 
 
 Renderer = BuiltinEngine | ExternalEngine
-
-
-def split_documents(text: str) -> list[str]:
-    """Split on ``---`` lines at column 0, keeping the ``# Source:`` comments."""
-    return _SEPARATOR_RE.split(text)
 
 
 def render_chart(
@@ -331,15 +318,15 @@ def render_chart(
             (template_path, doc_index, body) for doc_index, (body, _) in enumerate(parsed)
         )
 
-    manifests = RenderedManifestSet(documents)
-    manifests.pin(overrides or {})
-    return RenderResult(manifests, failures, dict(rendered))
+    result = RenderResult(documents, failures, dict(rendered))
+    result.pin(overrides or {})
+    return result
 
 
-def flatten_documents(manifests: RenderedManifestSet) -> list[tuple[str, str]]:
+def flatten_documents(documents: list[tuple[str, int, Any]]) -> list[tuple[str, str]]:
     """Depth-first scalar leaves of every document as (key path, canonical value)."""
     out = []
-    for template_path, doc_index, body in manifests.documents:
+    for template_path, doc_index, body in documents:
         for segments, value in iter_tree_leaves(body):
             out.append((build_path(template_path, doc_index, segments), canon(value)))
     return out

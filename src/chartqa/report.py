@@ -11,7 +11,6 @@ import csv
 import datetime
 import io
 import json
-from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Mapping
 
@@ -124,13 +123,6 @@ def report_json(report: Mapping) -> str:
 
 # --- DOT graph ---
 
-@dataclass(frozen=True)
-class GraphDoc:
-    text: str
-    node_count: int
-    edge_count: int
-
-
 def _dot_quote(name: str) -> str:
     return '"%s"' % name.replace("\\", "\\\\").replace('"', '\\"')
 
@@ -143,7 +135,7 @@ def _identity_label(identity) -> str:
     return identity.key
 
 
-def emit_dot(sets: Iterable[MaintainerSet], irregularities: IrregularityReport) -> GraphDoc:
+def emit_dot(sets: Iterable[MaintainerSet], irregularities: IrregularityReport) -> str:
     """Bipartite maintainer-to-chart graph in DOT format.
 
     Every maintained chart file contributes one edge, so multi-version
@@ -190,8 +182,7 @@ def emit_dot(sets: Iterable[MaintainerSet], irregularities: IrregularityReport) 
     for source, target in sorted(edges):
         lines.append(f"    {_dot_quote(source)} -> {_dot_quote(target)};")
     lines.append("}")
-    node_count = len(maintainer_nodes) + len(chart_nodes) + len(collision_nodes)
-    return GraphDoc(text="\n".join(lines) + "\n", node_count=node_count, edge_count=len(edges))
+    return "\n".join(lines) + "\n"
 
 
 # --- CSV distributions ---
@@ -214,16 +205,27 @@ def _histogram(counts: Iterable[int]) -> list[tuple[int, int]]:
 
 def emit_distributions(
     quality_reports: Iterable[QualityReport],
-    sets: Iterable[MaintainerSet] | None = None,
-    set_metrics: Mapping | None = None,
+    sets: Iterable[MaintainerSet],
+    set_metrics: Mapping,
 ) -> dict[str, str]:
     """Long-tail histograms and the maintainer-set heatmap as CSV tables.
 
-    Returns a mapping of table name to RFC-4180 CSV text; empty inputs
-    still yield tables with headers.
+    ``sets`` and ``set_metrics`` are what ``compute_maintainer_sets``
+    returns. Returns a mapping of table name to RFC-4180 CSV text; empty
+    inputs still yield tables with headers.
     """
     reports = list(quality_reports)
-    tables = {
+    cells: dict[tuple[int, int], int] = {}
+    total = 0
+    for maintainer_set in sets:
+        key = (maintainer_set.size, len(maintainer_set.chart_files))
+        cells[key] = cells.get(key, 0) + 1
+        total += 1
+    unmaintained = set_metrics["unmaintained_chart_files"]
+    if unmaintained:
+        cells[(0, len(unmaintained))] = cells.get((0, len(unmaintained)), 0) + 1
+        total += 1
+    return {
         "charts_per_variable_count": _csv_table(
             ["variable_values", "charts"],
             _histogram(r.variable_value_count for r in reports),
@@ -232,23 +234,11 @@ def emit_distributions(
             ["duplicate_values", "charts"],
             _histogram(r.duplicate.total_duplicate_values for r in reports),
         ),
-    }
-    if sets is not None:
-        cells: dict[tuple[int, int], int] = {}
-        total = 0
-        for maintainer_set in sets:
-            key = (maintainer_set.size, len(maintainer_set.chart_files))
-            cells[key] = cells.get(key, 0) + 1
-            total += 1
-        unmaintained = list((set_metrics or {}).get("unmaintained_chart_files", []))
-        if unmaintained:
-            cells[(0, len(unmaintained))] = cells.get((0, len(unmaintained)), 0) + 1
-            total += 1
-        tables["maintainer_set_heatmap"] = _csv_table(
+        "maintainer_set_heatmap": _csv_table(
             ["maintainers_per_set", "charts_per_set", "sets", "percentage"],
             (
                 (m, c, n, round(100.0 * n / total, 2))
                 for (m, c), n in sorted(cells.items())
             ),
-        )
-    return tables
+        ),
+    }

@@ -233,15 +233,16 @@ def verify_rewrite(
 ) -> bool:
     """Check that the rewrite preserves rendering and actually took effect.
 
-    Variable keys are pinned first: the original is probed against a copy
-    of ``kb`` (never mutated), the pinned probe is the "before" render, and
-    the rewritten package is rendered once with the same overrides. True iff
-    the original renders a document (or has no template), both renders
-    parse to equal documents, and no literal leaf of an assigned value
-    remains in a template the plan edits (an inert rewrite is unsafe: it
-    would ship a diff that changes nothing). For plans from plan_rewrite
-    this is the same as every planned occurrence being removed: such a plan
-    assigns a value only when every literal occurrence of it was located.
+    Variable keys are pinned first: the original is probed with the chart's
+    ``kb`` overrides (``kb`` is only read), the pinned probe is the "before"
+    render, and the rewritten package is rendered once with those overrides
+    and the ones the probe learned. True iff the original renders a
+    document (or has no template), both renders parse to equal documents,
+    and no literal leaf of an assigned value remains in a template the plan
+    edits (an inert rewrite is unsafe: it would ship a diff that changes
+    nothing). For plans from plan_rewrite this is the same as every planned
+    occurrence being removed: such a plan assigns a value only when every
+    literal occurrence of it was located.
 
     The rewrite is rendered against the "before" probe, so only templates
     whose rendered text differs, or that render on one side only, are
@@ -249,14 +250,13 @@ def verify_rewrite(
     documents, and each document carries its template path, so this is
     the comparison of all documents.
     """
-    kb = kb.copy() if kb is not None else VariabilityKnowledgeBase()
-    before, _ = probe_variability(pkg, kb, engine)
-    if pkg.templates and not before.manifests.documents:
+    overrides = kb.overrides_for(pkg.stem) if kb is not None else {}
+    before, learned = probe_variability(pkg, overrides, engine)
+    if pkg.templates and not before.documents:
         return False
     rewritten = apply_plan(pkg, plan)
-    after = render_chart(rewritten, kb.overrides_for(pkg.stem), engine, earlier=before)
-    if before.manifests.restricted(after.differing(before)).documents != \
-            after.manifests.documents:
+    after = render_chart(rewritten, {**overrides, **learned}, engine, earlier=before)
+    if before.restricted(after.differing(before)) != after.documents:
         return False
     values = {a.value for a in plan.assignments}
     edited = {occ.template_path for a in plan.assignments for occ in a.target_occurrences}

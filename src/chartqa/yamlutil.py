@@ -228,7 +228,6 @@ class SourceLeaf:
     """
 
     path: str
-    segments: tuple
     value: str
     style: str | None
     span: tuple[int, int] | None
@@ -300,7 +299,7 @@ def sentinel_parse(template_path: str, source: str) -> SentinelParse:
             value = canon(raw)
             templated = SENTINEL_PREFIX in value
             span = None if templated else _map_span(segment_table, node)
-            leaves.append(SourceLeaf(build_path(template_path, doc_index, segs), segs, value,
+            leaves.append(SourceLeaf(build_path(template_path, doc_index, segs), value,
                                      node.style or None, span, templated, node in seen))
             seen.add(node)
     return SentinelParse(template_path, leaves)

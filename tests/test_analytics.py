@@ -9,6 +9,7 @@ from chartqa.analytics import (
     INFREQUENTLY_CHANGED,
     REGULARLY_CHANGED,
     UNCHANGED,
+    adjacent_changes,
     change_histories,
     classify_activity,
     compute_maintainer_sets,
@@ -111,15 +112,13 @@ def test_identity_merge_is_order_independent():
         assert summary == baseline
 
 
-def test_identity_email_normalization_and_pair_mode():
+def test_identity_email_normalization():
     index = make_index([
         ("a", "1.0.0", [("bob", "Bob@X.io ")]),
         ("b", "1.0.0", [("bobby", "bob@x.io")]),
     ])
     _, metrics = compute_maintainer_sets(index)
     assert metrics["maintainers"] == 1  # merged by normalized e-mail
-    _, pair_metrics = compute_maintainer_sets(index, identity_mode="pair")
-    assert pair_metrics["maintainers"] == 2
 
 
 def test_unmaintained_bucket_counts_in_headline_sets():
@@ -280,7 +279,7 @@ def test_change_histories_flags():
         make_snapshot("2018-05-17", [("a", "1.0.1", []), ("b", "1.0.0", [])],
                       {"a-1.0.1.tgz": "d3", "b-1.0.0.tgz": "x1"}),
     ]
-    histories = change_histories(snaps)
+    histories = change_histories(snaps, adjacent_changes(snaps))
     assert histories == {"a": [True, True], "b": [False, False]}
 
 
@@ -295,7 +294,8 @@ def test_period_metrics_synthetic_hand_computed():
         make_snapshot("2018-06-14", day30,
                       {"a-1.0.1.tgz": "d2", "b-1.0.0.tgz": "x1", "c-1.0.0.tgz": "c1"}),
     ]
-    table = period_metrics(snaps, [("calibration", "2018-05-15", "2018-06-14")])
+    periods = [("calibration", "2018-05-15", "2018-06-14")]
+    table = period_metrics(snaps, periods, adjacent_changes(snaps))
     (period,) = table["periods"]
     assert period["days"] == 30
     assert period["months"] == pytest.approx(1.0)
@@ -315,7 +315,8 @@ def test_period_metrics_no_changes_everything_zero():
         make_snapshot("2018-05-15", records, digests),
         make_snapshot("2018-05-16", records, digests),
     ]
-    table = period_metrics(snaps, [("quiet", "2018-05-15", "2018-05-16")])
+    periods = [("quiet", "2018-05-15", "2018-05-16")]
+    table = period_metrics(snaps, periods, adjacent_changes(snaps))
     (period,) = table["periods"]
     assert period["changed_charts_pct_monthly"] == 0.0
     for metric in period["metrics"].values():
@@ -330,7 +331,8 @@ def test_period_metrics_two_month_geometric_normalization():
         make_snapshot("2018-07-15", day0),
         make_snapshot("2018-09-13", day60),  # 60 days later
     ]
-    table = period_metrics(snaps, [("continuation", "2018-07-15", "2018-09-13")])
+    periods = [("continuation", "2018-07-15", "2018-09-13")]
+    table = period_metrics(snaps, periods, adjacent_changes(snaps))
     (period,) = table["periods"]
     # 100 -> 121 over two months is +10% per month geometrically
     assert period["months"] == pytest.approx(2.0)

@@ -265,6 +265,34 @@ def test_variability_persists_kb(tmp_path, capsys):
     assert list(flat) == ["web|templates/s.yaml#0/pw"]
 
 
+RANDOM_TEMPLATES = {"s.yaml": "pw: {{ randAlphaNum 8 }}\n"}
+
+
+def test_variability_chart_without_templates_is_not_a_failure(tmp_path, capsys):
+    charts = tmp_path / "charts"
+    write_chart_dir(charts, "a", chart_files(name="a", values={}, templates=RANDOM_TEMPLATES))
+    write_chart_dir(charts, "b", chart_files(name="b", values={}))
+    kb_path = tmp_path / "kb.json"
+    assert cli_dispatch(["variability", "--path", str(charts), "--kb", str(kb_path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["learned"] == {"a-1.0.0.tgz": ["templates/s.yaml#0/pw"], "b-1.0.0.tgz": []}
+    assert list(json.loads(kb_path.read_text())) == ["a|templates/s.yaml#0/pw"]
+
+
+def test_variability_skips_chart_whose_every_template_fails(tmp_path, capsys, caplog):
+    charts = tmp_path / "charts"
+    write_chart_dir(charts, "a", chart_files(name="a", values={}, templates=RANDOM_TEMPLATES))
+    write_chart_dir(charts, "c", chart_files(name="c", values={}, templates={
+        "t.yaml": "k: {{ .Values.absent }}\n",
+    }))
+    kb_path = tmp_path / "kb.json"
+    assert cli_dispatch(["variability", "--path", str(charts), "--kb", str(kb_path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"learned": {"a-1.0.0.tgz": ["templates/s.yaml#0/pw"]}, "kb_entries": 1}
+    assert list(json.loads(kb_path.read_text())) == ["a|templates/s.yaml#0/pw"]
+    assert "skipping c-1.0.0.tgz: c: every template failed" in caplog.text
+
+
 def test_suggest_writes_diffs_and_outbox(tmp_path, capsys):
     write_chart_dir(tmp_path / "charts", "web",
                     chart_files(values={"app": "x"}, templates={
@@ -283,8 +311,8 @@ def test_suggest_writes_diffs_and_outbox(tmp_path, capsys):
 
 
 def test_suggest_verifies_charts_with_random_values(tmp_path):
-    # a random-value key must not spoil verification: the pipeline pins it
-    # in an ephemeral knowledge base before comparing renders
+    # a random-value key must not spoil verification: the probe learns it
+    # and both renders are pinned to the learned value before comparing
     write_chart_dir(tmp_path / "charts", "web",
                     chart_files(values={}, templates={
                         "t.yaml": "a: dup-me\nb: dup-me\nc: dup-me\n"

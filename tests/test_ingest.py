@@ -44,7 +44,7 @@ def test_parse_repo_index_multi_version():
     ]})
     index = parse_repo_index(raw, "memory:")
     assert len(index.entries) == 2
-    assert index.stems == {"redis"}
+    assert {entry.ref.stem for entry in index.entries} == {"redis"}
 
 
 def test_parse_repo_index_reference_shape():
@@ -55,7 +55,7 @@ def test_parse_repo_index_reference_shape():
         entries[name] += [{"version": f"1.0.{k + 1}"} for k in range(count)]
     index = parse_repo_index(make_index_yaml(entries), "memory:")
     assert len(index.entries) == 177
-    assert len(index.stems) == 153
+    assert len({entry.ref.stem for entry in index.entries}) == 153
 
 
 def test_parse_repo_index_entry_count_matches_raw_document():

@@ -50,8 +50,8 @@ def test_learn_three_random_keys_matches_flatten_diff_oracle():
     })
     # oracle: directly diff two flattened renders
     from chartqa.render import flatten_documents, render_chart
-    first = dict(flatten_documents(render_chart(pkg).manifests))
-    second = dict(flatten_documents(render_chart(pkg).manifests))
+    first = dict(flatten_documents(render_chart(pkg).documents))
+    second = dict(flatten_documents(render_chart(pkg).documents))
     differing = sorted(k for k in first if first[k] != second.get(k, first[k]))
 
     kb = VariabilityKnowledgeBase()
@@ -201,7 +201,7 @@ def test_comment_only_document_takes_no_index():
     report = detect_duplicates(pkg)
     assert sorted(g.canonical_value for g in report.groups) == ["ConfigMap", "Secret"]
     leaves = [leaf.path for leaf in sentinel_parse("templates/a.yaml", body).leaves]
-    rendered = [path for path, _ in flatten_documents(render_chart(pkg).manifests)]
+    rendered = [path for path, _ in flatten_documents(render_chart(pkg).documents)]
     assert leaves == ["templates/a.yaml#0/kind", "templates/a.yaml#1/kind"]
     assert leaves == rendered[:2]
 
@@ -347,12 +347,10 @@ def test_variable_key_in_differing_template_is_learned_and_pinned():
         "cm.yaml": "kind: ConfigMap\ndata: fixed\n",
         "s.yaml": "kind: Secret\nstatic: same\npw: {{ randAlphaNum 16 }}\n",
     })
-    kb = VariabilityKnowledgeBase()
-    probe, learned = quality.probe_variability(pkg, kb)
-    assert learned == ["templates/s.yaml#0/pw"]
-    pinned = kb.entries[(pkg.stem, "templates/s.yaml#0/pw")]
-    assert probe.manifests.render_overrides_used == {"templates/s.yaml#0/pw": pinned}
-    assert probe.manifests.documents == [
+    probe, learned = quality.probe_variability(pkg, {})
+    assert list(learned) == ["templates/s.yaml#0/pw"]
+    pinned = learned["templates/s.yaml#0/pw"]
+    assert probe.documents == [
         ("templates/cm.yaml", 0, {"kind": "ConfigMap", "data": "fixed"}),
         ("templates/s.yaml", 0, {"kind": "Secret", "static": "same", "pw": pinned}),
     ]
@@ -368,3 +366,39 @@ def test_syntax_error_in_unchanged_template_reported_once():
         ("templates/bad.yaml", "SyntaxError"),
     ]
     assert report.variable_key_paths == ("templates/s.yaml#0/pw",)
+
+
+# --- the probe takes the chart's overrides and never sees a knowledge base ---
+
+def test_probe_never_learns_a_key_already_in_overrides():
+    # "a/b" names the key "a/b" when flattened but a nested b under a when
+    # pinned, so its override cannot reach it and both renders still differ
+    pkg = make_package(values={}, templates={
+        "t.yaml": "pw: {{ randAlphaNum 8 }}\na/b: {{ randAlphaNum 8 }}\n"
+                  "tok: {{ randAlphaNum 8 }}\n",
+    })
+    overrides = {"templates/t.yaml#0/pw": "fixed", "templates/t.yaml#0/a/b": "unreachable"}
+    probe, learned = quality.probe_variability(pkg, overrides)
+    assert list(learned) == ["templates/t.yaml#0/tok"]
+    ((_, _, body),) = probe.documents
+    assert body["pw"] == "fixed" and body["tok"] == learned["templates/t.yaml#0/tok"]
+
+
+def test_analyze_chart_reports_overrides_and_learned_keys_without_writing_them():
+    pkg = make_package(values={}, templates={
+        "t.yaml": "pw: {{ randAlphaNum 8 }}\ntok: {{ randAlphaNum 8 }}\n",
+    })
+    kb = VariabilityKnowledgeBase()
+    kb.learn(pkg.stem, "templates/t.yaml#0/pw", "fixed")
+    kb.learn(pkg.stem, "templates/gone.yaml#0/x", "stale")
+    kb.learn("other", "templates/t.yaml#0/tok", "elsewhere")
+    before = dict(kb.entries)
+    report = analyze_chart(pkg, kb)
+    assert kb.entries == before
+    overrides = kb.overrides_for(pkg.stem)
+    _, learned = quality.probe_variability(pkg, overrides)
+    assert report.variable_key_paths == tuple(sorted(overrides.keys() | learned.keys()))
+    assert report.variable_key_paths == (
+        "templates/gone.yaml#0/x", "templates/t.yaml#0/pw", "templates/t.yaml#0/tok",
+    )
+    assert report.variable_value_count == 3

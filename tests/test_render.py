@@ -8,10 +8,8 @@ from chartqa.errors import EngineUnavailable
 from chartqa.render import (
     BuiltinEngine,
     ExternalEngine,
-    RenderedManifestSet,
     flatten_documents,
     render_chart,
-    split_documents,
 )
 
 from conftest import make_package
@@ -26,7 +24,7 @@ def render_single(pkg, overrides=None):
 def test_plain_substitution():
     pkg = make_package(values={"app": "web"}, templates={"t.yaml": "name: {{ .Values.app }}\n"})
     result = render_single(pkg)
-    assert result.manifests.documents == [("templates/t.yaml", 0, {"name": "web"})]
+    assert result.documents == [("templates/t.yaml", 0, {"name": "web"})]
 
 
 def test_builtin_context_and_pipes():
@@ -43,7 +41,7 @@ def test_builtin_context_and_pipes():
             "g: {{ .Values.empty | default \"filled\" }}\n"
         )},
     )
-    (_, _, doc), = render_single(pkg).manifests.documents
+    (_, _, doc), = render_single(pkg).documents
     assert doc == {
         "a": "mychart", "b": "2.0.1", "c": "release-name",
         "d": "HELLO", "e": "hello", "f": "fallback", "g": "filled",
@@ -54,8 +52,8 @@ def test_random_value_differs_between_renders():
     pkg = make_package(
         values={}, templates={"t.yaml": "fixed: abc\npw: {{ randAlphaNum 24 }}\n"}
     )
-    first = dict(flatten_documents(render_single(pkg).manifests))
-    second = dict(flatten_documents(render_single(pkg).manifests))
+    first = dict(flatten_documents(render_single(pkg).documents))
+    second = dict(flatten_documents(render_single(pkg).documents))
     assert first["templates/t.yaml#0/fixed"] == second["templates/t.yaml#0/fixed"]
     assert first["templates/t.yaml#0/pw"] != second["templates/t.yaml#0/pw"]
     assert len(first["templates/t.yaml#0/pw"]) == 24
@@ -64,7 +62,7 @@ def test_random_value_differs_between_renders():
 def test_missing_value_failure():
     pkg = make_package(values={}, templates={"t.yaml": "a: {{ .Values.absent }}\n"})
     result = render_chart(pkg)
-    assert result.manifests.documents == []
+    assert result.documents == []
     (failure,) = result.failures
     assert failure.category == "MissingValue"
     assert failure.template_path == "templates/t.yaml"
@@ -77,7 +75,7 @@ def test_unsupported_directive_failure_keeps_other_templates():
     })
     result = render_chart(pkg)
     assert [f.category for f in result.failures] == ["EngineUnsupported"]
-    assert [(tp, doc) for tp, _i, doc in result.manifests.documents] == [
+    assert [(tp, doc) for tp, _i, doc in result.documents] == [
         ("templates/good.yaml", {"b": "ok"})
     ]
 
@@ -96,7 +94,7 @@ def test_malformed_middle_document_fails_whole_template():
     result = render_chart(pkg)
     (failure,) = result.failures
     assert (failure.template_path, failure.category) == ("templates/t.yaml", "SyntaxError")
-    assert result.manifests.documents == [("templates/u.yaml", 0, {"d": 4})]
+    assert result.documents == [("templates/u.yaml", 0, {"d": 4})]
 
 
 def test_pin_reaches_value_under_integer_key():
@@ -104,32 +102,33 @@ def test_pin_reaches_value_under_integer_key():
         "t.yaml": "ports:\n  80: {{ randAlphaNum 8 }}\n  web: {{ randAlphaNum 8 }}\n",
     })
     overrides = {"templates/t.yaml#0/ports/80": "p80", "templates/t.yaml#0/ports/web": "pweb"}
-    manifests = render_chart(pkg, overrides).manifests
-    assert manifests.render_overrides_used == overrides
-    assert manifests.documents == [("templates/t.yaml", 0, {"ports": {"80": "p80", "web": "pweb"}})]
+    result = render_chart(pkg, overrides)
+    assert result.documents == [("templates/t.yaml", 0, {"ports": {"80": "p80", "web": "pweb"}})]
 
 
 def test_multi_document_split_column_zero():
     text = "a: 1\n---\nb: 2\n--- # trailing comment\nc: 3\n"
-    docs = [d for d in split_documents(text) if d.strip()]
-    assert docs == ["a: 1\n", "b: 2\n", "c: 3\n"]
     pkg = make_package(values={}, templates={"t.yaml": text})
+    marked = ("---\n# Source: c/templates/a.yaml\na: 1\n"
+              "--- # trailing comment\n# Source: c/templates/b.yaml\nb: 1\n")
+    assert ExternalEngine._attribute_output(marked, pkg) == [
+        ("templates/a.yaml", "# Source: c/templates/a.yaml\na: 1\n"),
+        ("templates/b.yaml", "# Source: c/templates/b.yaml\nb: 1\n"),
+    ]
     result = render_single(pkg)
-    assert [(i, doc) for _tp, i, doc in result.manifests.documents] == [
+    assert [(i, doc) for _tp, i, doc in result.documents] == [
         (0, {"a": 1}), (1, {"b": 2}), (2, {"c": 3}),
     ]
 
 
 def test_flatten_paths():
-    manifests = RenderedManifestSet(documents=[("t.yaml", 0, {"a": {"b": "x"}})])
-    assert flatten_documents(manifests) == [("t.yaml#0/a/b", "x")]
+    documents = [("t.yaml", 0, {"a": {"b": "x"}})]
+    assert flatten_documents(documents) == [("t.yaml#0/a/b", "x")]
 
-    two_docs = RenderedManifestSet(documents=[
-        ("t.yaml", 0, {"a": 1}), ("t.yaml", 1, {"a": 2}),
-    ])
+    two_docs = [("t.yaml", 0, {"a": 1}), ("t.yaml", 1, {"a": 2})]
     assert flatten_documents(two_docs) == [("t.yaml#0/a", "1"), ("t.yaml#1/a", "2")]
 
-    seq = RenderedManifestSet(documents=[("t.yaml", 0, {"a": ["x", "y"]})])
+    seq = [("t.yaml", 0, {"a": ["x", "y"]})]
     assert flatten_documents(seq) == [("t.yaml#0/a[0]", "x"), ("t.yaml#0/a[1]", "y")]
 
 
@@ -150,8 +149,7 @@ def test_flatten_lossless_for_scalars():
         "e": None,
         "f": [{"g": 1.5}, "x"],
     }
-    manifests = RenderedManifestSet(documents=[("t.yaml", 0, body)])
-    flattened = sorted(value for _path, value in flatten_documents(manifests))
+    flattened = sorted(value for _path, value in flatten_documents([("t.yaml", 0, body)]))
     direct = []
     _walk_scalars(body, direct)
 
@@ -171,8 +169,7 @@ def test_overrides_pin_rendered_leaves():
     pkg = make_package(values={}, templates={"t.yaml": "pw: {{ randAlphaNum 16 }}\n"})
     overrides = {"templates/t.yaml#0/pw": "pinned", "templates/t.yaml#0/nope": "ignored"}
     result = render_chart(pkg, overrides)
-    assert result.manifests.documents == [("templates/t.yaml", 0, {"pw": "pinned"})]
-    assert result.manifests.render_overrides_used == {"templates/t.yaml#0/pw": "pinned"}
+    assert result.documents == [("templates/t.yaml", 0, {"pw": "pinned"})]
 
 
 def test_determinism_with_all_variable_keys_overridden():
@@ -180,8 +177,8 @@ def test_determinism_with_all_variable_keys_overridden():
         "t.yaml": "a: {{ .Values.app }}\npw: {{ randAlphaNum 12 }}\ntok: {{ randAlphaNum 8 }}\n",
     })
     overrides = {"templates/t.yaml#0/pw": "p", "templates/t.yaml#0/tok": "t"}
-    first = render_chart(pkg, overrides).manifests.canonical_yaml()
-    second = render_chart(pkg, overrides).manifests.canonical_yaml()
+    first = render_chart(pkg, overrides).canonical_yaml()
+    second = render_chart(pkg, overrides).canonical_yaml()
     assert first == second
 
 
@@ -236,7 +233,7 @@ def test_external_engine_agrees_with_builtin(fake_renderer):
     external = render_chart(pkg, engine=ExternalEngine(binary=fake_renderer))
     assert not builtin.failures and not external.failures
     as_docs = lambda r: {  # noqa: E731
-        (tp, i): doc for tp, i, doc in r.manifests.documents
+        (tp, i): doc for tp, i, doc in r.documents
     }
     assert as_docs(builtin) == as_docs(external)
 
@@ -244,7 +241,7 @@ def test_external_engine_agrees_with_builtin(fake_renderer):
 def test_external_engine_failure_mapping(fake_renderer):
     pkg = make_package(values={}, templates={"t.yaml": "a: {{ .Values.absent }}\n"})
     result = render_chart(pkg, engine=ExternalEngine(binary=fake_renderer))
-    assert result.manifests.documents == []
+    assert result.documents == []
     assert result.failures and result.failures[0].category == "MissingValue"
 
 
@@ -259,7 +256,7 @@ def test_external_engine_env_var(fake_renderer, monkeypatch):
     monkeypatch.setenv("CHARTQA_RENDERER", fake_renderer)
     pkg = make_package(values={"a": "x"}, templates={"t.yaml": "k: {{ .Values.a }}\n"})
     result = render_chart(pkg, engine=ExternalEngine())
-    assert result.manifests.documents == [("templates/t.yaml", 0, {"k": "x"})]
+    assert result.documents == [("templates/t.yaml", 0, {"k": "x"})]
 
 
 def test_render_against_earlier_parses_only_differing_text():
@@ -272,7 +269,7 @@ def test_render_against_earlier_parses_only_differing_text():
     second = render_chart(pkg, earlier=first)
     assert second.texts.keys() == first.texts.keys()
     assert second.differing(first) == {"templates/s.yaml"}
-    assert [tp for tp, _i, _body in second.manifests.documents] == ["templates/s.yaml"]
+    assert [tp for tp, _i, _body in second.documents] == ["templates/s.yaml"]
     assert second.failures == []
     assert [(f.template_path, f.category) for f in first.failures] == [
         ("templates/bad.yaml", "SyntaxError"),

@@ -101,9 +101,8 @@ def check_dot_grammar(text: str) -> tuple[int, int]:
 def test_emit_dot_minimal():
     index = make_index([("redis", "1.0.0", [("alice", "a@x.io")])])
     sets, _ = compute_maintainer_sets(index)
-    doc = emit_dot(sets, detect_irregularities(index))
-    nodes, edges = check_dot_grammar(doc.text)
-    assert (nodes, edges) == (2, 1) == (doc.node_count, doc.edge_count)
+    text = emit_dot(sets, detect_irregularities(index))
+    assert check_dot_grammar(text) == (2, 1)
 
 
 def test_emit_dot_parallel_edges_for_versions():
@@ -112,21 +111,21 @@ def test_emit_dot_parallel_edges_for_versions():
         ("redis", "1.1.0", [("alice", "a@x.io")]),
     ])
     sets, _ = compute_maintainer_sets(index)
-    doc = emit_dot(sets, detect_irregularities(index))
-    nodes, edges = check_dot_grammar(doc.text)
+    text = emit_dot(sets, detect_irregularities(index))
+    nodes, edges = check_dot_grammar(text)
     assert nodes == 2
     assert edges == 2  # one edge per stable version
-    assert doc.text.count('"maintainer_alice" -> "chart_redis";') == 2
+    assert text.count('"maintainer_alice" -> "chart_redis";') == 2
 
 
 def test_emit_dot_name_collision_collapses_to_self_loop():
     index = make_index([("chartmuseum", "1.0.0", [("chartmuseum", "c@x.io")])])
     sets, _ = compute_maintainer_sets(index)
-    doc = emit_dot(sets, detect_irregularities(index))
-    check_dot_grammar(doc.text)
-    assert 'shape=doubleoctagon' in doc.text
-    assert '"both_chartmuseum" -> "both_chartmuseum";' in doc.text
-    assert doc.node_count == 1
+    text = emit_dot(sets, detect_irregularities(index))
+    nodes, _ = check_dot_grammar(text)
+    assert 'shape=doubleoctagon' in text
+    assert '"both_chartmuseum" -> "both_chartmuseum";' in text
+    assert nodes == 1
 
 
 def test_emit_dot_deterministic_ordering():
@@ -135,8 +134,8 @@ def test_emit_dot_deterministic_ordering():
         ("alpha", "1.0.0", [("amy", "a@x.io")]),
     ])
     sets, _ = compute_maintainer_sets(index)
-    first = emit_dot(sets, detect_irregularities(index)).text
-    second = emit_dot(list(reversed(sets)), detect_irregularities(index)).text
+    first = emit_dot(sets, detect_irregularities(index))
+    second = emit_dot(list(reversed(sets)), detect_irregularities(index))
     assert first == second
 
 
@@ -163,7 +162,7 @@ def test_distribution_histograms():
         for i in range(3)
     ]
     reports = [analyze_chart(pkg) for pkg in packages]
-    tables = emit_distributions(reports)
+    tables = emit_distributions(reports, sets=[], set_metrics={"unmaintained_chart_files": []})
     rows = _rows(tables["charts_per_duplicate_count"])
     assert rows == [["duplicate_values", "charts"], ["0", "1"], ["3", "2"]]
 

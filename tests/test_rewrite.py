@@ -147,6 +147,22 @@ def test_verify_rewrite_renders_original_twice_and_rewrite_once(monkeypatch):
     assert [args[0] is pkg for args in renders] == [True, True, False]
 
 
+def test_verify_rewrite_reads_the_knowledge_base_and_pins_learned_keys():
+    # pw is pinned from the knowledge base; tok is learned by the probe and
+    # must be pinned in the rewritten render too, or the renders differ
+    pkg = make_package(values={}, templates={
+        "t.yaml": "a: dup-me\nb: dup-me\nc: dup-me\n"
+                  "pw: {{ randAlphaNum 8 }}\ntok: {{ randAlphaNum 8 }}\n",
+    })
+    kb = VariabilityKnowledgeBase()
+    kb.learn(pkg.stem, "templates/t.yaml#0/pw", "fixed")
+    kb.learn("other", "templates/t.yaml#0/tok", "elsewhere")
+    before = dict(kb.entries)
+    plan = plan_rewrite(pkg, detect_duplicates(pkg))
+    assert verify_rewrite(pkg, plan, kb) is True
+    assert kb.entries == before
+
+
 def test_pipeline_parses_each_original_template_once(monkeypatch):
     pkg = make_package(values={}, templates={
         "deploy.yaml": "volume: httpd-data\nclaim: httpd-data\n",

@@ -80,7 +80,7 @@ def test_alias_bomb_rejected_quickly():
     assert "expands to more than 100000 nodes" in parse.error and parse.leaves == []
     with deadline(1.0):
         result = render_chart(make_package(values={}, templates={"t.yaml": bomb}))
-    assert result.manifests.documents == []
+    assert result.documents == []
     assert [(f.template_path, f.category) for f in result.failures] == [
         ("templates/t.yaml", "SyntaxError")
     ]
@@ -128,7 +128,7 @@ def test_sentinel_paths_equal_rendered_paths(documents, bare_first):
     parse = sentinel_parse("templates/t.yaml", text)
     rendered = render_chart(make_package(values={}, templates={"t.yaml": text}))
     assert [(leaf.path, leaf.value) for leaf in parse.leaves] == \
-        flatten_documents(rendered.manifests)
+        flatten_documents(rendered.documents)
     assert (parse.error is None) == (rendered.failures == [])
 
 
