@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gzip
 import io
 import os
 import tarfile
@@ -224,6 +225,41 @@ MAX_ARCHIVE_BYTES = 100 * 1024 * 1024
 # a chart holds tens of files; an empty member costs no declared bytes but
 # still a header read and a TarInfo, so a stream of them is bounded by count
 MAX_ARCHIVE_MEMBERS = 10_000
+# one header block per member, and 1 MiB for long-name and pax header bodies,
+# the most Go's archive/tar (which Helm reads charts with) accepts for one
+MAX_HEADER_BYTES = MAX_ARCHIVE_MEMBERS * tarfile.BLOCKSIZE + 1024 * 1024
+
+
+class _BoundedStream:
+    """The decompressed bytes of a gzipped archive, refusing to read or seek past a limit.
+
+    tarfile reads a long-name or pax header body in full before it yields
+    the member it names, so no member bound sees that body. The limit starts
+    at MAX_HEADER_BYTES and grows by the stored size of each file allowed.
+    """
+
+    def __init__(self, archive: bytes):
+        self._raw = gzip.GzipFile(fileobj=io.BytesIO(archive))
+        self._limit = MAX_HEADER_BYTES
+
+    def allow(self, size: int) -> None:
+        """Raise the limit by a file of ``size`` bytes, padded to whole tar blocks."""
+        self._limit += -(-size // tarfile.BLOCKSIZE) * tarfile.BLOCKSIZE
+
+    def _check(self, end: int) -> None:
+        if end > self._limit:
+            raise MalformedArchive(f"archive holds over {MAX_HEADER_BYTES} bytes besides files")
+
+    def read(self, size: int) -> bytes:
+        self._check(self._raw.tell() + size)
+        return self._raw.read(size)
+
+    def seek(self, offset: int) -> int:
+        self._check(offset)
+        return self._raw.seek(offset)
+
+    def tell(self) -> int:
+        return self._raw.tell()
 
 
 def parse_chart_archive(archive: bytes) -> ChartPackage:
@@ -232,13 +268,14 @@ def parse_chart_archive(archive: bytes) -> ChartPackage:
     Templates are returned verbatim (unrendered); a missing values.yaml
     yields an empty value tree. Members are read one at a time, and the
     archive is rejected as soon as one file, the running total of declared
-    file sizes or the member count passes its bound, before the data that
-    passes it is decompressed.
+    file sizes, the member count or the bytes besides file data pass their
+    bound, before the data that passes it is decompressed.
     """
     files: dict[str, bytes] = {}
     total = 0
+    stream = _BoundedStream(archive)
     try:
-        with tarfile.open(fileobj=io.BytesIO(archive), mode="r:gz") as tar:
+        with tarfile.open(fileobj=stream, mode="r:") as tar:
             for count, member in enumerate(tar, 1):
                 if count > MAX_ARCHIVE_MEMBERS:
                     raise MalformedArchive(f"archive has over {MAX_ARCHIVE_MEMBERS} members")
@@ -251,6 +288,7 @@ def parse_chart_archive(archive: bytes) -> ChartPackage:
                     )
                 if total > MAX_ARCHIVE_BYTES:
                     raise MalformedArchive(f"archive files declare over {MAX_ARCHIVE_BYTES} bytes")
+                stream.allow(member.size)
                 parts = member.name.split("/")
                 # drop the single top-level chart directory
                 rel = "/".join(parts[1:]) if len(parts) > 1 else parts[0]

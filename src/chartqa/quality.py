@@ -266,12 +266,12 @@ def analyze_chart(
     """Compose variability probing, duplicate detection and render failures.
 
     The caller's knowledge base is only read: the probe takes this stem's
-    overrides, and the reported key paths are those overrides together
-    with the keys the probe learned.
+    overrides, and the reported key paths are the overrides that named a
+    rendered leaf together with the keys the probe learned.
     """
     overrides = kb.overrides_for(pkg.stem) if kb is not None else {}
     probe, learned = probe_variability(pkg, overrides, engine)
-    variable_paths = tuple(sorted(overrides.keys() | learned.keys()))
+    variable_paths = tuple(sorted(probe.applied | learned.keys()))
     return QualityReport(
         chart=pkg.ref,
         variable_value_count=len(variable_paths),

@@ -10,6 +10,7 @@ subprocess.
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 import re
@@ -17,7 +18,7 @@ import shutil
 import string
 import subprocess
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 import yaml
@@ -54,6 +55,7 @@ class RenderResult:
     documents: list[tuple[str, int, Any]]
     failures: list[RenderFailure]
     texts: dict[str, str]  # template path -> rendered text
+    applied: set[str] = field(default_factory=set)  # override key paths render_chart pinned
 
     def canonical_yaml(self) -> str:
         """Deterministic multi-document serialization for byte comparisons."""
@@ -65,20 +67,22 @@ class RenderResult:
             chunks.append(f"--- # {template_path}#{doc_index}\n{dumped}")
         return "".join(chunks)
 
-    def pin(self, overrides: Mapping[str, str]) -> None:
-        """Set each override's key path in place.
+    def pin(self, overrides: Mapping[str, str]) -> set[str]:
+        """Set each override's key path in place; returns the key paths set.
 
         Key paths that do not parse or name no existing leaf are ignored.
         """
         by_doc = {(tp, di): body for tp, di, body in self.documents}
+        pinned = set()
         for key_path, value in overrides.items():
             try:
                 template_path, doc_index, segments = parse_path(key_path)
             except ValueError:
                 continue
             body = by_doc.get((template_path, doc_index))
-            if body is not None:
-                set_at(body, segments, value)
+            if body is not None and set_at(body, segments, value):
+                pinned.add(key_path)
+        return pinned
 
     def restricted(self, templates: set[str]) -> list[tuple[str, int, Any]]:
         """The documents of the named templates, in render order."""
@@ -104,6 +108,24 @@ _ALPHANUM = string.ascii_letters + string.digits
 _RAND = random.SystemRandom()
 
 
+# cached at module level, where an engine's pickling does not reach it, and as
+# tuples, so no caller can change a cached stage
+@functools.lru_cache(maxsize=1 << 14)
+def _split_pipes(expr: str) -> tuple[tuple[str, ...], ...]:
+    """The words of each ``|``-separated stage of a directive; a quoted ``|`` stays in its word."""
+    stages, buf, quoted = [], [], False
+    for i, ch in enumerate(expr):
+        if ch == '"' and (i == 0 or expr[i - 1] != "\\"):
+            quoted = not quoted
+        if ch == "|" and not quoted:
+            stages.append("".join(buf))
+            buf = []
+        else:
+            buf.append(ch)
+    stages.append("".join(buf))
+    return tuple(tuple(_WORD_RE.findall(stage)) for stage in stages)
+
+
 class BuiltinEngine:
     """Minimal hermetic renderer for the documented directive subset."""
 
@@ -127,7 +149,7 @@ class BuiltinEngine:
         return DIRECTIVE_RE.sub(replace, body)
 
     def _eval(self, pkg: ChartPackage, expr: str) -> str:
-        stages = self._split_pipes(expr)
+        stages = _split_pipes(expr)
         if not stages or not stages[0]:
             raise _TemplateError(ENGINE_UNSUPPORTED, f"empty directive {expr!r}")
         value = self._primary(pkg, stages[0], expr)
@@ -139,25 +161,7 @@ class BuiltinEngine:
             raise _TemplateError(ENGINE_UNSUPPORTED, f"non-scalar value for {expr!r}")
         return canon(value)
 
-    @staticmethod
-    def _split_pipes(expr: str) -> list[list[str]]:
-        stages, current, quoted = [], [], False
-        i = 0
-        buf = []
-        while i < len(expr):
-            ch = expr[i]
-            if ch == '"' and (i == 0 or expr[i - 1] != "\\"):
-                quoted = not quoted
-            if ch == "|" and not quoted:
-                stages.append("".join(buf))
-                buf = []
-            else:
-                buf.append(ch)
-            i += 1
-        stages.append("".join(buf))
-        return [_WORD_RE.findall(stage) for stage in stages]
-
-    def _primary(self, pkg: ChartPackage, words: list[str], expr: str) -> Any:
+    def _primary(self, pkg: ChartPackage, words: tuple[str, ...], expr: str) -> Any:
         head = words[0]
         if head.startswith(".Values."):
             if len(words) != 1:
@@ -193,7 +197,7 @@ class BuiltinEngine:
             return float(word)
         return None
 
-    def _apply(self, value: Any, words: list[str], expr: str) -> Any:
+    def _apply(self, value: Any, words: tuple[str, ...], expr: str) -> Any:
         if not words:
             raise _TemplateError(ENGINE_UNSUPPORTED, f"empty pipe stage in {expr!r}")
         func = words[0]
@@ -288,7 +292,8 @@ def render_chart(
 
     Overrides map flattened key paths of the rendered output to replacement
     text and are injected after parsing, taking precedence over whatever the
-    engine produced (including fresh random values). Failures are collected
+    engine produced (including fresh random values); ``applied`` holds the
+    key paths of those that named a leaf of the result. Failures are collected
     per template; successfully rendered templates are still returned. A
     template whose rendered text is not YAML gives no documents and one
     SyntaxError failure.
@@ -319,7 +324,7 @@ def render_chart(
         )
 
     result = RenderResult(documents, failures, dict(rendered))
-    result.pin(overrides or {})
+    result.applied = result.pin(overrides or {})
     return result
 
 

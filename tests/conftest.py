@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import io
+import os
 import tarfile
 
 import pytest
 import yaml
 
+from chartqa import cli
 from chartqa.core import ChartPackage, package_from_files
 
 
@@ -74,6 +76,13 @@ def write_chart_dir(tmp_path, name: str, files: dict[str, str]) -> str:
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(body)
     return str(chart_dir)
+
+
+@pytest.fixture
+def two_cpu_pool(monkeypatch) -> None:
+    """Make the CLI's per-chart commands start two workers for two charts or more."""
+    monkeypatch.setattr(cli, "MIN_CHARTS_PER_WORKER", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
 @pytest.fixture

@@ -1,8 +1,10 @@
 """CLI contract: subcommands, exit codes, outputs."""
 
 import datetime
+import functools
 import json
 import logging
+import os
 import subprocess
 import sys
 
@@ -10,9 +12,18 @@ import pytest
 
 from chartqa import analytics, cli
 from chartqa.cli import cli_dispatch
+from chartqa.errors import EngineUnavailable
 from chartqa.ingest import SnapshotStore, parse_repo_index, sha256_digest
+from chartqa.quality import DuplicateConfig, detect_duplicates
 
-from conftest import chart_files, count_calls, make_archive, make_index_yaml, write_chart_dir
+from conftest import (
+    chart_files,
+    count_calls,
+    make_archive,
+    make_index_yaml,
+    make_package,
+    write_chart_dir,
+)
 
 CLEAN_TEMPLATES = {"deploy.yaml": "kind: Deployment\nname: {{ .Values.app }}\n"}
 DUPE_TEMPLATES = {"deploy.yaml": "a: dup-me\nb: dup-me\nc: dup-me\n"}
@@ -94,8 +105,8 @@ def test_analyze_writes_schema_valid_report(tmp_path, capsys):
 
 
 def test_analyze_jobs_missing_external_renderer_exits_two(tmp_path):
-    # with two jobs the error is raised in a pool worker and must reach cli_dispatch
-    for name in ("api", "web"):
+    # with two jobs and two CPUs the error is raised in a pool worker and must reach cli_dispatch
+    for name in (f"c{i:02d}" for i in range(2 * cli.MIN_CHARTS_PER_WORKER)):
         write_chart_dir(tmp_path / "charts", name,
                         chart_files(name=name, values={"app": "x"},
                                     templates=CLEAN_TEMPLATES, maintainers=MAINTAINED))
@@ -112,11 +123,58 @@ def test_import_leaves_numpy_and_requests_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, chartqa, chartqa.cli; "
-         "print(sorted({'numpy', 'requests'} & set(sys.modules)))"],
+         "print(sorted({'numpy', 'requests', 'multiprocessing', 'concurrent.futures.process'}"
+         " & set(sys.modules)))"],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_per_chart_spawned_workers_match_serial(monkeypatch, two_cpu_pool):
+    import multiprocessing
+
+    methods = []
+    get_context = multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: methods.append(method) or get_context(method))
+    packages = [make_package(name=f"c{i}", templates=DUPE_TEMPLATES) for i in range(4)]
+    detect = functools.partial(detect_duplicates, config=DuplicateConfig(threshold=2))
+    assert cli._per_chart(detect, packages, 2) == [detect(pkg) for pkg in packages]
+    assert methods == ["spawn"]
+
+
+def test_per_chart_on_one_cpu_runs_here_without_multiprocessing(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    for name in ("multiprocessing", "concurrent.futures.process"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    charts = [f"c{i}" for i in range(4 * cli.MIN_CHARTS_PER_WORKER)]
+    seen = []
+    # a lambda cannot be sent to a worker, and ``seen`` fills only in this process
+    assert cli._per_chart(lambda chart: seen.append(chart) or chart.upper(), charts, 4) == [
+        chart.upper() for chart in charts]
+    assert seen == charts
+    assert "multiprocessing" not in sys.modules
+    assert "concurrent.futures.process" not in sys.modules
+
+
+def _renderer_missing(pkg, config=None):
+    raise EngineUnavailable("external renderer binary not found")
+
+
+@pytest.mark.parametrize("command", ["livecheck", "dupes"])
+def test_per_chart_worker_error_exits_two(tmp_path, monkeypatch, two_cpu_pool, caplog, capsys,
+                                         command):
+    # livecheck and dupes take no engine; the error is raised in a pool worker as one would be
+    for name in ("api", "web"):
+        write_chart_dir(tmp_path / "charts", name,
+                        chart_files(name=name, values={"app": "x"},
+                                    templates=CLEAN_TEMPLATES, maintainers=MAINTAINED))
+    monkeypatch.setattr(cli, "detect_duplicates", _renderer_missing)
+    assert cli_dispatch([command, "--path", str(tmp_path / "charts")]) == 2
+    assert "external renderer binary not found" in caplog.text
+    assert capsys.readouterr().out == ""
 
 
 def test_analyze_findings_exit_code(tmp_path):

@@ -4,6 +4,8 @@ import gzip
 import io
 import random
 import tarfile
+import tracemalloc
+import zlib
 
 import pytest
 import yaml
@@ -12,6 +14,7 @@ from chartqa.core import (
     MAX_ARCHIVE_BYTES,
     MAX_ARCHIVE_MEMBERS,
     MAX_FILE_BYTES,
+    MAX_HEADER_BYTES,
     ChartMetadata,
     ChartRef,
     mangle_stem,
@@ -235,3 +238,24 @@ def test_metadata_round_trip():
     })
     again = ChartMetadata.from_mapping(yaml.safe_load(yaml.safe_dump(meta.to_mapping())))
     assert again == meta
+
+
+def test_parse_chart_archive_bounds_long_name_header_body():
+    # tarfile reads a long-name body in full before yielding the member it names
+    info = tarfile.TarInfo("././@LongLink")
+    info.type = tarfile.GNUTYPE_LONGNAME
+    info.size = 50 * 1024 * 1024
+    gz = zlib.compressobj(wbits=31)
+    chunks = [gz.compress(info.tobuf(tarfile.GNU_FORMAT))]
+    chunks += [gz.compress(b"a" * 2**20) for _ in range(info.size // 2**20)]
+    chunks += [gz.compress(gzip.decompress(make_archive(chart_files()))), gz.flush()]
+    archive = b"".join(chunks)
+    assert len(archive) < 64_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedArchive, match=f"over {MAX_HEADER_BYTES} bytes"):
+            parse_chart_archive(archive)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < MAX_HEADER_BYTES

@@ -12,8 +12,9 @@ distribution; ``irregularities``, ``authorsets`` and ``graph`` before the
 maintainer parser and the per-chart irregularity rules moved to one
 place each); every output must stay byte-identical to them apart from
 ``generated_at``, with paths relative to the run directory.
-``analyze --jobs 2``, run on its own, must write the same report and exit
-code as the serial ``analyze``.
+``livecheck``, ``dupes`` and ``analyze`` run on a two-worker process pool
+here, as they would on a larger corpus; ``analyze --jobs 2``, run on its
+own, must write the same report and exit code as ``analyze``.
 
 ``changes`` and ``trends`` run on a store recorded in the test from the
 three index files under ``golden/store``; ``golden/store/expected`` was
@@ -85,14 +86,14 @@ def _run_in(tmp_path, monkeypatch, commands=COMMANDS):
     return golden_outputs(commands), _read_tree(os.path.join(GOLDEN, "expected"))
 
 
-def test_outputs_match_golden_files(tmp_path, monkeypatch):
+def test_outputs_match_golden_files(tmp_path, monkeypatch, two_cpu_pool):
     actual, expected = _run_in(tmp_path, monkeypatch)
     assert sorted(actual) == sorted(expected)
     for name, text in expected.items():
         assert actual[name] == text, name
 
 
-def test_parallel_analyze_matches_golden_report(tmp_path, monkeypatch):
+def test_parallel_analyze_matches_golden_report(tmp_path, monkeypatch, two_cpu_pool):
     actual, expected = _run_in(tmp_path, monkeypatch, [ANALYZE_J2])
     assert sorted(actual) == ["analyze/report.json", "exit_codes.json"]
     assert actual["analyze/report.json"] == expected["analyze/report.json"]

@@ -395,10 +395,6 @@ def test_analyze_chart_reports_overrides_and_learned_keys_without_writing_them()
     before = dict(kb.entries)
     report = analyze_chart(pkg, kb)
     assert kb.entries == before
-    overrides = kb.overrides_for(pkg.stem)
-    _, learned = quality.probe_variability(pkg, overrides)
-    assert report.variable_key_paths == tuple(sorted(overrides.keys() | learned.keys()))
-    assert report.variable_key_paths == (
-        "templates/gone.yaml#0/x", "templates/t.yaml#0/pw", "templates/t.yaml#0/tok",
-    )
-    assert report.variable_value_count == 3
+    # the stale entry names no rendered leaf, so it is not counted
+    assert report.variable_key_paths == ("templates/t.yaml#0/pw", "templates/t.yaml#0/tok")
+    assert report.variable_value_count == 2

@@ -8,6 +8,7 @@ from chartqa.errors import EngineUnavailable
 from chartqa.render import (
     BuiltinEngine,
     ExternalEngine,
+    _split_pipes,
     flatten_documents,
     render_chart,
 )
@@ -167,9 +168,26 @@ def test_flatten_lossless_for_scalars():
 
 def test_overrides_pin_rendered_leaves():
     pkg = make_package(values={}, templates={"t.yaml": "pw: {{ randAlphaNum 16 }}\n"})
-    overrides = {"templates/t.yaml#0/pw": "pinned", "templates/t.yaml#0/nope": "ignored"}
+    overrides = {"templates/t.yaml#0/pw": "pinned", "templates/t.yaml#0/nope": "ignored",
+                 "templates/gone.yaml#0/pw": "ignored", "no key path": "ignored"}
     result = render_chart(pkg, overrides)
     assert result.documents == [("templates/t.yaml", 0, {"pw": "pinned"})]
+    assert result.applied == {"templates/t.yaml#0/pw"}
+
+
+@pytest.mark.parametrize("expr, stages", [
+    ('.Values.a | default "x|y" | quote', (('.Values.a',), ('default', '"x|y"'), ('quote',))),
+    ('"a\\"|b" | upper', (('"a\\"|b"',), ('upper',))),
+    ('"x\\\\"|y"', (('"x\\\\"', '|y"'),)),
+    ('default "a b" "c"', (('default', '"a b"', '"c"'),)),
+    ('.Values.a || quote', (('.Values.a',), (), ('quote',))),
+    ('.Values.a |', (('.Values.a',), ())),
+    ('', ((),)),
+], ids=["quoted-pipe", "escaped-quote", "backslash-before-quote", "quoted-space",
+        "empty-middle-stage", "empty-last-stage", "empty-directive"])
+def test_split_pipes_stages(expr, stages):
+    assert _split_pipes(expr) == stages
+    assert _split_pipes(expr) is _split_pipes(expr)
 
 
 def test_determinism_with_all_variable_keys_overridden():
