@@ -2,8 +2,9 @@
 
 Exit codes: 0 clean, 1 quality findings present, 2 operational error.
 Standard output carries machine-readable payloads only; logging goes to
-standard error. Flag precedence is CLI flag, then config file, then
-environment variable, then built-in default.
+standard error. Each setting is resolved once, before its command runs:
+CLI flag, then config file, then built-in default (``_CONFIG_KEYS``); with
+neither flag nor config key, the external renderer reads ``CHARTQA_RENDERER``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import yaml
 
 from . import analytics, report as report_mod, rewrite, stats
 from .core import ChartPackage
-from .errors import ChartQAError, EmptyReport, RenderFailed
+from .errors import ChartQAError, RenderFailed
 from .ingest import (
     RepoIndex,
     SnapshotStore,
@@ -40,6 +41,7 @@ from .quality import (
     learn_variability,
 )
 from .render import BuiltinEngine, ExternalEngine
+from .yamlutil import load_unique
 
 log = logging.getLogger("chartqa")
 
@@ -55,13 +57,13 @@ _FLAGS = {
     "index": {"help": "repository index URL or file path"},
     "path": {"help": "directory tree holding charts"},
     "snapshot-store": {"help": "snapshot store directory"},
-    "threshold": {"type": int, "help": f"duplicate threshold (default {DEFAULT_THRESHOLD})"},
+    "threshold": {"type": int, "help": "duplicate threshold"},
     "blacklist": {"help": "comma-separated values exempt from duplicate detection"},
     "engine": {"choices": _ENGINES, "help": "template renderer"},
     "renderer-bin": {"help": "external renderer binary (or env CHARTQA_RENDERER)"},
     "jobs": {"type": int, "help": "upper bound on worker processes (default: CPUs available)"},
-    "seed": {"type": int, "help": "resampling seed (default 0)"},
-    "iterations": {"type": int, "help": "resampling iterations (default 10000)"},
+    "seed": {"type": int, "help": "resampling seed"},
+    "iterations": {"type": int, "help": "resampling iterations"},
     "out": {"help": "output directory for reports, diffs, outbox"},
     "format": {"choices": ["json", "csv"], "default": "json", "help": "report format"},
     "kb": {"help": "variability knowledge-base JSON file"},
@@ -74,82 +76,63 @@ _FLAGS = {
 }
 
 
-# config key -> (check, what the value must be); bools are not integers here
+def _is_int(value: Any) -> bool:
+    return type(value) is int  # bools are not integers here
+
+
+# config key -> (default, check, what the value must be); each default is
+# written as its flag would give it
 _CONFIG_KEYS = {
-    "threshold": (lambda v: type(v) is int, "an integer"),
-    "seed": (lambda v: type(v) is int, "an integer"),
-    "iterations": (lambda v: type(v) is int, "an integer"),
-    "blacklist": (lambda v: isinstance(v, str) or isinstance(v, list) and all(
-        isinstance(item, (str, int, float)) for item in v), "a string or a list of scalars"),
-    "engine": (lambda v: v in _ENGINES, " or ".join(_ENGINES)),
-    "renderer_bin": (lambda v: isinstance(v, str), "a string"),
+    "threshold": (DEFAULT_THRESHOLD, _is_int, "an integer"),
+    "seed": (0, _is_int, "an integer"),
+    "iterations": (10000, _is_int, "an integer"),
+    "blacklist": (",".join(DEFAULT_BLACKLIST), lambda v: isinstance(v, str) or isinstance(
+        v, list) and all(isinstance(item, (str, int, float)) for item in v),
+        "a string or a list of scalars"),
+    "engine": ("builtin", lambda v: v in _ENGINES, " or ".join(_ENGINES)),
+    # None leaves ExternalEngine to read CHARTQA_RENDERER
+    "renderer_bin": (None, lambda v: isinstance(v, str), "a string"),
 }
 
 
-class _Settings:
-    """Flag > config file > environment > default."""
+def _resolve(args: argparse.Namespace) -> None:
+    """Fill each config key the command takes and no flag gave, from the
+    config file where it holds the key, else from the default; ``jobs`` is
+    the CPUs available where the command takes no ``--jobs`` or none was given."""
+    config = {}
+    if getattr(args, "config", None):
+        with open(args.config, encoding="utf-8") as fh:
+            try:
+                config = load_unique(fh.read()) or {}
+            except yaml.YAMLError as exc:
+                raise ChartQAError(f"{args.config}: config file is not YAML: {exc}") from exc
+        if not isinstance(config, dict):
+            raise ChartQAError("config file must hold a YAML mapping")
+        for key in config:
+            if key not in _CONFIG_KEYS:
+                raise ChartQAError(f"{args.config}: unknown config key {key!r}")
+    for key, (default, valid, want) in _CONFIG_KEYS.items():
+        if getattr(args, key, False) is not None:
+            continue  # the command does not take the key, or a flag gave it
+        if key in config and not valid(config[key]):
+            raise ChartQAError(f"{args.config}: config key {key!r} must be {want}")
+        setattr(args, key, config.get(key, default))
+    if getattr(args, "jobs", None) is None:
+        args.jobs = _cpus()
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config: dict[str, Any] = {}
-        if getattr(args, "config", None):
-            with open(args.config, encoding="utf-8") as fh:
-                try:
-                    loaded = yaml.safe_load(fh) or {}
-                except yaml.YAMLError as exc:
-                    raise ChartQAError(f"{args.config}: config file is not YAML: {exc}") from exc
-            if not isinstance(loaded, dict):
-                raise ChartQAError("config file must hold a YAML mapping")
-            for key in loaded:
-                if key not in _CONFIG_KEYS:
-                    raise ChartQAError(f"{args.config}: unknown config key {key!r}")
-            self.config = loaded
 
-    def _resolve(self, flag: Any, key: str, default: Any) -> Any:
-        if flag is not None:
-            return flag
-        if key in self.config:
-            valid, want = _CONFIG_KEYS[key]
-            if not valid(self.config[key]):
-                raise ChartQAError(f"{self.args.config}: config key {key!r} must be {want}")
-            return self.config[key]
-        return default
+def _duplicate_config(args: argparse.Namespace) -> DuplicateConfig:
+    blacklist = args.blacklist
+    if isinstance(blacklist, str):
+        blacklist = [item.strip() for item in blacklist.split(",")]
+    return DuplicateConfig(threshold=args.threshold,
+                           blacklist=tuple(str(item) for item in blacklist))
 
-    @property
-    def threshold(self) -> int:
-        return self._resolve(self.args.threshold, "threshold", DEFAULT_THRESHOLD)
 
-    @property
-    def blacklist(self) -> tuple[str, ...]:
-        raw = self._resolve(self.args.blacklist, "blacklist", DEFAULT_BLACKLIST)
-        if isinstance(raw, str):
-            return tuple(item.strip() for item in raw.split(","))
-        return tuple(str(item) for item in raw)
-
-    @property
-    def duplicate_config(self) -> DuplicateConfig:
-        return DuplicateConfig(threshold=self.threshold, blacklist=self.blacklist)
-
-    @property
-    def engine(self):
-        if self._resolve(self.args.engine, "engine", "builtin") == "external":
-            # with neither flag nor config key, ExternalEngine reads CHARTQA_RENDERER
-            return ExternalEngine(self._resolve(self.args.renderer_bin, "renderer_bin", None))
-        return BuiltinEngine()
-
-    @property
-    def jobs(self) -> int:
-        """The --jobs bound where the command takes one, else the CPUs available."""
-        jobs = getattr(self.args, "jobs", None)
-        return _cpus() if jobs is None else jobs
-
-    @property
-    def seed(self) -> int:
-        return self._resolve(self.args.seed, "seed", 0)
-
-    @property
-    def iterations(self) -> int:
-        return self._resolve(self.args.iterations, "iterations", 10000)
+def _engine(args: argparse.Namespace):
+    if args.engine == "external":
+        return ExternalEngine(args.renderer_bin)
+    return BuiltinEngine()
 
 
 def _emit(payload: str, out_dir: str | None, file_name: str) -> None:
@@ -165,30 +148,24 @@ def _emit_json(document: Any, out_dir: str | None, file_name: str) -> None:
     _emit(report_mod.report_json(document), out_dir, file_name)
 
 
-def _load_packages(settings: _Settings) -> tuple[list[ChartPackage], list]:
+def _load_packages(args: argparse.Namespace) -> tuple[list[ChartPackage], list]:
     """Packages under --path sorted by file name, and the charts that failed to parse."""
-    path = settings.args.path
-    if not path:
-        raise ChartQAError("this command needs --path pointing at charts")
-    packages, failures = ingest_local_dir(path)
+    packages, failures = ingest_local_dir(args.path)
     for failure in failures:
         log.warning("skipping %s: %s", failure.location, failure.error)
     return sorted(packages, key=lambda p: p.ref.file_name), failures
 
-def _load_index(settings: _Settings) -> RepoIndex:
-    source = settings.args.index
-    if source:
-        return parse_repo_index(fetch_archive(source), source)
-    if not settings.args.path:
+def _load_index(args: argparse.Namespace) -> RepoIndex:
+    if args.index:
+        return parse_repo_index(fetch_archive(args.index), args.index)
+    if not args.path:
         raise ChartQAError("this command needs --index or --path")
-    packages, _ = _load_packages(settings)
-    return index_from_packages(packages, settings.args.path)
+    packages, _ = _load_packages(args)
+    return index_from_packages(packages, args.path)
 
 
-def _load_kb(settings: _Settings) -> VariabilityKnowledgeBase:
-    if settings.args.kb:
-        return VariabilityKnowledgeBase.load(settings.args.kb)
-    return VariabilityKnowledgeBase()
+def _load_kb(args: argparse.Namespace) -> VariabilityKnowledgeBase:
+    return VariabilityKnowledgeBase.load(args.kb) if args.kb else VariabilityKnowledgeBase()
 
 
 def _cpus() -> int:
@@ -231,21 +208,11 @@ def _per_chart(fn, packages, jobs: int) -> list:
         return list(pool.map(fn, packages, chunksize=chunksize))
 
 
-def _store(settings: _Settings) -> SnapshotStore:
-    root = settings.args.snapshot_store
-    if not root:
-        raise ChartQAError("this command needs --snapshot-store")
-    return SnapshotStore(root)
-
-
 # --- subcommand handlers ---
 
-def cmd_snapshot(settings: _Settings) -> int:
-    source = settings.args.index
-    if not source:
-        raise ChartQAError("snapshot needs --index")
-    raw = fetch_archive(source)
-    index = parse_repo_index(raw, source)
+def cmd_snapshot(args: argparse.Namespace) -> int:
+    source = args.index
+    index = parse_repo_index(fetch_archive(source), source)
     base = os.path.dirname(source)
     archives = {}
     for entry in index.entries:
@@ -253,60 +220,54 @@ def cmd_snapshot(settings: _Settings) -> int:
         if not location.startswith(("http://", "https://", "/")):
             location = os.path.join(base, location) if base else location
         archives[entry.ref.file_name] = fetch_archive(location, expected_digest=entry.digest)
-    snapshot_id = _store(settings).record(index, archives)
-    _emit_json({"snapshot_id": snapshot_id, "charts": len(archives)},
-               settings.args.out, "snapshot.json")
+    snapshot_id = SnapshotStore(args.snapshot_store).record(index, archives)
+    _emit_json({"snapshot_id": snapshot_id, "charts": len(archives)}, args.out, "snapshot.json")
     return EXIT_CLEAN
 
 
-def _quality_findings(reports, irregularities) -> bool:
-    if irregularities is not None and irregularities.total > 0:
-        return True
-    return any(not r.duplicate.is_empty for r in reports)
-
-
-def cmd_analyze(settings: _Settings) -> int:
-    packages, _ = _load_packages(settings)
-    analyze = functools.partial(analyze_chart, kb=_load_kb(settings),
-                                config=settings.duplicate_config, engine=settings.engine)
-    reports = _per_chart(analyze, packages, settings.jobs)
-    index = index_from_packages(packages, settings.args.path)
+def cmd_analyze(args: argparse.Namespace) -> int:
+    packages, _ = _load_packages(args)
+    analyze = functools.partial(analyze_chart, kb=_load_kb(args),
+                                config=_duplicate_config(args), engine=_engine(args))
+    reports = _per_chart(analyze, packages, args.jobs)
+    index = index_from_packages(packages, args.path)
     irregularities = analytics.detect_irregularities(index)
     sets, metrics = analytics.compute_maintainer_sets(index)
     document = report_mod.build_report(
-        subject=settings.args.path,
+        subject=args.path,
         sections={
             "quality": [report_mod.quality_report_to_mapping(r) for r in reports],
             "irregularities": report_mod.irregularity_report_to_mapping(irregularities),
             "maintainer_metrics": report_mod.maintainer_metrics_to_mapping(metrics),
         },
     )
-    if settings.args.format == "csv":
-        if not settings.args.out:
+    if args.format == "csv":
+        if not args.out:
             raise ChartQAError("--format csv needs --out to hold one file per table")
         tables = report_mod.emit_distributions(reports, sets, metrics)
         for name, text in tables.items():
-            _emit(text, settings.args.out, f"{name}.csv")
-    _emit_json(document, settings.args.out, "report.json")
-    return EXIT_FINDINGS if _quality_findings(reports, irregularities) else EXIT_CLEAN
+            _emit(text, args.out, f"{name}.csv")
+    _emit_json(document, args.out, "report.json")
+    findings = irregularities.total or any(not r.duplicate.is_empty for r in reports)
+    return EXIT_FINDINGS if findings else EXIT_CLEAN
 
 
-def cmd_dupes(settings: _Settings) -> int:
-    packages, _ = _load_packages(settings)
-    detect = functools.partial(detect_duplicates, config=settings.duplicate_config)
-    reports = _per_chart(detect, packages, settings.jobs)
+def cmd_dupes(args: argparse.Namespace) -> int:
+    packages, _ = _load_packages(args)
+    detect = functools.partial(detect_duplicates, config=_duplicate_config(args))
+    reports = _per_chart(detect, packages, args.jobs)
     document = report_mod.build_report(
-        subject=settings.args.path,
+        subject=args.path,
         sections={"duplicates": [report_mod.duplicate_report_to_mapping(r) for r in reports]},
     )
-    _emit_json(document, settings.args.out, "dupes.json")
+    _emit_json(document, args.out, "dupes.json")
     return EXIT_FINDINGS if any(not r.is_empty for r in reports) else EXIT_CLEAN
 
 
-def cmd_variability(settings: _Settings) -> int:
-    packages, _ = _load_packages(settings)
-    kb = _load_kb(settings)
-    engine = settings.engine
+def cmd_variability(args: argparse.Namespace) -> int:
+    packages, _ = _load_packages(args)
+    kb = _load_kb(args)
+    engine = _engine(args)
     learned = {}
     for pkg in packages:
         try:
@@ -315,19 +276,18 @@ def cmd_variability(settings: _Settings) -> int:
             log.warning("skipping %s: %s", pkg.ref.file_name, exc)
             continue
         learned[pkg.ref.file_name] = new_paths
-    if settings.args.kb:
-        kb.save(settings.args.kb)
-    _emit_json({"learned": learned, "kb_entries": len(kb)},
-               settings.args.out, "variability.json")
+    if args.kb:
+        kb.save(args.kb)
+    _emit_json({"learned": learned, "kb_entries": len(kb)}, args.out, "variability.json")
     return EXIT_CLEAN
 
 
-def cmd_suggest(settings: _Settings) -> int:
-    packages, _ = _load_packages(settings)
-    kb = _load_kb(settings)
-    config = settings.duplicate_config
-    engine = settings.engine
-    out = settings.args.out or "."
+def cmd_suggest(args: argparse.Namespace) -> int:
+    packages, _ = _load_packages(args)
+    kb = _load_kb(args)
+    config = _duplicate_config(args)
+    engine = _engine(args)
+    out = args.out or "."
     duplicate_reports = []
     emitted = []
     for pkg in packages:
@@ -337,7 +297,7 @@ def cmd_suggest(settings: _Settings) -> int:
             continue
         try:
             plan = rewrite.plan_rewrite(pkg, dup)
-        except (EmptyReport, ChartQAError, ValueError) as exc:
+        except (ChartQAError, ValueError) as exc:
             log.warning("%s: cannot plan rewrite: %s", pkg.metadata.name, exc)
             continue
         if not plan.assignments:
@@ -357,10 +317,10 @@ def cmd_suggest(settings: _Settings) -> int:
             "variables": len(plan.assignments),
             "diff": diff_path,
         })
-    index = index_from_packages(packages, settings.args.path)
+    index = index_from_packages(packages, args.path)
     irregularities = analytics.detect_irregularities(index)
     batch = rewrite.build_issue_digests(
-        irregularities, duplicate_reports, index, settings.args.base_url
+        irregularities, duplicate_reports, index, args.base_url
     )
     outbox = rewrite.write_outbox(batch, os.path.join(out, "outbox"))
     _emit_json({
@@ -369,37 +329,37 @@ def cmd_suggest(settings: _Settings) -> int:
         "unique_issues": batch.unique_issue_count,
         "avg_issues_per_recipient": round(batch.avg_issues_per_recipient, 2),
         "outbox": outbox,
-    }, settings.args.out, "suggest.json")
+    }, args.out, "suggest.json")
     return EXIT_FINDINGS if emitted or batch.unique_issue_count else EXIT_CLEAN
 
 
-def cmd_authorsets(settings: _Settings) -> int:
-    index = _load_index(settings)
+def cmd_authorsets(args: argparse.Namespace) -> int:
+    index = _load_index(args)
     _, metrics = analytics.compute_maintainer_sets(index)
     document = report_mod.build_report(
         subject=index.source,
         sections={"maintainer_metrics": report_mod.maintainer_metrics_to_mapping(metrics)},
     )
-    _emit_json(document, settings.args.out, "authorsets.json")
+    _emit_json(document, args.out, "authorsets.json")
     return EXIT_CLEAN
 
 
-def cmd_irregularities(settings: _Settings) -> int:
-    index = _load_index(settings)
+def cmd_irregularities(args: argparse.Namespace) -> int:
+    index = _load_index(args)
     irregularities = analytics.detect_irregularities(index)
     document = report_mod.build_report(
         subject=index.source,
         sections={"irregularities": report_mod.irregularity_report_to_mapping(irregularities)},
     )
-    _emit_json(document, settings.args.out, "irregularities.json")
+    _emit_json(document, args.out, "irregularities.json")
     return EXIT_FINDINGS if irregularities.total else EXIT_CLEAN
 
 
-def cmd_changes(settings: _Settings) -> int:
-    store = _store(settings)
+def cmd_changes(args: argparse.Namespace) -> int:
+    store = SnapshotStore(args.snapshot_store)
     ids = store.ids()
-    from_id = settings.args.from_id or (ids[-2] if len(ids) >= 2 else None)
-    to_id = settings.args.to_id or (ids[-1] if ids else None)
+    from_id = args.from_id or (ids[-2] if len(ids) >= 2 else None)
+    to_id = args.to_id or (ids[-1] if ids else None)
     if not from_id or not to_id:
         raise ChartQAError("changes needs two snapshots (or --from/--to)")
     changes = analytics.detect_changes(store.load(from_id), store.load(to_id))
@@ -413,7 +373,7 @@ def cmd_changes(settings: _Settings) -> int:
             {"removed": old.file_name, "added": new.file_name}
             for old, new in changes.vupdates
         ],
-    }, settings.args.out, "changes.json")
+    }, args.out, "changes.json")
     return EXIT_CLEAN
 
 
@@ -430,13 +390,13 @@ def _parse_periods(spec: str | None, ids: list[str]) -> list[tuple[str, str, str
     return periods
 
 
-def cmd_trends(settings: _Settings) -> int:
-    store = _store(settings)
+def cmd_trends(args: argparse.Namespace) -> int:
+    store = SnapshotStore(args.snapshot_store)
     ids = store.ids()
     if len(ids) < 2:
         raise ChartQAError("trends need at least two snapshots")
     snapshots = [store.load(snapshot_id) for snapshot_id in ids]
-    periods = _parse_periods(settings.args.periods, ids)
+    periods = _parse_periods(args.periods, ids)
     changes = analytics.adjacent_changes(snapshots)
     table = analytics.period_metrics(snapshots, periods, changes)
     histories = analytics.change_histories(snapshots, changes)
@@ -457,7 +417,7 @@ def cmd_trends(settings: _Settings) -> int:
             ],
         },
     )
-    _emit_json(document, settings.args.out, "trends.json")
+    _emit_json(document, args.out, "trends.json")
     return EXIT_CLEAN
 
 
@@ -468,10 +428,8 @@ def _finite_numbers(value: Any) -> bool:
     )
 
 
-def cmd_stats(settings: _Settings) -> int:
-    groups_path = settings.args.groups
-    if not groups_path:
-        raise ChartQAError("stats needs --groups FILE with n1 and n2 arrays")
+def cmd_stats(args: argparse.Namespace) -> int:
+    groups_path = args.groups
     with open(groups_path, encoding="utf-8") as fh:
         groups = json.load(fh)
     if not isinstance(groups, dict) or not all(
@@ -482,35 +440,35 @@ def cmd_stats(settings: _Settings) -> int:
         )
     result = stats.resampled_group_test(
         groups["n1"], groups["n2"],
-        iterations=settings.iterations, seed=settings.seed,
+        iterations=args.iterations, seed=args.seed,
     )
     document = report_mod.build_report(
         subject=groups_path,
         sections={"statistics": result.to_mapping()},
     )
-    _emit_json(document, settings.args.out, "stats.json")
+    _emit_json(document, args.out, "stats.json")
     return EXIT_CLEAN
 
 
-def cmd_graph(settings: _Settings) -> int:
-    index = _load_index(settings)
+def cmd_graph(args: argparse.Namespace) -> int:
+    index = _load_index(args)
     sets, _ = analytics.compute_maintainer_sets(index)
     irregularities = analytics.detect_irregularities(index)
-    _emit(report_mod.emit_dot(sets, irregularities), settings.args.out, "maintainers.dot")
+    _emit(report_mod.emit_dot(sets, irregularities), args.out, "maintainers.dot")
     return EXIT_CLEAN
 
 
-def cmd_livecheck(settings: _Settings) -> int:
-    packages, failures = _load_packages(settings)
+def cmd_livecheck(args: argparse.Namespace) -> int:
+    packages, failures = _load_packages(args)
     if not packages and failures:
         raise ChartQAError(
             "no parseable chart found: " + "; ".join(f.error for f in failures[:3])
         )
     if not packages:
-        raise ChartQAError(f"no chart found under {settings.args.path}")
-    detect = functools.partial(detect_duplicates, config=settings.duplicate_config)
+        raise ChartQAError(f"no chart found under {args.path}")
+    detect = functools.partial(detect_duplicates, config=_duplicate_config(args))
     findings = []
-    for pkg, dup in zip(packages, _per_chart(detect, packages, settings.jobs)):
+    for pkg, dup in zip(packages, _per_chart(detect, packages, args.jobs)):
         chart_findings = [
             {"kind": kind, "detail": analytics.CHART_RULES[kind]}
             for kind in analytics.chart_irregularities(pkg.ref, pkg.metadata.maintainers)
@@ -523,7 +481,7 @@ def cmd_livecheck(settings: _Settings) -> int:
             })
         findings.append({"chart": pkg.ref.file_name, "findings": chart_findings})
     payload = {
-        "subject": settings.args.path,
+        "subject": args.path,
         "charts": findings,
         "clean": all(not f["findings"] for f in findings),
     }
@@ -531,28 +489,29 @@ def cmd_livecheck(settings: _Settings) -> int:
     return EXIT_CLEAN if payload["clean"] else EXIT_FINDINGS
 
 
-# name -> (handler, help, flags); each command lists exactly the flags it reads
+# name -> (handler, help, flags); each command lists exactly the flags it
+# reads, and a flag marked ``!`` is required
 _COMMANDS = {
     "snapshot": (cmd_snapshot, "record a dated snapshot of a repository index and its archives",
-                 "index snapshot-store out"),
+                 "index! snapshot-store! out"),
     "analyze": (cmd_analyze, "full per-chart quality reports",
-                "config path threshold blacklist engine renderer-bin kb jobs out format"),
-    "dupes": (cmd_dupes, "duplicate-value reports only", "config path threshold blacklist out"),
+                "config path! threshold blacklist engine renderer-bin kb jobs out format"),
+    "dupes": (cmd_dupes, "duplicate-value reports only", "config path! threshold blacklist out"),
     "variability": (cmd_variability, "learn variable template values into the knowledge base",
-                    "config path engine renderer-bin kb out"),
+                    "config path! engine renderer-bin kb out"),
     "suggest": (cmd_suggest, "emit rewrite diffs and maintainer digests",
-                "config path threshold blacklist engine renderer-bin kb out base-url"),
+                "config path! threshold blacklist engine renderer-bin kb out base-url"),
     "authorsets": (cmd_authorsets, "maintainer-set metrics", "index path out"),
     "irregularities": (cmd_irregularities, "metadata irregularity report", "index path out"),
     "changes": (cmd_changes, "classified differences between two snapshots",
-                "snapshot-store from to out"),
+                "snapshot-store! from to out"),
     "trends": (cmd_trends, "period trend metrics over a snapshot store",
-               "snapshot-store periods out"),
+               "snapshot-store! periods out"),
     "stats": (cmd_stats, "resampled signed-rank test over two value groups",
-              "config groups seed iterations out"),
+              "config groups! seed iterations out"),
     "graph": (cmd_graph, "maintainer-chart graph in DOT format", "index path out"),
     "livecheck": (cmd_livecheck, "CI check: exit 1 when a chart has quality findings",
-                  "config path threshold blacklist"),
+                  "config path! threshold blacklist"),
 }
 
 
@@ -576,7 +535,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, help_text, flags) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
         for flag in flags.split():
-            sub.add_argument(f"--{flag}", **_FLAGS[flag])
+            flag_name = flag.rstrip("!")
+            spec = dict(_FLAGS[flag_name], required=flag.endswith("!"))
+            default = _CONFIG_KEYS.get(flag_name.replace("-", "_"), (None,))[0]
+            if default is not None:
+                spec["help"] += f" (default {default})"
+            sub.add_argument(f"--{flag_name}", **spec)
     return parser
 
 
@@ -589,8 +553,8 @@ def cli_dispatch(argv: Sequence[str]) -> int:
         # argparse exits 0 for --help, 2 for usage errors
         return EXIT_CLEAN if exc.code in (0, None) else EXIT_ERROR
     try:
-        settings = _Settings(args)
-        return _COMMANDS[args.command][0](settings)
+        _resolve(args)
+        return _COMMANDS[args.command][0](args)
     except (ChartQAError, OSError, ValueError) as exc:
         log.error("%s", exc)
         return EXIT_ERROR

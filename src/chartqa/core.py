@@ -180,7 +180,10 @@ def package_from_files(files: Mapping[str, bytes | str]) -> ChartPackage:
     """
     def text(path: str) -> str:
         body = files[path]
-        return body.decode("utf-8") if isinstance(body, bytes) else body
+        try:
+            return body.decode("utf-8") if isinstance(body, bytes) else body
+        except UnicodeDecodeError as exc:
+            raise MetadataParseError(f"{path} is not UTF-8: {exc}") from exc
 
     def parse(path: str) -> Any:
         try:

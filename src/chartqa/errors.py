@@ -16,7 +16,7 @@ class MissingMetadata(ChartQAError):
 
 
 class MetadataParseError(ChartQAError):
-    """A chart YAML file is invalid or mandatory fields are absent."""
+    """A chart file is not UTF-8, a chart YAML file is invalid, or mandatory fields are absent."""
 
 
 class EmptyCorpus(ChartQAError):

@@ -35,7 +35,7 @@ from .errors import (
     IndexParseError,
     StorageError,
 )
-from .yamlutil import BaseLoader
+from .yamlutil import load_literal
 
 
 @dataclass(frozen=True)
@@ -94,9 +94,15 @@ def _entry_ref(name: str, version: str, chart_name: str) -> ChartRef:
 def parse_repo_index(
     raw: bytes, source: str, fetched_at: datetime.datetime | None = None
 ) -> RepoIndex:
-    """Parse a repository index document into one entry per version record."""
+    """Parse a repository index document into one entry per version record.
+
+    Scalars are read as written, so ``version: 1.10`` stays ``1.10``. A
+    records list, record, maintainers list or urls list that a YAML alias
+    repeats is an error: each repeat would be expanded again, so a small
+    index could stand for millions of entries.
+    """
     try:
-        doc = yaml.load(raw, Loader=BaseLoader)
+        doc = load_literal(raw)
     except yaml.YAMLError as exc:
         raise IndexParseError(f"index is not valid YAML: {exc}") from exc
     if not isinstance(doc, Mapping) or not isinstance(doc.get("entries"), Mapping):
@@ -106,12 +112,24 @@ def parse_repo_index(
         raise EmptyIndex(f"index at {source} has no entries")
 
     entries = []
+    seen: set[int] = set()  # ids of the lists and records read so far
+
+    def first_sight(value: Any, what: str, chart_name: str) -> None:
+        if id(value) in seen:
+            raise IndexParseError(f"{chart_name!r} repeats a {what} read before (YAML alias)")
+        seen.add(id(value))
+
     for chart_name, records in entries_doc.items():
         if not isinstance(records, list):
             raise IndexParseError(f"entries for {chart_name!r} are not a list")
+        first_sight(records, "records list", chart_name)
         for record in records:
             if not isinstance(record, Mapping):
                 raise IndexParseError(f"version record under {chart_name!r} is not a mapping")
+            first_sight(record, "version record", chart_name)
+            for field_name in ("maintainers", "urls"):
+                if isinstance(record.get(field_name), list):
+                    first_sight(record[field_name], f"{field_name} list", chart_name)
             name = str(record.get("name") or chart_name)
             version = record.get("version")
             if version is None:

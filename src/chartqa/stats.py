@@ -11,9 +11,10 @@ standard tie correction of the rank variance.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .errors import AllZeroDifferences
@@ -101,16 +102,9 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> WilcoxonResu
 
     mean = n * (n + 1) / 4.0
     variance = n * (n + 1) * (2 * n + 1) / 24.0
-    sorted_abs = sorted(abs(d) for d in nonzero)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_abs[j + 1] == sorted_abs[i]:
-            j += 1
-        t = j - i + 1
+    for t in collections.Counter(sorted(abs(d) for d in nonzero)).values():
         if t > 1:
             variance -= (t ** 3 - t) / 48.0
-        i = j + 1
     if variance <= 0:
         return WilcoxonResult(statistic, 1.0, n, "normal")
     z = (statistic - mean) / math.sqrt(variance)
@@ -129,15 +123,7 @@ class ResampleResult:
     n2_size: int
 
     def to_mapping(self) -> dict:
-        return {
-            "smallest_p": self.smallest_p,
-            "iterations": self.iterations,
-            "valid_iterations": self.valid_iterations,
-            "seed": self.seed,
-            "prng": self.prng,
-            "n1_size": self.n1_size,
-            "n2_size": self.n2_size,
-        }
+        return asdict(self)
 
 
 def resampled_group_test(

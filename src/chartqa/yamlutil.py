@@ -119,6 +119,26 @@ def load_unique(text: str) -> Any:
     return None if node is None else _Walk().build(node, (), [])
 
 
+class _LiteralLoader(BaseLoader):
+    """Builds int, float, bool and timestamp scalars as their written text."""
+
+    yaml_constructors = {
+        **BaseLoader.yaml_constructors,
+        **{f"tag:yaml.org,2002:{tag}": SafeConstructor.construct_yaml_str
+           for tag in ("int", "float", "bool", "timestamp")},
+    }
+
+
+def load_literal(text: str | bytes) -> Any:
+    """The single document of ``text`` with every scalar but null kept as written.
+
+    Helm reads ``version: 1.10`` as the text ``1.10``, where YAML 1.1 reads
+    the float ``1.1``. Aliases are not expanded: an alias gives the very
+    object its anchor built.
+    """
+    return yaml.load(text, Loader=_LiteralLoader)
+
+
 def canon(value: Any) -> str:
     """Canonical lexical form of a scalar (``true``, ``1.5``, text as-is)."""
     if value is None:

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, outputs."""
 
+import argparse
 import datetime
 import functools
 import json
@@ -9,6 +10,7 @@ import subprocess
 import sys
 
 import pytest
+import yaml
 
 from chartqa import analytics, cli
 from chartqa.cli import cli_dispatch
@@ -239,9 +241,12 @@ def test_config_file_precedence(tmp_path, capsys):
     ("engine: exernal\n", "variability", "config key 'engine' must be builtin or external"),
     ("engine: external\nrenderer_bin: 5\n", "variability",
      "config key 'renderer_bin' must be a string"),
+    ("renderer_bin: 5\n", "variability", "config key 'renderer_bin' must be a string"),
     ("thresold: 2\n", "dupes", "unknown config key 'thresold'"),
+    ("threshold: 2\nthreshold: 9\n", "dupes", "duplicate mapping key 'threshold'"),
 ], ids=["not-yaml", "list-threshold", "bool-threshold", "int-blacklist", "mapping-in-blacklist",
-        "list-iterations", "unknown-engine", "int-renderer-bin", "misspelt-key"])
+        "list-iterations", "unknown-engine", "int-renderer-bin", "int-renderer-bin-builtin",
+        "misspelt-key", "duplicate-key"])
 def test_malformed_config_file_exits_two(tmp_path, text, command, message):
     write_chart_dir(tmp_path / "charts", "web",
                     chart_files(values={}, templates=CLEAN_TEMPLATES, maintainers=MAINTAINED))
@@ -255,6 +260,92 @@ def test_malformed_config_file_exits_two(tmp_path, text, command, message):
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
     assert proc.stdout == ""
+
+
+def _resolved(argv) -> argparse.Namespace:
+    args = cli.build_parser().parse_args(argv)
+    cli._resolve(args)
+    return args
+
+
+# config key -> (a command taking it with its required flags, flag text,
+# the value the flag gives, a config value); the config value differs from
+# the flag's and from the default
+_SETTING_CASES = {
+    "threshold": (["dupes", "--path", "x"], "4", 4, 2),
+    "blacklist": (["dupes", "--path", "x"], "a,b", "a,b", ["c", 1]),
+    "seed": (["stats", "--groups", "x"], "7", 7, 9),
+    "iterations": (["stats", "--groups", "x"], "20", 20, 30),
+    "engine": (["variability", "--path", "x"], "builtin", "builtin", "external"),
+    "renderer_bin": (["variability", "--path", "x"], "flag-bin", "flag-bin", "config-bin"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(cli._CONFIG_KEYS))
+def test_setting_flag_beats_config_beats_default(tmp_path, key):
+    base, flag_text, flag_value, config_value = _SETTING_CASES[key]
+    default = cli._CONFIG_KEYS[key][0]
+    assert flag_value != config_value != default
+    config = tmp_path / "chartqa.yaml"
+    config.write_text(yaml.safe_dump({key: config_value}))
+    flag = "--" + key.replace("_", "-")
+    assert getattr(_resolved([*base, "--config", str(config), flag, flag_text]), key) == flag_value
+    assert getattr(_resolved([*base, "--config", str(config)]), key) == config_value
+    assert getattr(_resolved(base), key) == default
+
+
+def test_default_blacklist_is_the_duplicate_config_default():
+    assert cli._duplicate_config(_resolved(["dupes", "--path", "x"])) == DuplicateConfig()
+
+
+def test_renderer_bin_flag_beats_config_beats_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("CHARTQA_RENDERER", "env-bin")
+    config = tmp_path / "chartqa.yaml"
+    config.write_text("engine: external\nrenderer_bin: config-bin\n")
+
+    def binary(*argv):
+        return cli._engine(_resolved(["variability", "--path", "x", *argv])).binary
+
+    assert binary("--config", str(config), "--renderer-bin", "flag-bin") == "flag-bin"
+    assert binary("--config", str(config)) == "config-bin"
+    assert binary("--engine", "external") == "env-bin"
+
+
+def test_every_config_key_is_a_flag():
+    assert {key.replace("_", "-") for key in cli._CONFIG_KEYS} <= set(cli._FLAGS)
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["snapshot", "--snapshot-store", "s"], "--index"),
+    (["snapshot", "--index", "i"], "--snapshot-store"),
+    (["analyze"], "--path"),
+    (["dupes"], "--path"),
+    (["variability"], "--path"),
+    (["suggest"], "--path"),
+    (["livecheck"], "--path"),
+    (["changes"], "--snapshot-store"),
+    (["trends"], "--snapshot-store"),
+    (["stats"], "--groups"),
+], ids=lambda value: value if isinstance(value, str) else value[0])
+def test_missing_required_flag_exits_two_with_that_commands_usage(capsys, argv, missing):
+    assert cli_dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: chartqa {argv[0]} ")
+    assert f"the following arguments are required: {missing}" in captured.err
+
+
+def test_livecheck_skips_chart_file_that_is_not_utf8(tmp_path):
+    write_chart_dir(tmp_path, "good", chart_files(name="good", values={"app": "x"},
+                                                  templates=CLEAN_TEMPLATES,
+                                                  maintainers=MAINTAINED))
+    write_chart_dir(tmp_path, "bad", chart_files(name="bad", maintainers=MAINTAINED))
+    (tmp_path / "bad" / "templates").mkdir(exist_ok=True)
+    (tmp_path / "bad" / "templates" / "cafe.yaml").write_bytes(b"name: caf\xe9\n")
+    proc = run_cli("livecheck", "--path", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert [c["chart"] for c in json.loads(proc.stdout)["charts"]] == ["good-1.0.0.tgz"]
+    assert "skipping bad: MetadataParseError: templates/cafe.yaml is not UTF-8" in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [
@@ -285,7 +376,7 @@ def test_flag_the_command_does_not_read_exits_two(tmp_path, capsys, argv):
 def test_flag_the_command_does_not_read_shows_that_commands_usage(tmp_path):
     proc = run_cli("livecheck", "--path", str(tmp_path), "--out", str(tmp_path / "x"))
     assert proc.returncode == 2
-    assert proc.stderr.startswith("usage: chartqa livecheck [-h] [--config CONFIG] [--path PATH]")
+    assert proc.stderr.startswith("usage: chartqa livecheck [-h] [--config CONFIG] --path PATH")
     assert f"chartqa livecheck: error: unrecognized arguments: --out {tmp_path / 'x'}" \
         in proc.stderr
     assert proc.stdout == ""

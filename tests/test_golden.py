@@ -18,7 +18,8 @@ own, must write the same report and exit code as ``analyze``.
 
 ``changes`` and ``trends`` run on a store recorded in the test from the
 three index files under ``golden/store``; ``golden/store/expected`` was
-recorded before the store kept parsed index entries in its manifests. A
+recorded before the store kept parsed index entries in its manifests
+(the ``changes`` files again once index versions were read as written). A
 store whose manifests lack those entries, as every store recorded before
 then does, must give the same outputs.
 """
@@ -103,8 +104,8 @@ def test_parallel_analyze_matches_golden_report(tmp_path, monkeypatch, two_cpu_p
 
 STORE_DAYS = ("2018-05-14", "2018-05-15", "2018-06-14")
 # (day, archive) pairs whose bytes differ from the other days'; ``db`` version
-# ``1.10`` is the YAML float 1.1
-REBUILT = {("2018-05-15", "web-ui-3.0.0.tgz"), ("2018-06-14", "db-1.1.tgz")}
+# ``1.10`` is read as written, not as the YAML float 1.1
+REBUILT = {("2018-05-15", "web-ui-3.0.0.tgz"), ("2018-06-14", "db-1.10.tgz")}
 STORE_COMMANDS = (
     ("changes", ["changes", "--snapshot-store", "store"]),
     ("changes_span", ["changes", "--snapshot-store", "store",

@@ -108,6 +108,52 @@ def test_parse_repo_index_rejects_unusable_file_name_parts(name, version):
         parse_repo_index(raw, "memory:")
 
 
+def test_parse_repo_index_reads_scalars_as_written():
+    raw = (b"entries:\n  db:\n    - version: 1.10\n    - version: 1.1\n    - version: 01\n"
+           b"    - version: true\n    - version: 2018-05-14\n  2.0:\n    - version: 3\n"
+           b"  web:\n    - version: 1.0.0\n      maintainers: [{name: 7}, yes]\n")
+    index = parse_repo_index(raw, "memory:")
+    assert [entry.ref.file_name for entry in index.entries] == [
+        "db-1.10.tgz", "db-1.1.tgz", "db-01.tgz", "db-true.tgz", "db-2018-05-14.tgz",
+        "2.0-3.tgz", "web-1.0.0.tgz",
+    ]
+    assert [m.name for m in index.entries[-1].maintainers] == ["7", "yes"]
+
+
+@pytest.mark.parametrize("version", ["~", "null", ""])
+def test_parse_repo_index_null_version_is_absent(version):
+    raw = f"entries:\n  db:\n    - version: {version}\n".encode()
+    with pytest.raises(IndexParseError, match="lacks a version"):
+        parse_repo_index(raw, "memory:")
+
+
+def _aliased_records(charts: int, records: int) -> bytes:
+    """``a0`` holds ``records`` version records; ``a1`` .. are aliases of that list."""
+    lines = ["entries:", "  a0: &r"]
+    lines += [f"    - version: 1.0.{i}" for i in range(records)]
+    lines += [f"  a{i}: *r" for i in range(1, charts)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("raw, what", [
+    (_aliased_records(300, 300), "records list"),
+    (b"entries:\n  db:\n    - &r {version: 1.0.0}\n    - *r\n", "version record"),
+    (b"entries:\n  db:\n    - {version: 1.0.0, maintainers: &m [alice]}\n"
+     b"    - {version: 1.0.1, maintainers: *m}\n", "maintainers list"),
+    (b"entries:\n  db:\n    - {version: 1.0.0, urls: &u [a.tgz]}\n"
+     b"    - {version: 1.0.1, urls: *u}\n", "urls list"),
+], ids=["records-300x300", "record", "maintainers", "urls"])
+def test_parse_repo_index_rejects_aliased_repeats(raw, what):
+    with pytest.raises(IndexParseError, match=f"repeats a {what} read before"):
+        parse_repo_index(raw, "memory:")
+
+
+def test_parse_repo_index_reads_equal_lists_written_twice():
+    raw = (b"entries:\n  db:\n    - {version: 1.0.0, maintainers: [alice], urls: []}\n"
+           b"    - {version: 1.0.1, maintainers: [alice], urls: []}\n")
+    assert len(parse_repo_index(raw, "memory:").entries) == 2
+
+
 def test_snapshot_cli_keeps_hostile_index_inside_the_store(tmp_path):
     from chartqa.cli import cli_dispatch
 
@@ -181,6 +227,22 @@ def test_ingest_local_dir_reports_failures(tmp_path):
     assert len(packages) == 1
     assert len(failures) == 1
     assert "MissingMetadata" in failures[0].error
+
+
+@pytest.mark.parametrize("packed", [False, True], ids=["directory", "archive"])
+def test_ingest_local_dir_skips_chart_file_that_is_not_utf8(tmp_path, packed):
+    write_chart_dir(tmp_path, "good", chart_files(name="good"))
+    bad = {**chart_files(name="bad"), "templates/cafe.yaml": b"name: caf\xe9\n"}
+    if packed:
+        (tmp_path / "bad-1.0.0.tgz").write_bytes(make_archive(bad, "bad"))
+    else:
+        write_chart_dir(tmp_path, "bad", {k: v for k, v in bad.items() if isinstance(v, str)})
+        (tmp_path / "bad" / "templates").mkdir(exist_ok=True)
+        (tmp_path / "bad" / "templates" / "cafe.yaml").write_bytes(bad["templates/cafe.yaml"])
+    packages, failures = ingest_local_dir(str(tmp_path))
+    assert [p.metadata.name for p in packages] == ["good"]
+    assert [f.location for f in failures] == ["bad-1.0.0.tgz" if packed else "bad"]
+    assert failures[0].error.startswith("MetadataParseError: templates/cafe.yaml is not UTF-8")
 
 
 def test_ingest_local_dir_nested_depth(tmp_path):

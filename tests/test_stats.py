@@ -1,6 +1,7 @@
 """Signed-rank test against exhaustive enumeration; resampling determinism."""
 
 import itertools
+import math
 import random
 import warnings
 
@@ -94,6 +95,43 @@ def test_sign_sum_counts_cover_every_sign_assignment(diffs):
     assert sum(counts) == 2 ** len(double_ranks)
     assert len(counts) == sum(double_ranks) + 1
     assert counts == counts[::-1]  # flipping every sign maps W+ to total - W+
+
+
+def _normal_p_by_tie_scan(diffs):
+    """The normal-branch p with tie groups found by scanning the sorted magnitudes."""
+    nonzero = [float(d) for d in diffs if d != 0]
+    n = len(nonzero)
+    ranks = _midranks([abs(d) for d in nonzero])
+    statistic = min(sum(r for r, d in zip(ranks, nonzero) if d > 0),
+                    sum(r for r, d in zip(ranks, nonzero) if d < 0))
+    mean = n * (n + 1) / 4.0
+    variance = n * (n + 1) * (2 * n + 1) / 24.0
+    sorted_abs = sorted(abs(d) for d in nonzero)
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and sorted_abs[j + 1] == sorted_abs[i]:
+            j += 1
+        t = j - i + 1
+        if t > 1:
+            variance -= (t ** 3 - t) / 48.0
+        i = j + 1
+    if variance <= 0:
+        return 1.0
+    z = (statistic - mean) / math.sqrt(variance)
+    return min(1.0, math.erfc(abs(z) / math.sqrt(2.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(st.integers(-6, 6).filter(bool), min_size=13, max_size=60),
+    st.lists(st.integers(-10_000, 10_000).filter(bool), min_size=13, max_size=60),
+    st.lists(st.sampled_from([-2.5, -1.0, 1.0, 2.5]), min_size=13, max_size=60),
+))
+def test_normal_p_is_bit_identical_to_the_tie_scan(diffs):
+    result = wilcoxon_signed_rank(diffs, [0] * len(diffs))
+    assert result.method == "normal"
+    assert result.p_value == _normal_p_by_tie_scan(diffs)
 
 
 def test_normal_branch_matches_scipy_approximation():
