@@ -1,79 +1,48 @@
-"""chartqa: quality assessment for declarative cloud-application charts."""
+"""chartqa: quality assessment for declarative cloud-application charts.
 
-from .analytics import (
-    ActivityProfile,
-    ChangeSet,
-    IrregularityReport,
-    MaintainerIdentity,
-    MaintainerSet,
-    adjacent_changes,
-    change_histories,
-    classify_activity,
-    compute_maintainer_sets,
-    detect_changes,
-    detect_irregularities,
-    period_metrics,
-)
-from .core import (
-    ChartMetadata,
-    ChartPackage,
-    ChartRef,
-    Maintainer,
-    mangle_stem,
-    parse_chart_archive,
-    versioning_overhead,
-)
-from .ingest import (
-    RepoIndex,
-    Snapshot,
-    SnapshotStore,
-    fetch_archive,
-    ingest_local_dir,
-    parse_repo_index,
-)
-from .quality import (
-    DuplicateConfig,
-    DuplicateReport,
-    QualityReport,
-    VariabilityKnowledgeBase,
-    analyze_chart,
-    detect_duplicates,
-    learn_variability,
-    stabilize_render,
-)
-from .render import (
-    BuiltinEngine,
-    ExternalEngine,
-    RenderFailure,
-    RenderResult,
-    flatten_documents,
-    render_chart,
-)
-from .rewrite import (
-    IssueDigest,
-    RewritePlan,
-    build_issue_digests,
-    emit_diff,
-    plan_rewrite,
-    verify_rewrite,
-)
-from .stats import resampled_group_test, wilcoxon_signed_rank
+Each exported name is imported from its module on first access (PEP 562),
+so a command loads only the modules it uses.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActivityProfile", "BuiltinEngine", "ChangeSet", "ChartMetadata",
-    "ChartPackage", "ChartRef", "DuplicateConfig", "DuplicateReport",
-    "ExternalEngine", "IrregularityReport", "IssueDigest", "Maintainer",
-    "MaintainerIdentity", "MaintainerSet", "QualityReport", "RenderFailure",
-    "RenderResult", "RepoIndex", "RewritePlan", "Snapshot",
-    "SnapshotStore", "VariabilityKnowledgeBase", "adjacent_changes", "analyze_chart",
-    "build_issue_digests", "change_histories", "classify_activity",
-    "compute_maintainer_sets", "detect_changes", "detect_duplicates",
-    "detect_irregularities", "emit_diff", "fetch_archive", "flatten_documents",
-    "ingest_local_dir", "learn_variability", "mangle_stem",
-    "parse_chart_archive", "parse_repo_index", "period_metrics",
-    "plan_rewrite", "render_chart", "resampled_group_test",
-    "stabilize_render", "verify_rewrite", "versioning_overhead",
-    "wilcoxon_signed_rank",
-]
+# defaults of the duplicate detector; here so the CLI's help reaches them
+# without loading the detector (``chartqa.quality`` re-exports them)
+DEFAULT_THRESHOLD = 3
+# v1 and extensions/v1beta1 are mandatory API markers; the rest are
+# analytically meaningless as deduplication targets.
+DEFAULT_BLACKLIST = ("v1", "extensions/v1beta1", "", "true", "false", "0", "1")
+
+# module -> the names it exports
+_EXPORTS = {
+    "analytics": "ActivityProfile ChangeSet IrregularityReport MaintainerIdentity "
+                 "MaintainerSet adjacent_changes change_histories classify_activity "
+                 "compute_maintainer_sets detect_changes detect_irregularities period_metrics",
+    "core": "ChartMetadata ChartPackage ChartRef Maintainer mangle_stem "
+            "parse_chart_archive versioning_overhead",
+    "ingest": "RepoIndex Snapshot SnapshotStore fetch_archive ingest_local_dir "
+              "parse_repo_index",
+    "quality": "DuplicateConfig DuplicateReport QualityReport VariabilityKnowledgeBase "
+               "analyze_chart detect_duplicates learn_variability stabilize_render",
+    "render": "BuiltinEngine ExternalEngine RenderFailure RenderResult flatten_documents "
+              "render_chart",
+    "rewrite": "IssueDigest RewritePlan build_issue_digests emit_diff plan_rewrite "
+               "verify_rewrite",
+    "stats": "resampled_group_test wilcoxon_signed_rank",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -16,32 +16,16 @@ import logging
 import math
 import os
 import sys
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-import yaml
-
-from . import analytics, report as report_mod, rewrite, stats
-from .core import ChartPackage
+# building the parser needs only these; each handler imports the modules it uses
+from . import DEFAULT_BLACKLIST, DEFAULT_THRESHOLD
 from .errors import ChartQAError, RenderFailed
-from .ingest import (
-    RepoIndex,
-    SnapshotStore,
-    fetch_archive,
-    index_from_packages,
-    ingest_local_dir,
-    parse_repo_index,
-)
-from .quality import (
-    DEFAULT_BLACKLIST,
-    DEFAULT_THRESHOLD,
-    DuplicateConfig,
-    VariabilityKnowledgeBase,
-    analyze_chart,
-    detect_duplicates,
-    learn_variability,
-)
-from .render import BuiltinEngine, ExternalEngine
-from .yamlutil import load_unique
+
+if TYPE_CHECKING:
+    from .core import ChartPackage
+    from .ingest import RepoIndex
+    from .quality import DuplicateConfig, VariabilityKnowledgeBase
 
 log = logging.getLogger("chartqa")
 
@@ -101,6 +85,10 @@ def _resolve(args: argparse.Namespace) -> None:
     the CPUs available where the command takes no ``--jobs`` or none was given."""
     config = {}
     if getattr(args, "config", None):
+        import yaml
+
+        from .yamlutil import load_unique
+
         with open(args.config, encoding="utf-8") as fh:
             try:
                 config = load_unique(fh.read()) or {}
@@ -122,6 +110,8 @@ def _resolve(args: argparse.Namespace) -> None:
 
 
 def _duplicate_config(args: argparse.Namespace) -> DuplicateConfig:
+    from .quality import DuplicateConfig
+
     blacklist = args.blacklist
     if isinstance(blacklist, str):
         blacklist = [item.strip() for item in blacklist.split(",")]
@@ -130,6 +120,8 @@ def _duplicate_config(args: argparse.Namespace) -> DuplicateConfig:
 
 
 def _engine(args: argparse.Namespace):
+    from .render import BuiltinEngine, ExternalEngine
+
     if args.engine == "external":
         return ExternalEngine(args.renderer_bin)
     return BuiltinEngine()
@@ -145,17 +137,23 @@ def _emit(payload: str, out_dir: str | None, file_name: str) -> None:
 
 
 def _emit_json(document: Any, out_dir: str | None, file_name: str) -> None:
+    from . import report as report_mod
+
     _emit(report_mod.report_json(document), out_dir, file_name)
 
 
 def _load_packages(args: argparse.Namespace) -> tuple[list[ChartPackage], list]:
     """Packages under --path sorted by file name, and the charts that failed to parse."""
+    from .ingest import ingest_local_dir
+
     packages, failures = ingest_local_dir(args.path)
     for failure in failures:
         log.warning("skipping %s: %s", failure.location, failure.error)
     return sorted(packages, key=lambda p: p.ref.file_name), failures
 
 def _load_index(args: argparse.Namespace) -> RepoIndex:
+    from .ingest import fetch_archive, index_from_packages, parse_repo_index
+
     if args.index:
         return parse_repo_index(fetch_archive(args.index), args.index)
     if not args.path:
@@ -165,6 +163,8 @@ def _load_index(args: argparse.Namespace) -> RepoIndex:
 
 
 def _load_kb(args: argparse.Namespace) -> VariabilityKnowledgeBase:
+    from .quality import VariabilityKnowledgeBase
+
     return VariabilityKnowledgeBase.load(args.kb) if args.kb else VariabilityKnowledgeBase()
 
 
@@ -211,6 +211,8 @@ def _per_chart(fn, packages, jobs: int) -> list:
 # --- subcommand handlers ---
 
 def cmd_snapshot(args: argparse.Namespace) -> int:
+    from .ingest import SnapshotStore, fetch_archive, parse_repo_index
+
     source = args.index
     index = parse_repo_index(fetch_archive(source), source)
     base = os.path.dirname(source)
@@ -226,6 +228,10 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from . import analytics, report as report_mod
+    from .ingest import index_from_packages
+    from .quality import analyze_chart
+
     packages, _ = _load_packages(args)
     analyze = functools.partial(analyze_chart, kb=_load_kb(args),
                                 config=_duplicate_config(args), engine=_engine(args))
@@ -253,6 +259,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_dupes(args: argparse.Namespace) -> int:
+    from . import report as report_mod
+    from .quality import detect_duplicates
+
     packages, _ = _load_packages(args)
     detect = functools.partial(detect_duplicates, config=_duplicate_config(args))
     reports = _per_chart(detect, packages, args.jobs)
@@ -265,6 +274,8 @@ def cmd_dupes(args: argparse.Namespace) -> int:
 
 
 def cmd_variability(args: argparse.Namespace) -> int:
+    from .quality import learn_variability
+
     packages, _ = _load_packages(args)
     kb = _load_kb(args)
     engine = _engine(args)
@@ -283,6 +294,10 @@ def cmd_variability(args: argparse.Namespace) -> int:
 
 
 def cmd_suggest(args: argparse.Namespace) -> int:
+    from . import analytics, rewrite
+    from .ingest import index_from_packages
+    from .quality import detect_duplicates
+
     packages, _ = _load_packages(args)
     kb = _load_kb(args)
     config = _duplicate_config(args)
@@ -334,6 +349,8 @@ def cmd_suggest(args: argparse.Namespace) -> int:
 
 
 def cmd_authorsets(args: argparse.Namespace) -> int:
+    from . import analytics, report as report_mod
+
     index = _load_index(args)
     _, metrics = analytics.compute_maintainer_sets(index)
     document = report_mod.build_report(
@@ -345,6 +362,8 @@ def cmd_authorsets(args: argparse.Namespace) -> int:
 
 
 def cmd_irregularities(args: argparse.Namespace) -> int:
+    from . import analytics, report as report_mod
+
     index = _load_index(args)
     irregularities = analytics.detect_irregularities(index)
     document = report_mod.build_report(
@@ -356,6 +375,9 @@ def cmd_irregularities(args: argparse.Namespace) -> int:
 
 
 def cmd_changes(args: argparse.Namespace) -> int:
+    from . import analytics
+    from .ingest import SnapshotStore
+
     store = SnapshotStore(args.snapshot_store)
     ids = store.ids()
     from_id = args.from_id or (ids[-2] if len(ids) >= 2 else None)
@@ -391,6 +413,9 @@ def _parse_periods(spec: str | None, ids: list[str]) -> list[tuple[str, str, str
 
 
 def cmd_trends(args: argparse.Namespace) -> int:
+    from . import analytics, report as report_mod
+    from .ingest import SnapshotStore
+
     store = SnapshotStore(args.snapshot_store)
     ids = store.ids()
     if len(ids) < 2:
@@ -429,6 +454,8 @@ def _finite_numbers(value: Any) -> bool:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from . import report as report_mod, stats
+
     groups_path = args.groups
     with open(groups_path, encoding="utf-8") as fh:
         groups = json.load(fh)
@@ -451,6 +478,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
+    from . import analytics, report as report_mod
+
     index = _load_index(args)
     sets, _ = analytics.compute_maintainer_sets(index)
     irregularities = analytics.detect_irregularities(index)
@@ -459,6 +488,9 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 
 def cmd_livecheck(args: argparse.Namespace) -> int:
+    from . import analytics, report as report_mod
+    from .quality import detect_duplicates
+
     packages, failures = _load_packages(args)
     if not packages and failures:
         raise ChartQAError(

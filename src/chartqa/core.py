@@ -185,15 +185,16 @@ def package_from_files(files: Mapping[str, bytes | str]) -> ChartPackage:
         except UnicodeDecodeError as exc:
             raise MetadataParseError(f"{path} is not UTF-8: {exc}") from exc
 
-    def parse(path: str) -> Any:
+    def parse(path: str, literal: bool = False) -> Any:
         try:
-            return load_unique(text(path))
+            return load_unique(text(path), literal)
         except yaml.YAMLError as exc:
             raise MetadataParseError(f"{path} invalid: {exc}") from exc
 
     if "Chart.yaml" not in files:
         raise MissingMetadata("chart has no Chart.yaml")
-    metadata = ChartMetadata.from_mapping(parse("Chart.yaml") or {})
+    # names and versions as written, as Helm and the repository index read them
+    metadata = ChartMetadata.from_mapping(parse("Chart.yaml", literal=True) or {})
 
     values: ValueTree = {}
     values_text = None
@@ -209,7 +210,7 @@ def package_from_files(files: Mapping[str, bytes | str]) -> ChartPackage:
         if path.startswith("templates/") and not path.endswith("/")
     )
 
-    reqs = parse("requirements.yaml") if "requirements.yaml" in files else None
+    reqs = parse("requirements.yaml", literal=True) if "requirements.yaml" in files else None
     deps = (reqs.get("dependencies") or []) if isinstance(reqs, Mapping) else []
     requirements = tuple(
         ChartRef.from_name_version(str(dep["name"]), str(dep["version"]))

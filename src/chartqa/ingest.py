@@ -4,10 +4,11 @@ The snapshot store is a directory tree with one subdirectory per snapshot
 id (a UTC date) holding the raw index, the raw archives and a JSON manifest
 of content digests, so any historical state can be replayed byte-exactly.
 The manifest also keeps the index entries as ``parse_repo_index`` built
-them, keyed to the sha256 of ``index.yaml``: loading a snapshot rebuilds
-the entries from there instead of parsing the YAML again, and parses it
-when the key is absent (stores recorded before the key existed) or the
-digest no longer matches the file.
+them, keyed to the sha256 of ``index.yaml`` and marked with the reader
+that built them: loading a snapshot rebuilds the entries from there instead
+of parsing the YAML again, and parses it when the key is absent (stores
+recorded before the key existed), the digest no longer matches the file, or
+another reader built the entries.
 """
 
 from __future__ import annotations
@@ -243,6 +244,10 @@ def ingest_local_dir(path: str) -> tuple[list[ChartPackage], list[IngestFailure]
 
 _CACHED_FIELDS = ("name", "version", "maintainers", "urls", "digest")
 _CACHED_KEYS = frozenset(_CACHED_FIELDS)
+# how parse_repo_index reads an index; bump it whenever that reading changes,
+# so cached entries built the old way are parsed again. Unmarked entries read
+# scalars as YAML 1.1 (``version: 1.10`` gave ``db-1.1.tgz``); 2 keeps them as written.
+_INDEX_READER = 2
 _OPTIONAL_STR = frozenset({str, type(None)})
 
 
@@ -352,6 +357,7 @@ class SnapshotStore:
                 # entries of a parsed index, so load can skip the YAML parse
                 manifest["index"] = {
                     "sha256": sha256_digest(index.raw),
+                    "reader": _INDEX_READER,
                     "entries": [_cache_item(entry) for entry in index.entries],
                 }
             with open(os.path.join(staging, "manifest.json"), "w", encoding="utf-8") as fh:
@@ -364,7 +370,8 @@ class SnapshotStore:
 
     def load(self, snapshot_id: str) -> Snapshot:
         """The recorded snapshot; its entries come from the manifest when its
-        digest matches ``index.yaml``, else from parsing ``index.yaml``."""
+        digest matches ``index.yaml`` and this reader built them, else from
+        parsing ``index.yaml``."""
         base, _, manifest_path = self._paths(snapshot_id)
         try:
             with open(manifest_path, encoding="utf-8") as fh:
@@ -374,7 +381,8 @@ class SnapshotStore:
         except (OSError, ValueError) as exc:
             raise StorageError(f"cannot load snapshot {snapshot_id}: {exc}") from exc
         source, fetched_at, digests, cache = _manifest_fields(manifest, snapshot_id)
-        if cache is None or cache["sha256"] != sha256_digest(raw_index):
+        if (cache is None or cache["sha256"] != sha256_digest(raw_index)
+                or cache.get("reader") != _INDEX_READER):
             index = parse_repo_index(raw_index, source, fetched_at=fetched_at)
         else:
             items = cache.get("entries")

@@ -12,24 +12,16 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
+from . import DEFAULT_BLACKLIST, DEFAULT_THRESHOLD
 from .core import ChartPackage, ChartRef
 from .errors import KnowledgeBaseError, RenderFailed
-from .render import (
-    BuiltinEngine,
-    Renderer,
-    RenderFailure,
-    RenderResult,
-    flatten_documents,
-    render_chart,
-)
 from .yamlutil import SourceLeaf, sentinel_parse
 
-DEFAULT_THRESHOLD = 3
-# v1 and extensions/v1beta1 are mandatory API markers; the rest are
-# analytically meaningless as deduplication targets.
-DEFAULT_BLACKLIST = ("v1", "extensions/v1beta1", "", "true", "false", "0", "1")
+if TYPE_CHECKING:  # the functions that render import render, so duplicate checks never load it
+    from .render import Renderer, RenderFailure, RenderResult
+
 MIN_VALUE_LENGTH = 2
 
 
@@ -114,6 +106,8 @@ def probe_variability(
     rendered text differs are parsed and compared: equal text gives equal
     leaves, which can teach nothing. Failures come from the first render.
     """
+    from .render import BuiltinEngine, flatten_documents, render_chart
+
     engine = engine or BuiltinEngine()
     first = render_chart(pkg, overrides, engine)
     second = render_chart(pkg, overrides, engine, earlier=first)
@@ -158,6 +152,8 @@ def stabilize_render(
     engine: Renderer | None = None,
 ) -> RenderResult:
     """Single render with all knowledge-base overrides for this stem applied."""
+    from .render import BuiltinEngine, render_chart
+
     engine = engine or BuiltinEngine()
     result = render_chart(pkg, kb.overrides_for(pkg.stem), engine)
     _require_rendered(pkg, result)

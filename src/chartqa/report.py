@@ -11,18 +11,19 @@ import csv
 import datetime
 import io
 import json
-from importlib import resources
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .analytics import IrregularityReport, MaintainerSet
-from .core import mangle_stem
-from .quality import DuplicateReport, QualityReport
+if TYPE_CHECKING:  # annotations only, so the `stats` command loads neither
+    from .analytics import IrregularityReport, MaintainerSet
+    from .quality import DuplicateReport, QualityReport
 
 SCHEMA_VERSION = "1"
 
 
 def load_schema() -> dict:
     """The published JSON schema for report documents."""
+    from importlib import resources
+
     text = resources.files("chartqa").joinpath("schema/report-v1.json").read_text("utf-8")
     return json.loads(text)
 
@@ -143,6 +144,8 @@ def emit_dot(sets: Iterable[MaintainerSet], irregularities: IrregularityReport) 
     maintainer's name collapses into a single self-referencing node with a
     distinct marker.
     """
+    from .core import mangle_stem
+
     collision_names = {ref.name for ref in irregularities.name_collision}
     maintainer_nodes: dict[str, str] = {}
     chart_nodes: dict[str, str] = {}

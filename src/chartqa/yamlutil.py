@@ -22,7 +22,8 @@ from typing import Any, Iterator
 import yaml
 from yaml.constructor import SafeConstructor
 
-BaseLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# libyaml's loader where PyYAML was built with it; every parse here composes with it
+_SafeLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 # Any Go-template action block, possibly spanning lines.
 DIRECTIVE_RE = re.compile(r"\{\{.*?\}\}", re.DOTALL)
@@ -41,6 +42,10 @@ _SCALARS = {
     "tag:yaml.org,2002:bool": SafeConstructor.construct_yaml_bool,
     _NULL_TAG: SafeConstructor.construct_yaml_null,
 }
+# scalar tags a literal read keeps as the text written: Helm reads
+# ``version: 1.10`` as ``1.10``, where YAML 1.1 reads the float 1.1
+_LITERAL_TAGS = frozenset(
+    f"tag:yaml.org,2002:{tag}" for tag in ("int", "float", "bool", "timestamp"))
 # An alias repeats its anchor's subtree, so nine lines of ten aliases to the
 # line above (under 600 bytes) stand for 10**9 nodes. Without aliases a text
 # builds one node per node written; no chart file comes near this many.
@@ -56,13 +61,14 @@ def _reject(problem: str, node: yaml.Node) -> None:
 class _Walk:
     """Builds the bodies of one text's documents and collects their scalar leaves."""
 
-    def __init__(self):
+    def __init__(self, literal: bool = False):
         self.constructor = SafeConstructor()
+        self.literal = literal
         self.nodes = 0
         self.open: set[yaml.Node] = set()  # collection nodes on the current path
 
     def scalar(self, node: yaml.Node) -> Any:
-        if node.tag == _STR_TAG:
+        if node.tag == _STR_TAG or self.literal and node.tag in _LITERAL_TAGS:
             return node.value
         build = _SCALARS.get(node.tag)
         return build(self.constructor, node) if build else \
@@ -106,26 +112,26 @@ def load_documents(text: str) -> list[tuple[Any, list]]:
     """
     walk = _Walk()
     documents = []
-    for node in yaml.compose_all(text, Loader=BaseLoader):
+    for node in yaml.compose_all(text, Loader=_SafeLoader):
         if node.tag != _NULL_TAG:
             leaves: list = []
             documents.append((walk.build(node, (), leaves), leaves))
     return documents
 
 
-def load_unique(text: str) -> Any:
-    """The single document of ``text``, built by the rules of :func:`load_documents`."""
-    node = yaml.compose(text, Loader=BaseLoader)
-    return None if node is None else _Walk().build(node, (), [])
+def load_unique(text: str, literal: bool = False) -> Any:
+    """The single document of ``text``, built by the rules of :func:`load_documents`;
+    ``literal`` keeps int, float, bool and timestamp scalars as their written text."""
+    node = yaml.compose(text, Loader=_SafeLoader)
+    return None if node is None else _Walk(literal).build(node, (), [])
 
 
-class _LiteralLoader(BaseLoader):
+class _LiteralLoader(_SafeLoader):
     """Builds int, float, bool and timestamp scalars as their written text."""
 
     yaml_constructors = {
-        **BaseLoader.yaml_constructors,
-        **{f"tag:yaml.org,2002:{tag}": SafeConstructor.construct_yaml_str
-           for tag in ("int", "float", "bool", "timestamp")},
+        **_SafeLoader.yaml_constructors,
+        **{tag: SafeConstructor.construct_yaml_str for tag in _LITERAL_TAGS},
     }
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import json
 import os
 import tarfile
 
@@ -11,6 +12,7 @@ import yaml
 
 from chartqa import cli
 from chartqa.core import ChartPackage, package_from_files
+from chartqa.ingest import sha256_digest
 
 
 def chart_files(
@@ -76,6 +78,26 @@ def write_chart_dir(tmp_path, name: str, files: dict[str, str]) -> str:
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(body)
     return str(chart_dir)
+
+
+DB_1_10 = b"entries:\n  db:\n    - version: 1.10\n"
+
+
+def write_pre_reader_snapshot(store_root, snapshot_id: str, **index_cache) -> None:
+    """A snapshot of ``DB_1_10`` as a store recorded before index scalars were
+    read as written left it: its cached entry names ``db-1.1.tgz``."""
+    base = os.path.join(store_root, snapshot_id)
+    os.makedirs(os.path.join(base, "archives"))
+    with open(os.path.join(base, "index.yaml"), "wb") as fh:
+        fh.write(DB_1_10)
+    entry = {"name": "db", "version": "1.1", "maintainers": [], "urls": [], "digest": None}
+    manifest = {
+        "id": snapshot_id, "source": "memory:", "fetched_at": f"{snapshot_id}T00:00:00+00:00",
+        "digest_algorithm": "sha256", "digests": {},
+        "index": {"sha256": sha256_digest(DB_1_10), "entries": [entry], **index_cache},
+    }
+    with open(os.path.join(base, "manifest.json"), "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
 
 
 @pytest.fixture

@@ -57,3 +57,17 @@ def test_readme_library_imports_resolve():
     documented = readme_library_imports()
     assert ["chartqa", "verify_rewrite"] in documented
     assert resolve_fresh(json.dumps(documented)) == {"checked": len(documented), "missing": []}
+
+
+def test_star_import_and_dir_cover_all():
+    code = ("import json, chartqa\n"
+            "names = {}\n"
+            "exec('from chartqa import *', names)\n"
+            "print(json.dumps([sorted(chartqa.__all__), sorted(names), dir(chartqa)]))")
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=60, env=env, check=True)
+    exported, star, listed = json.loads(proc.stdout)
+    assert exported
+    assert set(exported) <= set(star)
+    assert set(exported) <= set(listed)

@@ -12,24 +12,27 @@ import sys
 import pytest
 import yaml
 
-from chartqa import analytics, cli
+from chartqa import analytics, cli, quality
 from chartqa.cli import cli_dispatch
 from chartqa.errors import EngineUnavailable
 from chartqa.ingest import SnapshotStore, parse_repo_index, sha256_digest
 from chartqa.quality import DuplicateConfig, detect_duplicates
 
 from conftest import (
+    DB_1_10,
     chart_files,
     count_calls,
     make_archive,
     make_index_yaml,
     make_package,
     write_chart_dir,
+    write_pre_reader_snapshot,
 )
 
 CLEAN_TEMPLATES = {"deploy.yaml": "kind: Deployment\nname: {{ .Values.app }}\n"}
 DUPE_TEMPLATES = {"deploy.yaml": "a: dup-me\nb: dup-me\nc: dup-me\n"}
 MAINTAINED = [{"name": "alice", "email": "a@x.io"}]
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 def run_cli(*argv) -> subprocess.CompletedProcess:
@@ -133,6 +136,47 @@ def test_import_leaves_numpy_and_requests_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+# runs cli_dispatch(argv[1:]) with its output discarded, then prints the modules loaded
+LOADED_BY = """
+import contextlib, io, json, sys
+from chartqa.cli import cli_dispatch
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli_dispatch(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def modules_loaded_by(*argv) -> set[str]:
+    proc = subprocess.run([sys.executable, "-c", LOADED_BY, *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    assert code in (0, 1), proc.stderr
+    return set(modules)
+
+
+def test_help_loads_only_the_parser():
+    loaded = modules_loaded_by("--help")
+    assert {m for m in loaded if m.startswith("chartqa")} == {
+        "chartqa", "chartqa.cli", "chartqa.errors"}
+    assert "yaml" not in loaded
+
+
+def test_single_chart_livecheck_loads_no_render_rewrite_or_stats():
+    loaded = modules_loaded_by("livecheck", "--path", os.path.join(GOLDEN, "charts", "web"))
+    assert "chartqa.quality" in loaded
+    assert not loaded & {"chartqa.rewrite", "chartqa.stats", "chartqa.render", "difflib",
+                         "numpy", "requests"}
+
+
+def test_stats_without_config_loads_no_yaml_render_or_quality(tmp_path):
+    groups = tmp_path / "groups.json"
+    groups.write_text(json.dumps({"n1": list(range(12)), "n2": [1, 2, 3, 5, 8]}))
+    loaded = modules_loaded_by("stats", "--groups", str(groups), "--iterations", "5")
+    assert "chartqa.stats" in loaded
+    assert not loaded & {"yaml", "chartqa.render", "chartqa.quality"}
+
+
 def test_per_chart_spawned_workers_match_serial(monkeypatch, two_cpu_pool):
     import multiprocessing
 
@@ -173,7 +217,7 @@ def test_per_chart_worker_error_exits_two(tmp_path, monkeypatch, two_cpu_pool, c
         write_chart_dir(tmp_path / "charts", name,
                         chart_files(name=name, values={"app": "x"},
                                     templates=CLEAN_TEMPLATES, maintainers=MAINTAINED))
-    monkeypatch.setattr(cli, "detect_duplicates", _renderer_missing)
+    monkeypatch.setattr(quality, "detect_duplicates", _renderer_missing)
     assert cli_dispatch([command, "--path", str(tmp_path / "charts")]) == 2
     assert "external renderer binary not found" in caplog.text
     assert capsys.readouterr().out == ""
@@ -661,6 +705,16 @@ def test_malformed_manifest_exits_two_naming_the_snapshot(tmp_path, caplog, comm
     with caplog.at_level(logging.ERROR, logger="chartqa"):
         assert cli_dispatch([command, "--snapshot-store", store.root]) == 2
     assert "snapshot 2018-05-14" in caplog.text
+
+
+def test_changes_across_a_store_recorded_before_versions_were_read_as_written(tmp_path, capsys):
+    store = SnapshotStore(str(tmp_path / "store"))
+    write_pre_reader_snapshot(store.root, "2018-05-14")
+    store.record(parse_repo_index(DB_1_10, "memory:", fetched_at=datetime.datetime(
+        2018, 5, 15, tzinfo=datetime.timezone.utc)), {})
+    assert cli_dispatch(["changes", "--snapshot-store", store.root]) == 0
+    changes = json.loads(capsys.readouterr().out)
+    assert (changes["added"], changes["removed"], changes["vupdates"]) == ([], [], [])
 
 
 def test_trends_diffs_each_snapshot_pair_once(tmp_path, capsys, monkeypatch):

@@ -18,10 +18,12 @@ from chartqa.core import (
     ChartMetadata,
     ChartRef,
     mangle_stem,
+    package_from_files,
     parse_chart_archive,
     versioning_overhead,
 )
 from chartqa.errors import EmptyCorpus, MalformedArchive, MetadataParseError, MissingMetadata
+from chartqa.ingest import parse_repo_index
 
 from conftest import chart_files, make_archive
 
@@ -208,6 +210,31 @@ def test_parse_chart_archive_bad_metadata():
     archive = make_archive({"Chart.yaml": "name: only-name\n"}, "bad")
     with pytest.raises(MetadataParseError):
         parse_chart_archive(archive)
+
+
+@pytest.mark.parametrize("written, file_name", [
+    ("1.10", "db-1.10.tgz"), ("01", "db-01.tgz"), ("true", "db-true.tgz"),
+    ("2018-05-14", "db-2018-05-14.tgz"), ("'1.10'", "db-1.10.tgz"), ("1.0.0", "db-1.0.0.tgz"),
+])
+def test_chart_yaml_name_and_version_read_as_written(written, file_name):
+    # the index record of the same chart names the same file
+    files = {"Chart.yaml": f"name: db\nversion: {written}\n",
+             "requirements.yaml": f"dependencies:\n- name: 2.0\n  version: {written}\n"}
+    pkg = package_from_files(files)
+    assert pkg.ref.file_name == file_name
+    assert pkg.requirements[0].file_name == "2.0-" + file_name[3:]
+    index = parse_repo_index(f"entries:\n  db:\n    - version: {written}\n".encode(), "memory:")
+    assert index.entries[0].ref.file_name == file_name
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("name: db\nversion: 1.0\nversion: 1.10\n", "duplicate mapping key 'version'"),
+    ("name: &n [*n]\nversion: 1\n", "recursive alias"),
+    ("name: db\nversion: 1\nx: " + "[" * 101 + "]" * 101 + "\n", "nested deeper than 100"),
+])
+def test_chart_yaml_keeps_the_duplicate_key_and_alias_checks(text, problem):
+    with pytest.raises(MetadataParseError, match=problem):
+        package_from_files({"Chart.yaml": text})
 
 
 def test_parse_chart_archive_requirements_and_subchart():

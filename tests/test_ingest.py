@@ -32,7 +32,14 @@ from chartqa.ingest import (
     sha256_digest,
 )
 
-from conftest import chart_files, count_calls, make_archive, make_index_yaml, write_chart_dir
+from conftest import (
+    chart_files,
+    count_calls,
+    make_archive,
+    make_index_yaml,
+    write_chart_dir,
+    write_pre_reader_snapshot,
+)
 
 UTC = datetime.timezone.utc
 
@@ -369,6 +376,17 @@ def test_load_builds_entries_from_the_manifest_without_parsing(tmp_path, monkeyp
     assert calls == []
     assert [entry.ref.file_name for entry in index.entries] == ["web-1.0.0.tgz"]
     assert index.raw == (snapshot_dir / "index.yaml").read_bytes()
+
+
+@pytest.mark.parametrize("mark", [{}, {"reader": 1}, {"reader": "2"}],
+                         ids=["unmarked", "older", "not-an-int"])
+def test_load_parses_entries_another_reader_cached(tmp_path, monkeypatch, mark):
+    write_pre_reader_snapshot(str(tmp_path), "2018-05-14", **mark)
+    calls = count_calls(monkeypatch, "parse_repo_index", ingest)
+    snapshot = SnapshotStore(str(tmp_path)).load("2018-05-14")
+    assert len(calls) == 1
+    assert [entry.ref.file_name for entry in snapshot.index.entries] == ["db-1.10.tgz"]
+    assert snapshot.content_digests == {}
 
 
 def test_load_ignores_cached_entries_of_another_index(tmp_path):

@@ -5,7 +5,7 @@ import random
 import pytest
 import yaml
 
-from chartqa import quality
+from chartqa import quality, render
 from chartqa.errors import KnowledgeBaseError, RenderFailed
 from chartqa.quality import (
     DEFAULT_BLACKLIST,
@@ -316,7 +316,7 @@ def test_analyze_chart_renders_twice(monkeypatch):
         "t.yaml": "pw: {{ randAlphaNum 16 }}\na: d1\nb: d1\nc: d1\n",
         "bad.yaml": "a: {{ .Values.absent }}\n",
     })
-    renders = count_calls(monkeypatch, "render_chart", quality)
+    renders = count_calls(monkeypatch, "render_chart", render)
     report = analyze_chart(pkg)
     assert len(renders) == 2
     assert report.variable_key_paths == ("templates/t.yaml#0/pw",)

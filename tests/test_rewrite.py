@@ -5,7 +5,7 @@ import subprocess
 
 import pytest
 
-from chartqa import quality, rewrite
+from chartqa import quality, render, rewrite
 from chartqa.core import write_package_dir
 from chartqa.errors import EmptyReport
 from chartqa.ingest import index_from_packages, package_from_dir
@@ -142,7 +142,7 @@ def test_verify_rewrite_rejects_corrupting_span():
 def test_verify_rewrite_renders_original_twice_and_rewrite_once(monkeypatch):
     pkg = five_occurrence_package()
     plan = plan_rewrite(pkg, detect_duplicates(pkg))
-    renders = count_calls(monkeypatch, "render_chart", quality, rewrite)
+    renders = count_calls(monkeypatch, "render_chart", render, rewrite)
     assert verify_rewrite(pkg, plan) is True
     assert [args[0] is pkg for args in renders] == [True, True, False]
 

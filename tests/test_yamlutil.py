@@ -13,7 +13,7 @@ from yaml.constructor import SafeConstructor
 from chartqa.core import package_from_files
 from chartqa.errors import MetadataParseError
 from chartqa.render import flatten_documents, render_chart
-from chartqa.yamlutil import BaseLoader, build_path, load_documents, parse_path, sentinel_parse
+from chartqa.yamlutil import _SafeLoader, build_path, load_documents, parse_path, sentinel_parse
 
 from conftest import chart_files, make_package
 
@@ -164,7 +164,7 @@ def constructed_documents(text: str) -> list:
         return body
 
     documents = []
-    for node in yaml.compose_all(text, Loader=BaseLoader):
+    for node in yaml.compose_all(text, Loader=_SafeLoader):
         if node.tag != "tag:yaml.org,2002:null":
             leaves: list = []
             documents.append((build(node, (), leaves), leaves))
@@ -205,5 +205,5 @@ DUMP_STYLES = st.sampled_from([
 def test_walk_builds_what_the_constructor_builds(trees, style):
     text = yaml.safe_dump_all(trees, **style)
     assume(not any(isinstance(event, yaml.AliasEvent)
-                   for event in yaml.parse(text, Loader=BaseLoader)))
+                   for event in yaml.parse(text, Loader=_SafeLoader)))
     assert typed_documents(load_documents(text)) == typed_documents(constructed_documents(text))
