@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .core import ChartRef, Maintainer
+from .errors import SettingError
 from .ingest import RepoIndex, Snapshot
 
 REGULARLY_CHANGED = "RegularlyChanged"
@@ -365,10 +366,10 @@ def period_metrics(
     out_periods = []
     for label, start_id, end_id in periods:
         if start_id not in by_id or end_id not in by_id:
-            raise ValueError(f"period {label!r}: unknown snapshot id")
+            raise SettingError(f"period {label!r}: unknown snapshot id")
         i, j = ordered_ids.index(start_id), ordered_ids.index(end_id)
         if j <= i:
-            raise ValueError(f"period {label!r}: end must come after start")
+            raise SettingError(f"period {label!r}: end must come after start")
         start, end = snapshots[i], snapshots[j]
         days = (_snapshot_date(end) - _snapshot_date(start)).days
         months = days / 30.0 if days > 0 else 1.0

@@ -24,7 +24,7 @@ from .errors import ChartQAError, RenderFailed
 
 if TYPE_CHECKING:
     from .core import ChartPackage
-    from .ingest import RepoIndex
+    from .ingest import IndexEntry, IngestFailure, RepoIndex
     from .quality import DuplicateConfig, VariabilityKnowledgeBase
 
 log = logging.getLogger("chartqa")
@@ -142,14 +142,45 @@ def _emit_json(document: Any, out_dir: str | None, file_name: str) -> None:
     _emit(report_mod.report_json(document), out_dir, file_name)
 
 
+def _warn_skipped(failures: list[IngestFailure]) -> None:
+    for failure in failures:
+        log.warning("skipping %s: %s", failure.location, failure.error)
+
+
 def _load_packages(args: argparse.Namespace) -> tuple[list[ChartPackage], list]:
     """Packages under --path sorted by file name, and the charts that failed to parse."""
     from .ingest import ingest_local_dir
 
     packages, failures = ingest_local_dir(args.path)
-    for failure in failures:
-        log.warning("skipping %s: %s", failure.location, failure.error)
+    _warn_skipped(failures)
     return sorted(packages, key=lambda p: p.ref.file_name), failures
+
+
+def _load_then(fn, root: str, location: str):
+    """(index entry, ``fn`` of the chart) for the chart at ``location`` under
+    ``root``, or the IngestFailure of a chart that cannot be read."""
+    from .ingest import IngestFailure, index_entry, load_chart
+
+    loaded = load_chart(root, location)
+    if isinstance(loaded, IngestFailure):
+        return loaded
+    return index_entry(loaded), fn(loaded)
+
+
+def _map_charts(fn, args: argparse.Namespace) -> tuple[list[tuple[IndexEntry, Any]],
+                                                       list[IngestFailure]]:
+    """(index entry, ``fn`` of the chart) of each chart under --path, sorted
+    by file name, and the charts that failed to parse, each logged in the
+    order found. Each chart is read where ``fn`` runs on it."""
+    from .ingest import IngestFailure, chart_locations
+
+    results = _per_chart(functools.partial(_load_then, fn, args.path),
+                         chart_locations(args.path), args.jobs)
+    failures = [result for result in results if isinstance(result, IngestFailure)]
+    _warn_skipped(failures)
+    charts = [result for result in results if not isinstance(result, IngestFailure)]
+    return sorted(charts, key=lambda chart: chart[0].ref.file_name), failures
+
 
 def _load_index(args: argparse.Namespace) -> RepoIndex:
     from .ingest import fetch_archive, index_from_packages, parse_repo_index
@@ -177,35 +208,38 @@ def _cpus() -> int:
 
 
 # Below this many charts per worker, starting a pool costs more than it saves:
-# measured on a 2-CPU host, `livecheck` on 16 charts took 0.35 s with two
-# workers and 0.33 s with one, and on 32 charts 0.43 s and 0.45 s.
+# measured on a 2-CPU host with each worker reading its own charts, `livecheck`
+# on 16 charts took 0.37 s with two workers and 0.34 s with one, and on 32
+# charts 0.41 s and 0.45 s (medians of 9 runs).
 MIN_CHARTS_PER_WORKER = 10
 
 
-def _per_chart(fn, packages, jobs: int) -> list:
-    """``fn`` applied to each package, results in input order.
+def _per_chart(fn, charts, jobs: int) -> list:
+    """``fn`` applied to each chart, results in input order.
 
-    ``fn`` is a pure per-chart function: ``detect_duplicates`` or
-    ``analyze_chart`` bound by ``functools.partial``. The charts go to
-    ``min(jobs, CPUs, charts // MIN_CHARTS_PER_WORKER)`` worker processes;
-    with one worker or fewer they are handled here, in order. Rendering and
-    parsing hold the GIL, so threads would only take turns. Workers are
-    forked where the platform can fork, so none imports chartqa before its
-    first chart (the CLI starts no threads that a fork could break), and
-    spawned elsewhere. ``fn`` travels with each chunk of charts, nothing is
-    kept in worker globals, and an exception raised in a worker is raised
-    again here.
+    ``fn`` is a pure per-chart function; the per-chart commands pass
+    ``_load_then`` bound to ``detect_duplicates`` or ``analyze_chart`` and
+    the tree, and the charts are their locations, so each worker reads its
+    own charts and only locations go out and index entries and results
+    come back. The charts go to ``min(jobs, CPUs, charts //
+    MIN_CHARTS_PER_WORKER)`` worker processes; with one worker or fewer they
+    are handled here, in order. Reading, rendering and parsing hold the GIL,
+    so threads would only take turns. Workers are forked where the platform
+    can fork, so none imports chartqa before its first chart (the CLI starts
+    no threads that a fork could break), and spawned elsewhere. ``fn``
+    travels with each chunk of charts, nothing is kept in worker globals,
+    and an exception raised in a worker is raised again here.
     """
-    workers = min(jobs, _cpus(), len(packages) // MIN_CHARTS_PER_WORKER)
+    workers = min(jobs, _cpus(), len(charts) // MIN_CHARTS_PER_WORKER)
     if workers <= 1:
-        return [fn(pkg) for pkg in packages]
+        return [fn(chart) for chart in charts]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-    chunksize = max(1, len(packages) // (4 * workers))
+    chunksize = max(1, len(charts) // (4 * workers))
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method)) as pool:
-        return list(pool.map(fn, packages, chunksize=chunksize))
+        return list(pool.map(fn, charts, chunksize=chunksize))
 
 
 # --- subcommand handlers ---
@@ -229,14 +263,16 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     from . import analytics, report as report_mod
-    from .ingest import index_from_packages
+    from .ingest import index_from_entries
     from .quality import analyze_chart
 
-    packages, _ = _load_packages(args)
+    if args.format == "csv" and not args.out:
+        raise ChartQAError("--format csv needs --out to hold one file per table")
     analyze = functools.partial(analyze_chart, kb=_load_kb(args),
                                 config=_duplicate_config(args), engine=_engine(args))
-    reports = _per_chart(analyze, packages, args.jobs)
-    index = index_from_packages(packages, args.path)
+    charts, _ = _map_charts(analyze, args)
+    reports = [report for _, report in charts]
+    index = index_from_entries([entry for entry, _ in charts], args.path)
     irregularities = analytics.detect_irregularities(index)
     sets, metrics = analytics.compute_maintainer_sets(index)
     document = report_mod.build_report(
@@ -248,8 +284,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         },
     )
     if args.format == "csv":
-        if not args.out:
-            raise ChartQAError("--format csv needs --out to hold one file per table")
         tables = report_mod.emit_distributions(reports, sets, metrics)
         for name, text in tables.items():
             _emit(text, args.out, f"{name}.csv")
@@ -262,9 +296,8 @@ def cmd_dupes(args: argparse.Namespace) -> int:
     from . import report as report_mod
     from .quality import detect_duplicates
 
-    packages, _ = _load_packages(args)
     detect = functools.partial(detect_duplicates, config=_duplicate_config(args))
-    reports = _per_chart(detect, packages, args.jobs)
+    reports = [report for _, report in _map_charts(detect, args)[0]]
     document = report_mod.build_report(
         subject=args.path,
         sections={"duplicates": [report_mod.duplicate_report_to_mapping(r) for r in reports]},
@@ -276,9 +309,9 @@ def cmd_dupes(args: argparse.Namespace) -> int:
 def cmd_variability(args: argparse.Namespace) -> int:
     from .quality import learn_variability
 
-    packages, _ = _load_packages(args)
     kb = _load_kb(args)
     engine = _engine(args)
+    packages, _ = _load_packages(args)
     learned = {}
     for pkg in packages:
         try:
@@ -298,10 +331,10 @@ def cmd_suggest(args: argparse.Namespace) -> int:
     from .ingest import index_from_packages
     from .quality import detect_duplicates
 
-    packages, _ = _load_packages(args)
     kb = _load_kb(args)
     config = _duplicate_config(args)
     engine = _engine(args)
+    packages, _ = _load_packages(args)
     out = args.out or "."
     duplicate_reports = []
     emitted = []
@@ -491,19 +524,19 @@ def cmd_livecheck(args: argparse.Namespace) -> int:
     from . import analytics, report as report_mod
     from .quality import detect_duplicates
 
-    packages, failures = _load_packages(args)
-    if not packages and failures:
+    detect = functools.partial(detect_duplicates, config=_duplicate_config(args))
+    charts, failures = _map_charts(detect, args)
+    if not charts and failures:
         raise ChartQAError(
             "no parseable chart found: " + "; ".join(f.error for f in failures[:3])
         )
-    if not packages:
+    if not charts:
         raise ChartQAError(f"no chart found under {args.path}")
-    detect = functools.partial(detect_duplicates, config=_duplicate_config(args))
     findings = []
-    for pkg, dup in zip(packages, _per_chart(detect, packages, args.jobs)):
+    for entry, dup in charts:
         chart_findings = [
             {"kind": kind, "detail": analytics.CHART_RULES[kind]}
-            for kind in analytics.chart_irregularities(pkg.ref, pkg.metadata.maintainers)
+            for kind in analytics.chart_irregularities(entry.ref, entry.maintainers)
         ]
         for group in dup.groups:
             chart_findings.append({
@@ -511,7 +544,7 @@ def cmd_livecheck(args: argparse.Namespace) -> int:
                 "detail": f"value {group.canonical_value!r} occurs {group.count} times",
                 "occurrences": list(group.occurrences),
             })
-        findings.append({"chart": pkg.ref.file_name, "findings": chart_findings})
+        findings.append({"chart": entry.ref.file_name, "findings": chart_findings})
     payload = {
         "subject": args.path,
         "charts": findings,

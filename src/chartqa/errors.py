@@ -5,6 +5,10 @@ class ChartQAError(Exception):
     """Base class for all chartqa errors."""
 
 
+class SettingError(ChartQAError, ValueError):
+    """A setting or argument is out of its range (a ValueError too, as it was before)."""
+
+
 # --- chart parsing ---
 
 class MalformedArchive(ChartQAError):

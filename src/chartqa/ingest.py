@@ -19,7 +19,7 @@ import json
 import os
 import shutil
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 import yaml
 
@@ -204,41 +204,59 @@ def _looks_like_chart(entries: set[str]) -> bool:
     return "Chart.yaml" in entries or "values.yaml" in entries or "templates" in entries
 
 
-def ingest_local_dir(path: str) -> tuple[list[ChartPackage], list[IngestFailure]]:
-    """Discover and parse charts anywhere under a directory tree.
+def chart_locations(path: str) -> list[str]:
+    """Where the charts under a directory tree are, relative to it, in walk order.
 
-    Chart locations are unpacked chart directories (anything that carries a
-    Chart.yaml, or looks chart-shaped but is missing one) and ``.tgz``
-    archives. Nothing is fatal; per-chart failures are reported alongside
-    the parsed packages.
+    A location is an unpacked chart directory (anything that carries a
+    Chart.yaml, or looks chart-shaped but is missing one) or a ``.tgz``
+    archive.
     """
     if not os.path.isdir(path):
         raise FetchError(f"not a directory: {path}")
-    packages: list[ChartPackage] = []
-    failures: list[IngestFailure] = []
+    locations = []
     for root, dirs, names in os.walk(path, topdown=True):
         dirs.sort()
         entries = set(names) | set(dirs)
         # the root itself only counts when it is unambiguously a chart
         candidate = "Chart.yaml" in entries if root == path else _looks_like_chart(entries)
         if candidate:
-            location = os.path.relpath(root, path)
-            try:
-                packages.append(package_from_dir(root))
-            except ChartQAError as exc:
-                failures.append(IngestFailure(location, f"{type(exc).__name__}: {exc}"))
+            locations.append(os.path.relpath(root, path))
             # do not descend into templates/ of a discovered chart, but keep
             # walking charts/ so bundled subcharts are discovered too
             dirs[:] = [d for d in dirs if d not in ("templates",)]
-        for name in sorted(names):
-            if name.endswith(".tgz"):
-                full = os.path.join(root, name)
-                location = os.path.relpath(full, path)
-                try:
-                    with open(full, "rb") as fh:
-                        packages.append(parse_chart_archive(fh.read()))
-                except ChartQAError as exc:
-                    failures.append(IngestFailure(location, f"{type(exc).__name__}: {exc}"))
+        locations.extend(os.path.relpath(os.path.join(root, name), path)
+                         for name in sorted(names) if name.endswith(".tgz"))
+    return locations
+
+
+def load_chart(path: str, location: str) -> ChartPackage | IngestFailure:
+    """The chart at ``location`` under ``path``, or why it cannot be read.
+
+    A directory is an unpacked chart, anything else an archive. A chart that
+    is not readable as one (a ``ChartQAError``) gives an IngestFailure.
+    """
+    full = os.path.join(path, location)
+    try:
+        if os.path.isdir(full):
+            return package_from_dir(full)
+        with open(full, "rb") as fh:
+            return parse_chart_archive(fh.read())
+    except ChartQAError as exc:
+        return IngestFailure(location, f"{type(exc).__name__}: {exc}")
+
+
+def ingest_local_dir(path: str) -> tuple[list[ChartPackage], list[IngestFailure]]:
+    """Discover and parse charts anywhere under a directory tree.
+
+    Each of :func:`chart_locations` is read by :func:`load_chart`, in
+    order. Nothing is fatal; per-chart failures are reported alongside the
+    parsed packages.
+    """
+    packages: list[ChartPackage] = []
+    failures: list[IngestFailure] = []
+    for location in chart_locations(path):
+        loaded = load_chart(path, location)
+        (failures if isinstance(loaded, IngestFailure) else packages).append(loaded)
     return packages, failures
 
 
@@ -393,14 +411,20 @@ class SnapshotStore:
         return Snapshot(id=snapshot_id, index=index, content_digests=dict(digests))
 
 
-def index_from_packages(packages: list[ChartPackage], source: str) -> RepoIndex:
-    """Synthesize an index from locally ingested packages (no raw document)."""
-    entries = tuple(
-        IndexEntry(ref=pkg.ref, maintainers=pkg.metadata.maintainers)
-        for pkg in sorted(packages, key=lambda p: p.ref.file_name)
-    )
+def index_entry(pkg: ChartPackage) -> IndexEntry:
+    """The entry an index would list for a locally ingested package."""
+    return IndexEntry(ref=pkg.ref, maintainers=pkg.metadata.maintainers)
+
+
+def index_from_entries(entries: Iterable[IndexEntry], source: str) -> RepoIndex:
+    """Synthesize an index (no raw document) listing ``entries`` by file name."""
     return RepoIndex(
         source=source,
         fetched_at=datetime.datetime.now(datetime.timezone.utc),
-        entries=entries,
+        entries=tuple(sorted(entries, key=lambda entry: entry.ref.file_name)),
     )
+
+
+def index_from_packages(packages: list[ChartPackage], source: str) -> RepoIndex:
+    """Synthesize an index from locally ingested packages (no raw document)."""
+    return index_from_entries(map(index_entry, packages), source)

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Mapping
 
 from . import DEFAULT_BLACKLIST, DEFAULT_THRESHOLD
 from .core import ChartPackage, ChartRef
-from .errors import KnowledgeBaseError, RenderFailed
+from .errors import KnowledgeBaseError, RenderFailed, SettingError
 from .yamlutil import SourceLeaf, sentinel_parse
 
 if TYPE_CHECKING:  # the functions that render import render, so duplicate checks never load it
@@ -199,7 +199,7 @@ class DuplicateConfig:
 
     def __post_init__(self):
         if self.threshold < 2:
-            raise ValueError("duplicate threshold must be at least 2")
+            raise SettingError("duplicate threshold must be at least 2")
 
 
 def detect_duplicates(

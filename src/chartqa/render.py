@@ -314,7 +314,7 @@ def render_chart(
         if known.get(template_path) == text:
             continue
         try:
-            parsed = load_documents(text)
+            parsed = load_documents(text, leaves=False)
         except yaml.YAMLError as exc:
             reason = str(exc).replace("\n", " ")
             failures.append(RenderFailure(template_path, reason, SYNTAX_ERROR))

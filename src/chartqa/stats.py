@@ -17,7 +17,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .errors import AllZeroDifferences
+from .errors import AllZeroDifferences, SettingError
 
 EXACT_ENUMERATION_LIMIT = 12
 PRNG_NAME = "pcg64"
@@ -141,13 +141,13 @@ def resampled_group_test(
     are all zero are skipped and counted.
     """
     if len(n2_values) > len(n1_values):
-        raise ValueError("n2 must not be larger than n1")
+        raise SettingError("n2 must not be larger than n1")
     if not n2_values:
-        raise ValueError("n2 must be non-empty")
+        raise SettingError("n2 must be non-empty")
     if iterations < 1:
-        raise ValueError("iterations must be at least 1")
+        raise SettingError("iterations must be at least 1")
     if seed < 0:
-        raise ValueError("seed must be non-negative")
+        raise SettingError("seed must be non-negative")
 
     import numpy as np  # only this function needs numpy; importing chartqa stays cheap
 

@@ -6,7 +6,10 @@ Flattened key paths use the grammar ``<templatePath>#<docIndex>/a/b[2]/c``:
 ``<docIndex>`` counts the documents of the template that hold a value (an
 empty, comment-only or null document takes no index), mapping keys are
 their ``str()`` forms (``80``, ``True``) joined with ``/``, sequence
-positions append ``[i]``. A template that is not YAML gives no documents.
+positions append ``[i]``. The walk builds the part after ``<docIndex>``
+(``/a/b[2]/c``, empty for a document that is one scalar) as it descends,
+and gives each scalar leaf as (that suffix, node, value). A template that
+is not YAML gives no documents.
 Aliases are expanded, up to a fixed number of nodes per text.
 Keys are used verbatim, so keys containing ``/``, ``#`` or ``[`` are outside
 the grammar (chart keys are conventional identifiers in practice).
@@ -14,16 +17,58 @@ the grammar (chart keys are conventional identifiers in practice).
 
 from __future__ import annotations
 
+import bisect
 import datetime
+import functools
+import math
 import re
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 import yaml
 from yaml.constructor import SafeConstructor
+from yaml.resolver import Resolver
 
-# libyaml's loader where PyYAML was built with it; every parse here composes with it
-_SafeLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# A scalar's tag is cached when its text is at most this long; longer texts
+# are resolved each time, so the cache holds at most _TAG_CACHE_SIZE texts of
+# that length. The texts that repeat are keys and short words, which stay
+# recent; most others occur once. Over half the 100 charts of the seed-7
+# perfbench scan corpus (one of two pool workers' share), `analyze_chart`
+# resolved 67 112 nodes, and 1024 entries gave 55 614 hits where an unbounded
+# cache gives 55 671.
+_CACHED_TEXT = 128
+_TAG_CACHE_SIZE = 1 << 10
+
+
+class _SafeLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """libyaml's safe loader (where PyYAML was built with it) with a bounded
+    cache of node tags; every parse here composes with it.
+
+    PyYAML resolves tags in Python once per node. With no path resolver
+    registered (``yaml_path_resolvers`` is empty, which a test pins), a
+    node's tag depends only on its kind, text and implicitness, so tags are
+    cached on those and the path-resolver bookkeeping around each node does
+    nothing.
+    """
+
+    def resolve(self, kind, value, implicit):
+        if value is not None and len(value) > _CACHED_TEXT:
+            return super().resolve(kind, value, implicit)
+        return _cached_tag(kind, value, implicit)
+
+    def descend_resolver(self, current_node, current_index):
+        pass
+
+    def ascend_resolver(self):
+        pass
+
+
+@functools.lru_cache(maxsize=_TAG_CACHE_SIZE)
+def _cached_tag(kind: type, value: str | None, implicit: Any) -> str:
+    # without path resolvers resolve reads only class attributes, so the
+    # class serves as the loader
+    return Resolver.resolve(_SafeLoader, kind, value, implicit)
+
 
 # Any Go-template action block, possibly spanning lines.
 DIRECTIVE_RE = re.compile(r"\{\{.*?\}\}", re.DOTALL)
@@ -59,13 +104,14 @@ def _reject(problem: str, node: yaml.Node) -> None:
 
 
 class _Walk:
-    """Builds the bodies of one text's documents and collects their scalar leaves."""
+    """Builds the bodies of one text's documents and, where asked, collects their scalar leaves."""
 
     def __init__(self, literal: bool = False):
         self.constructor = SafeConstructor()
         self.literal = literal
         self.nodes = 0
         self.open: set[yaml.Node] = set()  # collection nodes on the current path
+        self.leaves: list | None = None  # (key path suffix, node, value) of each scalar
 
     def scalar(self, node: yaml.Node) -> Any:
         if node.tag == _STR_TAG or self.literal and node.tag in _LITERAL_TAGS:
@@ -74,14 +120,16 @@ class _Walk:
         return build(self.constructor, node) if build else \
             self.constructor.construct_object(node, deep=True)
 
-    def build(self, node: yaml.Node, segs: tuple, leaves: list) -> Any:
-        """Body of ``node``; appends each scalar leaf as (segments, node, value)."""
+    def build(self, node: yaml.Node, path: str) -> Any:
+        """Body of ``node``, whose key path suffix is ``path``; appends each
+        scalar leaf to ``self.leaves`` unless that is None."""
         self.nodes += 1
         if self.nodes > _MAX_NODES:
             _reject(f"expands to more than {_MAX_NODES} nodes", node)
         if isinstance(node, yaml.ScalarNode):
             value = self.scalar(node)
-            leaves.append((segs, node, value))
+            if self.leaves is not None:
+                self.leaves.append((path, node, value))
             return value
         if node in self.open:
             _reject("recursive alias", node)
@@ -89,8 +137,7 @@ class _Walk:
             _reject(f"nested deeper than {_MAX_DEPTH} levels", node)
         self.open.add(node)
         if isinstance(node, yaml.SequenceNode):
-            body: Any = [self.build(item, segs + (("idx", i),), leaves)
-                         for i, item in enumerate(node.value)]
+            body: Any = [self.build(item, f"{path}[{i}]") for i, item in enumerate(node.value)]
         else:
             body = {}
             for key_node, value_node in node.value:
@@ -99,14 +146,16 @@ class _Walk:
                 key = str(self.scalar(key_node))
                 if key in body:
                     _reject(f"duplicate mapping key {key!r}", key_node)
-                body[key] = self.build(value_node, segs + (("key", key),), leaves)
+                body[key] = self.build(value_node, f"{path}/{key}")
         self.open.discard(node)
         return body
 
 
-def load_documents(text: str) -> list[tuple[Any, list]]:
+def load_documents(text: str, leaves: bool = True) -> list[tuple[Any, list]]:
     """(body, scalar leaves) of each document of ``text`` that holds a value, in ``#N`` order.
 
+    Each leaf is (key path suffix, node, value) in depth-first order, the
+    suffix as in ``/a/b[2]``; with ``leaves`` false every leaf list is empty.
     Raises ``yaml.YAMLError`` for text that is not YAML, a duplicate or
     non-scalar key, a recursive alias, or a walk past ``_MAX_DEPTH`` or ``_MAX_NODES``.
     """
@@ -114,8 +163,8 @@ def load_documents(text: str) -> list[tuple[Any, list]]:
     documents = []
     for node in yaml.compose_all(text, Loader=_SafeLoader):
         if node.tag != _NULL_TAG:
-            leaves: list = []
-            documents.append((walk.build(node, (), leaves), leaves))
+            walk.leaves = [] if leaves else None
+            documents.append((walk.build(node, ""), walk.leaves or []))
     return documents
 
 
@@ -123,7 +172,7 @@ def load_unique(text: str, literal: bool = False) -> Any:
     """The single document of ``text``, built by the rules of :func:`load_documents`;
     ``literal`` keeps int, float, bool and timestamp scalars as their written text."""
     node = yaml.compose(text, Loader=_SafeLoader)
-    return None if node is None else _Walk(literal).build(node, (), [])
+    return None if node is None else _Walk(literal).build(node, "")
 
 
 class _LiteralLoader(_SafeLoader):
@@ -242,8 +291,7 @@ def set_at(tree: Any, segments: tuple, value: Any) -> bool:
 
 # --- sentinel parsing of template sources ---
 
-@dataclass(frozen=True)
-class SourceLeaf:
+class SourceLeaf(NamedTuple):
     """One scalar leaf of a sentinel-parsed template document.
 
     ``span`` addresses the scalar in the original template source (for
@@ -299,8 +347,12 @@ def substitute_directives(source: str) -> tuple[str, list[tuple[int, int, int]]]
 def _map_span(segments: list[tuple[int, int, int]], node: yaml.Node) -> tuple[int, int] | None:
     """Map a node's substituted-text span back to the source, or None if it crosses a sentinel."""
     start, end = node.start_mark.index, node.end_mark.index
-    for out_start, orig_start, length in segments:
-        if out_start <= start and end <= out_start + length:
+    # the segments are disjoint and in order: only the last one starting at or
+    # before ``start`` can hold the span
+    i = bisect.bisect_right(segments, (start, math.inf)) - 1
+    if i >= 0:
+        out_start, orig_start, length = segments[i]
+        if end <= out_start + length:
             delta = orig_start - out_start
             return start + delta, end + delta
     return None
@@ -321,11 +373,12 @@ def sentinel_parse(template_path: str, source: str) -> SentinelParse:
     leaves = []
     seen: set[yaml.Node] = set()
     for doc_index, (_, doc_leaves) in enumerate(documents):
-        for segs, node, raw in doc_leaves:
-            value = canon(raw)
+        prefix = f"{template_path}#{doc_index}"
+        for suffix, node, raw in doc_leaves:
+            value = raw if type(raw) is str else canon(raw)
             templated = SENTINEL_PREFIX in value
             span = None if templated else _map_span(segment_table, node)
-            leaves.append(SourceLeaf(build_path(template_path, doc_index, segs), value,
-                                     node.style or None, span, templated, node in seen))
+            leaves.append(SourceLeaf(prefix + suffix, value, node.style or None, span,
+                                     templated, node in seen))
             seen.add(node)
     return SentinelParse(template_path, leaves)

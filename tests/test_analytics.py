@@ -18,6 +18,7 @@ from chartqa.analytics import (
     period_metrics,
 )
 from chartqa.core import ChartRef, Maintainer
+from chartqa.errors import SettingError
 from chartqa.ingest import IndexEntry, RepoIndex, Snapshot
 
 UTC = datetime.timezone.utc
@@ -284,6 +285,17 @@ def test_change_histories_flags():
 
 
 # --- period metrics ---
+
+@pytest.mark.parametrize("start, end, message", [
+    ("2018-05-15", "2018-07-01", "unknown snapshot id"),
+    ("2018-06-14", "2018-05-15", "end must come after start"),
+])
+def test_period_range_checks_are_setting_errors(start, end, message):
+    snaps = [make_snapshot(day, [("a", "1.0.0", [])], {"a-1.0.0.tgz": "d1"})
+             for day in ("2018-05-15", "2018-06-14")]
+    with pytest.raises(SettingError, match=message):
+        period_metrics(snaps, [("p", start, end)], adjacent_changes(snaps))
+
 
 def test_period_metrics_synthetic_hand_computed():
     day0 = [("a", "1.0.0", []), ("b", "1.0.0", [])]

@@ -12,7 +12,7 @@ import sys
 import pytest
 import yaml
 
-from chartqa import analytics, cli, quality
+from chartqa import analytics, cli, ingest, quality
 from chartqa.cli import cli_dispatch
 from chartqa.errors import EngineUnavailable
 from chartqa.ingest import SnapshotStore, parse_repo_index, sha256_digest
@@ -177,7 +177,7 @@ def test_stats_without_config_loads_no_yaml_render_or_quality(tmp_path):
     assert not loaded & {"yaml", "chartqa.render", "chartqa.quality"}
 
 
-def test_per_chart_spawned_workers_match_serial(monkeypatch, two_cpu_pool):
+def test_per_chart_spawned_workers_match_serial(tmp_path, monkeypatch, two_cpu_pool):
     import multiprocessing
 
     methods = []
@@ -188,7 +188,16 @@ def test_per_chart_spawned_workers_match_serial(monkeypatch, two_cpu_pool):
     packages = [make_package(name=f"c{i}", templates=DUPE_TEMPLATES) for i in range(4)]
     detect = functools.partial(detect_duplicates, config=DuplicateConfig(threshold=2))
     assert cli._per_chart(detect, packages, 2) == [detect(pkg) for pkg in packages]
-    assert methods == ["spawn"]
+    # the per-chart commands' form: each worker reads its charts, one of which is corrupt
+    for i in range(3):
+        write_chart_dir(tmp_path, f"c{i}", chart_files(name=f"c{i}", templates=DUPE_TEMPLATES))
+    (tmp_path / "corrupt-0.1.0.tgz").write_bytes(b"not a gzipped tar")
+    locations = ingest.chart_locations(str(tmp_path))
+    load_detect = functools.partial(cli._load_then, detect, str(tmp_path))
+    results = cli._per_chart(load_detect, locations, 2)
+    assert results == [load_detect(location) for location in locations]
+    assert [type(result).__name__ for result in results] == ["IngestFailure"] + ["tuple"] * 3
+    assert methods == ["spawn", "spawn"]
 
 
 def test_per_chart_on_one_cpu_runs_here_without_multiprocessing(monkeypatch):
@@ -203,6 +212,48 @@ def test_per_chart_on_one_cpu_runs_here_without_multiprocessing(monkeypatch):
     assert seen == charts
     assert "multiprocessing" not in sys.modules
     assert "concurrent.futures.process" not in sys.modules
+
+
+def _mixed_tree(root) -> None:
+    """Archives, chart directories, a corrupt archive, a chart-shaped directory
+    without Chart.yaml, and two charts that share the file name web-1.0.0.tgz."""
+    for name in ("api", "db"):
+        write_chart_dir(root, name, chart_files(name=name, values={"app": "x"},
+                                                templates=DUPE_TEMPLATES, maintainers=MAINTAINED))
+    (root / "web-1.0.0.tgz").write_bytes(make_archive(chart_files(
+        values={"app": "x"}, templates=CLEAN_TEMPLATES, maintainers=MAINTAINED)))
+    (root / "cache-2.0.0.tgz").write_bytes(make_archive(chart_files(
+        name="cache", version="2.0.0", values={}, templates=DUPE_TEMPLATES), "cache"))
+    write_chart_dir(root, "headless", {"values.yaml": "a: 1\n"})
+    (root / "nested").mkdir()
+    (root / "nested" / "broken-0.1.0.tgz").write_bytes(b"not a gzipped tar")
+    write_chart_dir(root / "nested", "web", chart_files(values={}, templates=DUPE_TEMPLATES))
+
+
+@pytest.mark.parametrize("argv", [["livecheck"], ["dupes"], ["analyze", "--jobs", "2"]])
+def test_workers_reading_their_charts_match_a_serial_run(tmp_path, monkeypatch, two_cpu_pool,
+                                                        caplog, capsys, argv):
+    import multiprocessing
+
+    _mixed_tree(tmp_path / "charts")
+    argv = [*argv, "--path", str(tmp_path / "charts")]
+    methods = []
+    get_context = multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: methods.append(method) or get_context(method))
+    runs = []
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        caplog.clear()
+        assert cli_dispatch(argv) == 1
+        payload = json.loads(capsys.readouterr().out)
+        payload.pop("generated_at", None)
+        skipped = [record.getMessage().split(":")[0] for record in caplog.records
+                   if "skipping" in record.getMessage()]
+        runs.append((payload, skipped))
+    assert len(methods) == 1  # the first run started a pool, the second ran here
+    assert runs[0] == runs[1]
+    assert runs[0][1] == ["skipping headless", "skipping nested/broken-0.1.0.tgz"]
 
 
 def _renderer_missing(pkg, config=None):
@@ -221,6 +272,27 @@ def test_per_chart_worker_error_exits_two(tmp_path, monkeypatch, two_cpu_pool, c
     assert cli_dispatch([command, "--path", str(tmp_path / "charts")]) == 2
     assert "external renderer binary not found" in caplog.text
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dupes", "--threshold", "1"], "duplicate threshold must be at least 2"),
+    (["livecheck", "--threshold", "1"], "duplicate threshold must be at least 2"),
+    (["analyze", "--threshold", "1"], "duplicate threshold must be at least 2"),
+    (["analyze", "--format", "csv"], "--format csv needs --out"),
+    (["suggest", "--threshold", "1"], "duplicate threshold must be at least 2"),
+    (["variability", "--kb", "{kb}"], "want a JSON object of string values"),
+    (["suggest", "--kb", "{kb}"], "want a JSON object of string values"),
+])
+def test_bad_setting_exits_two_before_any_chart_is_read(tmp_path, monkeypatch, caplog, argv,
+                                                        message):
+    _mixed_tree(tmp_path / "charts")
+    (tmp_path / "kb.json").write_text("[]")
+    loads = count_calls(monkeypatch, "load_chart", ingest)
+    argv = [arg.format(kb=tmp_path / "kb.json") for arg in argv]
+    assert cli_dispatch([*argv, "--path", str(tmp_path / "charts")]) == 2
+    assert message in caplog.text
+    assert "skipping" not in caplog.text
+    assert loads == []
 
 
 def test_analyze_findings_exit_code(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 import yaml
 
 from chartqa import quality, render
-from chartqa.errors import KnowledgeBaseError, RenderFailed
+from chartqa.errors import KnowledgeBaseError, RenderFailed, SettingError
 from chartqa.quality import (
     DEFAULT_BLACKLIST,
     DuplicateConfig,
@@ -398,3 +398,8 @@ def test_analyze_chart_reports_overrides_and_learned_keys_without_writing_them()
     # the stale entry names no rendered leaf, so it is not counted
     assert report.variable_key_paths == ("templates/t.yaml#0/pw", "templates/t.yaml#0/tok")
     assert report.variable_value_count == 2
+
+
+def test_threshold_below_two_is_a_setting_error():
+    with pytest.raises(SettingError, match="duplicate threshold must be at least 2"):
+        DuplicateConfig(threshold=1)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chartqa.errors import AllZeroDifferences
+from chartqa.errors import AllZeroDifferences, SettingError
 from chartqa.stats import _midranks, _sign_sum_counts, resampled_group_test, wilcoxon_signed_rank
 
 
@@ -205,3 +205,14 @@ def test_resampled_validation():
         resampled_group_test([1, 2, 3], [1], iterations=1, seed=-1)
     with pytest.raises(AllZeroDifferences):
         resampled_group_test([5, 5, 5], [5, 5], iterations=3, seed=0)
+
+
+@pytest.mark.parametrize("n1, n2, iterations, seed, message", [
+    ([1, 2], [1, 2, 3], 10, 0, "n2 must not be larger than n1"),
+    ([1, 2], [], 10, 0, "n2 must be non-empty"),
+    ([1, 2, 3], [1], 0, 0, "iterations must be at least 1"),
+    ([1, 2, 3], [1], 1, -1, "seed must be non-negative"),
+])
+def test_resampling_range_checks_are_setting_errors(n1, n2, iterations, seed, message):
+    with pytest.raises(SettingError, match=message):
+        resampled_group_test(n1, n2, iterations=iterations, seed=seed)

@@ -2,6 +2,7 @@
 
 import contextlib
 import datetime
+import json
 import signal
 
 import pytest
@@ -13,7 +14,9 @@ from yaml.constructor import SafeConstructor
 from chartqa.core import package_from_files
 from chartqa.errors import MetadataParseError
 from chartqa.render import flatten_documents, render_chart
-from chartqa.yamlutil import _SafeLoader, build_path, load_documents, parse_path, sentinel_parse
+from chartqa.yamlutil import (
+    _LiteralLoader, _SafeLoader, build_path, load_documents, parse_path, sentinel_parse,
+)
 
 from conftest import chart_files, make_package
 
@@ -31,9 +34,7 @@ def test_alias_expands_into_its_own_copy():
     ((body, leaves),) = load_documents("a: &x {b: 1}\nc: *x\n")
     assert body == {"a": {"b": 1}, "c": {"b": 1}}
     assert body["a"] is not body["c"]
-    assert [(segs, value) for segs, _node, value in leaves] == [
-        ((("key", "a"), ("key", "b")), 1), ((("key", "c"), ("key", "b")), 1),
-    ]
+    assert [(path, value) for path, _node, value in leaves] == [("/a/b", 1), ("/c/b", 1)]
 
 
 @pytest.mark.parametrize("text, problem", [
@@ -146,6 +147,10 @@ def test_parse_path_inverts_build_path(template_path, doc_index, segments):
 
 # --- the walk builds what SafeConstructor builds ---
 
+# PyYAML's own loader, without the cached resolver
+STOCK_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def constructed_documents(text: str) -> list:
     """load_documents' result when every scalar and key goes through SafeConstructor."""
     constructor = SafeConstructor()
@@ -153,7 +158,7 @@ def constructed_documents(text: str) -> list:
     def build(node, segs, leaves):
         if isinstance(node, yaml.ScalarNode):
             value = constructor.construct_object(node, deep=True)
-            leaves.append((segs, node, value))
+            leaves.append((build_path("", 0, segs)[len("#0"):], node, value))
             return value
         if isinstance(node, yaml.SequenceNode):
             return [build(item, segs + (("idx", i),), leaves) for i, item in enumerate(node.value)]
@@ -164,7 +169,7 @@ def constructed_documents(text: str) -> list:
         return body
 
     documents = []
-    for node in yaml.compose_all(text, Loader=_SafeLoader):
+    for node in yaml.compose_all(text, Loader=STOCK_LOADER):
         if node.tag != "tag:yaml.org,2002:null":
             leaves: list = []
             documents.append((build(node, (), leaves), leaves))
@@ -181,8 +186,8 @@ def typed(value):
 
 
 def typed_documents(documents) -> list:
-    return [(typed(body), [(segs, node.start_mark.index, typed(value))
-                           for segs, node, value in leaves])
+    return [(typed(body), [(path, node.start_mark.index, typed(value))
+                           for path, node, value in leaves])
             for body, leaves in documents]
 
 
@@ -207,3 +212,77 @@ def test_walk_builds_what_the_constructor_builds(trees, style):
     assume(not any(isinstance(event, yaml.AliasEvent)
                    for event in yaml.parse(text, Loader=_SafeLoader)))
     assert typed_documents(load_documents(text)) == typed_documents(constructed_documents(text))
+
+
+# --- the loaders resolve tags as stock PyYAML does ---
+
+class _StockLiteralLoader(STOCK_LOADER):
+    """Stock libyaml loading with the literal reading's constructors."""
+
+    yaml_constructors = {
+        **STOCK_LOADER.yaml_constructors,
+        **{f"tag:yaml.org,2002:{tag}": SafeConstructor.construct_yaml_str
+           for tag in ("int", "float", "bool", "timestamp")},
+    }
+
+
+def node_tags(node):
+    if node is None:  # the text holds no document
+        return None
+    if isinstance(node, yaml.ScalarNode):
+        return node.tag, node.value, node.style
+    if isinstance(node, yaml.SequenceNode):
+        return node.tag, [node_tags(item) for item in node.value]
+    return node.tag, [(node_tags(key), node_tags(value)) for key, value in node.value]
+
+
+def loaded(text: str, loader):
+    """The tags of ``text``'s nodes and the value ``loader`` builds, each scalar
+    with its type (``repr``, so that ``.nan`` equals itself), or the error raised."""
+    def spelt(value):
+        if isinstance(value, dict):
+            return [(spelt(key), spelt(item)) for key, item in value.items()]
+        if isinstance(value, list):
+            return [spelt(item) for item in value]
+        return type(value).__name__, repr(value)
+
+    try:
+        return node_tags(yaml.compose(text, Loader=loader)), spelt(yaml.load(text, Loader=loader))
+    except yaml.YAMLError as exc:
+        return type(exc).__name__, str(exc)
+
+
+SCALAR_TEXTS = st.one_of(
+    st.sampled_from([
+        "1.10", "0o7", "0x1F", "0b101", "1_000", "+12", "-0", "1e3", "6.8523015e+5",
+        "190:20:30", "~", "null", "Null", "", ".inf", "-.Inf", ".NaN", "yes", "No", "on",
+        "OFF", "y", "true", "FALSE", "2001-12-14", "2001-12-14t21:59:43.10-05:00", "=",
+        "<<", "1" * 200, "1.5" + "0" * 200,
+    ]),
+    st.text("0123456789.+-_:eExXoObB~nNuUlLtTrRfFaAsSyY ", max_size=8),
+    st.text(max_size=6),
+)
+SCALAR_FORMS = st.sampled_from([
+    lambda text: text,
+    lambda text: "'" + text.replace("'", "''") + "'",
+    json.dumps,
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(SCALAR_TEXTS, SCALAR_FORMS)
+def test_loaders_resolve_and_build_scalars_as_stock_pyyaml(text, form):
+    scalar = form(text)
+    for document in (f"v: {scalar}\n", f"{scalar}: v\n", f"- {scalar}\n- [{scalar}]\n"):
+        for loader, stock in ((_SafeLoader, STOCK_LOADER),
+                              (_LiteralLoader, _StockLiteralLoader)):
+            expected = loaded(document, stock)
+            # twice: the second parse takes the cached tags
+            assert loaded(document, loader) == expected
+            assert loaded(document, loader) == expected
+
+
+def test_loaders_register_no_path_resolver():
+    # the cached tags and the no-op path-resolver hooks are right only while this holds
+    assert _SafeLoader.yaml_path_resolvers == {}
+    assert _LiteralLoader.yaml_path_resolvers == {}
