@@ -23,7 +23,6 @@ from . import DEFAULT_BLACKLIST, DEFAULT_THRESHOLD
 from .errors import ChartQAError, RenderFailed
 
 if TYPE_CHECKING:
-    from .core import ChartPackage
     from .ingest import IndexEntry, IngestFailure, RepoIndex
     from .quality import DuplicateConfig, VariabilityKnowledgeBase
 
@@ -147,15 +146,6 @@ def _warn_skipped(failures: list[IngestFailure]) -> None:
         log.warning("skipping %s: %s", failure.location, failure.error)
 
 
-def _load_packages(args: argparse.Namespace) -> tuple[list[ChartPackage], list]:
-    """Packages under --path sorted by file name, and the charts that failed to parse."""
-    from .ingest import ingest_local_dir
-
-    packages, failures = ingest_local_dir(args.path)
-    _warn_skipped(failures)
-    return sorted(packages, key=lambda p: p.ref.file_name), failures
-
-
 def _load_then(fn, root: str, location: str):
     """(index entry, ``fn`` of the chart) for the chart at ``location`` under
     ``root``, or the IngestFailure of a chart that cannot be read."""
@@ -182,15 +172,19 @@ def _map_charts(fn, args: argparse.Namespace) -> tuple[list[tuple[IndexEntry, An
     return sorted(charts, key=lambda chart: chart[0].ref.file_name), failures
 
 
+def _no_result(pkg) -> None:
+    """The per-chart function of a command that needs only each chart's index entry."""
+
+
 def _load_index(args: argparse.Namespace) -> RepoIndex:
-    from .ingest import fetch_archive, index_from_packages, parse_repo_index
+    from .ingest import fetch_archive, index_from_entries, parse_repo_index
 
     if args.index:
         return parse_repo_index(fetch_archive(args.index), args.index)
     if not args.path:
         raise ChartQAError("this command needs --index or --path")
-    packages, _ = _load_packages(args)
-    return index_from_packages(packages, args.path)
+    return index_from_entries([entry for entry, _ in _map_charts(_no_result, args)[0]],
+                              args.path)
 
 
 def _load_kb(args: argparse.Namespace) -> VariabilityKnowledgeBase:
@@ -217,18 +211,20 @@ MIN_CHARTS_PER_WORKER = 10
 def _per_chart(fn, charts, jobs: int) -> list:
     """``fn`` applied to each chart, results in input order.
 
-    ``fn`` is a pure per-chart function; the per-chart commands pass
-    ``_load_then`` bound to ``detect_duplicates`` or ``analyze_chart`` and
-    the tree, and the charts are their locations, so each worker reads its
-    own charts and only locations go out and index entries and results
-    come back. The charts go to ``min(jobs, CPUs, charts //
-    MIN_CHARTS_PER_WORKER)`` worker processes; with one worker or fewer they
-    are handled here, in order. Reading, rendering and parsing hold the GIL,
-    so threads would only take turns. Workers are forked where the platform
-    can fork, so none imports chartqa before its first chart (the CLI starts
-    no threads that a fork could break), and spawned elsewhere. ``fn``
-    travels with each chunk of charts, nothing is kept in worker globals,
-    and an exception raised in a worker is raised again here.
+    ``fn`` is a pure per-chart function; every command that reads --path
+    passes ``_load_then`` bound to the tree and to its own per-chart
+    function (``detect_duplicates``, ``analyze_chart``, ``variable_values``,
+    ``suggest_rewrite`` or ``_no_result``), and the charts are their
+    locations, so each worker reads its own charts and only locations go
+    out and index entries and results come back. The charts go to
+    ``min(jobs, CPUs, charts // MIN_CHARTS_PER_WORKER)`` worker processes;
+    with one worker or fewer they are handled here, in order. Reading,
+    rendering and parsing hold the GIL, so threads would only take turns.
+    Workers are forked where the platform can fork, so none imports chartqa
+    before its first chart (the CLI starts no threads that a fork could
+    break), and spawned elsewhere. ``fn`` travels with each chunk of charts,
+    nothing is kept in worker globals, and an exception raised in a worker
+    is raised again here.
     """
     workers = min(jobs, _cpus(), len(charts) // MIN_CHARTS_PER_WORKER)
     if workers <= 1:
@@ -307,19 +303,17 @@ def cmd_dupes(args: argparse.Namespace) -> int:
 
 
 def cmd_variability(args: argparse.Namespace) -> int:
-    from .quality import learn_variability
+    from .quality import variable_values
 
     kb = _load_kb(args)
-    engine = _engine(args)
-    packages, _ = _load_packages(args)
+    probe = functools.partial(variable_values, kb=kb, engine=_engine(args))
     learned = {}
-    for pkg in packages:
-        try:
-            _, new_paths = learn_variability(pkg, kb, engine)
-        except RenderFailed as exc:
-            log.warning("skipping %s: %s", pkg.ref.file_name, exc)
-            continue
-        learned[pkg.ref.file_name] = new_paths
+    # every chart was probed against the knowledge base as loaded; see kb.merge
+    for entry, values in _map_charts(probe, args)[0]:
+        if isinstance(values, RenderFailed):
+            log.warning("skipping %s: %s", entry.ref.file_name, values)
+        else:
+            learned[entry.ref.file_name] = kb.merge(entry.ref.stem, values)
     if args.kb:
         kb.save(args.kb)
     _emit_json({"learned": learned, "kb_entries": len(kb)}, args.out, "variability.json")
@@ -328,47 +322,29 @@ def cmd_variability(args: argparse.Namespace) -> int:
 
 def cmd_suggest(args: argparse.Namespace) -> int:
     from . import analytics, rewrite
-    from .ingest import index_from_packages
-    from .quality import detect_duplicates
+    from .ingest import index_from_entries
 
-    kb = _load_kb(args)
-    config = _duplicate_config(args)
-    engine = _engine(args)
-    packages, _ = _load_packages(args)
+    suggest = functools.partial(rewrite.suggest_rewrite, kb=_load_kb(args),
+                                config=_duplicate_config(args), engine=_engine(args))
+    charts, _ = _map_charts(suggest, args)
     out = args.out or "."
-    duplicate_reports = []
     emitted = []
-    for pkg in packages:
-        dup = detect_duplicates(pkg, config)
-        duplicate_reports.append(dup)
-        if dup.is_empty:
+    for entry, (_, warnings, rewritten) in charts:
+        for warning in warnings:
+            log.warning("%s", warning)
+        if rewritten is None:
             continue
-        try:
-            plan = rewrite.plan_rewrite(pkg, dup)
-        except (ChartQAError, ValueError) as exc:
-            log.warning("%s: cannot plan rewrite: %s", pkg.metadata.name, exc)
-            continue
-        if not plan.assignments:
-            log.warning("%s: every duplicate group failed span location", pkg.metadata.name)
-            continue
-        if not rewrite.verify_rewrite(pkg, plan, kb, engine):
-            log.warning("%s: rewrite failed verification, diff suppressed", pkg.metadata.name)
-            continue
-        diff_text = rewrite.emit_diff(pkg, plan)
+        diff_text, variables = rewritten
         diff_dir = os.path.join(out, "diffs")
         os.makedirs(diff_dir, exist_ok=True)
-        diff_path = os.path.join(diff_dir, f"{pkg.ref.file_name}.patch")
+        diff_path = os.path.join(diff_dir, f"{entry.ref.file_name}.patch")
         with open(diff_path, "w", encoding="utf-8") as fh:
             fh.write(diff_text)
-        emitted.append({
-            "chart": pkg.ref.file_name,
-            "variables": len(plan.assignments),
-            "diff": diff_path,
-        })
-    index = index_from_packages(packages, args.path)
+        emitted.append({"chart": entry.ref.file_name, "variables": variables, "diff": diff_path})
+    index = index_from_entries([entry for entry, _ in charts], args.path)
     irregularities = analytics.detect_irregularities(index)
     batch = rewrite.build_issue_digests(
-        irregularities, duplicate_reports, index, args.base_url
+        irregularities, [report for _, (report, _, _) in charts], index, args.base_url
     )
     outbox = rewrite.write_outbox(batch, os.path.join(out, "outbox"))
     _emit_json({

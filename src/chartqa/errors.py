@@ -73,6 +73,11 @@ class EmptyReport(ChartQAError):
     """Rewrite planning needs a non-empty duplicate report."""
 
 
+class SuggestionsDefined(ChartQAError, ValueError):
+    """values.yaml already holds the ``suggestions`` block a rewrite would add
+    (a ValueError too, as it was before)."""
+
+
 class KnowledgeBaseError(ChartQAError):
     """Variability knowledge-base file is not a JSON object of string values."""
 

@@ -423,8 +423,3 @@ def index_from_entries(entries: Iterable[IndexEntry], source: str) -> RepoIndex:
         fetched_at=datetime.datetime.now(datetime.timezone.utc),
         entries=tuple(sorted(entries, key=lambda entry: entry.ref.file_name)),
     )
-
-
-def index_from_packages(packages: list[ChartPackage], source: str) -> RepoIndex:
-    """Synthesize an index from locally ingested packages (no raw document)."""
-    return index_from_entries(map(index_entry, packages), source)

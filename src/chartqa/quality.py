@@ -29,9 +29,10 @@ class VariabilityKnowledgeBase:
     """Learned override values that make renders deterministic.
 
     Entries are keyed by (chart stem, rendered key path); an existing entry
-    is never replaced, and ``learn_variability`` is the only analysis that
-    adds entries. Persisted as a single JSON mapping
-    ``"<stem>|<key_path>" -> override`` written atomically.
+    is never replaced, and ``merge`` (the knowledge-base half of
+    ``learn_variability``) is the only analysis that adds entries.
+    Persisted as a single JSON mapping ``"<stem>|<key_path>" -> override``
+    written atomically.
     """
 
     def __init__(self):
@@ -54,6 +55,19 @@ class VariabilityKnowledgeBase:
             return False
         self.entries[key] = value
         return True
+
+    def merge(self, stem: str, learned: Mapping[str, str]) -> list[str]:
+        """Learn each of ``learned`` that ``stem`` has no entry for; returns
+        those key paths, sorted.
+
+        An override pins only its own leaf, so a probe made against an
+        earlier state of this knowledge base learns what one made against
+        this state would, plus the stem's key paths learned since. Merging,
+        in order, what charts learned against one state therefore gives
+        what learning them one after another would.
+        """
+        return sorted(key_path for key_path, value in learned.items()
+                      if self.learn(stem, key_path, value))
 
     @classmethod
     def load(cls, path: str) -> "VariabilityKnowledgeBase":
@@ -100,7 +114,7 @@ def probe_variability(
     Those values are pinned onto the first render, so it is the stabilized
     render of the chart without a third pass. Returns that render, with its
     failures, and the learned ``{key path: value}``, which only
-    ``learn_variability`` stores in a knowledge base.
+    ``VariabilityKnowledgeBase.merge`` stores in a knowledge base.
 
     The second render is made against the first, so only templates whose
     rendered text differs are parsed and compared: equal text gives equal
@@ -119,13 +133,27 @@ def probe_variability(
     return first, learned
 
 
-def _require_rendered(pkg: ChartPackage, result: RenderResult) -> None:
-    """Raise RenderFailed when the chart has templates and every one failed."""
+def _render_failed(pkg: ChartPackage, result: RenderResult) -> RenderFailed | None:
+    """The RenderFailed of a chart that has templates and whose every one failed."""
     if not result.documents and result.failures and pkg.templates:
-        raise RenderFailed(
+        return RenderFailed(
             f"{pkg.metadata.name}: every template failed: "
             + "; ".join(f.reason for f in result.failures[:3])
         )
+    return None
+
+
+def variable_values(
+    pkg: ChartPackage,
+    kb: VariabilityKnowledgeBase,
+    engine: Renderer | None = None,
+) -> dict[str, str] | RenderFailed:
+    """What a probe of the chart with its stem's overrides in ``kb`` learns,
+    ``{key path: value}``, or the RenderFailed of a chart whose every
+    template failed. ``kb`` is only read; ``kb.merge`` stores the result.
+    """
+    result, learned = probe_variability(pkg, kb.overrides_for(pkg.stem), engine)
+    return _render_failed(pkg, result) or learned
 
 
 def learn_variability(
@@ -139,11 +167,10 @@ def learn_variability(
     the knowledge base and the newly learned key paths; raises RenderFailed
     when every template of the chart failed.
     """
-    result, learned = probe_variability(pkg, kb.overrides_for(pkg.stem), engine)
-    _require_rendered(pkg, result)
-    for key_path, value in learned.items():
-        kb.learn(pkg.stem, key_path, value)
-    return kb, sorted(learned)
+    learned = variable_values(pkg, kb, engine)
+    if isinstance(learned, RenderFailed):
+        raise learned
+    return kb, kb.merge(pkg.stem, learned)
 
 
 def stabilize_render(
@@ -156,7 +183,9 @@ def stabilize_render(
 
     engine = engine or BuiltinEngine()
     result = render_chart(pkg, kb.overrides_for(pkg.stem), engine)
-    _require_rendered(pkg, result)
+    failure = _render_failed(pkg, result)
+    if failure:
+        raise failure
     return result
 
 

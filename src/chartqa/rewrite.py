@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import copy
 import difflib
-import logging
 import os
 import re
 from dataclasses import dataclass
@@ -21,13 +20,12 @@ import yaml
 
 from .analytics import CHART_RULES, IrregularityReport
 from .core import ChartPackage, ChartRef
-from .errors import EmptyReport, SpanLocationFailed
+from .errors import ChartQAError, EmptyReport, SpanLocationFailed, SuggestionsDefined
 from .ingest import RepoIndex
-from .quality import DuplicateReport, VariabilityKnowledgeBase, probe_variability
+from .quality import (DuplicateConfig, DuplicateReport, VariabilityKnowledgeBase,
+                      detect_duplicates, probe_variability)
 from .render import Renderer, render_chart
 from .yamlutil import SourceLeaf, sentinel_parse
-
-log = logging.getLogger(__name__)
 
 UNADDRESSABLE = "unaddressable"
 SUBJECT_PREFIX = "chartqa"
@@ -78,15 +76,16 @@ def plan_rewrite(pkg: ChartPackage, report: DuplicateReport) -> RewritePlan:
 
     Groups are processed in descending count order (ties by value); each
     successfully located group takes the next consecutive varN. Groups
-    whose occurrences cannot all be located as source literals are skipped
-    with a warning rather than aborting the plan.
+    whose occurrences cannot all be located as source literals are skipped,
+    each listed with its reason in ``skipped_groups``, rather than aborting
+    the plan.
     """
     if report.chart != pkg.ref:
         raise ValueError("duplicate report does not belong to this package")
     if report.is_empty:
         raise EmptyReport(f"{pkg.metadata.name}: no duplicate groups to rewrite")
     if isinstance(pkg.values, dict) and "suggestions" in pkg.values:
-        raise ValueError("values.yaml already defines a 'suggestions' block")
+        raise SuggestionsDefined("values.yaml already defines a 'suggestions' block")
 
     bodies = dict(pkg.templates)
     assignments = []
@@ -99,7 +98,6 @@ def plan_rewrite(pkg: ChartPackage, report: DuplicateReport) -> RewritePlan:
                 for leaf in group.leaves
             ]
         except SpanLocationFailed as exc:
-            log.warning("skipping group %r: %s", group.canonical_value, exc)
             skipped.append((group.canonical_value, str(exc)))
             continue
         assignments.append(Assignment(
@@ -265,6 +263,37 @@ def verify_rewrite(
         for path, body in rewritten.templates if path in edited
         for leaf in sentinel_parse(path, body).leaves
     )
+
+
+def suggest_rewrite(
+    pkg: ChartPackage,
+    kb: VariabilityKnowledgeBase | None = None,
+    config: DuplicateConfig | None = None,
+    engine: Renderer | None = None,
+) -> tuple[DuplicateReport, list[str], tuple[str, int] | None]:
+    """Detect, plan, verify and diff one chart's deduplication rewrite.
+
+    Returns the chart's duplicate report, the warnings its rewrite gave, in
+    order, and the verified rewrite's diff and variable count, or None when
+    no diff is due. ``kb`` is only read. Nothing is logged, so the caller
+    reports the warnings where and when it reports the chart.
+    """
+    report = detect_duplicates(pkg, config)
+    if report.is_empty:
+        return report, [], None
+    name = pkg.metadata.name
+    try:
+        plan = plan_rewrite(pkg, report)
+    except ChartQAError as exc:
+        return report, [f"{name}: cannot plan rewrite: {exc}"], None
+    warnings = [f"skipping group {value!r}: {reason}" for value, reason in plan.skipped_groups]
+    if not plan.assignments:
+        warnings.append(f"{name}: every duplicate group failed span location")
+    elif not verify_rewrite(pkg, plan, kb, engine):
+        warnings.append(f"{name}: rewrite failed verification, diff suppressed")
+    else:
+        return report, warnings, (emit_diff(pkg, plan), len(plan.assignments))
+    return report, warnings, None
 
 
 # --- maintainer digests ---

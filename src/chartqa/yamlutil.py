@@ -276,12 +276,16 @@ def get_at(tree: Any, segments: tuple) -> Any:
 
 
 def set_at(tree: Any, segments: tuple, value: Any) -> bool:
-    """Set the leaf at ``segments`` if it exists; returns True when applied."""
+    """Set the leaf at ``segments`` if it exists; returns True when applied.
+
+    A mapping or list there is no leaf and is left whole.
+    """
     if not segments:
         return False
     try:
         parent = get_at(tree, segments[:-1])
-        get_at(parent, segments[-1:])
+        if isinstance(get_at(parent, segments[-1:]), (dict, list)):
+            return False
     except KeyError:
         return False
     kind, val = segments[-1]

@@ -6,6 +6,7 @@ import functools
 import json
 import logging
 import os
+import shutil
 import subprocess
 import sys
 
@@ -254,6 +255,96 @@ def test_workers_reading_their_charts_match_a_serial_run(tmp_path, monkeypatch, 
     assert len(methods) == 1  # the first run started a pool, the second ran here
     assert runs[0] == runs[1]
     assert runs[0][1] == ["skipping headless", "skipping nested/broken-0.1.0.tgz"]
+
+
+def _rewrite_tree(root) -> None:
+    """Two versions of one stem, the second seeing pw learned from the first
+    and holding a mapping where the first's cfg was a leaf; a corrupt
+    archive; a chart whose every template fails; a chart whose values.yaml
+    already holds ``suggestions``; and a chart whose one duplicate group
+    fails span location (its third dup-z is folded)."""
+    random_keys = {"1.0.0": "pw: {{ randAlphaNum 8 }}\ncfg: {{ randAlphaNum 8 }}\n",
+                   "2.0.0": "pw: {{ randAlphaNum 8 }}\ncfg:\n  tok: {{ randAlphaNum 8 }}\n"}
+    for version, keys in random_keys.items():
+        write_chart_dir(root, f"web{version}", chart_files(
+            version=version, values={}, maintainers=MAINTAINED,
+            templates={"t.yaml": DUPE_TEMPLATES["deploy.yaml"] + keys}))
+    (root / "broken-0.1.0.tgz").write_bytes(b"not a gzipped tar")
+    write_chart_dir(root, "bad", chart_files(name="bad", values={}, templates={
+        "t.yaml": DUPE_TEMPLATES["deploy.yaml"] + "k: {{ .Values.absent }}\n"}))
+    write_chart_dir(root, "conflict", chart_files(
+        name="conflict", values={"suggestions": {"var1": "x"}}, templates=DUPE_TEMPLATES))
+    write_chart_dir(root, "spans", chart_files(name="spans", values={}, templates={
+        "t.yaml": "a: dup-z\nb: dup-z\nc: >-\n  dup-z\n"}))
+
+
+def _without_generated_at(text: str):
+    try:
+        document = json.loads(text)
+    except ValueError:
+        return text
+    document.pop("generated_at", None)
+    return document
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_variability_suggest_and_index_commands_match_a_serial_run(tmp_path, monkeypatch,
+                                                                   two_cpu_pool, caplog, capsys,
+                                                                   method):
+    import multiprocessing
+
+    charts, out, kb = tmp_path / "charts", tmp_path / "out", tmp_path / "kb.json"
+    _rewrite_tree(charts)
+    commands = [["variability", "--kb", str(kb), "--out", str(out / "variability")],
+                ["suggest", "--kb", str(kb), "--out", str(out / "suggest")],
+                ["authorsets"], ["irregularities"], ["graph"]]
+    methods = []
+    get_context = multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: [method])
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: methods.append(method) or get_context(method))
+    runs = []
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        shutil.rmtree(out, ignore_errors=True)
+        kb.unlink(missing_ok=True)
+        run = []
+        for argv in commands:
+            caplog.clear()
+            code = cli_dispatch([*argv, "--path", str(charts)])
+            run.append((argv[0], code, _without_generated_at(capsys.readouterr().out),
+                        [record.getMessage() for record in caplog.records]))
+        files = {str(path.relative_to(out)): _without_generated_at(path.read_text())
+                 for path in sorted(out.rglob("*")) if path.is_file()}
+        # knowledge-base values come from randAlphaNum, so only the keys compare
+        runs.append((run, files, sorted(json.loads(kb.read_text()))))
+    assert methods == [method] * len(commands)  # the first run pooled each, the second did not
+    assert runs[0] == runs[1]
+    run, files, kb_keys = runs[0]
+    skipped_archive = ("skipping broken-0.1.0.tgz: MalformedArchive: not a gzipped tar archive: "
+                       "Not a gzipped file (b'no')")
+    assert [(command, code, messages) for command, code, _, messages in run] == [
+        ("variability", 0, [skipped_archive, "skipping bad-1.0.0.tgz: bad: every template "
+                                             "failed: no value for '.Values.absent' and no "
+                                             "default"]),
+        ("suggest", 1, [skipped_archive, "bad: rewrite failed verification, diff suppressed",
+                        "conflict: cannot plan rewrite: values.yaml already defines a "
+                        "'suggestions' block",
+                        "skipping group 'dup-z': templates/t.yaml#0/c: source style '>' not "
+                        "literally replaceable",
+                        "spans: every duplicate group failed span location"]),
+        ("authorsets", 0, [skipped_archive]),
+        ("irregularities", 1, [skipped_archive]),
+        ("graph", 0, [skipped_archive]),
+    ]
+    assert files["variability/variability.json"]["learned"] == {
+        "conflict-1.0.0.tgz": [], "spans-1.0.0.tgz": [],
+        "web-1.0.0.tgz": ["templates/t.yaml#0/cfg", "templates/t.yaml#0/pw"],
+        "web-2.0.0.tgz": ["templates/t.yaml#0/cfg/tok"]}
+    assert kb_keys == ["web|templates/t.yaml#0/cfg", "web|templates/t.yaml#0/cfg/tok",
+                       "web|templates/t.yaml#0/pw"]
+    assert [diff["chart"] for diff in files["suggest/suggest.json"]["diffs"]] == [
+        "web-1.0.0.tgz", "web-2.0.0.tgz"]
 
 
 def _renderer_missing(pkg, config=None):

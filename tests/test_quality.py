@@ -64,6 +64,24 @@ def test_learn_requires_some_render():
     pkg = make_package(values={}, templates={"t.yaml": "a: {{ .Values.absent }}\n"})
     with pytest.raises(RenderFailed):
         learn_variability(pkg, VariabilityKnowledgeBase())
+    assert isinstance(quality.variable_values(pkg, VariabilityKnowledgeBase()), RenderFailed)
+
+
+def test_merging_what_charts_learned_from_one_state_equals_learning_in_turn():
+    # the second version sees pw learned from the first, and its cfg is a
+    # mapping where the first's cfg was a leaf: that override must not hide it
+    first = make_package(version="1.0.0", values={}, templates={
+        "t.yaml": "pw: {{ randAlphaNum 8 }}\ncfg: {{ randAlphaNum 8 }}\n"})
+    second = make_package(version="2.0.0", values={}, templates={
+        "t.yaml": "pw: {{ randAlphaNum 8 }}\ncfg:\n  tok: {{ randAlphaNum 8 }}\n"})
+    in_turn = VariabilityKnowledgeBase()
+    learned_in_turn = [learn_variability(pkg, in_turn)[1] for pkg in (first, second)]
+    merged = VariabilityKnowledgeBase()
+    found = [quality.variable_values(pkg, merged) for pkg in (first, second)]
+    assert [merged.merge(pkg.stem, values) for pkg, values in zip((first, second), found)] \
+        == learned_in_turn == [["templates/t.yaml#0/cfg", "templates/t.yaml#0/pw"],
+                               ["templates/t.yaml#0/cfg/tok"]]
+    assert merged.entries.keys() == in_turn.entries.keys()
 
 
 def test_stabilize_render_converges_after_one_pass():

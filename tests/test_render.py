@@ -167,11 +167,13 @@ def test_flatten_lossless_for_scalars():
 
 
 def test_overrides_pin_rendered_leaves():
-    pkg = make_package(values={}, templates={"t.yaml": "pw: {{ randAlphaNum 16 }}\n"})
+    pkg = make_package(values={}, templates={
+        "t.yaml": "pw: {{ randAlphaNum 16 }}\ncfg:\n  a: [1]\n"})
     overrides = {"templates/t.yaml#0/pw": "pinned", "templates/t.yaml#0/nope": "ignored",
-                 "templates/gone.yaml#0/pw": "ignored", "no key path": "ignored"}
+                 "templates/gone.yaml#0/pw": "ignored", "no key path": "ignored",
+                 "templates/t.yaml#0/cfg": "not a leaf", "templates/t.yaml#0/cfg/a": "nor this"}
     result = render_chart(pkg, overrides)
-    assert result.documents == [("templates/t.yaml", 0, {"pw": "pinned"})]
+    assert result.documents == [("templates/t.yaml", 0, {"pw": "pinned", "cfg": {"a": [1]}})]
     assert result.applied == {"templates/t.yaml#0/pw"}
 
 

@@ -7,8 +7,8 @@ import pytest
 
 from chartqa import quality, render, rewrite
 from chartqa.core import write_package_dir
-from chartqa.errors import EmptyReport
-from chartqa.ingest import index_from_packages, package_from_dir
+from chartqa.errors import ChartQAError, EmptyReport, SuggestionsDefined
+from chartqa.ingest import index_entry, index_from_entries, package_from_dir
 from chartqa.quality import (
     DuplicateConfig,
     VariabilityKnowledgeBase,
@@ -24,6 +24,7 @@ from chartqa.rewrite import (
     build_issue_digests,
     emit_diff,
     plan_rewrite,
+    suggest_rewrite,
     verify_rewrite,
     write_outbox,
 )
@@ -84,6 +85,41 @@ def test_plan_rewrite_tie_breaks_lexicographically():
     )})
     plan = plan_rewrite(pkg, detect_duplicates(pkg))
     assert [a.value for a in plan.assignments] == ["apple", "zebra"]
+
+
+def test_suggest_rewrite_returns_its_warnings_in_order_and_logs_nothing(caplog):
+    # dup-z's folded occurrence cannot be replaced literally, dup-me's can
+    pkg = make_package(values={}, templates={
+        "t.yaml": "a: dup-z\nb: dup-z\nc: >-\n  dup-z\nd: dup-me\ne: dup-me\nf: dup-me\n"})
+    report, warnings, (diff_text, variables) = suggest_rewrite(pkg)
+    assert report == detect_duplicates(pkg)
+    assert warnings == ["skipping group 'dup-z': templates/t.yaml#0/c: "
+                        "source style '>' not literally replaceable"]
+    assert variables == 1 and "{{ .Values.suggestions.var1 }}" in diff_text
+    only_folded = make_package(name="folded", values={}, templates={
+        "t.yaml": "a: dup-z\nb: dup-z\nc: >-\n  dup-z\n"})
+    assert suggest_rewrite(only_folded)[1:] == (
+        [warnings[0], "folded: every duplicate group failed span location"], None)
+    assert caplog.records == []
+
+
+def test_a_suggestions_block_in_values_is_a_typed_plan_error():
+    pkg = make_package(values={"suggestions": {"var1": "x"}},
+                       templates={"t.yaml": "a: dup-me\nb: dup-me\nc: dup-me\n"})
+    with pytest.raises(SuggestionsDefined) as raised:
+        plan_rewrite(pkg, detect_duplicates(pkg))
+    assert isinstance(raised.value, ChartQAError) and isinstance(raised.value, ValueError)
+    assert suggest_rewrite(pkg)[1:] == (
+        ["web: cannot plan rewrite: values.yaml already defines a 'suggestions' block"], None)
+
+
+def test_suggest_rewrite_raises_a_report_for_another_chart(monkeypatch):
+    templates = {"t.yaml": "a: dup-me\nb: dup-me\nc: dup-me\n"}
+    pkg = make_package(values={}, templates=templates)
+    other = make_package(name="other", values={}, templates=templates)
+    monkeypatch.setattr(rewrite, "detect_duplicates", lambda _pkg, config: detect_duplicates(other))
+    with pytest.raises(ValueError, match="does not belong"):
+        suggest_rewrite(pkg)
 
 
 def test_emit_diff_deterministic():
@@ -286,7 +322,7 @@ def _digest_fixture():
     )
     orphan = make_package(name="app-b", values={}, templates={"t.yaml": "x: ok\n"})
     packages = [maintained, orphan]
-    index = index_from_packages(packages, "memory:")
+    index = index_from_entries(map(index_entry, packages), "memory:")
     irregularities = detect_irregularities(index)
     reports = [detect_duplicates(pkg) for pkg in packages]
     return index, irregularities, reports
