@@ -1,5 +1,5 @@
 from .cli import main
 
-# spawn workers re-import the main module; only a real run may start the CLI
+# importing this module (as tools that scan a package do) must not start the CLI
 if __name__ == "__main__":
     main()

@@ -11,8 +11,7 @@ present the "maintained by nobody" group as a single set.
 from __future__ import annotations
 
 import datetime
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .core import ChartRef, Maintainer
 from .errors import SettingError
@@ -31,15 +30,13 @@ CHART_RULES = {
 }
 
 
-@dataclass(frozen=True)
-class MaintainerIdentity:
+class MaintainerIdentity(NamedTuple):
     key: str  # normalized e-mail when present, else normalized name
     names_seen: frozenset[str]
     emails_seen: frozenset[str]
 
 
-@dataclass(frozen=True)
-class MaintainerSet:
+class MaintainerSet(NamedTuple):
     """An exact combination of maintainer identities and what they maintain."""
 
     members: tuple[MaintainerIdentity, ...]
@@ -50,8 +47,7 @@ class MaintainerSet:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class IrregularityReport:
+class IrregularityReport(NamedTuple):
     no_maintainer: tuple[ChartRef, ...]
     name_collision: tuple[ChartRef, ...]
     multiple_versions: tuple[str, ...]  # stems with >= 2 chart files
@@ -186,8 +182,7 @@ def detect_irregularities(index: RepoIndex) -> IrregularityReport:
     )
 
 
-@dataclass(frozen=True)
-class ChangeSet:
+class ChangeSet(NamedTuple):
     from_id: str
     to_id: str
     added: tuple[ChartRef, ...]
@@ -258,8 +253,7 @@ def detect_changes(a: Snapshot, b: Snapshot) -> ChangeSet:
     )
 
 
-@dataclass(frozen=True)
-class ActivityProfile:
+class ActivityProfile(NamedTuple):
     stem: str
     days_observed: int
     days_changed: int

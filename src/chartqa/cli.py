@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 # building the parser needs only these; each handler imports the modules it uses
 from . import DEFAULT_BLACKLIST, DEFAULT_THRESHOLD
-from .errors import ChartQAError, RenderFailed
+from .errors import ChartQAError, InputFileError, RenderFailed, WorkerFailed
 
 if TYPE_CHECKING:
     from .ingest import IndexEntry, IngestFailure, RepoIndex
@@ -91,10 +91,12 @@ def _resolve(args: argparse.Namespace) -> None:
         with open(args.config, encoding="utf-8") as fh:
             try:
                 config = load_unique(fh.read()) or {}
+            except UnicodeDecodeError as exc:
+                raise InputFileError(f"{args.config}: config file is not UTF-8: {exc}") from exc
             except yaml.YAMLError as exc:
-                raise ChartQAError(f"{args.config}: config file is not YAML: {exc}") from exc
+                raise InputFileError(f"{args.config}: config file is not YAML: {exc}") from exc
         if not isinstance(config, dict):
-            raise ChartQAError("config file must hold a YAML mapping")
+            raise InputFileError(f"{args.config}: config file must hold a YAML mapping")
         for key in config:
             if key not in _CONFIG_KEYS:
                 raise ChartQAError(f"{args.config}: unknown config key {key!r}")
@@ -215,27 +217,98 @@ def _per_chart(fn, charts, jobs: int) -> list:
     passes ``_load_then`` bound to the tree and to its own per-chart
     function (``detect_duplicates``, ``analyze_chart``, ``variable_values``,
     ``suggest_rewrite`` or ``_no_result``), and the charts are their
-    locations, so each worker reads its own charts and only locations go
-    out and index entries and results come back. The charts go to
-    ``min(jobs, CPUs, charts // MIN_CHARTS_PER_WORKER)`` worker processes;
-    with one worker or fewer they are handled here, in order. Reading,
-    rendering and parsing hold the GIL, so threads would only take turns.
-    Workers are forked where the platform can fork, so none imports chartqa
-    before its first chart (the CLI starts no threads that a fork could
-    break), and spawned elsewhere. ``fn`` travels with each chunk of charts,
-    nothing is kept in worker globals, and an exception raised in a worker
-    is raised again here.
+    locations, so each worker reads its own charts and only index entries
+    and results come back. The charts go to
+    ``min(jobs, CPUs, charts // MIN_CHARTS_PER_WORKER)`` forked worker
+    processes; with one worker or fewer, or where the platform cannot fork,
+    they are handled here, in order. Reading, rendering and parsing hold
+    the GIL, so threads would only take turns.
+
+    Worker ``w`` of ``n`` takes charts ``w::n`` and inherits ``fn`` and its
+    charts through the fork (the CLI starts no threads that a fork could
+    break), so nothing is sent to it. It sends back all its results, or the
+    exception that stopped it, as one pickle through its own pipe, and
+    leaves through ``os._exit``. An exception raised in a worker is raised
+    again here, caused by the worker's traceback text; a worker that ends
+    without sending a whole reply is a WorkerFailed.
     """
     workers = min(jobs, _cpus(), len(charts) // MIN_CHARTS_PER_WORKER)
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         return [fn(chart) for chart in charts]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    pipes, pids = [], []
+    try:
+        for worker in range(workers):
+            read_end, write_end = os.pipe()
+            pipes.append(os.fdopen(read_end, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(fn, charts[worker::workers], write_end, pipes)
+                pids.append(pid)
+            finally:
+                # a later worker must not hold this pipe open, or its reader never sees EOF
+                os.close(write_end)
+        replies = [pipe.read() for pipe in pipes]
+    finally:
+        for pipe in pipes:
+            pipe.close()  # first, so a worker still writing gets EPIPE instead of blocking
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    results = [None] * len(charts)
+    for worker, (pid, reply, status) in enumerate(zip(pids, replies, statuses)):
+        results[worker::workers] = _worker_results(pid, reply, status)
+    return results
 
-    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-    chunksize = max(1, len(charts) // (4 * workers))
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method)) as pool:
-        return list(pool.map(fn, charts, chunksize=chunksize))
+
+def _serve(fn, charts, write_end: int, pipes) -> None:
+    """A forked worker's whole life: ``fn`` of each chart, or the exception
+    that stopped it, written as one pickle to ``write_end``; never returns."""
+    try:
+        import pickle
+
+        for pipe in pipes:  # the read ends inherited, its own among them
+            pipe.close()
+        try:
+            reply = (None, pickle.dumps([fn(chart) for chart in charts], pickle.HIGHEST_PROTOCOL))
+        except BaseException as exc:  # raised again in the parent; an unpicklable result too
+            import traceback
+
+            try:
+                error = pickle.dumps(exc, pickle.HIGHEST_PROTOCOL)
+            except Exception:
+                error = None
+            reply = (traceback.format_exc(), error)
+        with os.fdopen(write_end, "wb") as out:
+            out.write(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
+    finally:
+        os._exit(0)
+
+
+class _WorkerTraceback(Exception):
+    """The traceback text of an exception raised in a worker, as its cause here."""
+
+    def __str__(self) -> str:
+        return "\n" + self.args[0]
+
+
+def _worker_results(pid: int, reply: bytes, status: int) -> list:
+    """The results in a worker's whole reply; else its exception is raised, or a
+    WorkerFailed when the worker ended before sending a whole reply."""
+    import pickle
+
+    try:
+        worker_traceback, payload = pickle.loads(reply)
+    except (EOFError, pickle.UnpicklingError):  # a cut-off reply
+        ended = (f"was killed by signal {os.WTERMSIG(status)}" if os.WIFSIGNALED(status)
+                 else f"exited with status {os.waitstatus_to_exitcode(status)}")
+        raise WorkerFailed(f"worker process {pid} {ended} before sending its results") from None
+    if worker_traceback is None:
+        return pickle.loads(payload)
+    try:
+        error = pickle.loads(payload)
+    except Exception:  # the worker could not pickle it (None), or it does not unpickle here
+        error = RuntimeError(f"worker process {pid} raised an exception that could not "
+                             "be sent back")
+    raise error from _WorkerTraceback(worker_traceback)
 
 
 # --- subcommand handlers ---
@@ -467,11 +540,16 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
     groups_path = args.groups
     with open(groups_path, encoding="utf-8") as fh:
-        groups = json.load(fh)
+        try:
+            groups = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise InputFileError(f"{groups_path}: not UTF-8: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise InputFileError(f"{groups_path}: not JSON: {exc}") from exc
     if not isinstance(groups, dict) or not all(
         _finite_numbers(groups.get(name)) for name in ("n1", "n2")
     ):
-        raise ChartQAError(
+        raise InputFileError(
             f"{groups_path}: want a JSON object with n1 and n2 lists of finite numbers"
         )
     result = stats.resampled_group_test(

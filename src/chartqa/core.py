@@ -2,18 +2,14 @@
 
 from __future__ import annotations
 
-import gzip
 import io
 import os
-import tarfile
-import zlib
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
-
-import yaml
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from .errors import EmptyCorpus, MalformedArchive, MetadataParseError, MissingMetadata
-from .yamlutil import load_unique
+
+# yaml, yamlutil, tarfile, gzip and zlib are imported by the functions that
+# parse, so a command that reads no chart and no index text loads none of them
 
 ValueTree = Any  # nested dict / list / scalar structure of a parsed YAML document
 
@@ -42,8 +38,7 @@ def mangle_stem(file_name: str) -> str:
     return stem or FALLBACK_STEM
 
 
-@dataclass(frozen=True)
-class Maintainer:
+class Maintainer(NamedTuple):
     """One maintainer record as listed in chart metadata."""
 
     name: str | None = None
@@ -81,27 +76,37 @@ def maintainers_from_field(raw: Any) -> tuple[Maintainer, ...]:
     return tuple(maintainers)
 
 
-@dataclass(frozen=True)
-class ChartRef:
-    """A chart file reference; the stem is derived from the file name."""
-
+class _ChartRefFields(NamedTuple):
     name: str
     version: str
     file_name: str
-    stem: str = field(init=False)
+    stem: str
 
-    def __post_init__(self):
-        if not self.file_name.endswith(".tgz"):
-            raise ValueError(f"chart file name must end with .tgz: {self.file_name!r}")
-        object.__setattr__(self, "stem", mangle_stem(self.file_name))
+
+class ChartRef(_ChartRefFields):
+    """A chart file reference; the stem is derived from the file name."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, version: str, file_name: str) -> "ChartRef":
+        if not file_name.endswith(".tgz"):
+            raise ValueError(f"chart file name must end with .tgz: {file_name!r}")
+        return super().__new__(cls, name, version, file_name, mangle_stem(file_name))
+
+    def __getnewargs__(self) -> tuple[str, str, str]:
+        return self[:3]  # copies and pickles derive the stem again
+
+    @classmethod
+    def _make(cls, fields) -> "ChartRef":  # and so does _replace
+        name, version, file_name, *_ = fields
+        return cls(name, version, file_name)
 
     @classmethod
     def from_name_version(cls, name: str, version: str) -> "ChartRef":
         return cls(name=name, version=version, file_name=f"{name}-{version}.tgz")
 
 
-@dataclass(frozen=True)
-class ChartMetadata:
+class ChartMetadata(NamedTuple):
     """Parsed Chart.yaml content; unknown fields are tolerated and dropped."""
 
     name: str
@@ -142,8 +147,7 @@ class ChartMetadata:
         return out
 
 
-@dataclass(frozen=True)
-class ChartPackage:
+class ChartPackage(NamedTuple):
     """One unpacked chart: metadata, values, templates, requirements."""
 
     metadata: ChartMetadata
@@ -168,6 +172,8 @@ class ChartPackage:
             return self.values_text
         if not self.values:
             return ""
+        import yaml
+
         return yaml.safe_dump(self.values, sort_keys=False)
 
 
@@ -178,6 +184,10 @@ def package_from_files(files: Mapping[str, bytes | str]) -> ChartPackage:
     their bodies. Entries outside Chart.yaml, values.yaml, templates/ and
     requirements.yaml are ignored by analysis.
     """
+    import yaml
+
+    from .yamlutil import load_unique
+
     def text(path: str) -> str:
         body = files[path]
         try:
@@ -223,6 +233,7 @@ def package_from_files(files: Mapping[str, bytes | str]) -> ChartPackage:
     )
 
 
+_TAR_BLOCK = 512  # tarfile.BLOCKSIZE
 # Helm's own defaults for one decompressed file and for a whole chart
 MAX_FILE_BYTES = 5 * 1024 * 1024
 MAX_ARCHIVE_BYTES = 100 * 1024 * 1024
@@ -231,7 +242,7 @@ MAX_ARCHIVE_BYTES = 100 * 1024 * 1024
 MAX_ARCHIVE_MEMBERS = 10_000
 # one header block per member, and 1 MiB for long-name and pax header bodies,
 # the most Go's archive/tar (which Helm reads charts with) accepts for one
-MAX_HEADER_BYTES = MAX_ARCHIVE_MEMBERS * tarfile.BLOCKSIZE + 1024 * 1024
+MAX_HEADER_BYTES = MAX_ARCHIVE_MEMBERS * _TAR_BLOCK + 1024 * 1024
 
 
 class _BoundedStream:
@@ -243,12 +254,14 @@ class _BoundedStream:
     """
 
     def __init__(self, archive: bytes):
+        import gzip
+
         self._raw = gzip.GzipFile(fileobj=io.BytesIO(archive))
         self._limit = MAX_HEADER_BYTES
 
     def allow(self, size: int) -> None:
         """Raise the limit by a file of ``size`` bytes, padded to whole tar blocks."""
-        self._limit += -(-size // tarfile.BLOCKSIZE) * tarfile.BLOCKSIZE
+        self._limit += -(-size // _TAR_BLOCK) * _TAR_BLOCK
 
     def _check(self, end: int) -> None:
         if end > self._limit:
@@ -275,6 +288,9 @@ def parse_chart_archive(archive: bytes) -> ChartPackage:
     file sizes, the member count or the bytes besides file data pass their
     bound, before the data that passes it is decompressed.
     """
+    import tarfile
+    import zlib
+
     files: dict[str, bytes] = {}
     total = 0
     stream = _BoundedStream(archive)
@@ -308,6 +324,8 @@ def parse_chart_archive(archive: bytes) -> ChartPackage:
 
 def write_package_dir(pkg: ChartPackage, chart_dir: str) -> None:
     """Serialize a package back to an unpacked chart directory."""
+    import yaml
+
     os.makedirs(chart_dir, exist_ok=True)
     with open(os.path.join(chart_dir, "Chart.yaml"), "w", encoding="utf-8") as fh:
         yaml.safe_dump(pkg.metadata.to_mapping(), fh, sort_keys=False)

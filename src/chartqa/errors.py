@@ -9,6 +9,14 @@ class SettingError(ChartQAError, ValueError):
     """A setting or argument is out of its range (a ValueError too, as it was before)."""
 
 
+class InputFileError(ChartQAError):
+    """A config or groups file is not UTF-8, not in its format, or not of the shape wanted."""
+
+
+class WorkerFailed(ChartQAError):
+    """A worker process ended without sending back its results (killed, say)."""
+
+
 # --- chart parsing ---
 
 class MalformedArchive(ChartQAError):

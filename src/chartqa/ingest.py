@@ -18,10 +18,7 @@ import hashlib
 import json
 import os
 import shutil
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
-
-import yaml
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from .core import (
     ChartPackage, ChartRef, Maintainer, maintainers_from_field, package_from_files,
@@ -36,11 +33,9 @@ from .errors import (
     IndexParseError,
     StorageError,
 )
-from .yamlutil import load_literal
 
 
-@dataclass(frozen=True)
-class IndexEntry:
+class IndexEntry(NamedTuple):
     """One version record of the repository index."""
 
     ref: ChartRef
@@ -49,16 +44,21 @@ class IndexEntry:
     digest: str | None = None
 
 
-@dataclass(frozen=True)
-class RepoIndex:
+class RepoIndex(NamedTuple):
+    """The entries of a repository index, and the document they were read
+    from (None for a synthesized index)."""
+
     source: str
     fetched_at: datetime.datetime
     entries: tuple[IndexEntry, ...]
-    raw: bytes | None = field(default=None, repr=False, compare=False)
+    raw: bytes | None = None
+
+    def __repr__(self) -> str:  # the raw document would swamp the entries
+        return (f"RepoIndex(source={self.source!r}, fetched_at={self.fetched_at!r}, "
+                f"entries={self.entries!r})")
 
 
-@dataclass(frozen=True)
-class Snapshot:
+class Snapshot(NamedTuple):
     """A timestamped repository state; append-only once recorded.
 
     Loading reads the index and the content digests only; the archives stay
@@ -102,6 +102,10 @@ def parse_repo_index(
     repeats is an error: each repeat would be expanded again, so a small
     index could stand for millions of entries.
     """
+    import yaml
+
+    from .yamlutil import load_literal
+
     try:
         doc = load_literal(raw)
     except yaml.YAMLError as exc:
@@ -180,8 +184,7 @@ def fetch_archive(url_or_path: str, expected_digest: str | None = None) -> bytes
     return data
 
 
-@dataclass(frozen=True)
-class IngestFailure:
+class IngestFailure(NamedTuple):
     location: str
     error: str
 
@@ -270,7 +273,7 @@ _OPTIONAL_STR = frozenset({str, type(None)})
 
 
 def _cache_item(entry: IndexEntry) -> dict:
-    """One index entry as the manifest keeps it; the inverse of ``_cached_entry``."""
+    """One index entry as the manifest keeps it; the inverse of ``SnapshotStore._entry``."""
     return {
         "name": entry.ref.name,
         "version": entry.ref.version,
@@ -280,24 +283,18 @@ def _cache_item(entry: IndexEntry) -> dict:
     }
 
 
-def _cached_entry(item: Any) -> IndexEntry | None:
-    """The entry a manifest item holds, or None when the item has the wrong shape."""
+def _cached_fields(item: Any) -> tuple | None:
+    """The fields of a manifest item, hashable, or None when the item has the wrong shape."""
     if type(item) is not dict or item.keys() != _CACHED_KEYS:
         return None
     name, version, maintainers, urls, digest = (item[key] for key in _CACHED_FIELDS)
-    if not (
-        type(urls) is list and type(maintainers) is list
-        and {type(text) for text in (name, version, *urls)} <= {str}
-        and all(type(m) is list and len(m) == 2 for m in maintainers)
-        and {type(text) for m in maintainers for text in m} | {type(digest)} <= _OPTIONAL_STR
-    ):
+    if (type(name) is not str or type(version) is not str or type(urls) is not list
+            or type(maintainers) is not list or type(digest) not in _OPTIONAL_STR
+            or any(type(url) is not str for url in urls)
+            or any(type(m) is not list or len(m) != 2 or type(m[0]) not in _OPTIONAL_STR
+                   or type(m[1]) not in _OPTIONAL_STR for m in maintainers)):
         return None
-    return IndexEntry(
-        ref=_entry_ref(name, version, name),
-        maintainers=tuple(Maintainer(name=m[0], email=m[1]) for m in maintainers),
-        urls=tuple(urls),
-        digest=digest,
-    )
+    return name, version, tuple(map(tuple, maintainers)), tuple(urls), digest
 
 
 def _manifest_fields(manifest: Any, snapshot_id: str) -> tuple[str, datetime.datetime, dict, Any]:
@@ -330,6 +327,9 @@ class SnapshotStore:
     def __init__(self, root: str):
         self.root = root
         os.makedirs(root, exist_ok=True)
+        # cached index entry by its manifest item's fields: consecutive days
+        # of a store list mostly the same entries, so each is built once
+        self._entries: dict[tuple, IndexEntry] = {}
 
     def ids(self) -> list[str]:
         return sorted(
@@ -404,11 +404,26 @@ class SnapshotStore:
             index = parse_repo_index(raw_index, source, fetched_at=fetched_at)
         else:
             items = cache.get("entries")
-            entries = [_cached_entry(item) for item in items] if isinstance(items, list) else []
-            if not entries or any(entry is None for entry in entries):
+            entries = [self._entry(fields) for fields in map(_cached_fields, items)
+                       if fields is not None] if isinstance(items, list) else []
+            if not entries or len(entries) != len(items):
                 raise StorageError(f"snapshot {snapshot_id}: manifest index entries are malformed")
             index = RepoIndex(source, fetched_at, tuple(entries), raw=raw_index)
         return Snapshot(id=snapshot_id, index=index, content_digests=dict(digests))
+
+    def _entry(self, fields: tuple) -> IndexEntry:
+        """The entry of a manifest item's ``_cached_fields``, built once per store;
+        the inverse of ``_cache_item``."""
+        entry = self._entries.get(fields)
+        if entry is None:
+            name, version, maintainers, urls, digest = fields
+            entry = self._entries[fields] = IndexEntry(
+                ref=_entry_ref(name, version, name),
+                maintainers=tuple(Maintainer(*pair) for pair in maintainers),
+                urls=urls,
+                digest=digest,
+            )
+        return entry
 
 
 def index_entry(pkg: ChartPackage) -> IndexEntry:

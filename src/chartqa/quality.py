@@ -11,8 +11,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from . import DEFAULT_BLACKLIST, DEFAULT_THRESHOLD
 from .core import ChartPackage, ChartRef
@@ -77,6 +76,8 @@ class VariabilityKnowledgeBase:
         with open(path, encoding="utf-8") as fh:
             try:
                 flat = json.load(fh)
+            except UnicodeDecodeError as exc:
+                raise KnowledgeBaseError(f"{path}: not UTF-8: {exc}") from exc
             except json.JSONDecodeError as exc:
                 raise KnowledgeBaseError(f"{path}: not JSON: {exc}") from exc
         if not isinstance(flat, dict) or not all(isinstance(v, str) for v in flat.values()):
@@ -189,8 +190,7 @@ def stabilize_render(
     return result
 
 
-@dataclass(frozen=True)
-class DuplicateGroup:
+class DuplicateGroup(NamedTuple):
     canonical_value: str
     leaves: tuple[SourceLeaf, ...]  # source order
 
@@ -204,8 +204,7 @@ class DuplicateGroup:
         return len(self.leaves)
 
 
-@dataclass(frozen=True)
-class DuplicateReport:
+class DuplicateReport(NamedTuple):
     chart: ChartRef
     groups: tuple[DuplicateGroup, ...]
     threshold_used: int
@@ -221,14 +220,23 @@ class DuplicateReport:
         return not self.groups
 
 
-@dataclass(frozen=True)
-class DuplicateConfig:
-    threshold: int = DEFAULT_THRESHOLD
-    blacklist: tuple[str, ...] = DEFAULT_BLACKLIST
+class _DuplicateConfigFields(NamedTuple):
+    threshold: int
+    blacklist: tuple[str, ...]
 
-    def __post_init__(self):
-        if self.threshold < 2:
+
+class DuplicateConfig(_DuplicateConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, threshold: int = DEFAULT_THRESHOLD,
+                blacklist: tuple[str, ...] = DEFAULT_BLACKLIST) -> "DuplicateConfig":
+        if threshold < 2:
             raise SettingError("duplicate threshold must be at least 2")
+        return super().__new__(cls, threshold, blacklist)
+
+    @classmethod
+    def _make(cls, fields) -> "DuplicateConfig":  # so _replace checks the threshold too
+        return cls(*fields)
 
 
 def detect_duplicates(
@@ -273,8 +281,7 @@ def detect_duplicates(
     )
 
 
-@dataclass(frozen=True)
-class QualityReport:
+class QualityReport(NamedTuple):
     chart: ChartRef
     variable_value_count: int
     variable_key_paths: tuple[str, ...]

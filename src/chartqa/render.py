@@ -18,8 +18,7 @@ import shutil
 import string
 import subprocess
 import tempfile
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 import yaml
 
@@ -41,21 +40,23 @@ SYNTAX_ERROR = "SyntaxError"
 ENGINE_UNSUPPORTED = "EngineUnsupported"
 
 
-@dataclass(frozen=True)
-class RenderFailure:
+class RenderFailure(NamedTuple):
     template_path: str
     reason: str
     category: str  # MissingValue | SyntaxError | EngineUnsupported
 
 
-@dataclass
 class RenderResult:
     """Rendered documents as (template_path, doc_index, parsed body), with failures and text."""
 
-    documents: list[tuple[str, int, Any]]
-    failures: list[RenderFailure]
-    texts: dict[str, str]  # template path -> rendered text
-    applied: set[str] = field(default_factory=set)  # override key paths render_chart pinned
+    __slots__ = ("documents", "failures", "texts", "applied")
+
+    def __init__(self, documents: list[tuple[str, int, Any]], failures: list[RenderFailure],
+                 texts: dict[str, str]):
+        self.documents = documents
+        self.failures = failures
+        self.texts = texts  # template path -> rendered text
+        self.applied: set[str] = set()  # override key paths render_chart pinned
 
     def canonical_yaml(self) -> str:
         """Deterministic multi-document serialization for byte comparisons."""

@@ -13,8 +13,7 @@ import copy
 import difflib
 import os
 import re
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import yaml
 
@@ -31,22 +30,19 @@ UNADDRESSABLE = "unaddressable"
 SUBJECT_PREFIX = "chartqa"
 
 
-@dataclass(frozen=True)
-class Occurrence:
+class Occurrence(NamedTuple):
     template_path: str
     span: tuple[int, int]  # byte span in the template source
     quote: str | None  # quote character to preserve, if any
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     var_name: str  # suggestions.varN
     value: str
     target_occurrences: tuple[Occurrence, ...]
 
 
-@dataclass(frozen=True)
-class RewritePlan:
+class RewritePlan(NamedTuple):
     chart: ChartRef
     assignments: tuple[Assignment, ...]
     values_patch: str  # YAML fragment adding the suggestions block
@@ -298,8 +294,7 @@ def suggest_rewrite(
 
 # --- maintainer digests ---
 
-@dataclass(frozen=True)
-class Issue:
+class Issue(NamedTuple):
     kind: str  # irregularity or duplicate tag
     detail: str
     chart: ChartRef | None = None
@@ -309,14 +304,12 @@ class Issue:
         return (self.kind, self.chart.file_name if self.chart else "", self.detail)
 
 
-@dataclass(frozen=True)
-class IssueDigest:
+class IssueDigest(NamedTuple):
     recipient_email: str
     issues: tuple[Issue, ...]
 
 
-@dataclass(frozen=True)
-class DigestBatch:
+class DigestBatch(NamedTuple):
     digests: tuple[IssueDigest, ...]
     unique_issue_count: int
     recipient_count: int

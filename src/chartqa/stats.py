@@ -14,8 +14,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
-from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import AllZeroDifferences, SettingError
 
@@ -23,8 +22,7 @@ EXACT_ENUMERATION_LIMIT = 12
 PRNG_NAME = "pcg64"
 
 
-@dataclass(frozen=True)
-class WilcoxonResult:
+class WilcoxonResult(NamedTuple):
     statistic: float  # W = min(W+, W-)
     p_value: float
     n_effective: int  # pairs remaining after zero differences are dropped
@@ -112,8 +110,7 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> WilcoxonResu
     return WilcoxonResult(statistic, p, n, "normal")
 
 
-@dataclass(frozen=True)
-class ResampleResult:
+class ResampleResult(NamedTuple):
     smallest_p: float
     iterations: int
     valid_iterations: int  # iterations that did not degenerate to all-zero
@@ -123,7 +120,7 @@ class ResampleResult:
     n2_size: int
 
     def to_mapping(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def resampled_group_test(

@@ -22,7 +22,6 @@ import datetime
 import functools
 import math
 import re
-from dataclasses import dataclass
 from typing import Any, Iterator, NamedTuple
 
 import yaml
@@ -313,8 +312,7 @@ class SourceLeaf(NamedTuple):
     via_alias: bool
 
 
-@dataclass
-class SentinelParse:
+class SentinelParse(NamedTuple):
     template_path: str
     leaves: list[SourceLeaf]
     error: str | None = None

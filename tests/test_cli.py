@@ -6,16 +6,19 @@ import functools
 import json
 import logging
 import os
+import re
 import shutil
+import signal
 import subprocess
 import sys
+import threading
 
 import pytest
 import yaml
 
 from chartqa import analytics, cli, ingest, quality
 from chartqa.cli import cli_dispatch
-from chartqa.errors import EngineUnavailable
+from chartqa.errors import EngineUnavailable, InputFileError, KnowledgeBaseError, WorkerFailed
 from chartqa.ingest import SnapshotStore, parse_repo_index, sha256_digest
 from chartqa.quality import DuplicateConfig, detect_duplicates
 
@@ -137,22 +140,31 @@ def test_import_leaves_numpy_and_requests_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
-# runs cli_dispatch(argv[1:]) with its output discarded, then prints the modules loaded
+# runs cli_dispatch(argv[2:]) with its output discarded, then prints the exit code, the
+# number of workers forked and the modules loaded; argv[1] == "pool" makes per-chart
+# commands start two workers
 LOADED_BY = """
-import contextlib, io, json, sys
-from chartqa.cli import cli_dispatch
+import contextlib, io, json, os, sys
+from chartqa import cli
+forks = []
+fork = os.fork
+os.fork = lambda: forks.append(1) or fork()
+if sys.argv[1] == "pool":
+    cli.MIN_CHARTS_PER_WORKER = 1
+    os.sched_getaffinity = lambda pid: {0, 1}
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli_dispatch(sys.argv[1:])
-print(json.dumps([code, sorted(sys.modules)]))
+    code = cli.cli_dispatch(sys.argv[2:])
+print(json.dumps([code, len(forks), sorted(sys.modules)]))
 """
 
 
-def modules_loaded_by(*argv) -> set[str]:
-    proc = subprocess.run([sys.executable, "-c", LOADED_BY, *argv],
+def modules_loaded_by(*argv, pool: bool = False) -> set[str]:
+    proc = subprocess.run([sys.executable, "-c", LOADED_BY, "pool" if pool else "here", *argv],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    code, modules = json.loads(proc.stdout)
+    code, forks, modules = json.loads(proc.stdout)
     assert code in (0, 1), proc.stderr
+    assert forks == (2 if pool else 0)
     return set(modules)
 
 
@@ -178,14 +190,45 @@ def test_stats_without_config_loads_no_yaml_render_or_quality(tmp_path):
     assert not loaded & {"yaml", "chartqa.render", "chartqa.quality"}
 
 
-def test_per_chart_spawned_workers_match_serial(tmp_path, monkeypatch, two_cpu_pool):
-    import multiprocessing
+def test_store_commands_on_cached_entries_load_no_yaml_or_archive_reader(tmp_path):
+    store = _record_days(tmp_path / "store", "1.0.0", "1.1.0")
+    for command in ("changes", "trends"):
+        loaded = modules_loaded_by(command, "--snapshot-store", store.root)
+        assert "chartqa.analytics" in loaded
+        assert not loaded & {"yaml", "chartqa.yamlutil", "tarfile", "dataclasses"}, command
 
-    methods = []
-    get_context = multiprocessing.get_context
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    monkeypatch.setattr(multiprocessing, "get_context",
-                        lambda method: methods.append(method) or get_context(method))
+
+def test_no_command_loads_dataclasses_or_a_process_pool_module(tmp_path):
+    store = _record_days(tmp_path / "store", "1.0.0", "1.1.0")
+    repo = _write_repo(tmp_path, "1.2.0")
+    groups = tmp_path / "groups.json"
+    groups.write_text(json.dumps({"n1": list(range(12)), "n2": [1, 2, 3, 5, 8]}))
+    charts = os.path.join(GOLDEN, "charts")
+    out = str(tmp_path / "out")
+    runs = [
+        (False, ["snapshot", "--index", str(repo / "index.yaml"), "--snapshot-store", store.root]),
+        (False, ["changes", "--snapshot-store", store.root]),
+        (False, ["trends", "--snapshot-store", store.root]),
+        (False, ["stats", "--groups", str(groups), "--iterations", "5"]),
+        (False, ["authorsets", "--index", str(repo / "index.yaml")]),
+        (False, ["graph", "--index", str(repo / "index.yaml")]),
+        (False, ["irregularities", "--path", charts]),
+        (False, ["livecheck", "--path", charts]),
+        # three charts, so two workers start where the pool is on
+        (True, ["dupes", "--path", charts]),
+        (True, ["analyze", "--path", charts, "--out", out]),
+        (True, ["variability", "--path", charts, "--kb", f"{out}/kb.json", "--out", out]),
+        (True, ["suggest", "--path", charts, "--kb", f"{out}/kb.json", "--out", out]),
+    ]
+    assert sorted({argv[0] for _, argv in runs}) == sorted(cli._COMMANDS)
+    for pool, argv in runs:
+        loaded = modules_loaded_by(*argv, pool=pool)
+        assert not {m for m in loaded if m.split(".")[0] in (
+            "dataclasses", "concurrent", "multiprocessing")}, argv
+
+
+def test_per_chart_forked_workers_match_serial(tmp_path, monkeypatch, two_cpu_pool):
+    forks = count_calls(monkeypatch, "fork", os)
     packages = [make_package(name=f"c{i}", templates=DUPE_TEMPLATES) for i in range(4)]
     detect = functools.partial(detect_duplicates, config=DuplicateConfig(threshold=2))
     assert cli._per_chart(detect, packages, 2) == [detect(pkg) for pkg in packages]
@@ -198,21 +241,95 @@ def test_per_chart_spawned_workers_match_serial(tmp_path, monkeypatch, two_cpu_p
     results = cli._per_chart(load_detect, locations, 2)
     assert results == [load_detect(location) for location in locations]
     assert [type(result).__name__ for result in results] == ["IngestFailure"] + ["tuple"] * 3
-    assert methods == ["spawn", "spawn"]
+    assert len(forks) == 4  # two workers for each call
+    _assert_no_child_left()
 
 
 def test_per_chart_on_one_cpu_runs_here_without_multiprocessing(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     for name in ("multiprocessing", "concurrent.futures.process"):
         monkeypatch.delitem(sys.modules, name, raising=False)
+    forks = count_calls(monkeypatch, "fork", os)
     charts = [f"c{i}" for i in range(4 * cli.MIN_CHARTS_PER_WORKER)]
     seen = []
-    # a lambda cannot be sent to a worker, and ``seen`` fills only in this process
+    # ``seen`` fills only in this process
     assert cli._per_chart(lambda chart: seen.append(chart) or chart.upper(), charts, 4) == [
         chart.upper() for chart in charts]
     assert seen == charts
+    assert forks == []
     assert "multiprocessing" not in sys.modules
     assert "concurrent.futures.process" not in sys.modules
+
+
+def test_per_chart_runs_here_where_the_platform_cannot_fork(monkeypatch, two_cpu_pool):
+    monkeypatch.delattr(os, "fork")
+    charts = [f"c{i}" for i in range(4)]
+    seen = []
+    assert cli._per_chart(lambda chart: seen.append(chart) or chart.upper(), charts, 2) == [
+        chart.upper() for chart in charts]
+    assert seen == charts
+
+
+class _NeedsTwoArguments(Exception):
+    """Pickles as ``_NeedsTwoArguments(first)``, which cannot be unpickled."""
+
+    def __init__(self, first, second):
+        super().__init__(first)
+
+
+class _HoldsALock(Exception):
+    def __init__(self):
+        super().__init__("holds a lock")
+        self.lock = threading.Lock()
+
+
+def _raise_on_c3(error):
+    def per_chart(chart):
+        if chart == "c3":
+            raise error()
+        return chart
+    return per_chart
+
+
+def _assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_worker_exception_is_raised_here_with_the_worker_traceback(two_cpu_pool):
+    with pytest.raises(KeyError, match="c3") as raised:
+        cli._per_chart(_raise_on_c3(lambda: KeyError("c3")), [f"c{i}" for i in range(4)], 2)
+    worker_traceback = str(raised.value.__cause__)
+    assert "Traceback (most recent call last)" in worker_traceback
+    assert "in per_chart" in worker_traceback and "KeyError: 'c3'" in worker_traceback
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("error", [_HoldsALock, lambda: _NeedsTwoArguments(1, 2)],
+                         ids=["cannot-be-pickled", "cannot-be-unpickled"])
+def test_a_worker_exception_that_cannot_be_sent_back_is_still_an_error(two_cpu_pool, error):
+    with pytest.raises(RuntimeError, match="could not be sent back") as raised:
+        cli._per_chart(_raise_on_c3(error), [f"c{i}" for i in range(4)], 2)
+    assert "in per_chart" in str(raised.value.__cause__)
+    _assert_no_child_left()
+
+
+def test_an_unpicklable_worker_result_is_an_error(two_cpu_pool):
+    with pytest.raises(TypeError, match="cannot pickle") as raised:
+        cli._per_chart(lambda chart: threading.Lock(), [f"c{i}" for i in range(4)], 2)
+    assert "Traceback" in str(raised.value.__cause__)
+    _assert_no_child_left()
+
+
+def test_a_killed_worker_fails_the_call(two_cpu_pool):
+    def die_on_c1(chart):
+        if chart == "c1":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return chart
+
+    with pytest.raises(WorkerFailed, match=f"killed by signal {int(signal.SIGKILL)}"):
+        cli._per_chart(die_on_c1, [f"c{i}" for i in range(4)], 2)
+    _assert_no_child_left()
 
 
 def _mixed_tree(root) -> None:
@@ -234,14 +351,9 @@ def _mixed_tree(root) -> None:
 @pytest.mark.parametrize("argv", [["livecheck"], ["dupes"], ["analyze", "--jobs", "2"]])
 def test_workers_reading_their_charts_match_a_serial_run(tmp_path, monkeypatch, two_cpu_pool,
                                                         caplog, capsys, argv):
-    import multiprocessing
-
     _mixed_tree(tmp_path / "charts")
     argv = [*argv, "--path", str(tmp_path / "charts")]
-    methods = []
-    get_context = multiprocessing.get_context
-    monkeypatch.setattr(multiprocessing, "get_context",
-                        lambda method: methods.append(method) or get_context(method))
+    forks = count_calls(monkeypatch, "fork", os)
     runs = []
     for cpus in ({0, 1}, {0}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
@@ -252,7 +364,7 @@ def test_workers_reading_their_charts_match_a_serial_run(tmp_path, monkeypatch, 
         skipped = [record.getMessage().split(":")[0] for record in caplog.records
                    if "skipping" in record.getMessage()]
         runs.append((payload, skipped))
-    assert len(methods) == 1  # the first run started a pool, the second ran here
+    assert len(forks) == 2  # the first run forked two workers, the second ran here
     assert runs[0] == runs[1]
     assert runs[0][1] == ["skipping headless", "skipping nested/broken-0.1.0.tgz"]
 
@@ -287,22 +399,14 @@ def _without_generated_at(text: str):
     return document
 
 
-@pytest.mark.parametrize("method", ["fork", "spawn"])
 def test_variability_suggest_and_index_commands_match_a_serial_run(tmp_path, monkeypatch,
-                                                                   two_cpu_pool, caplog, capsys,
-                                                                   method):
-    import multiprocessing
-
+                                                                   two_cpu_pool, caplog, capsys):
     charts, out, kb = tmp_path / "charts", tmp_path / "out", tmp_path / "kb.json"
     _rewrite_tree(charts)
     commands = [["variability", "--kb", str(kb), "--out", str(out / "variability")],
                 ["suggest", "--kb", str(kb), "--out", str(out / "suggest")],
                 ["authorsets"], ["irregularities"], ["graph"]]
-    methods = []
-    get_context = multiprocessing.get_context
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: [method])
-    monkeypatch.setattr(multiprocessing, "get_context",
-                        lambda method: methods.append(method) or get_context(method))
+    forks = count_calls(monkeypatch, "fork", os)
     runs = []
     for cpus in ({0, 1}, {0}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
@@ -318,7 +422,7 @@ def test_variability_suggest_and_index_commands_match_a_serial_run(tmp_path, mon
                  for path in sorted(out.rglob("*")) if path.is_file()}
         # knowledge-base values come from randAlphaNum, so only the keys compare
         runs.append((run, files, sorted(json.loads(kb.read_text()))))
-    assert methods == [method] * len(commands)  # the first run pooled each, the second did not
+    assert len(forks) == 2 * len(commands)  # the first run forked two workers for each
     assert runs[0] == runs[1]
     run, files, kb_keys = runs[0]
     skipped_archive = ("skipping broken-0.1.0.tgz: MalformedArchive: not a gzipped tar archive: "
@@ -467,6 +571,33 @@ def test_malformed_config_file_exits_two(tmp_path, text, command, message):
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("flag, body, error, message", [
+    ("--groups", b"not json", InputFileError, "not JSON: Expecting value"),
+    ("--groups", b'{"n1": [1, 2, 3], "n2": [\xff]}', InputFileError,
+     "not UTF-8: 'utf-8' codec can't decode byte 0xff"),
+    ("--config", b"threshold: 2\n# \xff\n", InputFileError,
+     "config file is not UTF-8: 'utf-8' codec can't decode byte 0xff"),
+    ("--kb", b'{"web|t#0/a": "\xff"}', KnowledgeBaseError,
+     "not UTF-8: 'utf-8' codec can't decode byte 0xff"),
+], ids=["groups-not-json", "groups-not-utf8", "config-not-utf8", "kb-not-utf8"])
+def test_input_file_not_utf8_or_not_json_is_a_typed_error_naming_it(tmp_path, caplog, flag,
+                                                                   body, error, message):
+    write_chart_dir(tmp_path / "charts", "web",
+                    chart_files(values={}, templates=CLEAN_TEMPLATES, maintainers=MAINTAINED))
+    bad = tmp_path / "bad-file"
+    bad.write_bytes(body)
+    command = {"--groups": ["stats", "--iterations", "5"],
+               "--config": ["dupes", "--path", str(tmp_path / "charts")],
+               "--kb": ["variability", "--path", str(tmp_path / "charts")]}[flag]
+    argv = [*command, flag, str(bad)]
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(error, match=re.escape(f"{bad}: {message}")):
+        cli._resolve(args)
+        cli._COMMANDS[args.command][0](args)
+    assert cli_dispatch(argv) == 2
+    assert f"{bad}: {message}" in caplog.text
 
 
 def _resolved(argv) -> argparse.Namespace:

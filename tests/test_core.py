@@ -1,7 +1,9 @@
 """chart-core: stem mangling, archive parsing, corpus metrics."""
 
+import copy
 import gzip
 import io
+import pickle
 import random
 import tarfile
 import tracemalloc
@@ -126,6 +128,12 @@ def test_chart_ref_invariants():
     assert ref.stem == "magicnamespace"
     with pytest.raises(ValueError):
         ChartRef(name="x", version="1", file_name="x-1.zip")
+    for copied in (copy.deepcopy(ref), pickle.loads(pickle.dumps(ref)),
+                   ref._replace(version="0.1.0")):
+        assert copied == ref and type(copied) is ChartRef
+    assert ref._replace(file_name="db-2.0.0.tgz").stem == "db"
+    with pytest.raises(ValueError):
+        ref._replace(file_name="db-2.0.0.zip")
 
 
 def test_parse_chart_archive_minimal():

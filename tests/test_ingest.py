@@ -376,6 +376,8 @@ def test_load_builds_entries_from_the_manifest_without_parsing(tmp_path, monkeyp
     assert calls == []
     assert [entry.ref.file_name for entry in index.entries] == ["web-1.0.0.tgz"]
     assert index.raw == (snapshot_dir / "index.yaml").read_bytes()
+    assert repr(index).startswith("RepoIndex(source='memory:', ")
+    assert repr(index.raw) not in repr(index)
 
 
 @pytest.mark.parametrize("mark", [{}, {"reader": 1}, {"reader": "2"}],
@@ -387,6 +389,20 @@ def test_load_parses_entries_another_reader_cached(tmp_path, monkeypatch, mark):
     assert len(calls) == 1
     assert [entry.ref.file_name for entry in snapshot.index.entries] == ["db-1.10.tgz"]
     assert snapshot.content_digests == {}
+
+
+def test_a_store_builds_each_distinct_cached_entry_once(tmp_path, monkeypatch):
+    store = SnapshotStore(str(tmp_path / "store"))
+    for day, versions in ((14, ["1.0.0", "1.1.0"]), (15, ["1.1.0", "1.2.0"])):
+        store.record(parse_repo_index(
+            make_index_yaml({"web": [{"version": v} for v in versions]}), "memory:",
+            fetched_at=datetime.datetime(2018, 5, day, tzinfo=UTC)), {})
+    built = count_calls(monkeypatch, "_entry_ref", ingest)
+    first, second = (store.load(snapshot_id).index.entries for snapshot_id in store.ids())
+    assert len(built) == 3
+    assert first[1] is second[0]
+    assert [entry.ref.file_name for entry in first + second] == [
+        "web-1.0.0.tgz", "web-1.1.0.tgz", "web-1.1.0.tgz", "web-1.2.0.tgz"]
 
 
 def test_load_ignores_cached_entries_of_another_index(tmp_path):
@@ -419,6 +435,7 @@ def test_load_checks_cached_names_like_parsed_ones(tmp_path):
         "list-digest", "int-url", "short-maintainer", "mapping-maintainer", "int-maintainer"])
 def test_load_rejects_misshapen_cached_entries(tmp_path, monkeypatch, edit):
     store, snapshot_dir = _recorded(tmp_path, WEB)
+    store.load("2018-05-15")  # the store now holds the well-formed entry
     _edit_cached_entries(snapshot_dir, edit)
     calls = count_calls(monkeypatch, "parse_repo_index", ingest)
     with pytest.raises(StorageError, match="snapshot 2018-05-15: manifest index entries"):

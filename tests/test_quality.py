@@ -421,3 +421,5 @@ def test_analyze_chart_reports_overrides_and_learned_keys_without_writing_them()
 def test_threshold_below_two_is_a_setting_error():
     with pytest.raises(SettingError, match="duplicate threshold must be at least 2"):
         DuplicateConfig(threshold=1)
+    with pytest.raises(SettingError, match="duplicate threshold must be at least 2"):
+        DuplicateConfig()._replace(threshold=1)
