@@ -26,8 +26,7 @@ _EXPORTS = {
               "parse_repo_index",
     "quality": "DuplicateConfig DuplicateReport QualityReport VariabilityKnowledgeBase "
                "analyze_chart detect_duplicates learn_variability stabilize_render",
-    "render": "BuiltinEngine ExternalEngine RenderFailure RenderResult flatten_documents "
-              "render_chart",
+    "render": "BuiltinEngine ExternalEngine RenderFailure RenderResult render_chart",
     "rewrite": "IssueDigest RewritePlan build_issue_digests emit_diff plan_rewrite "
                "verify_rewrite",
     "stats": "resampled_group_test wilcoxon_signed_rank",

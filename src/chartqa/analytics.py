@@ -14,7 +14,7 @@ import datetime
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .core import ChartRef, Maintainer
-from .errors import SettingError
+from .errors import SettingError, StorageError
 from .ingest import RepoIndex, Snapshot
 
 REGULARLY_CHANGED = "RegularlyChanged"
@@ -324,7 +324,10 @@ def _monthly_growth_pct(start: float, end: float, months: float) -> float | None
 
 
 def _snapshot_date(snapshot: Snapshot) -> datetime.date:
-    return datetime.date.fromisoformat(snapshot.id)
+    try:
+        return datetime.date.fromisoformat(snapshot.id)
+    except ValueError:  # a directory put in the store by hand
+        raise StorageError(f"snapshot {snapshot.id!r}: name is not a date") from None
 
 
 def _index_metrics(index: RepoIndex) -> dict:

@@ -674,7 +674,7 @@ def cli_dispatch(argv: Sequence[str]) -> int:
     try:
         _resolve(args)
         return _COMMANDS[args.command][0](args)
-    except (ChartQAError, OSError, ValueError) as exc:
+    except (ChartQAError, OSError) as exc:
         log.error("%s", exc)
         return EXIT_ERROR
 

@@ -100,7 +100,9 @@ def parse_repo_index(
     Scalars are read as written, so ``version: 1.10`` stays ``1.10``. A
     records list, record, maintainers list or urls list that a YAML alias
     repeats is an error: each repeat would be expanded again, so a small
-    index could stand for millions of entries.
+    index could stand for millions of entries. So is a mapping or list
+    where a name, version, digest, url or maintainer's name or email
+    belongs: its text would expand every alias inside it.
     """
     import yaml
 
@@ -124,6 +126,10 @@ def parse_repo_index(
             raise IndexParseError(f"{chart_name!r} repeats a {what} read before (YAML alias)")
         seen.add(id(value))
 
+    def scalars(values: Iterable, what: str, chart_name: str) -> None:
+        if any(isinstance(value, (Mapping, list)) for value in values):
+            raise IndexParseError(f"version record under {chart_name!r} has a non-scalar {what}")
+
     for chart_name, records in entries_doc.items():
         if not isinstance(records, list):
             raise IndexParseError(f"entries for {chart_name!r} are not a list")
@@ -135,6 +141,14 @@ def parse_repo_index(
             for field_name in ("maintainers", "urls"):
                 if isinstance(record.get(field_name), list):
                     first_sight(record[field_name], f"{field_name} list", chart_name)
+            for field_name in ("name", "version", "digest"):
+                scalars([record.get(field_name)], field_name, chart_name)
+            scalars(record.get("urls") or [], "url", chart_name)
+            if isinstance(record.get("maintainers"), list):
+                for maintainer in record["maintainers"]:
+                    if isinstance(maintainer, Mapping):
+                        scalars([maintainer.get("name")], "maintainer name", chart_name)
+                        scalars([maintainer.get("email")], "maintainer email", chart_name)
             name = str(record.get("name") or chart_name)
             version = record.get("version")
             if version is None:
@@ -172,7 +186,7 @@ def fetch_archive(url_or_path: str, expected_digest: str | None = None) -> bytes
         try:
             with open(url_or_path, "rb") as fh:
                 data = fh.read()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a path holding NUL
             raise FetchError(f"cannot read {url_or_path}: {exc}") from exc
     if expected_digest:
         expected = expected_digest.split(":", 1)[-1].lower()

@@ -121,13 +121,13 @@ def probe_variability(
     rendered text differs are parsed and compared: equal text gives equal
     leaves, which can teach nothing. Failures come from the first render.
     """
-    from .render import BuiltinEngine, flatten_documents, render_chart
+    from .render import BuiltinEngine, render_chart
 
     engine = engine or BuiltinEngine()
     first = render_chart(pkg, overrides, engine)
     second = render_chart(pkg, overrides, engine, earlier=first)
-    second_leaves = dict(flatten_documents(second.documents))
-    changed = dict(flatten_documents(first.restricted(second.differing(first))))
+    second_leaves = second.leaf_values()
+    changed = first.leaf_values(second.differing(first))
     learned = {key_path: value for key_path, value in changed.items()
                if key_path not in overrides and second_leaves.get(key_path, value) != value}
     first.pin(learned)

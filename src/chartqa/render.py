@@ -22,18 +22,9 @@ from typing import Any, Mapping, NamedTuple
 
 import yaml
 
-from .core import ChartPackage, write_package_dir
+from .core import MAX_FILE_BYTES, ChartPackage, write_package_dir
 from .errors import EngineUnavailable
-from .yamlutil import (
-    DIRECTIVE_RE,
-    build_path,
-    canon,
-    is_scalar,
-    iter_tree_leaves,
-    load_documents,
-    parse_path,
-    set_at,
-)
+from .yamlutil import DIRECTIVE_RE, canon, is_scalar, load_documents
 
 MISSING_VALUE = "MissingValue"
 SYNTAX_ERROR = "SyntaxError"
@@ -47,13 +38,21 @@ class RenderFailure(NamedTuple):
 
 
 class RenderResult:
-    """Rendered documents as (template_path, doc_index, parsed body), with failures and text."""
+    """Rendered documents as (template_path, doc_index, parsed body), with failures and text.
 
-    __slots__ = ("documents", "failures", "texts", "applied")
+    ``leaves`` maps the key path of each scalar leaf to (template path,
+    container, slot): the leaf's value is ``container[slot]``. Where two
+    leaves have one key path, the last in document order holds it. A
+    document that is one scalar is held in the 1-tuple ``(value,)``, which
+    no pin changes.
+    """
 
-    def __init__(self, documents: list[tuple[str, int, Any]], failures: list[RenderFailure],
-                 texts: dict[str, str]):
+    __slots__ = ("documents", "leaves", "failures", "texts", "applied")
+
+    def __init__(self, documents: list[tuple[str, int, Any]], leaves: dict[str, tuple],
+                 failures: list[RenderFailure], texts: dict[str, str]):
         self.documents = documents
+        self.leaves = leaves
         self.failures = failures
         self.texts = texts  # template path -> rendered text
         self.applied: set[str] = set()  # override key paths render_chart pinned
@@ -69,21 +68,26 @@ class RenderResult:
         return "".join(chunks)
 
     def pin(self, overrides: Mapping[str, str]) -> set[str]:
-        """Set each override's key path in place; returns the key paths set.
+        """Set each override's leaf in place; returns the key paths set.
 
-        Key paths that do not parse or name no existing leaf are ignored.
+        A key path that names no leaf (a mapping, a list or nothing) or a
+        document that is one scalar is ignored.
         """
-        by_doc = {(tp, di): body for tp, di, body in self.documents}
         pinned = set()
         for key_path, value in overrides.items():
-            try:
-                template_path, doc_index, segments = parse_path(key_path)
-            except ValueError:
-                continue
-            body = by_doc.get((template_path, doc_index))
-            if body is not None and set_at(body, segments, value):
+            leaf = self.leaves.get(key_path)
+            if leaf is not None and not isinstance(leaf[1], tuple):
+                _, container, slot = leaf
+                container[slot] = value
                 pinned.add(key_path)
         return pinned
+
+    def leaf_values(self, templates: set[str] | None = None) -> dict[str, str]:
+        """``{key path: canonical current value}`` of the leaves of every
+        template, or of the named ones, in document order."""
+        return {path: canon(container[slot])
+                for path, (template_path, container, slot) in self.leaves.items()
+                if templates is None or template_path in templates}
 
     def restricted(self, templates: set[str]) -> list[tuple[str, int, Any]]:
         """The documents of the named templates, in render order."""
@@ -103,6 +107,7 @@ class _TemplateError(Exception):
 
 
 _MISSING = object()
+_TOO_LONG = f"renders to more than {MAX_FILE_BYTES} characters"
 _WORD_RE = re.compile(r'"(?:[^"\\]|\\.)*"|\S+')
 _ALPHANUM = string.ascii_letters + string.digits
 # module level, not per engine: an engine must pickle to reach a worker process
@@ -143,11 +148,23 @@ class BuiltinEngine:
         return rendered, failures
 
     def _render_text(self, pkg: ChartPackage, body: str) -> str:
-        def replace(match: re.Match) -> str:
-            expr = match.group(0)[2:-2].strip().strip("-").strip()
-            return self._eval(pkg, expr)
+        """``body`` with each directive evaluated; an EngineUnsupported failure
+        once the text grows past ``MAX_FILE_BYTES`` characters, Helm's limit
+        for one chart file."""
+        grown = 0  # characters the directives so far added to the text
 
-        return DIRECTIVE_RE.sub(replace, body)
+        def replace(match: re.Match) -> str:
+            nonlocal grown
+            value = self._eval(pkg, match.group(0)[2:-2].strip().strip("-").strip())
+            grown += len(value) - len(match.group(0))
+            if match.end() + grown > MAX_FILE_BYTES:  # the text up to here
+                raise _TemplateError(ENGINE_UNSUPPORTED, _TOO_LONG)
+            return value
+
+        text = DIRECTIVE_RE.sub(replace, body)
+        if len(text) > MAX_FILE_BYTES:
+            raise _TemplateError(ENGINE_UNSUPPORTED, _TOO_LONG)
+        return text
 
     def _eval(self, pkg: ChartPackage, expr: str) -> str:
         stages = _split_pipes(expr)
@@ -180,8 +197,10 @@ class BuiltinEngine:
             return pkg.metadata.name
         if head == ".Chart.Version" and len(words) == 1:
             return pkg.metadata.version
-        if head == "randAlphaNum" and len(words) == 2 and words[1].isdigit():
-            n = int(words[1])
+        if head == "randAlphaNum" and len(words) == 2 and words[1].isdecimal():
+            n = self._literal(words[1])
+            if n is None or n > MAX_FILE_BYTES:
+                raise _TemplateError(ENGINE_UNSUPPORTED, _TOO_LONG)
             return "".join(_RAND.choice(_ALPHANUM) for _ in range(n))
         literal = self._literal(head)
         if literal is not None and len(words) == 1:
@@ -193,7 +212,10 @@ class BuiltinEngine:
         if len(word) >= 2 and word[0] == '"' and word[-1] == '"':
             return word[1:-1].replace('\\"', '"')
         if re.fullmatch(r"-?\d+", word):
-            return int(word)
+            try:
+                return int(word)
+            except ValueError:  # past int()'s limit of 4300 digits
+                return None
         if re.fullmatch(r"-?\d+\.\d+", word):
             return float(word)
         return None
@@ -291,7 +313,7 @@ def render_chart(
 ) -> RenderResult:
     """Render every template of the chart and parse the output documents.
 
-    Overrides map flattened key paths of the rendered output to replacement
+    Overrides map key paths of the rendered output to replacement
     text and are injected after parsing, taking precedence over whatever the
     engine produced (including fresh random values); ``applied`` holds the
     key paths of those that named a leaf of the result. Failures are collected
@@ -311,28 +333,23 @@ def render_chart(
     known = earlier.texts if earlier is not None else {}
 
     documents: list[tuple[str, int, Any]] = []
+    leaves: dict[str, tuple] = {}
     for template_path, text in rendered:
         if known.get(template_path) == text:
             continue
         try:
-            parsed = load_documents(text, leaves=False)
+            parsed = load_documents(text)
         except yaml.YAMLError as exc:
             reason = str(exc).replace("\n", " ")
             failures.append(RenderFailure(template_path, reason, SYNTAX_ERROR))
             continue
-        documents.extend(
-            (template_path, doc_index, body) for doc_index, (body, _) in enumerate(parsed)
-        )
+        for doc_index, (body, doc_leaves) in enumerate(parsed):
+            documents.append((template_path, doc_index, body))
+            prefix = f"{template_path}#{doc_index}"
+            for suffix, _node, value, container, slot in doc_leaves:
+                leaves[prefix + suffix] = (template_path, container, slot) \
+                    if container is not None else (template_path, (value,), 0)
 
-    result = RenderResult(documents, failures, dict(rendered))
+    result = RenderResult(documents, leaves, failures, dict(rendered))
     result.applied = result.pin(overrides or {})
     return result
-
-
-def flatten_documents(documents: list[tuple[str, int, Any]]) -> list[tuple[str, str]]:
-    """Depth-first scalar leaves of every document as (key path, canonical value)."""
-    out = []
-    for template_path, doc_index, body in documents:
-        for segments, value in iter_tree_leaves(body):
-            out.append((build_path(template_path, doc_index, segments), canon(value)))
-    return out

@@ -58,10 +58,10 @@ def _locate_occurrence(leaf: SourceLeaf, source: str) -> Occurrence:
     if leaf.style in ('"', "'"):
         if len(text) >= 2 and text[0] == leaf.style and text[-1] == leaf.style \
                 and text[1:-1] == leaf.value:
-            return Occurrence(leaf.path.partition("#")[0], (start, end), leaf.style)
+            return Occurrence(leaf.template_path, (start, end), leaf.style)
         raise SpanLocationFailed(f"{leaf.path}: quoted source differs from value")
     if leaf.style is None and text == leaf.value:
-        return Occurrence(leaf.path.partition("#")[0], (start, end), None)
+        return Occurrence(leaf.template_path, (start, end), None)
     raise SpanLocationFailed(
         f"{leaf.path}: source style {leaf.style!r} not literally replaceable"
     )
@@ -89,10 +89,8 @@ def plan_rewrite(pkg: ChartPackage, report: DuplicateReport) -> RewritePlan:
     var_index = 1
     for group in report.groups:
         try:
-            occurrences = [
-                _locate_occurrence(leaf, bodies[leaf.path.partition("#")[0]])
-                for leaf in group.leaves
-            ]
+            occurrences = [_locate_occurrence(leaf, bodies[leaf.template_path])
+                           for leaf in group.leaves]
         except SpanLocationFailed as exc:
             skipped.append((group.canonical_value, str(exc)))
             continue

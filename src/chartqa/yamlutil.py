@@ -1,18 +1,19 @@
-"""Shared YAML helpers: the document walk, canonical scalars, sentinel parsing, key paths.
+"""Shared YAML helpers: the document walk, canonical scalars, sentinel parsing.
 
 Template sources, rendered output and chart metadata are all built by
 :func:`load_documents` or its single-document form :func:`load_unique`.
-Flattened key paths use the grammar ``<templatePath>#<docIndex>/a/b[2]/c``:
-``<docIndex>`` counts the documents of the template that hold a value (an
-empty, comment-only or null document takes no index), mapping keys are
-their ``str()`` forms (``80``, ``True``) joined with ``/``, sequence
-positions append ``[i]``. The walk builds the part after ``<docIndex>``
-(``/a/b[2]/c``, empty for a document that is one scalar) as it descends,
-and gives each scalar leaf as (that suffix, node, value). A template that
-is not YAML gives no documents.
+The walk names each scalar leaf with a key path
+``<templatePath>#<docIndex>/a/b[2]/c``: ``<docIndex>`` counts the
+documents of the template that hold a value (an empty, comment-only or
+null document takes no index), mapping keys are their ``str()`` forms
+(``80``, ``True``) joined with ``/``, sequence positions append ``[i]``.
+The walk builds the part after ``<docIndex>`` (``/a/b[2]/c``, empty for a
+document that is one scalar) as it descends. Keys are used verbatim, and
+may themselves hold ``/``, ``#`` or ``[`` (``checksum/config``,
+``app.kubernetes.io/name``), so a key path is only ever a name the walk
+gave: nothing parses one back. Two leaves can share a name (a key ``a/b``
+beside ``a: {b: ...}``). A template that is not YAML gives no documents.
 Aliases are expanded, up to a fixed number of nodes per text.
-Keys are used verbatim, so keys containing ``/``, ``#`` or ``[`` are outside
-the grammar (chart keys are conventional identifiers in practice).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import datetime
 import functools
 import math
 import re
-from typing import Any, Iterator, NamedTuple
+from typing import Any, NamedTuple
 
 import yaml
 from yaml.constructor import SafeConstructor
@@ -103,32 +104,36 @@ def _reject(problem: str, node: yaml.Node) -> None:
 
 
 class _Walk:
-    """Builds the bodies of one text's documents and, where asked, collects their scalar leaves."""
+    """Builds the bodies of one text's documents and collects their scalar leaves."""
 
     def __init__(self, literal: bool = False):
         self.constructor = SafeConstructor()
         self.literal = literal
         self.nodes = 0
         self.open: set[yaml.Node] = set()  # collection nodes on the current path
-        self.leaves: list | None = None  # (key path suffix, node, value) of each scalar
+        # (key path suffix, node, value, container, slot) of each scalar leaf
+        self.leaves: list = []
 
     def scalar(self, node: yaml.Node) -> Any:
         if node.tag == _STR_TAG or self.literal and node.tag in _LITERAL_TAGS:
             return node.value
         build = _SCALARS.get(node.tag)
-        return build(self.constructor, node) if build else \
-            self.constructor.construct_object(node, deep=True)
+        try:
+            return build(self.constructor, node) if build else \
+                self.constructor.construct_object(node, deep=True)
+        except (ValueError, KeyError) as exc:  # 2001-02-30, !!int abc, !!bool maybe
+            _reject(f"cannot build {node.tag} scalar: {exc}", node)
 
-    def build(self, node: yaml.Node, path: str) -> Any:
-        """Body of ``node``, whose key path suffix is ``path``; appends each
-        scalar leaf to ``self.leaves`` unless that is None."""
+    def build(self, node: yaml.Node, path: str, container: Any = None, slot: Any = None) -> Any:
+        """Body of ``node``, whose key path suffix is ``path`` and which sits at
+        ``container[slot]`` (None for a document's root); appends each scalar
+        leaf to ``self.leaves``."""
         self.nodes += 1
         if self.nodes > _MAX_NODES:
             _reject(f"expands to more than {_MAX_NODES} nodes", node)
         if isinstance(node, yaml.ScalarNode):
             value = self.scalar(node)
-            if self.leaves is not None:
-                self.leaves.append((path, node, value))
+            self.leaves.append((path, node, value, container, slot))
             return value
         if node in self.open:
             _reject("recursive alias", node)
@@ -136,7 +141,9 @@ class _Walk:
             _reject(f"nested deeper than {_MAX_DEPTH} levels", node)
         self.open.add(node)
         if isinstance(node, yaml.SequenceNode):
-            body: Any = [self.build(item, f"{path}[{i}]") for i, item in enumerate(node.value)]
+            body: Any = []
+            for i, item in enumerate(node.value):
+                body.append(self.build(item, f"{path}[{i}]", body, i))
         else:
             body = {}
             for key_node, value_node in node.value:
@@ -145,25 +152,27 @@ class _Walk:
                 key = str(self.scalar(key_node))
                 if key in body:
                     _reject(f"duplicate mapping key {key!r}", key_node)
-                body[key] = self.build(value_node, f"{path}/{key}")
+                body[key] = self.build(value_node, f"{path}/{key}", body, key)
         self.open.discard(node)
         return body
 
 
-def load_documents(text: str, leaves: bool = True) -> list[tuple[Any, list]]:
+def load_documents(text: str) -> list[tuple[Any, list]]:
     """(body, scalar leaves) of each document of ``text`` that holds a value, in ``#N`` order.
 
-    Each leaf is (key path suffix, node, value) in depth-first order, the
-    suffix as in ``/a/b[2]``; with ``leaves`` false every leaf list is empty.
-    Raises ``yaml.YAMLError`` for text that is not YAML, a duplicate or
-    non-scalar key, a recursive alias, or a walk past ``_MAX_DEPTH`` or ``_MAX_NODES``.
+    Each leaf is (key path suffix, node, value, container, slot) in
+    depth-first order: the suffix as in ``/a/b[2]``, and the mapping or
+    list that holds the value with its key or index there, both None for a
+    document that is one scalar. Raises ``yaml.YAMLError`` for text that is
+    not YAML, a scalar its tag cannot build, a duplicate or non-scalar key,
+    a recursive alias, or a walk past ``_MAX_DEPTH`` or ``_MAX_NODES``.
     """
     walk = _Walk()
     documents = []
     for node in yaml.compose_all(text, Loader=_SafeLoader):
         if node.tag != _NULL_TAG:
-            walk.leaves = [] if leaves else None
-            documents.append((walk.build(node, ""), walk.leaves or []))
+            walk.leaves = []
+            documents.append((walk.build(node, ""), walk.leaves))
     return documents
 
 
@@ -212,86 +221,6 @@ def is_scalar(value: Any) -> bool:
     return not isinstance(value, (dict, list))
 
 
-def build_path(template_path: str, doc_index: int, segments: tuple) -> str:
-    parts = [f"{template_path}#{doc_index}"]
-    for kind, val in segments:
-        if kind == "key":
-            parts.append(f"/{val}")
-        else:
-            parts.append(f"[{val}]")
-    return "".join(parts)
-
-
-_SEGMENT_RE = re.compile(r"/([^/\[]*)|\[(\d+)\]")
-
-
-def parse_path(path: str) -> tuple[str, int, tuple]:
-    """Invert :func:`build_path`; raises ValueError on malformed paths."""
-    template_path, sep, rest = path.partition("#")
-    if not sep:
-        raise ValueError(f"key path lacks '#<docIndex>': {path!r}")
-    m = re.match(r"(\d+)", rest)
-    if not m:
-        raise ValueError(f"key path lacks a document index: {path!r}")
-    doc_index = int(m.group(1))
-    segments = []
-    pos = m.end()
-    while pos < len(rest):
-        m = _SEGMENT_RE.match(rest, pos)
-        if not m:
-            raise ValueError(f"malformed key path segment at {rest[pos:]!r}")
-        if m.group(2) is not None:
-            segments.append(("idx", int(m.group(2))))
-        else:
-            segments.append(("key", m.group(1)))
-        pos = m.end()
-    return template_path, doc_index, tuple(segments)
-
-
-def iter_tree_leaves(tree: Any, _segs: tuple = ()) -> Iterator[tuple[tuple, Any]]:
-    """Depth-first scalar leaves of a parsed YAML tree as (segments, value)."""
-    if isinstance(tree, dict):
-        for key, val in tree.items():
-            yield from iter_tree_leaves(val, _segs + (("key", str(key)),))
-    elif isinstance(tree, list):
-        for i, val in enumerate(tree):
-            yield from iter_tree_leaves(val, _segs + (("idx", i),))
-    else:
-        yield _segs, tree
-
-
-def get_at(tree: Any, segments: tuple) -> Any:
-    node = tree
-    for kind, val in segments:
-        if kind == "key":
-            if not isinstance(node, dict) or val not in node:
-                raise KeyError(val)
-            node = node[val]
-        else:
-            if not isinstance(node, list) or val >= len(node):
-                raise KeyError(val)
-            node = node[val]
-    return node
-
-
-def set_at(tree: Any, segments: tuple, value: Any) -> bool:
-    """Set the leaf at ``segments`` if it exists; returns True when applied.
-
-    A mapping or list there is no leaf and is left whole.
-    """
-    if not segments:
-        return False
-    try:
-        parent = get_at(tree, segments[:-1])
-        if isinstance(get_at(parent, segments[-1:]), (dict, list)):
-            return False
-    except KeyError:
-        return False
-    kind, val = segments[-1]
-    parent[val] = value
-    return True
-
-
 # --- sentinel parsing of template sources ---
 
 class SourceLeaf(NamedTuple):
@@ -304,6 +233,7 @@ class SourceLeaf(NamedTuple):
     gave; it shares that leaf's node and span.
     """
 
+    template_path: str
     path: str
     value: str
     style: str | None
@@ -376,11 +306,11 @@ def sentinel_parse(template_path: str, source: str) -> SentinelParse:
     seen: set[yaml.Node] = set()
     for doc_index, (_, doc_leaves) in enumerate(documents):
         prefix = f"{template_path}#{doc_index}"
-        for suffix, node, raw in doc_leaves:
+        for suffix, node, raw, _container, _slot in doc_leaves:
             value = raw if type(raw) is str else canon(raw)
             templated = SENTINEL_PREFIX in value
             span = None if templated else _map_span(segment_table, node)
-            leaves.append(SourceLeaf(prefix + suffix, value, node.style or None, span,
-                                     templated, node in seen))
+            leaves.append(SourceLeaf(template_path, prefix + suffix, value, node.style or None,
+                                     span, templated, node in seen))
             seen.add(node)
     return SentinelParse(template_path, leaves)

@@ -490,6 +490,33 @@ def test_bad_setting_exits_two_before_any_chart_is_read(tmp_path, monkeypatch, c
     assert loads == []
 
 
+def test_analyze_reports_the_charts_beside_one_the_engine_cannot_render(tmp_path):
+    charts = tmp_path / "charts"
+    write_chart_dir(charts, "bad", chart_files(name="bad", values={}, templates={
+        "t.yaml": "pw: {{ randAlphaNum \u00b2 }}\n"}, maintainers=MAINTAINED))
+    write_chart_dir(charts, "web", chart_files(values={"app": "x"}, templates=CLEAN_TEMPLATES,
+                                               maintainers=MAINTAINED))
+    proc = run_cli("analyze", "--path", str(charts), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    quality_section = json.loads((tmp_path / "out" / "report.json").read_text())[
+        "sections"]["quality"]
+    assert [chart["chart"] for chart in quality_section] == ["bad-1.0.0.tgz", "web-1.0.0.tgz"]
+    assert [[f["category"] for f in chart["render_failures"]]
+            for chart in quality_section] == [["EngineUnsupported"], []]
+
+
+def test_dupes_reports_the_charts_beside_one_holding_an_impossible_date(tmp_path):
+    charts = tmp_path / "charts"
+    write_chart_dir(charts, "bad", chart_files(name="bad", values={}, templates={
+        "t.yaml": "since: 2001-02-30\n"}, maintainers=MAINTAINED))
+    write_chart_dir(charts, "web", chart_files(values={}, templates=DUPE_TEMPLATES,
+                                               maintainers=MAINTAINED))
+    proc = run_cli("dupes", "--path", str(charts))
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
+    charts_reported = json.loads(proc.stdout)["sections"]["duplicates"]
+    assert [chart["chart"] for chart in charts_reported] == ["bad-1.0.0.tgz", "web-1.0.0.tgz"]
+
+
 def test_analyze_findings_exit_code(tmp_path):
     write_chart_dir(tmp_path / "charts", "web",
                     chart_files(values={}, templates=DUPE_TEMPLATES,
@@ -812,6 +839,19 @@ def test_suggest_verifies_charts_with_random_values(tmp_path):
     assert "dup-me" in diff_text
 
 
+def test_suggest_on_a_template_named_with_a_hash(tmp_path):
+    # the occurrence names its template; nothing splits a key path on "#"
+    write_chart_dir(tmp_path / "charts", "web", chart_files(values={}, templates={
+        "a#b.yaml": "a: dup-value\nb: dup-value\nc: dup-value\n",
+    }, maintainers=MAINTAINED))
+    out = tmp_path / "out"
+    proc = run_cli("suggest", "--path", str(tmp_path / "charts"), "--out", str(out))
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
+    diff_text = (out / "diffs" / "web-1.0.0.tgz.patch").read_text()
+    assert "+++ b/web/templates/a#b.yaml" in diff_text
+    assert "{{ .Values.suggestions.var1 }}" in diff_text
+
+
 def test_suggest_skips_chart_that_cannot_render(tmp_path):
     charts = tmp_path / "charts"
     write_chart_dir(charts, "web", chart_files(values={}, templates={
@@ -1061,6 +1101,36 @@ def test_variability_kb_list_document_exits_two(tmp_path):
     assert "Traceback" not in proc.stderr
     assert f"{kb_path}: want a JSON object of string values" in proc.stderr
     assert kb_path.read_text() == "[]"  # a rejected file is not overwritten
+
+
+def test_snapshot_of_a_url_holding_nul_is_a_fetch_error(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    (repo / "index.yaml").write_bytes(
+        make_index_yaml({"web": [{"version": "1.0.0", "urls": ["web\0.tgz"]}]}))
+    proc = run_cli("snapshot", "--index", str(repo / "index.yaml"),
+                   "--snapshot-store", str(tmp_path / "store"))
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
+    assert f"ERROR cannot read {repo}/web\0.tgz: embedded null byte" in proc.stderr
+    assert SnapshotStore(str(tmp_path / "store")).ids() == []
+
+
+def test_trends_over_a_store_entry_not_named_by_date_exits_two(tmp_path, caplog):
+    store = _record_days(tmp_path / "store", "1.0.0", "1.1.0")
+    shutil.copytree(os.path.join(store.root, "2018-05-15"), os.path.join(store.root, "copy"))
+    with caplog.at_level(logging.ERROR, logger="chartqa"):
+        assert cli_dispatch(["trends", "--snapshot-store", store.root]) == 2
+    assert "snapshot 'copy': name is not a date" in caplog.text
+
+
+def test_a_plain_value_error_in_a_handler_keeps_its_traceback(monkeypatch, tmp_path):
+    def handler(args):
+        raise ValueError("a bug, not an operational error")
+
+    _, help_text, flags = cli._COMMANDS["stats"]
+    monkeypatch.setitem(cli._COMMANDS, "stats", (handler, help_text, flags))
+    with pytest.raises(ValueError, match="a bug, not an operational error"):
+        cli_dispatch(["stats", "--groups", str(tmp_path / "g.json")])
 
 
 def test_snapshot_duplicate_day_is_operational_error(tmp_path, capsys):

@@ -32,6 +32,8 @@ from chartqa.ingest import (
     sha256_digest,
 )
 
+from test_yamlutil import alias_bomb, deadline
+
 from conftest import (
     chart_files,
     count_calls,
@@ -152,6 +154,33 @@ def _aliased_records(charts: int, records: int) -> bytes:
 ], ids=["records-300x300", "record", "maintainers", "urls"])
 def test_parse_repo_index_rejects_aliased_repeats(raw, what):
     with pytest.raises(IndexParseError, match=f"repeats a {what} read before"):
+        parse_repo_index(raw, "memory:")
+
+
+# each record field the index reader turns into text, as an index line holding ``{bomb}``
+BOMB_FIELDS = {
+    "name": "name: {bomb}",
+    "version": "version: {bomb}",
+    "digest": "digest: {bomb}",
+    "url": "urls: [{bomb}]",
+    "maintainer name": "maintainers: [{{name: {bomb}}}]",
+    "maintainer email": "maintainers: [{{name: alice, email: {bomb}}}]",
+}
+
+
+def _bombed_index(field: str, levels: int) -> bytes:
+    """An index whose one record holds ``alias_bomb(levels)``'s last line at ``field``."""
+    lines = ["bombs:", *("  " + line for line in alias_bomb(levels).splitlines()),
+             "entries:", "  c:", "  - " + BOMB_FIELDS[field].format(bomb=f"*l{levels - 1}")]
+    lines += [f"    {line}" for line in ("name: c", "version: 1.0.0") if field not in line]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("field", BOMB_FIELDS)
+def test_parse_repo_index_rejects_an_alias_bomb_in_a_text_field(field):
+    raw = _bombed_index(field, 9)
+    assert len(raw) < 1000
+    with deadline(1.0), pytest.raises(IndexParseError, match=f"'c' has a non-scalar {field}$"):
         parse_repo_index(raw, "memory:")
 
 

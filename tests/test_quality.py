@@ -16,7 +16,7 @@ from chartqa.quality import (
     learn_variability,
     stabilize_render,
 )
-from chartqa.render import flatten_documents, render_chart
+from chartqa.render import render_chart
 from chartqa.yamlutil import sentinel_parse
 
 from conftest import count_calls, make_package
@@ -48,10 +48,9 @@ def test_learn_three_random_keys_matches_flatten_diff_oracle():
         "a.yaml": "one: {{ randAlphaNum 12 }}\nfixed: stable-value\n",
         "b.yaml": "two: {{ randAlphaNum 12 }}\nthree: {{ randAlphaNum 12 }}\n",
     })
-    # oracle: directly diff two flattened renders
-    from chartqa.render import flatten_documents, render_chart
-    first = dict(flatten_documents(render_chart(pkg).documents))
-    second = dict(flatten_documents(render_chart(pkg).documents))
+    # oracle: directly diff the leaves of two renders
+    first = render_chart(pkg).leaf_values()
+    second = render_chart(pkg).leaf_values()
     differing = sorted(k for k in first if first[k] != second.get(k, first[k]))
 
     kb = VariabilityKnowledgeBase()
@@ -219,7 +218,7 @@ def test_comment_only_document_takes_no_index():
     report = detect_duplicates(pkg)
     assert sorted(g.canonical_value for g in report.groups) == ["ConfigMap", "Secret"]
     leaves = [leaf.path for leaf in sentinel_parse("templates/a.yaml", body).leaves]
-    rendered = [path for path, _ in flatten_documents(render_chart(pkg).documents)]
+    rendered = list(render_chart(pkg).leaf_values())
     assert leaves == ["templates/a.yaml#0/kind", "templates/a.yaml#1/kind"]
     assert leaves == rendered[:2]
 
@@ -389,17 +388,18 @@ def test_syntax_error_in_unchanged_template_reported_once():
 # --- the probe takes the chart's overrides and never sees a knowledge base ---
 
 def test_probe_never_learns_a_key_already_in_overrides():
-    # "a/b" names the key "a/b" when flattened but a nested b under a when
-    # pinned, so its override cannot reach it and both renders still differ
+    # the key "a/b" is pinned by the key path the walk named it with
     pkg = make_package(values={}, templates={
         "t.yaml": "pw: {{ randAlphaNum 8 }}\na/b: {{ randAlphaNum 8 }}\n"
                   "tok: {{ randAlphaNum 8 }}\n",
     })
-    overrides = {"templates/t.yaml#0/pw": "fixed", "templates/t.yaml#0/a/b": "unreachable"}
+    overrides = {"templates/t.yaml#0/pw": "fixed", "templates/t.yaml#0/a/b": "also fixed"}
     probe, learned = quality.probe_variability(pkg, overrides)
     assert list(learned) == ["templates/t.yaml#0/tok"]
+    assert probe.applied == set(overrides)
     ((_, _, body),) = probe.documents
     assert body["pw"] == "fixed" and body["tok"] == learned["templates/t.yaml#0/tok"]
+    assert body["a/b"] == "also fixed"
 
 
 def test_analyze_chart_reports_overrides_and_learned_keys_without_writing_them():

@@ -3,15 +3,18 @@
 import stat
 
 import pytest
+import yaml
 
+from chartqa.core import MAX_FILE_BYTES
 from chartqa.errors import EngineUnavailable
 from chartqa.render import (
     BuiltinEngine,
     ExternalEngine,
     _split_pipes,
-    flatten_documents,
     render_chart,
 )
+
+from test_yamlutil import deadline
 
 from conftest import make_package
 
@@ -53,8 +56,8 @@ def test_random_value_differs_between_renders():
     pkg = make_package(
         values={}, templates={"t.yaml": "fixed: abc\npw: {{ randAlphaNum 24 }}\n"}
     )
-    first = dict(flatten_documents(render_single(pkg).documents))
-    second = dict(flatten_documents(render_single(pkg).documents))
+    first = render_single(pkg).leaf_values()
+    second = render_single(pkg).leaf_values()
     assert first["templates/t.yaml#0/fixed"] == second["templates/t.yaml#0/fixed"]
     assert first["templates/t.yaml#0/pw"] != second["templates/t.yaml#0/pw"]
     assert len(first["templates/t.yaml#0/pw"]) == 24
@@ -79,6 +82,41 @@ def test_unsupported_directive_failure_keeps_other_templates():
     assert [(tp, doc) for tp, _i, doc in result.documents] == [
         ("templates/good.yaml", {"b": "ok"})
     ]
+
+
+@pytest.mark.parametrize("directive", [
+    "randAlphaNum \u00b2",  # a digit to isdigit(), not a decimal to int()
+    f"randAlphaNum {MAX_FILE_BYTES + 1}",
+    "randAlphaNum " + "9" * 5000,  # past int()'s digit limit
+    "9" * 5000,
+])
+def test_a_directive_the_engine_cannot_evaluate_fails_its_template(directive):
+    pkg = make_package(values={}, templates={
+        "bad.yaml": f"a: {{{{ {directive} }}}}\n", "good.yaml": "b: ok\n"})
+    with deadline(1.0):
+        result = render_chart(pkg)
+    assert [(f.template_path, f.category) for f in result.failures] == [
+        ("templates/bad.yaml", "EngineUnsupported")]
+    assert [tp for tp, _i, _doc in result.documents] == ["templates/good.yaml"]
+
+
+def test_a_template_rendering_past_the_file_bound_fails_alone():
+    half = "x" * (MAX_FILE_BYTES // 2)
+    pkg = make_package(extra={"values.yaml": f"half: {half}\nover: {half}x\n"}, templates={
+        "at.yaml": "{{ .Values.half }}{{ .Values.half }}",
+        "over.yaml": "{{ .Values.over }}{{ .Values.over }}",
+        # stops at the second directive, not after a thousand
+        "many.yaml": "{{ .Values.over }}" * 1000,
+        "good.yaml": "b: ok\n",
+    })
+    with deadline(1.0):
+        result = render_chart(pkg)
+    assert [(f.template_path, f.category, f.reason) for f in result.failures] == [
+        (f"templates/{name}.yaml", "EngineUnsupported",
+         f"renders to more than {MAX_FILE_BYTES} characters") for name in ("many", "over")]
+    assert [(tp, len(doc) if tp.endswith("at.yaml") else doc)
+            for tp, _i, doc in result.documents] == [
+        ("templates/at.yaml", MAX_FILE_BYTES), ("templates/good.yaml", {"b": "ok"})]
 
 
 def test_rendered_yaml_syntax_error():
@@ -122,15 +160,18 @@ def test_multi_document_split_column_zero():
     ]
 
 
+def leaf_items(text):
+    return list(render_single(make_package(values={}, templates={"t.yaml": text}))
+                .leaf_values().items())
+
+
 def test_flatten_paths():
-    documents = [("t.yaml", 0, {"a": {"b": "x"}})]
-    assert flatten_documents(documents) == [("t.yaml#0/a/b", "x")]
-
-    two_docs = [("t.yaml", 0, {"a": 1}), ("t.yaml", 1, {"a": 2})]
-    assert flatten_documents(two_docs) == [("t.yaml#0/a", "1"), ("t.yaml#1/a", "2")]
-
-    seq = [("t.yaml", 0, {"a": ["x", "y"]})]
-    assert flatten_documents(seq) == [("t.yaml#0/a[0]", "x"), ("t.yaml#0/a[1]", "y")]
+    assert leaf_items("a: {b: x}\n") == [("templates/t.yaml#0/a/b", "x")]
+    assert leaf_items("a: 1\n---\na: 2\n") == [
+        ("templates/t.yaml#0/a", "1"), ("templates/t.yaml#1/a", "2")]
+    assert leaf_items("a: [x, y]\n") == [
+        ("templates/t.yaml#0/a[0]", "x"), ("templates/t.yaml#0/a[1]", "y")]
+    assert leaf_items("--- 5\n") == [("templates/t.yaml#0", "5")]
 
 
 def _walk_scalars(node, out):
@@ -150,7 +191,7 @@ def test_flatten_lossless_for_scalars():
         "e": None,
         "f": [{"g": 1.5}, "x"],
     }
-    flattened = sorted(value for _path, value in flatten_documents([("t.yaml", 0, body)]))
+    flattened = sorted(value for _path, value in leaf_items(yaml.safe_dump(body)))
     direct = []
     _walk_scalars(body, direct)
 

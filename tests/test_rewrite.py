@@ -12,7 +12,9 @@ from chartqa.ingest import index_entry, index_from_entries, package_from_dir
 from chartqa.quality import (
     DuplicateConfig,
     VariabilityKnowledgeBase,
+    analyze_chart,
     detect_duplicates,
+    learn_variability,
     stabilize_render,
 )
 from chartqa.analytics import detect_irregularities
@@ -101,6 +103,25 @@ def test_suggest_rewrite_returns_its_warnings_in_order_and_logs_nothing(caplog):
     assert suggest_rewrite(only_folded)[1:] == (
         [warnings[0], "folded: every duplicate group failed span location"], None)
     assert caplog.records == []
+
+
+@pytest.mark.parametrize("key", ["checksum/config", "rollme"])
+def test_a_learned_key_holding_a_slash_is_pinned(key):
+    # Kubernetes annotation keys hold "/"; the learned key path must pin
+    # the very leaf it was learned from, or renders never compare equal
+    pkg = make_package(values={}, templates={"d.yaml": (
+        f"metadata:\n  annotations:\n    {key}: {{{{ randAlphaNum 8 }}}}\n"
+        "a: dup-value\nb: dup-value\nc: dup-value\n")})
+    key_path = f"templates/d.yaml#0/metadata/annotations/{key}"
+    kb, learned = learn_variability(pkg, VariabilityKnowledgeBase())
+    assert learned == [key_path]
+    first, second = stabilize_render(pkg, kb), stabilize_render(pkg, kb)
+    assert first.applied == {key_path}
+    assert first.canonical_yaml() == second.canonical_yaml()
+    assert analyze_chart(pkg, kb).variable_key_paths == (key_path,)
+    _, warnings, rewritten = suggest_rewrite(pkg, kb)
+    assert warnings == [] and rewritten is not None
+    assert "{{ .Values.suggestions.var1 }}" in rewritten[0]
 
 
 def test_a_suggestions_block_in_values_is_a_typed_plan_error():

@@ -13,10 +13,8 @@ from yaml.constructor import SafeConstructor
 
 from chartqa.core import package_from_files
 from chartqa.errors import MetadataParseError
-from chartqa.render import flatten_documents, render_chart
-from chartqa.yamlutil import (
-    _LiteralLoader, _SafeLoader, build_path, load_documents, parse_path, sentinel_parse,
-)
+from chartqa.render import render_chart
+from chartqa.yamlutil import _LiteralLoader, _SafeLoader, load_documents, sentinel_parse
 
 from conftest import chart_files, make_package
 
@@ -34,7 +32,9 @@ def test_alias_expands_into_its_own_copy():
     ((body, leaves),) = load_documents("a: &x {b: 1}\nc: *x\n")
     assert body == {"a": {"b": 1}, "c": {"b": 1}}
     assert body["a"] is not body["c"]
-    assert [(path, value) for path, _node, value in leaves] == [("/a/b", 1), ("/c/b", 1)]
+    assert [(path, value, slot) for path, _node, value, _container, slot in leaves] == \
+        [("/a/b", 1, "b"), ("/c/b", 1, "b")]
+    assert leaves[0][3] is body["a"] and leaves[1][3] is body["c"]
 
 
 @pytest.mark.parametrize("text, problem", [
@@ -49,6 +49,19 @@ def test_alias_expands_into_its_own_copy():
 def test_load_documents_rejects(text, problem):
     with pytest.raises(yaml.YAMLError, match=problem):
         load_documents(text)
+
+
+@pytest.mark.parametrize("text", [
+    "a: 2001-02-30\n", "a: !!int abc\n", "a: !!bool maybe\n", "a: " + "9" * 5000 + "\n",
+], ids=["impossible-date", "int-tag-on-text", "bool-tag-on-text", "past-int-digit-limit"])
+def test_a_scalar_its_tag_cannot_build_is_not_yaml(text):
+    with pytest.raises(yaml.YAMLError, match="cannot build tag:yaml.org,2002:"):
+        load_documents(text)
+    assert "cannot build" in sentinel_parse("templates/t.yaml", text).error
+    files = chart_files()
+    files["values.yaml"] = text
+    with pytest.raises(MetadataParseError, match="cannot build"):
+        package_from_files(files)
 
 
 def alias_bomb(levels: int) -> str:
@@ -129,20 +142,97 @@ def test_sentinel_paths_equal_rendered_paths(documents, bare_first):
     parse = sentinel_parse("templates/t.yaml", text)
     rendered = render_chart(make_package(values={}, templates={"t.yaml": text}))
     assert [(leaf.path, leaf.value) for leaf in parse.leaves] == \
-        flatten_documents(rendered.documents)
+        list(rendered.leaf_values().items())
     assert (parse.error is None) == (rendered.failures == [])
 
 
-SEGMENTS = st.lists(st.one_of(
-    st.tuples(st.just("key"), st.text(st.characters(blacklist_characters="/["))),
-    st.tuples(st.just("idx"), st.integers(0, 10**6)),
-), max_size=6).map(tuple)
+# --- a pin sets the leaf the walk named, whatever its keys hold ---
+
+# keys that hold the characters of the key-path grammar, digits and ``true``,
+# so key paths collide: a key ``a/b`` beside ``a: {b: ...}``, ``a[0]`` beside ``a: [...]``
+PATH_KEYS = st.one_of(st.text("a/#[]0", min_size=1, max_size=4),
+                      st.sampled_from(["true", "a/b", "a[0]", "#0"]),
+                      st.integers(0, 2), st.booleans())
+PATH_SCALARS = st.one_of(st.text("xy", max_size=2), st.integers(0, 9), st.booleans(), st.none())
+PATH_TREES = st.recursive(
+    PATH_SCALARS,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=3),
+        # keys unique in str() form, as the walk requires
+        st.dictionaries(PATH_KEYS, kids, max_size=3)
+        .filter(lambda d: len({str(key) for key in d}) == len(d))),
+    max_leaves=8,
+)
 
 
-@given(st.text(st.characters(blacklist_characters="#")), st.integers(0, 10**6), SEGMENTS)
-def test_parse_path_inverts_build_path(template_path, doc_index, segments):
-    assert parse_path(build_path(template_path, doc_index, segments)) == \
-        (template_path, doc_index, segments)
+def _colliding(first, second, flip: bool) -> str:
+    """A document holding ``first`` and ``second`` at one key path, twice:
+    through a key with ``/`` and through one with ``[``. ``first`` is
+    dumped once with an anchor and then as an alias."""
+    pairs = [("a/b", first), ("a", {"b": second}), ("c[0]", first), ("c", [second])]
+    return _dump(dict(pairs[::-1] if flip else pairs))
+
+
+PATH_DOCUMENTS = st.one_of(
+    PATH_TREES.map(_dump),
+    # one subtree twice: the dump writes an anchor and an alias
+    PATH_TREES.map(lambda shared: _dump({"a": shared, "a/b": [shared]})),
+    st.builds(_colliding, PATH_SCALARS, PATH_SCALARS, st.booleans()),
+    st.builds(_colliding, PATH_TREES, PATH_TREES, st.booleans()),
+    st.just("--- hello\n"),
+)
+MARKER = "pinned-marker"
+
+
+def walked(documents) -> tuple[list, list]:
+    """The (key path, value, is a document root) of each scalar leaf of
+    rendered documents, depth-first, and the key paths of the mappings and
+    lists below each document's root, both named here by the grammar."""
+    leaves, containers = [], []
+
+    def walk(node, path, root):
+        if isinstance(node, dict):
+            for key, item in node.items():
+                walk(item, f"{path}/{key}", False)
+        elif isinstance(node, list):
+            for i, item in enumerate(node):
+                walk(item, f"{path}[{i}]", False)
+        else:
+            leaves.append((path, node, root))
+            return
+        if not root:
+            containers.append(path)
+
+    for template_path, doc_index, body in documents:
+        walk(body, f"{template_path}#{doc_index}", True)
+    return leaves, containers
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(PATH_DOCUMENTS, min_size=1, max_size=3))
+def test_pin_sets_exactly_the_last_leaf_of_its_key_path(documents):
+    pkg = make_package(values={}, templates={"a#b.yaml": "".join(documents)})
+    baseline = render_chart(pkg)
+    assert baseline.failures == []
+    leaves, containers = walked(baseline.documents)
+    values = baseline.leaf_values()
+    assert list(values) == list(dict.fromkeys(path for path, _, _ in leaves))
+    for key_path in values:
+        pinned = render_chart(pkg, {key_path: MARKER})
+        last = max(i for i, (path, _, _) in enumerate(leaves) if path == key_path)
+        expected = list(leaves)
+        if leaves[last][2]:  # a document that is one scalar is not pinned
+            assert pinned.applied == set()
+        else:
+            expected[last] = (key_path, MARKER, False)
+            assert pinned.applied == {key_path}
+        assert walked(pinned.documents)[0] == expected
+        assert pinned.leaf_values() == {**values, **{
+            path: MARKER for path in pinned.applied}}
+    for key_path in set(containers) - set(values):
+        pinned = render_chart(pkg, {key_path: MARKER})
+        assert pinned.applied == set()
+        assert pinned.documents == baseline.documents
 
 
 # --- the walk builds what SafeConstructor builds ---
@@ -155,24 +245,24 @@ def constructed_documents(text: str) -> list:
     """load_documents' result when every scalar and key goes through SafeConstructor."""
     constructor = SafeConstructor()
 
-    def build(node, segs, leaves):
+    def build(node, path, leaves):
         if isinstance(node, yaml.ScalarNode):
             value = constructor.construct_object(node, deep=True)
-            leaves.append((build_path("", 0, segs)[len("#0"):], node, value))
+            leaves.append((path, node, value))
             return value
         if isinstance(node, yaml.SequenceNode):
-            return [build(item, segs + (("idx", i),), leaves) for i, item in enumerate(node.value)]
+            return [build(item, f"{path}[{i}]", leaves) for i, item in enumerate(node.value)]
         body = {}
         for key_node, value_node in node.value:
             key = str(constructor.construct_object(key_node, deep=True))
-            body[key] = build(value_node, segs + (("key", key),), leaves)
+            body[key] = build(value_node, f"{path}/{key}", leaves)
         return body
 
     documents = []
     for node in yaml.compose_all(text, Loader=STOCK_LOADER):
         if node.tag != "tag:yaml.org,2002:null":
             leaves: list = []
-            documents.append((build(node, (), leaves), leaves))
+            documents.append((build(node, "", leaves), leaves))
     return documents
 
 
@@ -187,7 +277,7 @@ def typed(value):
 
 def typed_documents(documents) -> list:
     return [(typed(body), [(path, node.start_mark.index, typed(value))
-                           for path, node, value in leaves])
+                           for path, node, value, *_ in leaves])
             for body, leaves in documents]
 
 
@@ -211,7 +301,12 @@ def test_walk_builds_what_the_constructor_builds(trees, style):
     text = yaml.safe_dump_all(trees, **style)
     assume(not any(isinstance(event, yaml.AliasEvent)
                    for event in yaml.parse(text, Loader=_SafeLoader)))
-    assert typed_documents(load_documents(text)) == typed_documents(constructed_documents(text))
+    documents = load_documents(text)
+    assert typed_documents(documents) == typed_documents(constructed_documents(text))
+    # each leaf names where its value sits: in its container, or as the whole document
+    for body, leaves in documents:
+        for _path, _node, value, container, slot in leaves:
+            assert (container[slot] if container is not None else body) is value
 
 
 # --- the loaders resolve tags as stock PyYAML does ---
