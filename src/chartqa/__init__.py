@@ -22,10 +22,9 @@ _EXPORTS = {
                  "compute_maintainer_sets detect_changes detect_irregularities period_metrics",
     "core": "ChartMetadata ChartPackage ChartRef Maintainer mangle_stem "
             "parse_chart_archive versioning_overhead",
-    "ingest": "RepoIndex Snapshot SnapshotStore fetch_archive ingest_local_dir "
-              "parse_repo_index",
+    "ingest": "RepoIndex Snapshot SnapshotStore fetch_archive parse_repo_index",
     "quality": "DuplicateConfig DuplicateReport QualityReport VariabilityKnowledgeBase "
-               "analyze_chart detect_duplicates learn_variability stabilize_render",
+               "analyze_chart detect_duplicates",
     "render": "BuiltinEngine ExternalEngine RenderFailure RenderResult render_chart",
     "rewrite": "IssueDigest RewritePlan build_issue_digests emit_diff plan_rewrite "
                "verify_rewrite",

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 # building the parser needs only these; each handler imports the modules it uses
 from . import DEFAULT_BLACKLIST, DEFAULT_THRESHOLD
-from .errors import ChartQAError, InputFileError, RenderFailed, WorkerFailed
+from .errors import ChartQAError, FetchError, InputFileError, RenderFailed, WorkerFailed
 
 if TYPE_CHECKING:
     from .ingest import IndexEntry, IngestFailure, RepoIndex
@@ -314,15 +314,25 @@ def _worker_results(pid: int, reply: bytes, status: int) -> list:
 # --- subcommand handlers ---
 
 def cmd_snapshot(args: argparse.Namespace) -> int:
+    from urllib.parse import urljoin
+
     from .ingest import SnapshotStore, fetch_archive, parse_repo_index
 
     source = args.index
     index = parse_repo_index(fetch_archive(source), source)
+    remote = source.startswith(("http://", "https://"))
     base = os.path.dirname(source)
     archives = {}
     for entry in index.entries:
         location = entry.urls[0] if entry.urls else entry.ref.file_name
-        if not location.startswith(("http://", "https://", "/")):
+        if remote:
+            # resolved as Helm resolves a url against its repository, so no
+            # url of a remote index names a file on this machine
+            location = urljoin(source, location)
+            if not location.startswith(("http://", "https://")):
+                raise FetchError(f"{source}: url {location!r} of {entry.ref.file_name} "
+                                 "is not http(s)")
+        elif not location.startswith(("http://", "https://", "/")):
             location = os.path.join(base, location) if base else location
         archives[entry.ref.file_name] = fetch_archive(location, expected_digest=entry.digest)
     snapshot_id = SnapshotStore(args.snapshot_store).record(index, archives)

@@ -38,6 +38,19 @@ def mangle_stem(file_name: str) -> str:
     return stem or FALLBACK_STEM
 
 
+def unusable_file_name_part(name: str, version: str) -> str | None:
+    """Which of a chart's name and version cannot be part of its file name
+    ``<name>-<version>.tgz``, as ``"name '..'"``, or None when both can.
+
+    The file name is joined onto a snapshot store's or an output directory,
+    so a path separator, NUL, ``.`` or ``..`` would place it outside.
+    """
+    for kind, text in (("name", name), ("version", version)):
+        if text in ("", ".", "..") or any(ch in text for ch in "/\\\0"):
+            return f"{kind} {text!r}"
+    return None
+
+
 class Maintainer(NamedTuple):
     """One maintainer record as listed in chart metadata."""
 
@@ -123,11 +136,15 @@ class ChartMetadata(NamedTuple):
         version = data.get("version")
         if not name or not version:
             raise MetadataParseError("Chart.yaml lacks a non-empty name or version")
+        name, version = str(name), str(version)
+        unusable = unusable_file_name_part(name, version)
+        if unusable:
+            raise MetadataParseError(f"Chart.yaml has unusable {unusable}")
         description = data.get("description")
         icon = data.get("icon")
         return cls(
-            name=str(name),
-            version=str(version),
+            name=name,
+            version=version,
             description=str(description) if description is not None else None,
             maintainers=maintainers_from_field(data.get("maintainers")),
             icon=str(icon) if icon is not None else None,

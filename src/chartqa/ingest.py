@@ -22,7 +22,7 @@ from typing import Any, Iterable, Mapping, NamedTuple
 
 from .core import (
     ChartPackage, ChartRef, Maintainer, maintainers_from_field, package_from_files,
-    parse_chart_archive,
+    parse_chart_archive, unusable_file_name_part,
 )
 from .errors import (
     ChartQAError,
@@ -70,26 +70,12 @@ class Snapshot(NamedTuple):
     content_digests: Mapping[str, str]
 
 
-def _file_name_part(kind: str, text: str, chart_name: str) -> str:
-    """Return ``text`` when it can be part of a snapshot archive file name.
-
-    Chart names and versions become ``<name>-<version>.tgz`` under the store's
-    archive directory, so a path separator, NUL, ``.`` or ``..`` would let an
-    index entry write outside it.
-    """
-    if text in ("", ".", "..") or any(ch in text for ch in "/\\\0"):
-        raise IndexParseError(
-            f"version record under {chart_name!r} has unusable {kind} {text!r}"
-        )
-    return text
-
-
 def _entry_ref(name: str, version: str, chart_name: str) -> ChartRef:
-    """The chart file of one version record, by the file-name rule of both readers."""
-    return ChartRef.from_name_version(
-        _file_name_part("name", name, chart_name),
-        _file_name_part("version", version, chart_name),
-    )
+    """The chart file of one version record; an unusable name or version is an IndexParseError."""
+    unusable = unusable_file_name_part(name, version)
+    if unusable:
+        raise IndexParseError(f"version record under {chart_name!r} has unusable {unusable}")
+    return ChartRef.from_name_version(name, version)
 
 
 def parse_repo_index(
@@ -141,6 +127,9 @@ def parse_repo_index(
             for field_name in ("maintainers", "urls"):
                 if isinstance(record.get(field_name), list):
                     first_sight(record[field_name], f"{field_name} list", chart_name)
+            if not isinstance(record.get("urls", []), (list, type(None))):
+                raise IndexParseError(f"version record under {chart_name!r} has a urls field "
+                                      "that is not a list")
             for field_name in ("name", "version", "digest"):
                 scalars([record.get(field_name)], field_name, chart_name)
             scalars(record.get("urls") or [], "url", chart_name)
@@ -260,21 +249,6 @@ def load_chart(path: str, location: str) -> ChartPackage | IngestFailure:
             return parse_chart_archive(fh.read())
     except ChartQAError as exc:
         return IngestFailure(location, f"{type(exc).__name__}: {exc}")
-
-
-def ingest_local_dir(path: str) -> tuple[list[ChartPackage], list[IngestFailure]]:
-    """Discover and parse charts anywhere under a directory tree.
-
-    Each of :func:`chart_locations` is read by :func:`load_chart`, in
-    order. Nothing is fatal; per-chart failures are reported alongside the
-    parsed packages.
-    """
-    packages: list[ChartPackage] = []
-    failures: list[IngestFailure] = []
-    for location in chart_locations(path):
-        loaded = load_chart(path, location)
-        (failures if isinstance(loaded, IngestFailure) else packages).append(loaded)
-    return packages, failures
 
 
 _CACHED_FIELDS = ("name", "version", "maintainers", "urls", "digest")

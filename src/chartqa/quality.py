@@ -27,33 +27,20 @@ MIN_VALUE_LENGTH = 2
 class VariabilityKnowledgeBase:
     """Learned override values that make renders deterministic.
 
-    Entries are keyed by (chart stem, rendered key path); an existing entry
-    is never replaced, and ``merge`` (the knowledge-base half of
-    ``learn_variability``) is the only analysis that adds entries.
+    ``entries`` maps a chart stem to its ``{rendered key path: override}``;
+    ``merge`` is the only writer, and it never replaces an entry.
     Persisted as a single JSON mapping ``"<stem>|<key_path>" -> override``
     written atomically.
     """
 
     def __init__(self):
-        self.entries: dict[tuple[str, str], str] = {}
+        self.entries: dict[str, dict[str, str]] = {}
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return sum(map(len, self.entries.values()))
 
     def overrides_for(self, stem: str) -> dict[str, str]:
-        return {
-            key_path: value
-            for (entry_stem, key_path), value in self.entries.items()
-            if entry_stem == stem
-        }
-
-    def learn(self, stem: str, key_path: str, value: str) -> bool:
-        """Record an override; returns False when the entry already exists."""
-        key = (stem, key_path)
-        if key in self.entries:
-            return False
-        self.entries[key] = value
-        return True
+        return dict(self.entries.get(stem, {}))
 
     def merge(self, stem: str, learned: Mapping[str, str]) -> list[str]:
         """Learn each of ``learned`` that ``stem`` has no entry for; returns
@@ -65,8 +52,11 @@ class VariabilityKnowledgeBase:
         in order, what charts learned against one state therefore gives
         what learning them one after another would.
         """
-        return sorted(key_path for key_path, value in learned.items()
-                      if self.learn(stem, key_path, value))
+        known = self.entries.get(stem, {})
+        new = {key_path: value for key_path, value in learned.items() if key_path not in known}
+        if new:
+            self.entries.setdefault(stem, {}).update(new)
+        return sorted(new)
 
     @classmethod
     def load(cls, path: str) -> "VariabilityKnowledgeBase":
@@ -84,11 +74,12 @@ class VariabilityKnowledgeBase:
             raise KnowledgeBaseError(f"{path}: want a JSON object of string values")
         for key, value in flat.items():
             stem, _, key_path = key.partition("|")
-            kb.entries[(stem, key_path)] = value
+            kb.entries.setdefault(stem, {})[key_path] = value
         return kb
 
     def save(self, path: str) -> None:
-        flat = {f"{stem}|{key_path}": value for (stem, key_path), value in self.entries.items()}
+        flat = {f"{stem}|{key_path}": value for stem, overrides in self.entries.items()
+                for key_path, value in overrides.items()}
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kb-", suffix=".json")
@@ -134,16 +125,6 @@ def probe_variability(
     return first, learned
 
 
-def _render_failed(pkg: ChartPackage, result: RenderResult) -> RenderFailed | None:
-    """The RenderFailed of a chart that has templates and whose every one failed."""
-    if not result.documents and result.failures and pkg.templates:
-        return RenderFailed(
-            f"{pkg.metadata.name}: every template failed: "
-            + "; ".join(f.reason for f in result.failures[:3])
-        )
-    return None
-
-
 def variable_values(
     pkg: ChartPackage,
     kb: VariabilityKnowledgeBase,
@@ -154,40 +135,10 @@ def variable_values(
     template failed. ``kb`` is only read; ``kb.merge`` stores the result.
     """
     result, learned = probe_variability(pkg, kb.overrides_for(pkg.stem), engine)
-    return _render_failed(pkg, result) or learned
-
-
-def learn_variability(
-    pkg: ChartPackage,
-    kb: VariabilityKnowledgeBase,
-    engine: Renderer | None = None,
-) -> tuple[VariabilityKnowledgeBase, list[str]]:
-    """Detect variable template values by comparing two fresh renders.
-
-    Stores each learned value in ``kb`` under the chart's stem and returns
-    the knowledge base and the newly learned key paths; raises RenderFailed
-    when every template of the chart failed.
-    """
-    learned = variable_values(pkg, kb, engine)
-    if isinstance(learned, RenderFailed):
-        raise learned
-    return kb, kb.merge(pkg.stem, learned)
-
-
-def stabilize_render(
-    pkg: ChartPackage,
-    kb: VariabilityKnowledgeBase,
-    engine: Renderer | None = None,
-) -> RenderResult:
-    """Single render with all knowledge-base overrides for this stem applied."""
-    from .render import BuiltinEngine, render_chart
-
-    engine = engine or BuiltinEngine()
-    result = render_chart(pkg, kb.overrides_for(pkg.stem), engine)
-    failure = _render_failed(pkg, result)
-    if failure:
-        raise failure
-    return result
+    if not result.documents and result.failures and pkg.templates:
+        return RenderFailed(f"{pkg.metadata.name}: every template failed: "
+                            + "; ".join(f.reason for f in result.failures[:3]))
+    return learned
 
 
 class DuplicateGroup(NamedTuple):

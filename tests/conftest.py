@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import io
 import json
 import os
@@ -98,6 +100,41 @@ def write_pre_reader_snapshot(store_root, snapshot_id: str, **index_cache) -> No
     }
     with open(os.path.join(base, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh)
+
+
+def _tree_state(root: str) -> dict[str, tuple]:
+    """Each path under ``root``, relative and ``/``-separated: a file as its
+    content digest, a directory as only being one."""
+    state: dict[str, tuple] = {}
+    for base, dirs, names in os.walk(root):
+        for name in dirs + names:
+            full = os.path.join(base, name)
+            rel = os.path.relpath(full, root).replace(os.sep, "/")
+            if os.path.isdir(full):
+                state[rel] = ("dir",)
+            else:
+                with open(full, "rb") as fh:
+                    state[rel] = ("file", hashlib.sha256(fh.read()).hexdigest())
+    return state
+
+
+@contextlib.contextmanager
+def writes_outside(root, *outputs: str):
+    """A list that, when the block ends, holds each path under ``root`` the
+    block added, removed or changed outside the declared ``outputs`` (paths
+    relative to ``root``), sorted. A directory holding an output may be created."""
+    root = str(root)
+    before = _tree_state(root)
+    changed: list[str] = []
+    yield changed
+    after = _tree_state(root)
+
+    def declared(path: str) -> bool:
+        return any(path == out or path.startswith(out + "/") for out in outputs) or (
+            after.get(path) == ("dir",) and any(out.startswith(path + "/") for out in outputs))
+
+    changed.extend(sorted(path for path in before.keys() | after.keys()
+                          if before.get(path) != after.get(path) and not declared(path)))
 
 
 @pytest.fixture

@@ -35,9 +35,10 @@ from chartqa.quality import (
     DEFAULT_BLACKLIST,
     VariabilityKnowledgeBase,
     detect_duplicates,
-    learn_variability,
-    stabilize_render,
+    variable_values,
 )
+from chartqa.errors import RenderFailed
+from chartqa.render import render_chart
 from chartqa.rewrite import apply_plan, emit_diff, plan_rewrite, verify_rewrite
 from chartqa.stats import resampled_group_test, wilcoxon_signed_rank
 
@@ -158,8 +159,8 @@ def test_criterion_3_rewrite_round_trip(tmp_path):
             _apply_patch(str(workdir), emit_diff(pkg, plan))
             patched = package_from_dir(str(workdir / pkg.metadata.name))
             assert dict(patched.templates) == dict(apply_plan(pkg, plan).templates)
-            assert stabilize_render(patched, kb).canonical_yaml() == \
-                stabilize_render(pkg, kb).canonical_yaml()
+            assert render_chart(patched, kb.overrides_for(patched.stem)).canonical_yaml() == \
+                render_chart(pkg, kb.overrides_for(pkg.stem)).canonical_yaml()
         assert time.perf_counter() - started < 5.0
 
 
@@ -173,13 +174,13 @@ def test_criterion_4_variability_convergence():
             "config.yaml": "cookie: {{ randAlphaNum 12 }}\nstatic: fixed-value\n",
         })
         kb = VariabilityKnowledgeBase()
-        kb, learned = learn_variability(pkg, kb)
+        learned = kb.merge(pkg.stem, variable_values(pkg, kb))
         assert len(learned) == 3
         assert len(kb) == 3
-        first = stabilize_render(pkg, kb).canonical_yaml()
-        second = stabilize_render(pkg, kb).canonical_yaml()
+        first = render_chart(pkg, kb.overrides_for(pkg.stem)).canonical_yaml()
+        second = render_chart(pkg, kb.overrides_for(pkg.stem)).canonical_yaml()
         assert first == second
-        kb, again = learn_variability(pkg, kb)
+        again = kb.merge(pkg.stem, variable_values(pkg, kb))
         assert again == [] and len(kb) == 3
 
 
@@ -262,7 +263,9 @@ def _reference_template_metrics(archives_dir: str) -> None:
         learned = []
         if engine is not None:
             try:
-                _, learned = learn_variability(pkg, kb, engine)
+                values = variable_values(pkg, kb, engine)
+                if not isinstance(values, RenderFailed):
+                    learned = kb.merge(pkg.stem, values)
             except Exception:  # renderer divergence is itemized, not fatal
                 pass
         report = detect_duplicates(pkg)

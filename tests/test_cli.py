@@ -31,6 +31,7 @@ from conftest import (
     make_package,
     write_chart_dir,
     write_pre_reader_snapshot,
+    writes_outside,
 )
 
 CLEAN_TEMPLATES = {"deploy.yaml": "kind: Deployment\nname: {{ .Values.app }}\n"}
@@ -867,6 +868,45 @@ def test_suggest_skips_chart_that_cannot_render(tmp_path):
     assert sorted(p.name for p in (out / "outbox").iterdir()) == ["a_at_x.io.eml"]
 
 
+@pytest.mark.parametrize("bad_name", ["../../escaped", "{tmp}/abs/escaped"],
+                         ids=["relative", "absolute"])
+def test_suggest_skips_a_chart_whose_name_would_place_its_diff_outside_out(tmp_path, caplog,
+                                                                           bad_name):
+    (tmp_path / "abs").mkdir()
+    charts = tmp_path / "charts"
+    for directory, name in (("bad", bad_name.format(tmp=tmp_path)), ("good", "good")):
+        write_chart_dir(charts, directory, chart_files(
+            name=name, values={}, templates=DUPE_TEMPLATES, maintainers=MAINTAINED))
+    out = tmp_path / "out" / "o"
+    with caplog.at_level(logging.WARNING, logger="chartqa"), \
+            writes_outside(tmp_path, "out/o") as outside:
+        code = cli_dispatch(["suggest", "--path", str(charts), "--out", str(out)])
+    assert outside == []
+    assert code == 1
+    summary = json.loads((out / "suggest.json").read_text())
+    assert [d["chart"] for d in summary["diffs"]] == ["good-1.0.0.tgz"]
+    assert os.listdir(out / "diffs") == ["good-1.0.0.tgz.patch"]
+    assert "skipping bad: MetadataParseError: Chart.yaml has unusable name" in caplog.text
+
+
+def test_commands_writing_outputs_write_nothing_else(tmp_path):
+    shutil.copytree(os.path.join(GOLDEN, "charts"), tmp_path / "charts")
+    charts = str(tmp_path / "charts")
+    runs = [
+        (["analyze", "--path", charts, "--format", "csv", "--out", str(tmp_path / "a")], ["a"]),
+        (["variability", "--path", charts, "--kb", str(tmp_path / "kb" / "kb.json"),
+          "--out", str(tmp_path / "v")], ["kb/kb.json", "v"]),
+        (["suggest", "--path", charts, "--out", str(tmp_path / "s")], ["s"]),
+    ]
+    for argv, outputs in runs:
+        with writes_outside(tmp_path, *outputs) as outside:
+            code = cli_dispatch(argv)
+        assert code in (0, 1), argv
+        assert outside == [], argv
+    assert sorted(os.listdir(tmp_path)) == ["a", "charts", "kb", "s", "v"]
+    assert os.listdir(tmp_path / "kb") == ["kb.json"]
+
+
 def test_self_referencing_alias_is_reported_not_fatal(tmp_path):
     charts = tmp_path / "charts"
     write_chart_dir(charts, "bad", chart_files(
@@ -1004,6 +1044,41 @@ def test_snapshot_changes_trends_flow(tmp_path, capsys):
     assert period["metrics"]["charts"]["end"] == 2
     levels = {a["stem"]: a["level"] for a in trends["sections"]["activity"]}
     assert levels["web"] == "RegularlyChanged"
+
+
+REMOTE_INDEX = "https://charts.example/repo/index.yaml"
+
+
+@pytest.mark.parametrize("url, fetched", [
+    ("/etc/hostname", "https://charts.example/etc/hostname"),
+    ("web-1.0.0.tgz", "https://charts.example/repo/web-1.0.0.tgz"),
+    ("../web-1.0.0.tgz", "https://charts.example/web-1.0.0.tgz"),
+    ("https://mirror.example/web-1.0.0.tgz", "https://mirror.example/web-1.0.0.tgz"),
+    ("file:///etc/hostname", None),
+    ("etc:hostname", None),
+])
+def test_snapshot_resolves_the_urls_of_a_remote_index_against_it(tmp_path, monkeypatch, caplog,
+                                                                 url, fetched):
+    archive = make_archive(chart_files(name="web", maintainers=MAINTAINED), "web")
+    raw = make_index_yaml({"web": [{"version": "1.0.0", "urls": [url]}]})
+    asked = []
+
+    def fetch(location, expected_digest=None):
+        if location == REMOTE_INDEX:
+            return raw
+        asked.append(location)
+        return archive
+
+    monkeypatch.setattr(ingest, "fetch_archive", fetch)
+    with writes_outside(tmp_path, "store", "out") as outside:
+        code = cli_dispatch(["snapshot", "--index", REMOTE_INDEX, "--snapshot-store",
+                             str(tmp_path / "store"), "--out", str(tmp_path / "out")])
+    assert outside == []
+    if fetched is None:  # no url of a remote index may name a file here
+        assert code == 2 and asked == []
+        assert f"url {url!r} of web-1.0.0.tgz is not http(s)" in caplog.text
+    else:
+        assert code == 0 and asked == [fetched]
 
 
 def _record_days(store_dir, *days):

@@ -220,6 +220,21 @@ def test_parse_chart_archive_bad_metadata():
         parse_chart_archive(archive)
 
 
+@pytest.mark.parametrize("name, version", [
+    ("../../escaped", "1.0.0"), ("/abs/escaped", "1.0.0"), ("..", "1.0.0"), (".", "1.0.0"),
+    ("a/b", "1.0.0"), ("a\\b", "1.0.0"), ("a\0b", "1.0.0"), ("web", "../1"), ("web", ".."),
+    ("web", "1/0"),
+])
+def test_chart_yaml_follows_the_index_file_name_rule(name, version):
+    # <name>-<version>.tgz is joined onto an output directory
+    with pytest.raises(MetadataParseError, match="Chart.yaml has unusable"):
+        ChartMetadata.from_mapping({"name": name, "version": version})
+
+
+def test_chart_yaml_name_holding_dots_is_usable():
+    assert ChartMetadata.from_mapping({"name": "...", "version": "1.0.0+a.b"}).name == "..."
+
+
 @pytest.mark.parametrize("written, file_name", [
     ("1.10", "db-1.10.tgz"), ("01", "db-01.tgz"), ("true", "db-true.tgz"),
     ("2018-05-14", "db-2018-05-14.tgz"), ("'1.10'", "db-1.10.tgz"), ("1.0.0", "db-1.0.0.tgz"),

@@ -25,9 +25,11 @@ from chartqa.errors import (
     StorageError,
 )
 from chartqa.ingest import (
+    IngestFailure,
     SnapshotStore,
+    chart_locations,
     fetch_archive,
-    ingest_local_dir,
+    load_chart,
     parse_repo_index,
     sha256_digest,
 )
@@ -114,6 +116,14 @@ def test_parse_repo_index_errors():
 def test_parse_repo_index_rejects_unusable_file_name_parts(name, version):
     raw = make_index_yaml({"web": [{"name": name, "version": version}]})
     with pytest.raises(IndexParseError):
+        parse_repo_index(raw, "memory:")
+
+
+@pytest.mark.parametrize("urls", ["x.tgz", "5"])
+def test_parse_repo_index_rejects_urls_that_are_not_a_list(urls):
+    # a string would be read one character at a time, each a url
+    raw = f"entries:\n  db:\n    - version: 1.0.0\n      urls: {urls}\n".encode()
+    with pytest.raises(IndexParseError, match="'db' has a urls field that is not a list"):
         parse_repo_index(raw, "memory:")
 
 
@@ -245,12 +255,15 @@ def test_fetch_archive_filesystem_and_digest(tmp_path):
         fetch_archive(str(tmp_path / "absent.tgz"))
 
 
+# a --path tree is read as the CLI reads it: each of chart_locations by load_chart
+
 def test_ingest_local_dir_unpacked_charts(tmp_path):
     for name in ("alpha", "beta", "gamma"):
         write_chart_dir(tmp_path, name, chart_files(name=name))
-    packages, failures = ingest_local_dir(str(tmp_path))
-    assert len(packages) == 3
-    assert failures == []
+    root = str(tmp_path)
+    assert chart_locations(root) == ["alpha", "beta", "gamma"]
+    loaded = [load_chart(root, location) for location in chart_locations(root)]
+    assert [pkg.metadata.name for pkg in loaded] == ["alpha", "beta", "gamma"]
 
 
 def test_ingest_local_dir_reports_failures(tmp_path):
@@ -259,10 +272,11 @@ def test_ingest_local_dir_reports_failures(tmp_path):
     del bad["Chart.yaml"]
     bad["values.yaml"] = "a: 1\n"
     write_chart_dir(tmp_path, "bad", bad)
-    packages, failures = ingest_local_dir(str(tmp_path))
-    assert len(packages) == 1
-    assert len(failures) == 1
-    assert "MissingMetadata" in failures[0].error
+    root = str(tmp_path)
+    failure, good = (load_chart(root, location) for location in chart_locations(root))
+    assert good.metadata.name == "good"
+    assert isinstance(failure, IngestFailure) and failure.location == "bad"
+    assert "MissingMetadata" in failure.error
 
 
 @pytest.mark.parametrize("packed", [False, True], ids=["directory", "archive"])
@@ -275,10 +289,12 @@ def test_ingest_local_dir_skips_chart_file_that_is_not_utf8(tmp_path, packed):
         write_chart_dir(tmp_path, "bad", {k: v for k, v in bad.items() if isinstance(v, str)})
         (tmp_path / "bad" / "templates").mkdir(exist_ok=True)
         (tmp_path / "bad" / "templates" / "cafe.yaml").write_bytes(bad["templates/cafe.yaml"])
-    packages, failures = ingest_local_dir(str(tmp_path))
-    assert [p.metadata.name for p in packages] == ["good"]
-    assert [f.location for f in failures] == ["bad-1.0.0.tgz" if packed else "bad"]
-    assert failures[0].error.startswith("MetadataParseError: templates/cafe.yaml is not UTF-8")
+    root = str(tmp_path)
+    loaded = {location: load_chart(root, location) for location in chart_locations(root)}
+    failure = loaded.pop("bad-1.0.0.tgz" if packed else "bad")
+    assert [pkg.metadata.name for pkg in loaded.values()] == ["good"]
+    assert isinstance(failure, IngestFailure)
+    assert failure.error.startswith("MetadataParseError: templates/cafe.yaml is not UTF-8")
 
 
 def test_ingest_local_dir_nested_depth(tmp_path):
@@ -292,9 +308,12 @@ def test_ingest_local_dir_nested_depth(tmp_path):
     chart_yaml_count = sum(
         1 for _root, _dirs, names in os.walk(tmp_path) for n in names if n == "Chart.yaml"
     )
-    packages, failures = ingest_local_dir(str(tmp_path))
-    assert chart_yaml_count == len(locations)
-    assert len(packages) + len(failures) == chart_yaml_count
+    root = str(tmp_path)
+    found = chart_locations(root)
+    assert chart_yaml_count == len(locations) == len(found)
+    assert sorted(found) == sorted(locations)
+    assert [load_chart(root, location).metadata.name for location in found] == \
+        [f"c{locations.index(location)}" for location in found]
 
 
 def test_ingest_local_dir_archives_too(tmp_path):
@@ -302,19 +321,22 @@ def test_ingest_local_dir_archives_too(tmp_path):
         make_archive(chart_files(name="redis"), "redis")
     )
     (tmp_path / "junk.tgz").write_bytes(b"not really a tarball")
-    packages, failures = ingest_local_dir(str(tmp_path))
-    assert [p.metadata.name for p in packages] == ["redis"]
-    assert len(failures) == 1 and "MalformedArchive" in failures[0].error
+    root = str(tmp_path)
+    assert chart_locations(root) == ["junk.tgz", "redis-1.0.0.tgz"]
+    junk, redis = (load_chart(root, location) for location in chart_locations(root))
+    assert redis.metadata.name == "redis"
+    assert isinstance(junk, IngestFailure) and "MalformedArchive" in junk.error
 
 
 def test_ingest_local_dir_reports_truncated_archive(tmp_path):
     archive = make_archive(chart_files(name="redis", templates={"x.yaml": "a: 1\n" * 2000}))
     (tmp_path / "redis-1.0.0.tgz").write_bytes(archive[:len(archive) // 2])
     (tmp_path / "web-1.0.0.tgz").write_bytes(make_archive(chart_files()))
-    packages, failures = ingest_local_dir(str(tmp_path))
-    assert [p.metadata.name for p in packages] == ["web"]
-    assert [f.location for f in failures] == ["redis-1.0.0.tgz"]
-    assert "MalformedArchive" in failures[0].error
+    root = str(tmp_path)
+    redis, web = (load_chart(root, location) for location in chart_locations(root))
+    assert web.metadata.name == "web"
+    assert isinstance(redis, IngestFailure) and redis.location == "redis-1.0.0.tgz"
+    assert "MalformedArchive" in redis.error
 
 
 def test_ingest_local_dir_closes_archive_files(tmp_path):
@@ -323,9 +345,9 @@ def test_ingest_local_dir_closes_archive_files(tmp_path):
     )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
-        packages, _ = ingest_local_dir(str(tmp_path))
+        pkg = load_chart(str(tmp_path), "redis-1.0.0.tgz")
         gc.collect()
-    assert [p.metadata.name for p in packages] == ["redis"]
+    assert pkg.metadata.name == "redis"
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 

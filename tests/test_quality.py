@@ -1,5 +1,7 @@
 """quality-analysis: variability learner, duplicate detector, chart report."""
 
+import copy
+import json
 import random
 
 import pytest
@@ -13,8 +15,7 @@ from chartqa.quality import (
     VariabilityKnowledgeBase,
     analyze_chart,
     detect_duplicates,
-    learn_variability,
-    stabilize_render,
+    variable_values,
 )
 from chartqa.render import render_chart
 from chartqa.yamlutil import sentinel_parse
@@ -27,20 +28,18 @@ from conftest import count_calls, make_package
 def test_learn_single_random_key_then_converges():
     pkg = make_package(values={}, templates={"s.yaml": "pw: {{ randAlphaNum 16 }}\n"})
     kb = VariabilityKnowledgeBase()
-    kb, learned = learn_variability(pkg, kb)
-    assert learned == ["templates/s.yaml#0/pw"]
+    assert kb.merge(pkg.stem, variable_values(pkg, kb)) == ["templates/s.yaml#0/pw"]
     assert len(kb) == 1
-    kb, second = learn_variability(pkg, kb)
-    assert second == []
+    assert kb.merge(pkg.stem, variable_values(pkg, kb)) == []
     assert len(kb) == 1
 
 
 def test_learn_deterministic_chart_learns_nothing():
     pkg = make_package(values={"a": "x"}, templates={"t.yaml": "k: {{ .Values.a }}\n"})
     kb = VariabilityKnowledgeBase()
-    kb, learned = learn_variability(pkg, kb)
-    assert learned == []
+    assert kb.merge(pkg.stem, variable_values(pkg, kb)) == []
     assert len(kb) == 0
+    assert kb.entries == {}
 
 
 def test_learn_three_random_keys_matches_flatten_diff_oracle():
@@ -54,16 +53,16 @@ def test_learn_three_random_keys_matches_flatten_diff_oracle():
     differing = sorted(k for k in first if first[k] != second.get(k, first[k]))
 
     kb = VariabilityKnowledgeBase()
-    kb, learned = learn_variability(pkg, kb)
+    learned = kb.merge(pkg.stem, variable_values(pkg, kb))
     assert learned == differing
     assert len(learned) == 3
 
 
 def test_learn_requires_some_render():
     pkg = make_package(values={}, templates={"t.yaml": "a: {{ .Values.absent }}\n"})
-    with pytest.raises(RenderFailed):
-        learn_variability(pkg, VariabilityKnowledgeBase())
-    assert isinstance(quality.variable_values(pkg, VariabilityKnowledgeBase()), RenderFailed)
+    failed = variable_values(pkg, VariabilityKnowledgeBase())
+    assert isinstance(failed, RenderFailed)
+    assert str(failed).startswith("web: every template failed: ")
 
 
 def test_merging_what_charts_learned_from_one_state_equals_learning_in_turn():
@@ -74,13 +73,15 @@ def test_merging_what_charts_learned_from_one_state_equals_learning_in_turn():
     second = make_package(version="2.0.0", values={}, templates={
         "t.yaml": "pw: {{ randAlphaNum 8 }}\ncfg:\n  tok: {{ randAlphaNum 8 }}\n"})
     in_turn = VariabilityKnowledgeBase()
-    learned_in_turn = [learn_variability(pkg, in_turn)[1] for pkg in (first, second)]
+    learned_in_turn = [in_turn.merge(pkg.stem, variable_values(pkg, in_turn))
+                       for pkg in (first, second)]
     merged = VariabilityKnowledgeBase()
-    found = [quality.variable_values(pkg, merged) for pkg in (first, second)]
+    found = [variable_values(pkg, merged) for pkg in (first, second)]
     assert [merged.merge(pkg.stem, values) for pkg, values in zip((first, second), found)] \
         == learned_in_turn == [["templates/t.yaml#0/cfg", "templates/t.yaml#0/pw"],
                                ["templates/t.yaml#0/cfg/tok"]]
-    assert merged.entries.keys() == in_turn.entries.keys()
+    assert merged.entries.keys() == in_turn.entries.keys() == {"web"}
+    assert merged.entries["web"].keys() == in_turn.entries["web"].keys()
 
 
 def test_stabilize_render_converges_after_one_pass():
@@ -88,19 +89,20 @@ def test_stabilize_render_converges_after_one_pass():
         "t.yaml": "pw: {{ randAlphaNum 16 }}\ntok: {{ randAlphaNum 16 }}\n",
     })
     kb = VariabilityKnowledgeBase()
-    learn_variability(pkg, kb)
-    assert stabilize_render(pkg, kb).canonical_yaml() == \
-        stabilize_render(pkg, kb).canonical_yaml()
+    kb.merge(pkg.stem, variable_values(pkg, kb))
+    first, second = (render_chart(pkg, kb.overrides_for(pkg.stem)) for _ in range(2))
+    assert first.canonical_yaml() == second.canonical_yaml()
 
 
 def test_random_value_under_integer_key_converges():
     pkg = make_package(values={}, templates={
         "t.yaml": "ports:\n  80: {{ randAlphaNum 8 }}\n  web: {{ randAlphaNum 8 }}\n",
     })
-    kb, learned = learn_variability(pkg, VariabilityKnowledgeBase())
-    assert learned == ["templates/t.yaml#0/ports/80", "templates/t.yaml#0/ports/web"]
-    assert stabilize_render(pkg, kb).canonical_yaml() == \
-        stabilize_render(pkg, kb).canonical_yaml()
+    kb = VariabilityKnowledgeBase()
+    assert kb.merge(pkg.stem, variable_values(pkg, kb)) == [
+        "templates/t.yaml#0/ports/80", "templates/t.yaml#0/ports/web"]
+    first, second = (render_chart(pkg, kb.overrides_for(pkg.stem)) for _ in range(2))
+    assert first.canonical_yaml() == second.canonical_yaml()
 
 
 def test_kb_monotonic_and_stable():
@@ -108,27 +110,50 @@ def test_kb_monotonic_and_stable():
     kb = VariabilityKnowledgeBase()
     sizes = []
     for _ in range(4):
-        learn_variability(pkg, kb)
+        kb.merge(pkg.stem, variable_values(pkg, kb))
         sizes.append(len(kb))
     assert sizes == sorted(sizes)
-    key = (pkg.stem, "templates/t.yaml#0/pw")
-    first_value = kb.entries[key]
-    learn_variability(pkg, kb)
-    assert kb.entries[key] == first_value  # re-learning never rewrites
+    key_path = "templates/t.yaml#0/pw"
+    first_value = kb.overrides_for(pkg.stem)[key_path]
+    kb.merge(pkg.stem, variable_values(pkg, kb))
+    assert kb.overrides_for(pkg.stem)[key_path] == first_value  # re-learning never rewrites
+
+
+def test_merge_keeps_every_entry_and_returns_the_new_key_paths_sorted():
+    kb = VariabilityKnowledgeBase()
+    assert kb.merge("web", {"b": "1", "a": "2"}) == ["a", "b"]
+    assert kb.merge("web", {"c": "3", "a": "changed"}) == ["c"]
+    assert kb.merge("db", {"a": "4"}) == ["a"]
+    assert kb.merge("api", {}) == []
+    assert kb.entries == {"web": {"b": "1", "a": "2", "c": "3"}, "db": {"a": "4"}}
+    assert len(kb) == 4
+    assert kb.overrides_for("web") == {"a": "2", "b": "1", "c": "3"}
+    assert kb.overrides_for("api") == {}
+    kb.overrides_for("web")["a"] = "edited"  # a copy: the caller cannot edit the entry
+    assert kb.overrides_for("web")["a"] == "2"
 
 
 def test_kb_persistence_round_trip(tmp_path):
     kb = VariabilityKnowledgeBase()
-    kb.learn("web", "templates/t.yaml#0/pw", "secret")
-    kb.learn("db", "templates/x.yaml#0/a", "other")
+    kb.merge("web", {"templates/t.yaml#0/pw": "secret"})
+    kb.merge("db", {"templates/x.yaml#0/a": "other"})
     path = tmp_path / "kb.json"
     kb.save(str(path))
     loaded = VariabilityKnowledgeBase.load(str(path))
     assert loaded.entries == kb.entries
     # file schema: flat "<stem>|<key_path>" -> override mapping
-    import json
     flat = json.loads(path.read_text())
     assert flat == {"web|templates/t.yaml#0/pw": "secret", "db|templates/x.yaml#0/a": "other"}
+
+
+def test_kb_load_then_save_gives_identical_bytes(tmp_path):
+    path = tmp_path / "kb.json"
+    flat = {"web|templates/t.yaml#0/pw": "secret", "db|templates/x.yaml#0/a": "other",
+            "web|templates/t.yaml#1/a/b[0]": "x", "web|": "empty key path"}
+    path.write_text(json.dumps(flat, indent=2, sort_keys=True))  # as save writes it
+    written = path.read_bytes()
+    VariabilityKnowledgeBase.load(str(path)).save(str(path))
+    assert path.read_bytes() == written
 
 
 @pytest.mark.parametrize("text", ["[]", '["web|a"]', '{"web|a": 3}', '{"web|a": null}', "{"])
@@ -407,10 +432,9 @@ def test_analyze_chart_reports_overrides_and_learned_keys_without_writing_them()
         "t.yaml": "pw: {{ randAlphaNum 8 }}\ntok: {{ randAlphaNum 8 }}\n",
     })
     kb = VariabilityKnowledgeBase()
-    kb.learn(pkg.stem, "templates/t.yaml#0/pw", "fixed")
-    kb.learn(pkg.stem, "templates/gone.yaml#0/x", "stale")
-    kb.learn("other", "templates/t.yaml#0/tok", "elsewhere")
-    before = dict(kb.entries)
+    kb.merge(pkg.stem, {"templates/t.yaml#0/pw": "fixed", "templates/gone.yaml#0/x": "stale"})
+    kb.merge("other", {"templates/t.yaml#0/tok": "elsewhere"})
+    before = copy.deepcopy(kb.entries)
     report = analyze_chart(pkg, kb)
     assert kb.entries == before
     # the stale entry names no rendered leaf, so it is not counted

@@ -1,5 +1,6 @@
 """dedup-suggest: rewrite plans, diffs, verification, digests."""
 
+import copy
 import shutil
 import subprocess
 
@@ -14,8 +15,7 @@ from chartqa.quality import (
     VariabilityKnowledgeBase,
     analyze_chart,
     detect_duplicates,
-    learn_variability,
-    stabilize_render,
+    variable_values,
 )
 from chartqa.analytics import detect_irregularities
 from chartqa.rewrite import (
@@ -113,9 +113,9 @@ def test_a_learned_key_holding_a_slash_is_pinned(key):
         f"metadata:\n  annotations:\n    {key}: {{{{ randAlphaNum 8 }}}}\n"
         "a: dup-value\nb: dup-value\nc: dup-value\n")})
     key_path = f"templates/d.yaml#0/metadata/annotations/{key}"
-    kb, learned = learn_variability(pkg, VariabilityKnowledgeBase())
-    assert learned == [key_path]
-    first, second = stabilize_render(pkg, kb), stabilize_render(pkg, kb)
+    kb = VariabilityKnowledgeBase()
+    assert kb.merge(pkg.stem, variable_values(pkg, kb)) == [key_path]
+    first, second = (render.render_chart(pkg, kb.overrides_for(pkg.stem)) for _ in range(2))
     assert first.applied == {key_path}
     assert first.canonical_yaml() == second.canonical_yaml()
     assert analyze_chart(pkg, kb).variable_key_paths == (key_path,)
@@ -212,9 +212,9 @@ def test_verify_rewrite_reads_the_knowledge_base_and_pins_learned_keys():
                   "pw: {{ randAlphaNum 8 }}\ntok: {{ randAlphaNum 8 }}\n",
     })
     kb = VariabilityKnowledgeBase()
-    kb.learn(pkg.stem, "templates/t.yaml#0/pw", "fixed")
-    kb.learn("other", "templates/t.yaml#0/tok", "elsewhere")
-    before = dict(kb.entries)
+    kb.merge(pkg.stem, {"templates/t.yaml#0/pw": "fixed"})
+    kb.merge("other", {"templates/t.yaml#0/tok": "elsewhere"})
+    before = copy.deepcopy(kb.entries)
     plan = plan_rewrite(pkg, detect_duplicates(pkg))
     assert verify_rewrite(pkg, plan, kb) is True
     assert kb.entries == before
@@ -293,9 +293,8 @@ def test_patch_round_trip_without_values_yaml(tmp_path):
                    cwd=tmp_path, check=True, capture_output=True)
     patched = package_from_dir(str(tmp_path / "web"))
     assert patched.values == {"suggestions": {"var1": "dup-me"}}
-    kb = VariabilityKnowledgeBase()
-    assert stabilize_render(patched, kb).canonical_yaml() == \
-        stabilize_render(pkg, kb).canonical_yaml()
+    assert render.render_chart(patched).canonical_yaml() == \
+        render.render_chart(pkg).canonical_yaml()
 
 
 def test_multiline_directive_is_sentineled_not_counted():
@@ -326,9 +325,8 @@ def test_patch_tool_round_trip(tmp_path, tool):
 
     patched = package_from_dir(str(tmp_path / "web"))
     assert dict(patched.templates) == dict(apply_plan(pkg, plan).templates)
-    kb = VariabilityKnowledgeBase()
-    assert stabilize_render(patched, kb).canonical_yaml() == \
-        stabilize_render(pkg, kb).canonical_yaml()
+    assert render.render_chart(patched).canonical_yaml() == \
+        render.render_chart(pkg).canonical_yaml()
 
 
 # --- digests ---
