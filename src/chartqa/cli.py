@@ -556,6 +556,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
             raise InputFileError(f"{groups_path}: not UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InputFileError(f"{groups_path}: not JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise InputFileError(f"{groups_path}: nested too deeply to read") from exc
     if not isinstance(groups, dict) or not all(
         _finite_numbers(groups.get(name)) for name in ("n1", "n2")
     ):

@@ -386,6 +386,9 @@ class SnapshotStore:
                 raw_index = fh.read()
         except (OSError, ValueError) as exc:
             raise StorageError(f"cannot load snapshot {snapshot_id}: {exc}") from exc
+        except RecursionError as exc:
+            raise StorageError(f"cannot load snapshot {snapshot_id}: {manifest_path}: "
+                               "nested too deeply to read") from exc
         source, fetched_at, digests, cache = _manifest_fields(manifest, snapshot_id)
         if (cache is None or cache["sha256"] != sha256_digest(raw_index)
                 or cache.get("reader") != _INDEX_READER):

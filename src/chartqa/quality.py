@@ -10,18 +10,22 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from . import DEFAULT_BLACKLIST, DEFAULT_THRESHOLD
 from .core import ChartPackage, ChartRef
 from .errors import KnowledgeBaseError, RenderFailed, SettingError
-from .yamlutil import SourceLeaf, sentinel_parse
+from .yamlutil import SourceLeaf, sentinel_parse, sharing_compiles
 
 if TYPE_CHECKING:  # the functions that render import render, so duplicate checks never load it
     from .render import Renderer, RenderFailure, RenderResult
 
 MIN_VALUE_LENGTH = 2
+# a stem ends at the first "|" with no "\" before it: a stem never holds "\"
+# (file names cannot), so its own "|"s are written "\|"
+_STEM_END = re.compile(r"(?<!\\)\|")
 
 
 class VariabilityKnowledgeBase:
@@ -30,7 +34,7 @@ class VariabilityKnowledgeBase:
     ``entries`` maps a chart stem to its ``{rendered key path: override}``;
     ``merge`` is the only writer, and it never replaces an entry.
     Persisted as a single JSON mapping ``"<stem>|<key_path>" -> override``
-    written atomically.
+    written atomically; a ``|`` in a stem is written ``\\|``.
     """
 
     def __init__(self):
@@ -70,15 +74,20 @@ class VariabilityKnowledgeBase:
                 raise KnowledgeBaseError(f"{path}: not UTF-8: {exc}") from exc
             except json.JSONDecodeError as exc:
                 raise KnowledgeBaseError(f"{path}: not JSON: {exc}") from exc
+            except RecursionError as exc:
+                raise KnowledgeBaseError(f"{path}: nested too deeply to read") from exc
         if not isinstance(flat, dict) or not all(isinstance(v, str) for v in flat.values()):
             raise KnowledgeBaseError(f"{path}: want a JSON object of string values")
         for key, value in flat.items():
-            stem, _, key_path = key.partition("|")
+            end = _STEM_END.search(key)
+            stem, key_path = (key[:end.start()].replace("\\|", "|"), key[end.end():]) if end \
+                else (key, "")
             kb.entries.setdefault(stem, {})[key_path] = value
         return kb
 
     def save(self, path: str) -> None:
-        flat = {f"{stem}|{key_path}": value for stem, overrides in self.entries.items()
+        flat = {stem.replace("|", "\\|") + "|" + key_path: value
+                for stem, overrides in self.entries.items()
                 for key_path, value in overrides.items()}
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
@@ -93,6 +102,7 @@ class VariabilityKnowledgeBase:
             raise
 
 
+@sharing_compiles
 def probe_variability(
     pkg: ChartPackage,
     overrides: Mapping[str, str],
@@ -240,6 +250,7 @@ class QualityReport(NamedTuple):
     render_failures: tuple[RenderFailure, ...]
 
 
+@sharing_compiles
 def analyze_chart(
     pkg: ChartPackage,
     kb: VariabilityKnowledgeBase | None = None,

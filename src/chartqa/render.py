@@ -14,17 +14,14 @@ import functools
 import os
 import random
 import re
-import shutil
 import string
-import subprocess
-import tempfile
-from typing import Any, Mapping, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple
 
 import yaml
 
 from .core import MAX_FILE_BYTES, ChartPackage, write_package_dir
 from .errors import EngineUnavailable
-from .yamlutil import DIRECTIVE_RE, canon, is_scalar, load_documents
+from .yamlutil import CompiledTemplate, canon, compile_template, is_scalar, load_documents
 
 MISSING_VALUE = "MissingValue"
 SYNTAX_ERROR = "SyntaxError"
@@ -38,23 +35,24 @@ class RenderFailure(NamedTuple):
 
 
 class RenderResult:
-    """Rendered documents as (template_path, doc_index, parsed body), with failures and text.
+    """Rendered documents as (template_path, doc_index, parsed body), with failures.
 
     ``leaves`` maps the key path of each scalar leaf to (template path,
     container, slot): the leaf's value is ``container[slot]``. Where two
     leaves have one key path, the last in document order holds it. A
     document that is one scalar is held in the 1-tuple ``(value,)``, which
-    no pin changes.
+    no pin changes. ``keys`` maps each rendered template to its render key:
+    equal keys give equal documents.
     """
 
-    __slots__ = ("documents", "leaves", "failures", "texts", "applied")
+    __slots__ = ("documents", "leaves", "failures", "keys", "applied")
 
     def __init__(self, documents: list[tuple[str, int, Any]], leaves: dict[str, tuple],
-                 failures: list[RenderFailure], texts: dict[str, str]):
+                 failures: list[RenderFailure], keys: dict[str, Any]):
         self.documents = documents
         self.leaves = leaves
         self.failures = failures
-        self.texts = texts  # template path -> rendered text
+        self.keys = keys
         self.applied: set[str] = set()  # override key paths render_chart pinned
 
     def canonical_yaml(self) -> str:
@@ -89,14 +87,10 @@ class RenderResult:
                 for path, (template_path, container, slot) in self.leaves.items()
                 if templates is None or template_path in templates}
 
-    def restricted(self, templates: set[str]) -> list[tuple[str, int, Any]]:
-        """The documents of the named templates, in render order."""
-        return [doc for doc in self.documents if doc[0] in templates]
-
     def differing(self, earlier: RenderResult) -> set[str]:
-        """Templates whose rendered text differs from ``earlier``'s or that only one rendered."""
-        return {path for path in self.texts.keys() | earlier.texts.keys()
-                if self.texts.get(path) != earlier.texts.get(path)}
+        """Templates whose render key differs from ``earlier``'s or that only one rendered."""
+        return {path for path in self.keys.keys() | earlier.keys.keys()
+                if self.keys.get(path) != earlier.keys.get(path)}
 
 
 class _TemplateError(Exception):
@@ -132,39 +126,63 @@ def _split_pipes(expr: str) -> tuple[tuple[str, ...], ...]:
     return tuple(tuple(_WORD_RE.findall(stage)) for stage in stages)
 
 
+# (template path, render key, a call giving its documents) of a rendered template
+Rendered = tuple[str, Any, Callable[[], list]]
+
+
+def _loaded(text: str) -> list[tuple[Any, list]]:
+    """:func:`load_documents` of ``text``, each leaf as (key path suffix, container, slot)."""
+    return [(body, [(suffix, container, slot) if container is not None else (suffix, (value,), 0)
+                    for suffix, _node, value, container, slot in leaves])
+            for body, leaves in load_documents(text)]
+
+
+def _filled(compiled: CompiledTemplate, outputs: tuple[str, ...]) -> list[tuple[Any, Any]]:
+    """The documents of ``compiled`` rendered with ``outputs``: filled in where
+    that is proven, else parsed from the rendered text."""
+    filled = compiled.fill(outputs)
+    return filled if filled is not None else _loaded(compiled.text(outputs))
+
+
 class BuiltinEngine:
     """Minimal hermetic renderer for the documented directive subset."""
 
     name = "builtin"
 
-    def render_package(self, pkg: ChartPackage) -> tuple[list[tuple[str, str]], list[RenderFailure]]:
+    def render_package(self, pkg: ChartPackage) -> tuple[list[Rendered], list[RenderFailure]]:
+        """Each template that rendered, in order, and the failures of the others.
+
+        A render key is the template source with its directives' outputs,
+        so each directive is evaluated once per render, and the documents
+        come from the template's compiled form.
+        """
         rendered = []
         failures = []
         for path, body in pkg.templates:
+            compiled = compile_template(body)
             try:
-                rendered.append((path, self._render_text(pkg, body)))
+                outputs = self._outputs(pkg, compiled)
             except _TemplateError as exc:
                 failures.append(RenderFailure(path, exc.reason, exc.category))
+                continue
+            rendered.append((path, (body, outputs), functools.partial(_filled, compiled, outputs)))
         return rendered, failures
 
-    def _render_text(self, pkg: ChartPackage, body: str) -> str:
-        """``body`` with each directive evaluated; an EngineUnsupported failure
-        once the text grows past ``MAX_FILE_BYTES`` characters, Helm's limit
-        for one chart file."""
+    def _outputs(self, pkg: ChartPackage, compiled: CompiledTemplate) -> tuple[str, ...]:
+        """Each directive evaluated, in text order, up to the first that fails; an
+        EngineUnsupported failure once the text grows past ``MAX_FILE_BYTES``
+        characters, Helm's limit for one chart file."""
         grown = 0  # characters the directives so far added to the text
-
-        def replace(match: re.Match) -> str:
-            nonlocal grown
-            value = self._eval(pkg, match.group(0)[2:-2].strip().strip("-").strip())
-            grown += len(value) - len(match.group(0))
-            if match.end() + grown > MAX_FILE_BYTES:  # the text up to here
+        outputs = []
+        for (start, end), expr in zip(compiled.spans, compiled.exprs):
+            output = self._eval(pkg, expr)
+            grown += len(output) - (end - start)
+            if end + grown > MAX_FILE_BYTES:  # the text up to here
                 raise _TemplateError(ENGINE_UNSUPPORTED, _TOO_LONG)
-            return value
-
-        text = DIRECTIVE_RE.sub(replace, body)
-        if len(text) > MAX_FILE_BYTES:
+            outputs.append(output)
+        if len(compiled.source) + grown > MAX_FILE_BYTES:
             raise _TemplateError(ENGINE_UNSUPPORTED, _TOO_LONG)
-        return text
+        return tuple(outputs)
 
     def _eval(self, pkg: ChartPackage, expr: str) -> str:
         stages = _split_pipes(expr)
@@ -255,7 +273,12 @@ class ExternalEngine:
     def __init__(self, binary: str | None = None):
         self.binary = binary or os.environ.get("CHARTQA_RENDERER")
 
-    def render_package(self, pkg: ChartPackage) -> tuple[list[tuple[str, str]], list[RenderFailure]]:
+    def render_package(self, pkg: ChartPackage) -> tuple[list[Rendered], list[RenderFailure]]:
+        """Each template that rendered, keyed by its rendered text, and the failures."""
+        import shutil
+        import subprocess
+        import tempfile
+
         if not self.binary or shutil.which(self.binary) is None and not os.path.isfile(self.binary):
             raise EngineUnavailable(
                 "external renderer binary not found; set --renderer-bin or CHARTQA_RENDERER"
@@ -272,7 +295,8 @@ class ExternalEngine:
                 raise EngineUnavailable(f"cannot execute renderer: {exc}") from exc
         if proc.returncode != 0:
             return [], self._failures_from_stderr(proc.stderr)
-        return self._attribute_output(proc.stdout, pkg), []
+        return [(path, text, functools.partial(_loaded, text))
+                for path, text in self._attribute_output(proc.stdout, pkg)], []
 
     @staticmethod
     def _failures_from_stderr(stderr: str) -> list[RenderFailure]:
@@ -311,7 +335,7 @@ def render_chart(
     engine: Renderer | None = None,
     earlier: RenderResult | None = None,
 ) -> RenderResult:
-    """Render every template of the chart and parse the output documents.
+    """Render every template of the chart and build the output documents.
 
     Overrides map key paths of the rendered output to replacement
     text and are injected after parsing, taking precedence over whatever the
@@ -322,23 +346,23 @@ def render_chart(
     SyntaxError failure.
 
     Given ``earlier``, a render of the same override set, a template whose
-    text equals its text there is not parsed: equal text under equal
-    overrides gives equal documents and the same SyntaxError, so its
+    render key equals its key there is not parsed: equal keys under equal
+    overrides give equal documents and the same SyntaxError, so its
     documents and failure are those of ``earlier`` and this result holds
-    neither. ``texts`` holds every rendered template, so
+    neither. ``keys`` holds every rendered template, so
     ``differing(earlier)`` names the templates whose documents may differ.
     """
     engine = engine or BuiltinEngine()
     rendered, failures = engine.render_package(pkg)
-    known = earlier.texts if earlier is not None else {}
+    known = earlier.keys if earlier is not None else {}
 
     documents: list[tuple[str, int, Any]] = []
     leaves: dict[str, tuple] = {}
-    for template_path, text in rendered:
-        if known.get(template_path) == text:
+    for template_path, key, build in rendered:
+        if known.get(template_path) == key:
             continue
         try:
-            parsed = load_documents(text)
+            parsed = build()
         except yaml.YAMLError as exc:
             reason = str(exc).replace("\n", " ")
             failures.append(RenderFailure(template_path, reason, SYNTAX_ERROR))
@@ -346,10 +370,9 @@ def render_chart(
         for doc_index, (body, doc_leaves) in enumerate(parsed):
             documents.append((template_path, doc_index, body))
             prefix = f"{template_path}#{doc_index}"
-            for suffix, _node, value, container, slot in doc_leaves:
-                leaves[prefix + suffix] = (template_path, container, slot) \
-                    if container is not None else (template_path, (value,), 0)
+            for suffix, container, slot in doc_leaves:
+                leaves[prefix + suffix] = (template_path, container, slot)
 
-    result = RenderResult(documents, leaves, failures, dict(rendered))
+    result = RenderResult(documents, leaves, failures, {path: key for path, key, _ in rendered})
     result.applied = result.pin(overrides or {})
     return result

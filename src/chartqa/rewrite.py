@@ -24,7 +24,7 @@ from .ingest import RepoIndex
 from .quality import (DuplicateConfig, DuplicateReport, VariabilityKnowledgeBase,
                       detect_duplicates, probe_variability)
 from .render import Renderer, render_chart
-from .yamlutil import SourceLeaf, sentinel_parse
+from .yamlutil import SourceLeaf, sentinel_parse, sharing_compiles
 
 UNADDRESSABLE = "unaddressable"
 SUBJECT_PREFIX = "chartqa"
@@ -217,6 +217,7 @@ def emit_diff(pkg: ChartPackage, plan: RewritePlan) -> str:
     return "".join(pieces)
 
 
+@sharing_compiles
 def verify_rewrite(
     pkg: ChartPackage,
     plan: RewritePlan,
@@ -248,7 +249,8 @@ def verify_rewrite(
         return False
     rewritten = apply_plan(pkg, plan)
     after = render_chart(rewritten, {**overrides, **learned}, engine, earlier=before)
-    if before.restricted(after.differing(before)) != after.documents:
+    changed = after.differing(before)
+    if [doc for doc in before.documents if doc[0] in changed] != after.documents:
         return False
     values = {a.value for a in plan.assignments}
     edited = {occ.template_path for a in plan.assignments for occ in a.target_occurrences}
@@ -259,6 +261,7 @@ def verify_rewrite(
     )
 
 
+@sharing_compiles
 def suggest_rewrite(
     pkg: ChartPackage,
     kb: VariabilityKnowledgeBase | None = None,

@@ -14,6 +14,11 @@ may themselves hold ``/``, ``#`` or ``[`` (``checksum/config``,
 gave: nothing parses one back. Two leaves can share a name (a key ``a/b``
 beside ``a: {b: ...}``). A template that is not YAML gives no documents.
 Aliases are expanded, up to a fixed number of nodes per text.
+
+A template source is parsed once, as a :class:`CompiledTemplate`: its
+directives replaced by sentinel tokens, so the duplicate check reads its
+literal leaves and the builtin engine renders by filling copies of its
+documents with the directives' outputs.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import datetime
 import functools
 import math
 import re
-from typing import Any, NamedTuple
+from typing import Any, NamedTuple, Sequence
 
 import yaml
 from yaml.constructor import SafeConstructor
@@ -48,10 +53,14 @@ class _SafeLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     registered (``yaml_path_resolvers`` is empty, which a test pins), a
     node's tag depends only on its kind, text and implicitness, so tags are
     cached on those and the path-resolver bookkeeping around each node does
-    nothing.
+    nothing. A scalar that no implicit resolver reads, quoted or starting
+    with a character none reads, is a str without a lookup.
     """
 
     def resolve(self, kind, value, implicit):
+        if kind is yaml.ScalarNode and (
+                not implicit[0] or value and value[0] not in _RESOLVED_FIRST):
+            return _STR_TAG
         if value is not None and len(value) > _CACHED_TEXT:
             return super().resolve(kind, value, implicit)
         return _cached_tag(kind, value, implicit)
@@ -63,15 +72,18 @@ class _SafeLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
         pass
 
 
+# the first characters some implicit resolver reads: a plain text starting
+# with another resolves to str, as no resolver reads every text (a test pins
+# that none is registered under None)
+_RESOLVED_FIRST = frozenset(key for key in _SafeLoader.yaml_implicit_resolvers if key)
+
+
 @functools.lru_cache(maxsize=_TAG_CACHE_SIZE)
 def _cached_tag(kind: type, value: str | None, implicit: Any) -> str:
     # without path resolvers resolve reads only class attributes, so the
     # class serves as the loader
     return Resolver.resolve(_SafeLoader, kind, value, implicit)
 
-
-# Any Go-template action block, possibly spanning lines.
-DIRECTIVE_RE = re.compile(r"\{\{.*?\}\}", re.DOTALL)
 
 SENTINEL_PREFIX = "__CHARTQA_SENTINEL_"
 
@@ -248,32 +260,298 @@ class SentinelParse(NamedTuple):
     error: str | None = None
 
 
-def substitute_directives(source: str) -> tuple[str, list[tuple[int, int, int]]]:
-    """Replace each template directive with a unique sentinel token.
+def directive_spans(text: str) -> list[tuple[int, int]]:
+    """(start, end) of each ``{{ ... }}`` directive of ``text``, in order.
 
-    Returns the substituted text plus a segment table of literal regions
-    as (start_in_substituted, start_in_original, length) for mapping
-    substituted-text offsets back to source offsets.
+    A directive runs from a ``{{`` to the first ``}}`` after it, and the
+    next one is looked for after that. A ``{{`` with no ``}}`` after it ends
+    the scan, since no later ``{{`` has one either, so each character is
+    read at most twice.
     """
-    out = []
-    segments = []
-    out_pos = 0
-    orig_pos = 0
-    for n, m in enumerate(DIRECTIVE_RE.finditer(source)):
-        literal = source[orig_pos:m.start()]
-        if literal:
-            segments.append((out_pos, orig_pos, len(literal)))
-            out.append(literal)
-            out_pos += len(literal)
-        token = f"{SENTINEL_PREFIX}{n}__"
-        out.append(token)
-        out_pos += len(token)
-        orig_pos = m.end()
-    tail = source[orig_pos:]
-    if tail:
-        segments.append((out_pos, orig_pos, len(tail)))
-        out.append(tail)
-    return "".join(out), segments
+    spans = []
+    start = text.find("{{")
+    while start >= 0:
+        end = text.find("}}", start + 2)
+        if end < 0:
+            break
+        spans.append((start, end + 2))
+        start = text.find("{{", end + 2)
+    return spans
+
+
+_TOKEN_RE = re.compile(SENTINEL_PREFIX + r"(\d+)__")
+_PLAIN_LEAD = frozenset("-?:,[]{}#&*!|>'\"%@`")
+# a text of these characters is a plain scalar as written: no indicator,
+# space, ":", "#" or flow indicator, nor a document marker
+_PLAIN_WORD_RE = re.compile(r"[0-9A-Za-z_/][-0-9A-Za-z_./]*")
+_FLOW_RE = re.compile(r"[,\[\]{}]")
+_UNSAFE = object()  # a filled scalar that might not parse as itself
+_CONSTRUCTOR = SafeConstructor()
+
+
+def _inline(text: str) -> bool:
+    """Whether a one-line scalar may hold ``text`` as written. Python's
+    printable characters are all in YAML's printable set, and tab, line
+    breaks (``\x85``, ``\u2028``, ``\u2029``) and the byte order mark are
+    not among them; the others YAML allows fall back to a parse."""
+    return text.isprintable()
+
+
+def _quotable(style: str, text: str) -> bool:
+    """Whether ``text`` stands for itself inside a one-line scalar quoted in ``style``."""
+    return style not in text and (style == "'" or "\\" not in text) and _inline(text)
+
+
+@functools.lru_cache(maxsize=_TAG_CACHE_SIZE)
+def _plain_value(text: str) -> Any:
+    """What a plain one-line scalar written as ``text`` builds to, where it
+    provably parses as that one scalar; ``_UNSAFE`` otherwise.
+
+    A whole quoted text (a ``quote`` pipe's output) builds to its inner
+    text. Otherwise the text must be printable, not start with a space or
+    an indicator (``-`` may start it before a character other than a
+    space), not end with a space or ``:``, hold no tab, line break, ``: ``,
+    `` #`` or flow indicator, not start with a document marker, and take
+    the tag str or one of ``_SCALARS``. Call it through the cache only for
+    texts of at most ``_CACHED_TEXT`` characters, like the tags it reads.
+    """
+    if _PLAIN_WORD_RE.fullmatch(text) is None:
+        if len(text) >= 2 and text[0] in "\"'" and text[-1] == text[0]:
+            inner = text[1:-1]
+            return inner if _inline(inner) and not any(c in inner for c in "\"'\\") \
+                else _UNSAFE
+        if (not text or not _inline(text) or text[-1] in " :"
+                or text[0] in _PLAIN_LEAD and (text[0] != "-" or text[1:2] in ("", " "))
+                or text[0] == " " or ": " in text or " #" in text or _FLOW_RE.search(text)
+                or text.startswith(("---", "..."))):
+            return _UNSAFE
+    if text[0] not in _RESOLVED_FIRST:
+        return text
+    tag = _cached_tag(yaml.ScalarNode, text, (True, False)) if len(text) <= _CACHED_TEXT \
+        else Resolver.resolve(_SafeLoader, yaml.ScalarNode, text, (True, False))
+    if tag == _STR_TAG:
+        return text
+    build = _SCALARS.get(tag)
+    if build is None:
+        return _UNSAFE
+    try:
+        return build(_CONSTRUCTOR, yaml.ScalarNode(tag, text))
+    except (ValueError, KeyError):
+        return _UNSAFE
+
+
+def _shape(body: Any, number: int, shape: list, homes: list, slots: list) -> None:
+    """Appends (parent number, slot) of each mapping and list inside ``body``,
+    numbered from 1 in the walk's order (``body``, the root, is ``number``
+    0), and the number and slot of the container of each scalar leaf."""
+    for slot, value in body.items() if type(body) is dict else enumerate(body):
+        if type(value) is dict or type(value) is list:
+            shape.append((number, slot))
+            _shape(value, len(shape), shape, homes, slots)
+        else:
+            homes.append(number)
+            slots.append(slot)
+
+
+class CompiledTemplate:
+    """A template source parsed once, with each directive replaced by a sentinel token.
+
+    ``spans`` are the directives' source spans, ``substituted`` the source
+    with the n-th directive replaced by the token ``__CHARTQA_SENTINEL_n__``.
+    ``documents`` is :func:`load_documents` of the substituted text, or None
+    with ``error`` set where that text is not YAML. The rest is built on
+    first use: the renders read ``exprs`` and the fill plan, the duplicate
+    check ``segments``.
+    """
+
+    def __init__(self, source: str):
+        self.source = source
+        self.spans = directive_spans(source)
+        self.substituted = self.text([f"{SENTINEL_PREFIX}{n}__" for n in range(len(self.spans))])
+        self.documents: list | None = None
+        self.error: str | None = None
+        try:
+            self.documents = load_documents(self.substituted)
+        except yaml.YAMLError as exc:
+            self.error = str(exc).replace("\n", " ")
+
+    @functools.cached_property
+    def exprs(self) -> list[str]:
+        """Each directive's expression: the text between its braces, trimmed
+        of spaces and ``-``."""
+        return [self.source[start + 2:end - 2].strip().strip("-").strip()
+                for start, end in self.spans]
+
+    @functools.cached_property
+    def segments(self) -> list[tuple[int, int, int]]:
+        """The literal regions of the substituted text as (start there, start
+        in the source, length), in order."""
+        segments = []
+        out_pos = orig_pos = 0
+        for n, (start, end) in enumerate(self.spans):
+            if start > orig_pos:
+                segments.append((out_pos, orig_pos, start - orig_pos))
+                out_pos += start - orig_pos
+            out_pos += len(f"{SENTINEL_PREFIX}{n}__")
+            orig_pos = end
+        if orig_pos < len(self.source):
+            segments.append((out_pos, orig_pos, len(self.source) - orig_pos))
+        return segments
+
+    def text(self, outputs: Sequence[str]) -> str:
+        """The source with each directive replaced by its output."""
+        pieces, pos = [], 0
+        for (start, end), output in zip(self.spans, outputs):
+            pieces += (self.source[pos:start], output)
+            pos = end
+        pieces.append(self.source[pos:])
+        return "".join(pieces)
+
+    def fill(self, outputs: tuple[str, ...]) -> list[tuple[Any, Any]] | None:
+        """The documents :func:`load_documents` builds from ``self.text(outputs)``,
+        as (body, leaves) with each leaf (key path suffix, container, slot),
+        or None where that is not proven without parsing the text.
+
+        The documents are copies of the compiled ones with each templated
+        scalar set from its literal pieces and outputs. That is proven only
+        where each directive sits inside one scalar value that is not a
+        document root, that no alias repeats and that is written on one
+        line, plain with no tag or anchor or quoted, and where each filled
+        scalar parses as itself: a plain one by ``_plain_value``, a quoted
+        one where the outputs in it hold no quote of its style, no
+        backslash between double quotes, and no line break or unprintable
+        character. A template with an empty output is not filled either.
+        """
+        if self._plan is None or not all(outputs):
+            return None
+        filled = []
+        for body, scalar_leaves, suffixes, shape, homes, slots, fills in self._plan:
+            if scalar_leaves is not None:  # a document that is one scalar
+                filled.append((body, scalar_leaves))
+                continue
+            copies = [body.copy()]
+            for parent, slot in shape:
+                holder = copies[parent]
+                copy = holder[slot] = holder[slot].copy()
+                copies.append(copy)
+            for index, style, pieces, numbers in fills:
+                if pieces is None:  # the scalar is one directive
+                    text = outputs[numbers]
+                    if style is not None and not _quotable(style, text):
+                        return None
+                else:
+                    text = pieces[0]
+                    for n, piece in zip(numbers, pieces[1:]):
+                        output = outputs[n]
+                        if style is not None and not _quotable(style, output):
+                            return None
+                        text += output + piece
+                if style is None:
+                    text = _plain_value(text) if len(text) <= _CACHED_TEXT \
+                        else _plain_value.__wrapped__(text)
+                    if text is _UNSAFE:
+                        return None
+                copies[homes[index]][slots[index]] = text
+            filled.append((copies[0], zip(suffixes, map(copies.__getitem__, homes), slots)))
+        return filled
+
+    @functools.cached_property
+    def _plan(self) -> list | None:
+        """Per document: its body; for a document that is one scalar, its
+        leaves, else None, the leaves' key path suffixes, the shape and leaf
+        homes ``_shape`` gives, and (leaf index, style, literal pieces,
+        directive numbers) of each templated scalar, with pieces None and
+        one number for a scalar that is one directive. None where a
+        directive is not inside exactly one such scalar."""
+        if self.documents is None:
+            return None
+        plan, numbers = [], []
+        substituted = self.substituted
+        for body, leaves in self.documents:
+            fills = []
+            for index, (_, node, value, container, _) in enumerate(leaves):
+                if type(value) is not str or SENTINEL_PREFIX not in value:
+                    continue
+                number = value[len(SENTINEL_PREFIX):-2]
+                if value.startswith(SENTINEL_PREFIX) and value.endswith("__") \
+                        and number.isdecimal():  # the scalar is one directive
+                    parts = ["", number, ""]
+                else:
+                    parts = _TOKEN_RE.split(value)
+                    if len(parts) == 1:  # a literal that only looks like a token
+                        continue
+                start, end, style = node.start_mark, node.end_mark, node.style or None
+                # A block scalar (| or >) always spans lines. A tag would stand
+                # before a plain value; on a quoted one it builds a str or
+                # fails the compile, and an anchor changes nothing unaliased.
+                if container is None or start.line != end.line or style is None \
+                        and not substituted.startswith(value, start.index):
+                    return None
+                found = [int(n) for n in parts[1::2]]
+                numbers += found
+                whole = len(parts) == 3 and not parts[0] and not parts[2]
+                fills.append((index, style, None, found[0]) if whole
+                             else (index, style, parts[0::2], found))
+            if type(body) is dict or type(body) is list:
+                shape: list = []
+                homes: list = []
+                slots: list = []
+                _shape(body, 0, shape, homes, slots)
+                plan.append((body, None, [leaf[0] for leaf in leaves], shape, homes, slots, fills))
+            else:
+                plan.append((body, [("", (body,), 0)], None, None, None, None, fills))
+        return plan if sorted(numbers) == list(range(len(self.spans))) else None
+
+
+# rough bytes a compiled leaf holds (node, marks, leaf tuple, key path, body
+# slot, plan); a cached form's ``size`` adds two bytes per source character
+_LEAF_BYTES = 850
+# The compiled forms kept while a chart is read (see ``sharing_compiles``),
+# oldest first, with their total size and the number of calls sharing them.
+# Kept for longer, they cost more than they save: reading charts one after
+# another, retained forms make each parse touch cold memory, and only a
+# chart's own reads share its templates. The bound keeps hostile templates
+# (up to 5 MiB, or 100 000 nodes by aliases) from piling up.
+_COMPILED: dict[str, CompiledTemplate] = {}
+_COMPILED_BYTES = 8 << 20
+_compiled_size = 0
+_sharing = 0
+
+
+def compile_template(source: str) -> CompiledTemplate:
+    """``source`` compiled, once per call of a ``sharing_compiles`` function."""
+    global _compiled_size
+    if not _sharing:
+        return CompiledTemplate(source)
+    compiled = _COMPILED.pop(source, None)
+    if compiled is None:
+        compiled = CompiledTemplate(source)
+        leaves = sum(len(doc_leaves) for _, doc_leaves in compiled.documents or ())
+        compiled.size = 2 * len(source) + _LEAF_BYTES * leaves
+        _compiled_size += compiled.size
+        while _COMPILED and _compiled_size > _COMPILED_BYTES:
+            _compiled_size -= _COMPILED.pop(next(iter(_COMPILED))).size
+    _COMPILED[source] = compiled
+    return compiled
+
+
+def sharing_compiles(fn):
+    """``fn``, keeping each template it compiles until it (or the outermost
+    such function it runs in) returns, so its duplicate checks and renders
+    of one chart parse each template text once."""
+    @functools.wraps(fn)
+    def sharing(*args, **kwargs):
+        global _sharing, _compiled_size
+        _sharing += 1
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _sharing -= 1
+            if not _sharing:
+                _COMPILED.clear()
+                _compiled_size = 0
+
+    return sharing
 
 
 def _map_span(segments: list[tuple[int, int, int]], node: yaml.Node) -> tuple[int, int] | None:
@@ -297,19 +575,17 @@ def sentinel_parse(template_path: str, source: str) -> SentinelParse:
     A template that is not YAML-shaped even after substitution yields an
     empty leaf list and a non-None error.
     """
-    substituted, segment_table = substitute_directives(source)
-    try:
-        documents = load_documents(substituted)
-    except yaml.YAMLError as exc:
-        return SentinelParse(template_path, [], error=str(exc).replace("\n", " "))
+    compiled = compile_template(source)
+    if compiled.error is not None:
+        return SentinelParse(template_path, [], error=compiled.error)
     leaves = []
     seen: set[yaml.Node] = set()
-    for doc_index, (_, doc_leaves) in enumerate(documents):
+    for doc_index, (_, doc_leaves) in enumerate(compiled.documents):
         prefix = f"{template_path}#{doc_index}"
         for suffix, node, raw, _container, _slot in doc_leaves:
             value = raw if type(raw) is str else canon(raw)
             templated = SENTINEL_PREFIX in value
-            span = None if templated else _map_span(segment_table, node)
+            span = None if templated else _map_span(compiled.segments, node)
             leaves.append(SourceLeaf(template_path, prefix + suffix, value, node.style or None,
                                      span, templated, node in seen))
             seen.add(node)

@@ -226,6 +226,8 @@ def test_no_command_loads_dataclasses_or_a_process_pool_module(tmp_path):
         loaded = modules_loaded_by(*argv, pool=pool)
         assert not {m for m in loaded if m.split(".")[0] in (
             "dataclasses", "concurrent", "multiprocessing")}, argv
+        if argv[0] in ("analyze", "variability", "suggest"):  # the builtin engine starts no process
+            assert not loaded & {"subprocess", "selectors"}, argv
 
 
 def test_per_chart_forked_workers_match_serial(tmp_path, monkeypatch, two_cpu_pool):
@@ -1164,6 +1166,29 @@ def test_stats_malformed_groups_file_exits_two(tmp_path, document):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "want a JSON object with n1 and n2 lists of finite numbers" in proc.stderr
+
+
+@pytest.mark.parametrize("reader", ["groups", "kb", "manifest"])
+def test_deeply_nested_json_is_a_typed_error_naming_the_file(tmp_path, reader):
+    # the JSON decoder recurses once per level and raises RecursionError
+    write_chart_dir(tmp_path / "charts", "web",
+                    chart_files(values={}, templates=CLEAN_TEMPLATES, maintainers=MAINTAINED))
+    if reader == "groups":
+        path = tmp_path / "groups.json"
+        argv = ["stats", "--groups", str(path), "--iterations", "5"]
+    elif reader == "kb":
+        path = tmp_path / "kb.json"
+        argv = ["variability", "--path", str(tmp_path / "charts"), "--kb", str(path)]
+    else:
+        store = _record_days(tmp_path / "store", "1.0.0", "1.1.0")
+        path = tmp_path / "store" / "2018-05-14" / "manifest.json"
+        argv = ["changes", "--snapshot-store", store.root]
+    path.write_text("[" * 100_000)
+    proc = run_cli(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"{path}: nested too deeply to read" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_variability_kb_list_document_exits_two(tmp_path):

@@ -7,7 +7,7 @@ import random
 import pytest
 import yaml
 
-from chartqa import quality, render
+from chartqa import quality, render, yamlutil
 from chartqa.errors import KnowledgeBaseError, RenderFailed, SettingError
 from chartqa.quality import (
     DEFAULT_BLACKLIST,
@@ -149,11 +149,23 @@ def test_kb_persistence_round_trip(tmp_path):
 def test_kb_load_then_save_gives_identical_bytes(tmp_path):
     path = tmp_path / "kb.json"
     flat = {"web|templates/t.yaml#0/pw": "secret", "db|templates/x.yaml#0/a": "other",
-            "web|templates/t.yaml#1/a/b[0]": "x", "web|": "empty key path"}
+            "web|templates/t.yaml#1/a/b[0]": "x", "web|": "empty key path",
+            "web|templates/t.yaml#0/a|b": "a bar in the key path"}
     path.write_text(json.dumps(flat, indent=2, sort_keys=True))  # as save writes it
     written = path.read_bytes()
     VariabilityKnowledgeBase.load(str(path)).save(str(path))
     assert path.read_bytes() == written
+
+
+def test_a_stem_holding_a_bar_survives_save_and_load(tmp_path):
+    kb = VariabilityKnowledgeBase()
+    kb.merge("a|b", {"templates/x.yaml#0/k": "v"})
+    kb.merge("a", {"templates/x.yaml#0/k|z": "w"})
+    path = tmp_path / "kb.json"
+    kb.save(str(path))
+    assert json.loads(path.read_text()) == {
+        "a\\|b|templates/x.yaml#0/k": "v", "a|templates/x.yaml#0/k|z": "w"}
+    assert VariabilityKnowledgeBase.load(str(path)).entries == kb.entries
 
 
 @pytest.mark.parametrize("text", ["[]", '["web|a"]', '{"web|a": 3}', '{"web|a": null}', "{"])
@@ -363,6 +375,19 @@ def test_analyze_chart_renders_twice(monkeypatch):
     assert len(renders) == 2
     assert report.variable_key_paths == ("templates/t.yaml#0/pw",)
     assert [f.category for f in report.render_failures] == ["MissingValue"]
+
+
+def test_analyze_chart_composes_each_template_once(monkeypatch):
+    pkg = make_package(values={"app": "web"}, templates={
+        "t.yaml": "pw: {{ randAlphaNum 16 }}\na: d1\nb: d1\nc: d1\n",
+        "svc.yaml": "name: {{ .Values.app }}\nport: 80\n",
+        "cm.yaml": "kind: ConfigMap\ndata: {x: 'y'}\n",
+    })
+    composes = count_calls(monkeypatch, "load_documents", yamlutil, render)
+    report = analyze_chart(pkg)
+    assert len(composes) == len(pkg.templates)
+    assert report.variable_key_paths == ("templates/t.yaml#0/pw",)
+    assert [g.canonical_value for g in report.duplicate.groups] == ["d1"]
 
 
 def test_analyze_chart_reports_render_failures():

@@ -1,10 +1,14 @@
 """template-render: builtin engine subset, flattening, external adapter."""
 
+import random
 import stat
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from chartqa import render, yamlutil
 from chartqa.core import MAX_FILE_BYTES
 from chartqa.errors import EngineUnavailable
 from chartqa.render import (
@@ -328,10 +332,152 @@ def test_render_against_earlier_parses_only_differing_text():
     })
     first = render_chart(pkg)
     second = render_chart(pkg, earlier=first)
-    assert second.texts.keys() == first.texts.keys()
+    assert second.keys.keys() == first.keys.keys()
     assert second.differing(first) == {"templates/s.yaml"}
     assert [tp for tp, _i, _body in second.documents] == ["templates/s.yaml"]
     assert second.failures == []
     assert [(f.template_path, f.category) for f in first.failures] == [
         ("templates/bad.yaml", "SyntaxError"),
     ]
+
+
+# --- the fill of the compiled sentinel parse equals parsing the rendered text ---
+
+def _typed(value):
+    """``value`` with each scalar as (type name, repr), so ``5`` and ``'5'`` differ."""
+    if isinstance(value, dict):
+        return {key: _typed(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_typed(item) for item in value]
+    return type(value).__name__, repr(value)
+
+
+def _outcome(pkg, overrides, seed, fill: bool):
+    """What ``render_chart`` gives with the fill on or off (then every
+    template is parsed from its rendered text), with ``_RAND`` seeded."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(render, "_RAND", random.Random(seed))
+        if not fill:
+            patch.setattr(yamlutil.CompiledTemplate, "fill", lambda self, outputs: None)
+        result = render_chart(pkg, overrides)
+    return ([(tp, i, _typed(body)) for tp, i, body in result.documents],
+            {path: _typed(container[slot]) for path, (_, container, slot) in result.leaves.items()},
+            result.leaf_values(), sorted(result.applied), result.failures)
+
+
+# values that a fill must not take as written: indicators, edge spaces,
+# quotes, escapes, line breaks, document markers, other tags
+TRICKY = [
+    "", "5", "abc", "a: b", "a #b", "a#b", " lead", "trail ", "x:", "-", "- x", "-5", "?x",
+    "#c", "[x]", "{y}", "a,b", "---", "--- x", "...", "x\ty", "\tx", "line\nbreak", 'q"x', "it's",
+    "b\\s", "yes", "null", "~", "1.5", "0x1F", "0x_", "1:20", ".nan", "2001-12-14", "<<", "=",
+    '"dq"', "'sq'", "'it''s'", "\x85", "é", "*ref", "&anc", "!tag", "%p", "@at", "`bt", "|", ">",
+]
+VALUES = st.one_of(st.sampled_from(TRICKY), st.integers(-3, 3), st.booleans(),
+                   st.text("ab :#'\"-\n", max_size=4))
+DIRECTIVES = st.sampled_from([
+    "{{ .Values.v0 }}", "{{ .Values.v1 }}", "{{ .Values.v2 | quote }}", "{{ .Values.v0 | upper }}",
+    '{{ .Values.absent | default "dflt" }}', "{{ randAlphaNum 4 }}", "{{- .Values.v1 -}}",
+])
+# lines of a mapping document; $d is a directive, $i the line's number
+FRAGMENTS = [
+    "k$i: $d", "k$i: pre-$d-post", "k$i: $d $d", 'k$i: "$d"', "k$i: 'x $d'", 'k$i: "a$d b"',
+    "k$i: !!str $d", "k$i: !!int 5", "k$i: &a$i $d\nr$i: *a$i", "k$i: &m$i {x: $d}\nr$i: *m$i",
+    "$d: v$i", "k$i: v # $d", "# $d", "k$i: [a, $d]", "k$i: {x: $d, y: b}", "k$i: |\n  $d",
+    "k$i: >\n  $d", "k$i: $d\n  more", 'k$i: "$d\n  more"', "k$i:\n  - $d\n  - b",
+    "k$i:\n  n: $d", "k$i: 2001-12-14", "k$i: ~",
+]
+ROOTS = ["$d", "[a,\n$d]", "- $d\n- x", "plain root"]
+
+
+@st.composite
+def templates(draw) -> str:
+    documents = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            lines = draw(st.lists(st.sampled_from(FRAGMENTS), min_size=1, max_size=4))
+            documents.append("\n".join(line.replace("$i", str(i)) for i, line in enumerate(lines)))
+        else:
+            documents.append(draw(st.sampled_from(ROOTS)))
+    text = "\n---\n".join(documents) + "\n"
+    while "$d" in text:
+        text = text.replace("$d", draw(DIRECTIVES), 1)
+    return text
+
+
+def _example(text: str, **values):
+    return example(text=text, values={f"v{n}": values.get(f"v{n}", "x") for n in range(3)},
+                   seed=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=templates(), values=st.fixed_dictionaries({f"v{n}": VALUES for n in range(3)}),
+       seed=st.integers(0, 2**32))
+@_example("a: !!str {{ .Values.v0 }}\n", v0=5)
+@_example("a: {{ .Values.v0 }}\n", v0=" lead")
+@_example("a: {{ .Values.v0 }}\n", v0="trail ")
+@_example("a: {{ .Values.v0 }}\n", v0="x:")
+@_example("a: {{ .Values.v0 }}\n", v0="a: b")
+@_example("a: {{ .Values.v0 }}\n", v0="a #b")
+@_example("a: {{ .Values.v0 }}\n", v0="#c")
+@_example("a: {{ .Values.v0 }}\n", v0="- x")
+@_example("a: {{ .Values.v0 }}\n", v0="\tx")
+@_example("a: {{ .Values.v0 }}\n", v0="2001-12-14")
+@_example("a: {{ .Values.v0 }}\n", v0="0x_")
+@_example("a: [{{ .Values.v0 }}]\n", v0="x,y")
+@_example("[a,\n{{ .Values.v0 }}]\n", v0="--- x")
+@_example("a: {{ .Values.v2 | quote }}\n", v2='q"x')
+@_example("a: {{ .Values.v0 }}\n", v0="'it''s'")
+@_example("a: {{ .Values.v2 | quote }}\n", v2="line\nbreak")
+@_example('a: "{{ .Values.v0 }}"\n', v0='q"x')
+@_example('a: "{{ .Values.v0 }}"\n', v0="b\\s")
+@_example("a: 'x {{ .Values.v0 }}'\n", v0="it's")
+@_example('a: "{{ .Values.v0 }}"\n', v0="line\nbreak")
+@_example('a: "{{ .Values.v0 }}\n  more"\n', v0="trail ")
+@_example("a: {{ .Values.v0 }}\n  more\n", v0="trail ")
+@_example("a: |\n  {{ .Values.v0 }}\n", v0=" lead")
+@_example("{{ .Values.v0 }}: v\n", v0="key")
+@_example("a: v # {{ .Values.v0 }}\n", v0="x\nb: 2")
+@_example("{{ .Values.v0 }}\n---\nb: 2\n", v0="")
+@_example("a: &x {{ .Values.v0 }}\nb: *x\n", v0="val")
+def test_filled_documents_equal_the_parsed_rendered_text(text, values, seed):
+    pkg = make_package(values=values, templates={"t.yaml": text})
+    overrides = {"templates/t.yaml#0/k0": "pinned", "templates/t.yaml#0/r1": "pinned",
+                 "templates/t.yaml#1": "root"}
+    assert _outcome(pkg, overrides, seed, True) == _outcome(pkg, overrides, seed, False)
+
+
+def _fills(text: str, **values) -> bool:
+    """Whether the builtin engine renders ``text`` by filling its compiled parse."""
+    pkg = make_package(values=values, templates={"t.yaml": text})
+    compiled = yamlutil.compile_template(text)
+    return compiled.fill(BuiltinEngine()._outputs(pkg, compiled)) is not None
+
+
+def test_an_explicit_tag_keeps_its_type():
+    pkg = make_package(values={"n": 5}, templates={"t.yaml": "a: !!str {{ .Values.n }}\n"})
+    assert render_single(pkg).documents == [("templates/t.yaml", 0, {"a": "5"})]
+    assert not _fills("a: !!str {{ .Values.n }}\n", n=5)
+    assert _fills("a: {{ .Values.n }}\n", n=5)
+
+
+def test_an_anchored_templated_scalar_an_alias_repeats_is_parsed_from_text():
+    text = "a: &x {{ .Values.v }}\nb: *x\n"
+    pkg = make_package(values={"v": "val"}, templates={"t.yaml": text})
+    assert render_single(pkg).documents == [("templates/t.yaml", 0, {"a": "val", "b": "val"})]
+    assert not _fills(text, v="val")
+
+
+def test_a_flow_sequence_holding_a_directive_is_filled():
+    text = "a: [x, {{ .Values.v }}, {{ .Values.n }}]\n"
+    pkg = make_package(values={"v": "val", "n": 3}, templates={"t.yaml": text})
+    assert render_single(pkg).documents == [("templates/t.yaml", 0, {"a": ["x", "val", 3]})]
+    assert _fills(text, v="val", n=3)
+
+
+def test_an_empty_output_before_a_separator_keeps_the_rendered_ordinals():
+    # the empty first document takes no index in the render (FOUND 13)
+    text = "{{ .Values.x }}\n---\nb: 2\n"
+    pkg = make_package(values={"x": ""}, templates={"t.yaml": text})
+    assert list(render_single(pkg).leaf_values()) == ["templates/t.yaml#0/b"]
+    assert not _fills(text, x="")

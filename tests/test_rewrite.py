@@ -6,7 +6,7 @@ import subprocess
 
 import pytest
 
-from chartqa import quality, render, rewrite
+from chartqa import quality, render, rewrite, yamlutil
 from chartqa.core import write_package_dir
 from chartqa.errors import ChartQAError, EmptyReport, SuggestionsDefined
 from chartqa.ingest import index_entry, index_from_entries, package_from_dir
@@ -231,6 +231,18 @@ def test_pipeline_parses_each_original_template_once(monkeypatch):
     assert verify_rewrite(pkg, plan) is True
     originals = [args for args in parses if args in pkg.templates]
     assert sorted(originals) == sorted(pkg.templates)
+
+
+def test_suggest_composes_each_original_and_each_edited_template_once(monkeypatch):
+    pkg = five_occurrence_package()
+    pkg = pkg._replace(templates=pkg.templates + (
+        ("templates/cm.yaml", "kind: ConfigMap\napp: {{ .Values.app }}\n"),))
+    composes = count_calls(monkeypatch, "load_documents", yamlutil, render)
+    report, warnings, diff = suggest_rewrite(pkg)
+    assert diff is not None and warnings == []
+    edited = [body for path, body in rewrite.apply_plan(pkg, plan_rewrite(pkg, report)).templates
+              if path != "templates/cm.yaml"]
+    assert len(composes) == len(pkg.templates) + len(edited)
 
 
 def test_verify_rewrite_nan_leaf_and_mixed_key_types():

@@ -3,6 +3,7 @@
 import contextlib
 import datetime
 import json
+import re
 import signal
 
 import pytest
@@ -14,7 +15,13 @@ from yaml.constructor import SafeConstructor
 from chartqa.core import package_from_files
 from chartqa.errors import MetadataParseError
 from chartqa.render import render_chart
-from chartqa.yamlutil import _LiteralLoader, _SafeLoader, load_documents, sentinel_parse
+from chartqa.yamlutil import (
+    _LiteralLoader,
+    _SafeLoader,
+    directive_spans,
+    load_documents,
+    sentinel_parse,
+)
 
 from conftest import chart_files, make_package
 
@@ -102,6 +109,31 @@ def test_alias_bomb_rejected_quickly():
     files["values.yaml"] = bomb
     with deadline(1.0), pytest.raises(MetadataParseError):
         package_from_files(files)
+
+
+# --- directive spans ---
+
+# the pattern directive_spans replaced: from each "{{" to the first "}}" after it
+LAZY_DIRECTIVE_RE = re.compile(r"\{\{.*?\}\}", re.DOTALL)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text("{} x\n", max_size=40))
+def test_directive_spans_equal_the_lazy_pattern_spans(text):
+    assert directive_spans(text) == [m.span() for m in LAZY_DIRECTIVE_RE.finditer(text)]
+
+
+def test_an_unclosed_directive_is_read_in_linear_time():
+    # each "{{" has no "}}" after it: the lazy pattern rescanned the rest of
+    # the text from each one, which took hours on a file this size
+    text = "a: " + "{{ x " * (5 * 2**20 // 5 - 1)
+    pkg = make_package(values={}, templates={"t.yaml": text})
+    with deadline(1.0):
+        parse = sentinel_parse("templates/t.yaml", text)
+        result = render_chart(pkg)
+    assert parse.error is not None and parse.leaves == []
+    assert [(f.template_path, f.category) for f in result.failures] == [
+        ("templates/t.yaml", "SyntaxError")]
 
 
 # --- sentinel key paths equal rendered key paths ---
@@ -381,3 +413,5 @@ def test_loaders_register_no_path_resolver():
     # the cached tags and the no-op path-resolver hooks are right only while this holds
     assert _SafeLoader.yaml_path_resolvers == {}
     assert _LiteralLoader.yaml_path_resolvers == {}
+    # and a scalar starting with a character no implicit resolver reads is a str
+    assert None not in _SafeLoader.yaml_implicit_resolvers
