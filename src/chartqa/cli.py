@@ -538,10 +538,16 @@ def cmd_trends(args: argparse.Namespace) -> int:
     return EXIT_CLEAN
 
 
+def _finite(v: int | float) -> bool:
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _finite_numbers(value: Any) -> bool:
     return isinstance(value, list) and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-        for v in value
+        isinstance(v, (int, float)) and not isinstance(v, bool) and _finite(v) for v in value
     )
 
 

@@ -4,15 +4,21 @@ The two-sided p-value is defined as the probability, under uniform random
 sign assignment to the ranked absolute differences, that min(W+, W-) is at
 most the observed statistic. For n <= 12 non-zero differences this is
 computed exactly, even under mid-rank ties, from the distribution of W+
-over all 2^n sign vectors; that distribution is counted and cached per
-tie pattern. Larger samples use the normal approximation with the
+over all 2^n sign vectors; the p for every W is counted once per tie
+pattern and cached. Larger samples use the normal approximation with the
 standard tie correction of the rank variance.
+
+Resampling iteration i draws its subsample as
+``default_rng([seed, i]).choice(n, k, replace=False)`` does: ``_draw``
+reproduces that call's SeedSequence, PCG64 stream and choice algorithm
+bit for bit in plain integer arithmetic.
 """
 
 from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import math
 from typing import NamedTuple, Sequence
 
@@ -45,13 +51,10 @@ def _midranks(values: Sequence[float]) -> list[float]:
     return ranks
 
 
-@functools.lru_cache(maxsize=None)
 def _sign_sum_counts(double_ranks: tuple[int, ...]) -> tuple[int, ...]:
     """counts[s] = number of the 2^n sign assignments whose doubled W+ is s.
 
     A subset-sum count over the ranks, O(n * sum(ranks)) integer steps.
-    Callers pass the ranks sorted, so the cache holds one entry per tie
-    pattern; for n <= 12 there are at most 4095 of them.
     """
     counts = [1] + [0] * sum(double_ranks)
     for rank in double_ranks:
@@ -60,16 +63,24 @@ def _sign_sum_counts(double_ranks: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _exact_p(double_ranks: list[int], double_w: int) -> float:
-    """P(min(W+, W-) <= observed) over every sign assignment.
+@functools.lru_cache(maxsize=None)
+def _exact_p_table(double_ranks: tuple[int, ...]) -> tuple[float, ...]:
+    """table[w] = P(min(W+, W-) <= w) over every sign assignment, for each
+    doubled w from 0 to half the doubled rank sum (min(W+, W-) is no more).
 
     Ranks are doubled so mid-ranks stay integral and every comparison is
-    exact integer arithmetic.
+    exact integer arithmetic: each p is an exact count of hits over 2^n.
+    Callers pass the ranks sorted, so the cache holds one table per tie
+    pattern; for n <= 12 there are at most 4095 of them.
     """
-    counts = _sign_sum_counts(tuple(sorted(double_ranks)))
+    counts = _sign_sum_counts(double_ranks)
     total = len(counts) - 1
-    hits = sum(c for wp, c in enumerate(counts) if min(wp, total - wp) <= double_w)
-    return hits / 2 ** len(double_ranks)
+    table, hits = [], 0
+    for w in range(total // 2 + 1):
+        # min(wp, total - wp) <= w: wp is w or total - w, counted once if equal
+        hits += counts[w] + (counts[total - w] if total - w != w else 0)
+        table.append(hits / 2 ** len(double_ranks))
+    return tuple(table)
 
 
 def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> WilcoxonResult:
@@ -94,8 +105,8 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> WilcoxonResu
     statistic = min(w_plus, w_minus)
 
     if n <= EXACT_ENUMERATION_LIMIT:
-        double_ranks = [round(2 * r) for r in ranks]
-        p = _exact_p(double_ranks, round(2 * statistic))
+        double_ranks = tuple(sorted(round(2 * r) for r in ranks))
+        p = _exact_p_table(double_ranks)[round(2 * statistic)]
         return WilcoxonResult(statistic, p, n, "exact")
 
     mean = n * (n + 1) / 4.0
@@ -108,6 +119,100 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> WilcoxonResu
     z = (statistic - mean) / math.sqrt(variance)
     p = min(1.0, math.erfc(abs(z) / math.sqrt(2.0)))
     return WilcoxonResult(statistic, p, n, "normal")
+
+
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+@functools.lru_cache(maxsize=None)
+def _constants(init: int, mult: int, count: int) -> tuple[int, ...]:
+    """init, init * mult, init * mult^2, ... mod 2^32: count + 1 values."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _M32)
+    return tuple(consts)
+
+
+# the all-pairs pool mix of SeedSequence, in its order
+_PAIRS = tuple((src, dst) for src in range(4) for dst in range(4) if src != dst)
+
+
+def _hashmix(value: int, consts: tuple[int, ...], h: int) -> int:
+    """SeedSequence's hashmix number h: its hash constants advance the same
+    way on every call, so they are read from a table."""
+    value = (value ^ consts[h]) * consts[h + 1] & _M32
+    return value ^ value >> 16
+
+
+def _mix(x: int, y: int, consts: tuple[int, ...], h: int) -> int:
+    """SeedSequence's mix(x, hashmix(y)), with hashmix number h."""
+    x = 0xCA01F9DD * x - 0x4973F715 * _hashmix(y, consts, h) & _M32
+    return x ^ x >> 16
+
+
+def _pcg64_words(seed: int, i: int):
+    """The 32-bit draws of ``PCG64(SeedSequence([seed, i]))``, low half first."""
+    entropy = [value >> shift & _M32 for value in (seed, i)
+               for shift in range(0, max(value.bit_length(), 1), 32)]
+    entropy += [0] * (4 - len(entropy))
+    consts = _constants(0x43B0D7E5, 0x931E8875, 4 * len(entropy))
+    pool = [_hashmix(word, consts, h) for h, word in enumerate(entropy[:4])]
+    for h, (src, dst) in enumerate(_PAIRS, 4):
+        pool[dst] = _mix(pool[dst], pool[src], consts, h)
+    for h, (word, dst) in enumerate(itertools.product(entropy[4:], range(4)), 16):
+        pool[dst] = _mix(pool[dst], word, consts, h)
+    consts = _constants(0x8B51F9DD, 0x58F38DED, 8)
+    words = [_hashmix(pool[j % 4], consts, j) for j in range(8)]
+    v = [words[j] | words[j + 1] << 32 for j in range(0, 8, 2)]  # little-endian uint64
+    inc = (v[2] << 64 | v[3]) << 1 & _M128 | 1
+    state = ((inc + (v[0] << 64 | v[1])) * _PCG64_MULT + inc) & _M128  # from 0: step, add, step
+    while True:
+        state = (state * _PCG64_MULT + inc) & _M128
+        high = state >> 64
+        value = (high ^ state) & _M64
+        out = (value | value << 64) >> (high >> 58)  # XSL-RR: its low 64 bits rotate value
+        yield out & _M32
+        yield out >> 32 & _M32
+
+
+def _draw(seed: int, i: int, n: int, k: int) -> list[int]:
+    """The indices ``default_rng([seed, i]).choice(n, k, replace=False)`` returns.
+
+    The same k indices in the same order, for n up to 2^32.
+    """
+    words = _pcg64_words(seed, i)
+
+    def bounded(m: int) -> int:  # Lemire's method: uniform in [0, m]
+        if not m:
+            return 0
+        span = m + 1
+        x = next(words) * span
+        if x & _M32 < span:
+            threshold = (_M32 - m) % span
+            while x & _M32 < threshold:
+                x = next(words) * span
+        return x >> 32
+
+    if n > 10000 and k > n // 50:  # shuffle the tail of 0..n-1
+        idx = list(range(n))
+        for j in range(n - 1, max(n - k, 1) - 1, -1):
+            r = bounded(j)
+            idx[j], idx[r] = idx[r], idx[j]
+        return idx[n - k:]
+    idx, taken = [], set()  # Floyd's algorithm, then a shuffle
+    for j in range(n - k, n):
+        value = bounded(j)
+        if value in taken:
+            value = j
+        taken.add(value)
+        idx.append(value)
+    for j in range(k - 1, 0, -1):
+        r = bounded(j)
+        idx[j], idx[r] = idx[r], idx[j]
+    return idx
 
 
 class ResampleResult(NamedTuple):
@@ -146,17 +251,13 @@ def resampled_group_test(
     if seed < 0:
         raise SettingError("seed must be non-negative")
 
-    import numpy as np  # only this function needs numpy; importing chartqa stays cheap
-
-    pool = np.asarray(n1_values, dtype=float)
+    pool = [float(v) for v in n1_values]
     target = [float(v) for v in n2_values]
     k = len(target)
     smallest = None
     valid = 0
     for i in range(iterations):
-        rng = np.random.default_rng([seed, i])
-        idx = rng.choice(len(pool), size=k, replace=False)
-        sample = pool[idx].tolist()
+        sample = [pool[j] for j in _draw(seed, i, len(pool), k)]
         try:
             result = wilcoxon_signed_rank(sample, target)
         except AllZeroDifferences:

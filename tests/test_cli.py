@@ -188,7 +188,7 @@ def test_stats_without_config_loads_no_yaml_render_or_quality(tmp_path):
     groups.write_text(json.dumps({"n1": list(range(12)), "n2": [1, 2, 3, 5, 8]}))
     loaded = modules_loaded_by("stats", "--groups", str(groups), "--iterations", "5")
     assert "chartqa.stats" in loaded
-    assert not loaded & {"yaml", "chartqa.render", "chartqa.quality"}
+    assert not loaded & {"yaml", "chartqa.render", "chartqa.quality", "numpy"}
 
 
 def test_store_commands_on_cached_entries_load_no_yaml_or_archive_reader(tmp_path):
@@ -1158,14 +1158,16 @@ def test_stats_command(tmp_path, capsys):
     {"n1": [1, 2, 3], "n2": [1, "2"]},
     {"n1": [1, 2, True], "n2": [1]},
     {"n1": [1, 2, 3], "n2": [float("nan"), 1]},
-], ids=["list", "missing-n2", "null-value", "string-value", "bool-value", "nan-value"])
+    {"n1": [1, 2, 3, 10 ** 400], "n2": [1]},  # no float can hold it
+], ids=["list", "missing-n2", "null-value", "string-value", "bool-value", "nan-value",
+        "huge-int-value"])
 def test_stats_malformed_groups_file_exits_two(tmp_path, document):
     groups = tmp_path / "groups.json"
     groups.write_text(json.dumps(document))
     proc = run_cli("stats", "--groups", str(groups), "--iterations", "5")
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert "want a JSON object with n1 and n2 lists of finite numbers" in proc.stderr
+    assert f"{groups}: want a JSON object with n1 and n2 lists of finite numbers" in proc.stderr
 
 
 @pytest.mark.parametrize("reader", ["groups", "kb", "manifest"])

@@ -6,11 +6,18 @@ import random
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chartqa.errors import AllZeroDifferences, SettingError
-from chartqa.stats import _midranks, _sign_sum_counts, resampled_group_test, wilcoxon_signed_rank
+from chartqa.stats import (
+    _draw,
+    _exact_p_table,
+    _midranks,
+    _sign_sum_counts,
+    resampled_group_test,
+    wilcoxon_signed_rank,
+)
 
 
 def enumeration_oracle(x, y):
@@ -95,6 +102,23 @@ def test_sign_sum_counts_cover_every_sign_assignment(diffs):
     assert sum(counts) == 2 ** len(double_ranks)
     assert len(counts) == sum(double_ranks) + 1
     assert counts == counts[::-1]  # flipping every sign maps W+ to total - W+
+
+
+def _exact_p_by_scan(double_ranks, double_w):
+    """The exact p as a scan of the whole count table, with nothing cached."""
+    counts = _sign_sum_counts(double_ranks)
+    total = len(counts) - 1
+    hits = sum(c for wp, c in enumerate(counts) if min(wp, total - wp) <= double_w)
+    return hits / 2 ** len(double_ranks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_differences)
+def test_cached_exact_p_equals_the_uncached_scan(diffs):
+    double_ranks = tuple(sorted(round(2 * r) for r in _midranks([abs(d) for d in diffs])))
+    want = [_exact_p_by_scan(double_ranks, w) for w in range(sum(double_ranks) // 2 + 1)]
+    assert list(_exact_p_table(double_ranks)) == want
+    assert _exact_p_table(double_ranks) is _exact_p_table(double_ranks)  # cached
 
 
 def _normal_p_by_tie_scan(diffs):
@@ -216,3 +240,41 @@ def test_resampled_validation():
 def test_resampling_range_checks_are_setting_errors(n1, n2, iterations, seed, message):
     with pytest.raises(SettingError, match=message):
         resampled_group_test(n1, n2, iterations=iterations, seed=seed)
+
+
+@pytest.fixture(scope="module")
+def numpy_random():
+    return pytest.importorskip("numpy").random
+
+
+def _choice_sizes(n):
+    """k = 1, k = n, the tail-shuffle boundary n // 50 and n // 50 + 1, or any k."""
+    edges = sorted({1, n, max(1, n // 50), min(n, n // 50 + 1)})
+    return st.tuples(st.just(n), st.one_of(st.sampled_from(edges), st.integers(1, n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 64 - 1),
+                   st.integers(2 ** 96, 2 ** 200)),
+    i=st.one_of(st.just(0), st.integers(0, 2 ** 40)),
+    sizes=st.one_of(st.sampled_from([1, 10000, 10001]), st.integers(1, 700),
+                    st.integers(10001, 20000)).flatmap(_choice_sizes),
+)
+@example(seed=7, i=0, sizes=(1, 1))
+@example(seed=2 ** 32 + 5, i=0, sizes=(10000, 10000))
+@example(seed=10 ** 12, i=3, sizes=(10001, 200))  # k = n // 50: Floyd
+@example(seed=2 ** 100 + 3, i=0, sizes=(10001, 201))  # k = n // 50 + 1: tail shuffle
+@example(seed=2 ** 96, i=1, sizes=(10001, 10001))
+@example(seed=0, i=0, sizes=(600, 16))
+def test_draw_is_default_rng_choice_without_replacement(numpy_random, seed, i, sizes):
+    n, k = sizes
+    want = numpy_random.default_rng([seed, i]).choice(n, k, replace=False).tolist()
+    assert _draw(seed, i, n, k) == want
+
+
+def test_draw_redraws_where_default_rng_rejects(numpy_random):
+    n = 3 * 2 ** 30  # Lemire's method rejects a quarter of the draws below n
+    for i in range(20):
+        want = numpy_random.default_rng([11, i]).choice(n, 2, replace=False).tolist()
+        assert _draw(11, i, n, 2) == want
