@@ -255,8 +255,10 @@ _CACHED_FIELDS = ("name", "version", "maintainers", "urls", "digest")
 _CACHED_KEYS = frozenset(_CACHED_FIELDS)
 # how parse_repo_index reads an index; bump it whenever that reading changes,
 # so cached entries built the old way are parsed again. Unmarked entries read
-# scalars as YAML 1.1 (``version: 1.10`` gave ``db-1.1.tgz``); 2 keeps them as written.
-_INDEX_READER = 2
+# scalars as YAML 1.1 (``version: 1.10`` gave ``db-1.1.tgz``); 2 keeps them as
+# written; 3 reads by the rules of the chart files' walk (a duplicate or merge
+# key is an error, every key a str).
+_INDEX_READER = 3
 _OPTIONAL_STR = frozenset({str, type(None)})
 
 

@@ -260,7 +260,8 @@ class BuiltinEngine:
         raise _TemplateError(ENGINE_UNSUPPORTED, f"unsupported pipe {func!r} in {expr!r}")
 
 
-_SOURCE_MARK_RE = re.compile(r"^# Source:\s*\S*?(templates/\S+)\s*$", re.MULTILINE)
+# a Source line's whole token, matched in time linear in the line's length
+_SOURCE_MARK_RE = re.compile(r"^# Source:\s*(\S+)\s*$", re.MULTILINE)
 _ERR_TEMPLATE_RE = re.compile(r"(templates/[\w./-]+)")
 _SEPARATOR_RE = re.compile(r"^---(?: .*)?\r?$\n?", re.MULTILINE)
 
@@ -321,8 +322,10 @@ class ExternalEngine:
         # split on ``---`` lines at column 0, keeping the ``# Source:`` comments
         for chunk in _SEPARATOR_RE.split(stdout):
             if chunk.strip():
-                m = _SOURCE_MARK_RE.search(chunk)
-                per_template.setdefault(m.group(1) if m else "", []).append(chunk)
+                # the first Source token holding ``templates/`` and more, from there
+                path = next((t[t.find("templates/"):] for t in _SOURCE_MARK_RE.findall(chunk)
+                             if -1 < t.find("templates/") < len(t) - len("templates/")), "")
+                per_template.setdefault(path, []).append(chunk)
         return [(path, "\n---\n".join(chunks)) for path, chunks in per_template.items()]
 
 

@@ -1,8 +1,10 @@
 """Shared YAML helpers: the document walk, canonical scalars, sentinel parsing.
 
-Template sources, rendered output and chart metadata are all built by
-:func:`load_documents` or its single-document form :func:`load_unique`.
-The walk names each scalar leaf with a key path
+Every YAML input is built by one walk over libyaml's parse events, which
+keeps its open mappings and lists on a stack of its own: template sources,
+rendered output and chart metadata by :func:`load_documents` or its
+single-document form :func:`load_unique`, the repository index by
+:func:`load_literal`. The walk names each scalar leaf with a key path
 ``<templatePath>#<docIndex>/a/b[2]/c``: ``<docIndex>`` counts the
 documents of the template that hold a value (an empty, comment-only or
 null document takes no index), mapping keys are their ``str()`` forms
@@ -13,7 +15,8 @@ may themselves hold ``/``, ``#`` or ``[`` (``checksum/config``,
 ``app.kubernetes.io/name``), so a key path is only ever a name the walk
 gave: nothing parses one back. Two leaves can share a name (a key ``a/b``
 beside ``a: {b: ...}``). A template that is not YAML gives no documents.
-Aliases are expanded, up to a fixed number of nodes per text.
+Aliases are expanded by replaying the events of their anchors, up to a
+fixed number of nodes per text.
 
 A template source is parsed once, as a :class:`CompiledTemplate`: its
 directives replaced by sentinel tokens, so the duplicate check reads its
@@ -31,7 +34,9 @@ import re
 from typing import Any, NamedTuple, Sequence
 
 import yaml
-from yaml.constructor import SafeConstructor
+from yaml.constructor import ConstructorError, SafeConstructor
+from yaml.events import (AliasEvent, DocumentStartEvent, MappingStartEvent, ScalarEvent,
+                         SequenceStartEvent)
 from yaml.resolver import Resolver
 
 # A scalar's tag is cached when its text is at most this long; longer texts
@@ -44,34 +49,9 @@ from yaml.resolver import Resolver
 _CACHED_TEXT = 128
 _TAG_CACHE_SIZE = 1 << 10
 
-
-class _SafeLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    """libyaml's safe loader (where PyYAML was built with it) with a bounded
-    cache of node tags; every parse here composes with it.
-
-    PyYAML resolves tags in Python once per node. With no path resolver
-    registered (``yaml_path_resolvers`` is empty, which a test pins), a
-    node's tag depends only on its kind, text and implicitness, so tags are
-    cached on those and the path-resolver bookkeeping around each node does
-    nothing. A scalar that no implicit resolver reads, quoted or starting
-    with a character none reads, is a str without a lookup.
-    """
-
-    def resolve(self, kind, value, implicit):
-        if kind is yaml.ScalarNode and (
-                not implicit[0] or value and value[0] not in _RESOLVED_FIRST):
-            return _STR_TAG
-        if value is not None and len(value) > _CACHED_TEXT:
-            return super().resolve(kind, value, implicit)
-        return _cached_tag(kind, value, implicit)
-
-    def descend_resolver(self, current_node, current_index):
-        pass
-
-    def ascend_resolver(self):
-        pass
-
-
+# libyaml's safe loader where PyYAML was built with it: it parses every text
+# here, and its resolver tables give the scalars' tags
+_SafeLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # the first characters some implicit resolver reads: a plain text starting
 # with another resolves to str, as no resolver reads every text (a test pins
 # that none is registered under None)
@@ -79,16 +59,17 @@ _RESOLVED_FIRST = frozenset(key for key in _SafeLoader.yaml_implicit_resolvers i
 
 
 @functools.lru_cache(maxsize=_TAG_CACHE_SIZE)
-def _cached_tag(kind: type, value: str | None, implicit: Any) -> str:
-    # without path resolvers resolve reads only class attributes, so the
-    # class serves as the loader
-    return Resolver.resolve(_SafeLoader, kind, value, implicit)
+def _cached_tag(value: str) -> str:
+    """The tag of a plain scalar written as ``value``. With no path resolver
+    registered (a test pins it), that depends only on the text, and resolve
+    reads only class attributes, so the class serves as the loader."""
+    return Resolver.resolve(_SafeLoader, yaml.ScalarNode, value, (True, False))
 
 
 SENTINEL_PREFIX = "__CHARTQA_SENTINEL_"
 
 _NULL_TAG = "tag:yaml.org,2002:null"
-# a str scalar builds to its node's value (SafeConstructor.construct_yaml_str
+# a str scalar builds to its written text (SafeConstructor.construct_yaml_str
 # returns exactly that), so the walk takes it without the constructor
 _STR_TAG = "tag:yaml.org,2002:str"
 # other scalar tags go through construct_object: timestamps and !!binary
@@ -107,111 +88,157 @@ _LITERAL_TAGS = frozenset(
 # line above (under 600 bytes) stand for 10**9 nodes. Without aliases a text
 # builds one node per node written; no chart file comes near this many.
 _MAX_NODES = 100_000
-# deeper nesting would overflow the stack here or in the walks over bodies
+# deeper nesting would overflow the stack in the walks over bodies
 _MAX_DEPTH = 100
 
 
-def _reject(problem: str, node: yaml.Node) -> None:
-    raise yaml.constructor.ConstructorError(None, None, problem, node.start_mark)
+def _reject(problem: str, event: yaml.Event) -> None:
+    raise ConstructorError(None, None, problem, event.start_mark)
 
 
-class _Walk:
-    """Builds the bodies of one text's documents and collects their scalar leaves."""
+def _read(text: str | bytes, literal: bool = False, shared: bool = False) -> list:
+    """(body, scalar leaves) of each document of ``text``, built from its parse events.
 
-    def __init__(self, literal: bool = False):
-        self.constructor = SafeConstructor()
-        self.literal = literal
-        self.nodes = 0
-        self.open: set[yaml.Node] = set()  # collection nodes on the current path
-        # (key path suffix, node, value, container, slot) of each scalar leaf
-        self.leaves: list = []
+    ``literal`` keeps int, float, bool and timestamp scalars as their
+    written text. An alias replays the events its anchor recorded, or with
+    ``shared`` gives the very object its anchor built; then no node bound
+    applies and no leaves are collected.
+    """
+    loader = _SafeLoader(text)
+    get_event = loader.get_event
+    limit, paths = (math.inf, False) if shared else (_MAX_NODES, True)
+    documents: list = []
+    # each open mapping or list, outermost first: [body, key path suffix, the
+    # key awaiting its value or None, its anchor, the index of its start in log]
+    stack: list = []
+    replays: list = []  # iterators over the recorded events of the aliases being expanded
+    # the document's events from its first anchor on, and its anchors: each
+    # one's (start, end) in ``log``, or with ``shared`` (value,); None while open
+    log = anchors = None
+    nodes = 0
+    while True:
+        fresh = not replays  # a replayed anchor was recorded when it was first read
+        event = get_event() if fresh else next(replays[-1], None)
+        if not fresh and event is None:
+            replays.pop()
+            continue
+        if fresh and log is not None:
+            log.append(event)
+        kind = type(event)
+        if kind is ScalarEvent:
+            value, tag = event.value, event.tag
+            if tag is None or tag == "!":
+                tag = _STR_TAG if not event.implicit[0] or value and value[0] not in \
+                    _RESOLVED_FIRST else _cached_tag(value) if len(value) <= _CACHED_TEXT \
+                    else _cached_tag.__wrapped__(value)
+            if tag != _STR_TAG and not (literal and tag in _LITERAL_TAGS):
+                node = yaml.ScalarNode(tag, value, event.start_mark, event.end_mark, event.style)
+                build = _SCALARS.get(tag)
+                try:
+                    value = build(loader, node) if build else loader.construct_object(node, True)
+                except (ValueError, KeyError, IndexError, AttributeError) as exc:
+                    # 2001-02-30, !!int abc, !!bool maybe, an empty !!int, !!timestamp abc
+                    _reject(f"cannot build {tag} scalar: {exc}", event)
+        elif kind is MappingStartEvent or kind is SequenceStartEvent:
+            if len(stack) >= _MAX_DEPTH:
+                _reject(f"nested deeper than {_MAX_DEPTH} levels", event)
+            value = {} if kind is MappingStartEvent else []
+        elif kind is AliasEvent:
+            target = anchors.get(event.anchor)
+            if target is None:
+                _reject("recursive alias" if event.anchor in anchors
+                        else f"found undefined alias {event.anchor!r}", event)
+            if not shared:
+                replays.append(iter(log[target[0]:target[1]]))
+                continue
+            value, fresh = target[0], False
+        elif stack:  # the end of a mapping or list: no other event comes inside one
+            body, _, _, anchor, start = stack.pop()
+            if anchor:
+                anchors[anchor] = (body,) if shared else (start, len(log))
+            continue
+        elif kind is DocumentStartEvent:
+            anchors, log, leaves = {}, None, []
+            continue
+        elif event is None:
+            return documents
+        else:  # the end of a document, or the start or end of the stream
+            continue
 
-    def scalar(self, node: yaml.Node) -> Any:
-        if node.tag == _STR_TAG or self.literal and node.tag in _LITERAL_TAGS:
-            return node.value
-        build = _SCALARS.get(node.tag)
-        try:
-            return build(self.constructor, node) if build else \
-                self.constructor.construct_object(node, deep=True)
-        except (ValueError, KeyError) as exc:  # 2001-02-30, !!int abc, !!bool maybe
-            _reject(f"cannot build {node.tag} scalar: {exc}", node)
+        anchor = fresh and event.anchor
+        if anchor:
+            if anchor in anchors:
+                _reject(f"found duplicate anchor {anchor!r}", event)
+            if log is None and not shared:
+                log = [event]
+            start = len(log) - 1 if log else 0
+            anchors[anchor] = None if kind is not ScalarEvent else (value,) if shared \
+                else (start, start + 1)
+        if stack:
+            frame = stack[-1]
+            container = frame[0]
+            if type(container) is list:
+                slot = len(container)
+                container.append(value)
+                path = paths and f"{frame[1]}[{slot}]"
+            elif frame[2] is None:  # ``value`` is a key
+                if type(value) is not str:
+                    if not is_scalar(value):
+                        _reject("non-scalar mapping key", event)
+                    value = str(value)
+                if value in container:
+                    _reject(f"duplicate mapping key {value!r}", event)
+                frame[2] = value
+                continue
+            else:
+                slot, frame[2] = frame[2], None
+                container[slot] = value
+                path = paths and f"{frame[1]}/{slot}"
+        else:  # the document's root
+            documents.append((value, leaves))
+            container, slot, path = None, None, ""
+        nodes += 1
+        if nodes > limit:
+            _reject(f"expands to more than {_MAX_NODES} nodes", event)
+        if kind is ScalarEvent:
+            if paths:
+                leaves.append((path, event, value, container, slot))
+        elif kind is not AliasEvent:
+            stack.append([value, path, None, anchor, start if anchor else 0])
 
-    def build(self, node: yaml.Node, path: str, container: Any = None, slot: Any = None) -> Any:
-        """Body of ``node``, whose key path suffix is ``path`` and which sits at
-        ``container[slot]`` (None for a document's root); appends each scalar
-        leaf to ``self.leaves``."""
-        self.nodes += 1
-        if self.nodes > _MAX_NODES:
-            _reject(f"expands to more than {_MAX_NODES} nodes", node)
-        if isinstance(node, yaml.ScalarNode):
-            value = self.scalar(node)
-            self.leaves.append((path, node, value, container, slot))
-            return value
-        if node in self.open:
-            _reject("recursive alias", node)
-        if len(self.open) >= _MAX_DEPTH:
-            _reject(f"nested deeper than {_MAX_DEPTH} levels", node)
-        self.open.add(node)
-        if isinstance(node, yaml.SequenceNode):
-            body: Any = []
-            for i, item in enumerate(node.value):
-                body.append(self.build(item, f"{path}[{i}]", body, i))
-        else:
-            body = {}
-            for key_node, value_node in node.value:
-                if not isinstance(key_node, yaml.ScalarNode):
-                    _reject("non-scalar mapping key", key_node)
-                key = str(self.scalar(key_node))
-                if key in body:
-                    _reject(f"duplicate mapping key {key!r}", key_node)
-                body[key] = self.build(value_node, f"{path}/{key}", body, key)
-        self.open.discard(node)
-        return body
+
+def _single(documents: list) -> Any:
+    if len(documents) > 1:
+        raise ConstructorError(None, None, "expected a single document in the stream")
+    return documents[0][0] if documents else None
 
 
 def load_documents(text: str) -> list[tuple[Any, list]]:
     """(body, scalar leaves) of each document of ``text`` that holds a value, in ``#N`` order.
 
-    Each leaf is (key path suffix, node, value, container, slot) in
-    depth-first order: the suffix as in ``/a/b[2]``, and the mapping or
-    list that holds the value with its key or index there, both None for a
-    document that is one scalar. Raises ``yaml.YAMLError`` for text that is
-    not YAML, a scalar its tag cannot build, a duplicate or non-scalar key,
-    a recursive alias, or a walk past ``_MAX_DEPTH`` or ``_MAX_NODES``.
+    Each leaf is (key path suffix, scalar event, value, container, slot) in
+    depth-first order: the suffix as in ``/a/b[2]``, the event with the
+    scalar's marks and style, and the mapping or list holding the value with
+    its key or index there, both None for a document that is one scalar.
+    Raises ``yaml.YAMLError`` for text that is not YAML, a scalar its tag
+    cannot build, a duplicate or non-scalar key, a recursive or undefined
+    alias, a repeated anchor, or past ``_MAX_DEPTH`` or ``_MAX_NODES``.
     """
-    walk = _Walk()
-    documents = []
-    for node in yaml.compose_all(text, Loader=_SafeLoader):
-        if node.tag != _NULL_TAG:
-            walk.leaves = []
-            documents.append((walk.build(node, ""), walk.leaves))
-    return documents
+    return [(body, leaves) for body, leaves in _read(text) if body is not None]
 
 
 def load_unique(text: str, literal: bool = False) -> Any:
     """The single document of ``text``, built by the rules of :func:`load_documents`;
     ``literal`` keeps int, float, bool and timestamp scalars as their written text."""
-    node = yaml.compose(text, Loader=_SafeLoader)
-    return None if node is None else _Walk(literal).build(node, "")
-
-
-class _LiteralLoader(_SafeLoader):
-    """Builds int, float, bool and timestamp scalars as their written text."""
-
-    yaml_constructors = {
-        **_SafeLoader.yaml_constructors,
-        **{tag: SafeConstructor.construct_yaml_str for tag in _LITERAL_TAGS},
-    }
+    return _single(_read(text, literal))
 
 
 def load_literal(text: str | bytes) -> Any:
-    """The single document of ``text`` with every scalar but null kept as written.
-
-    Helm reads ``version: 1.10`` as the text ``1.10``, where YAML 1.1 reads
-    the float ``1.1``. Aliases are not expanded: an alias gives the very
-    object its anchor built.
-    """
-    return yaml.load(text, Loader=_LiteralLoader)
+    """The single document of ``text`` with every scalar but null kept as written
+    (Helm reads ``version: 1.10`` as ``1.10``, YAML 1.1 as the float ``1.1``), by
+    the rules of :func:`load_documents` but one: an alias gives the very object
+    its anchor built, so no node bound applies."""
+    return _single(_read(text, literal=True, shared=True))
 
 
 def canon(value: Any) -> str:
@@ -242,7 +269,7 @@ class SourceLeaf(NamedTuple):
     quoted styles including the quotes); it is None when the leaf or its
     span overlaps substituted directives. ``via_alias`` marks a leaf that
     an alias repeats from a scalar an earlier leaf of the template already
-    gave; it shares that leaf's node and span.
+    gave; it shares that leaf's scalar event and span.
     """
 
     template_path: str
@@ -327,8 +354,7 @@ def _plain_value(text: str) -> Any:
             return _UNSAFE
     if text[0] not in _RESOLVED_FIRST:
         return text
-    tag = _cached_tag(yaml.ScalarNode, text, (True, False)) if len(text) <= _CACHED_TEXT \
-        else Resolver.resolve(_SafeLoader, yaml.ScalarNode, text, (True, False))
+    tag = _cached_tag(text) if len(text) <= _CACHED_TEXT else _cached_tag.__wrapped__(text)
     if tag == _STR_TAG:
         return text
     build = _SCALARS.get(tag)
@@ -503,7 +529,7 @@ class CompiledTemplate:
         return plan if sorted(numbers) == list(range(len(self.spans))) else None
 
 
-# rough bytes a compiled leaf holds (node, marks, leaf tuple, key path, body
+# rough bytes a compiled leaf holds (event, marks, leaf tuple, key path, body
 # slot, plan); a cached form's ``size`` adds two bytes per source character
 _LEAF_BYTES = 850
 # The compiled forms kept while a chart is read (see ``sharing_compiles``),
@@ -554,8 +580,8 @@ def sharing_compiles(fn):
     return sharing
 
 
-def _map_span(segments: list[tuple[int, int, int]], node: yaml.Node) -> tuple[int, int] | None:
-    """Map a node's substituted-text span back to the source, or None if it crosses a sentinel."""
+def _map_span(segments: list[tuple[int, int, int]], node: ScalarEvent) -> tuple[int, int] | None:
+    """Map a scalar's substituted-text span back to the source, or None if it crosses a sentinel."""
     start, end = node.start_mark.index, node.end_mark.index
     # the segments are disjoint and in order: only the last one starting at or
     # before ``start`` can hold the span
@@ -579,7 +605,7 @@ def sentinel_parse(template_path: str, source: str) -> SentinelParse:
     if compiled.error is not None:
         return SentinelParse(template_path, [], error=compiled.error)
     leaves = []
-    seen: set[yaml.Node] = set()
+    seen: set[ScalarEvent] = set()
     for doc_index, (_, doc_leaves) in enumerate(compiled.documents):
         prefix = f"{template_path}#{doc_index}"
         for suffix, node, raw, _container, _slot in doc_leaves:

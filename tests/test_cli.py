@@ -7,6 +7,7 @@ import json
 import logging
 import os
 import re
+import resource
 import shutil
 import signal
 import subprocess
@@ -1191,6 +1192,73 @@ def test_deeply_nested_json_is_a_typed_error_naming_the_file(tmp_path, reader):
     assert "Traceback" not in proc.stderr
     assert f"{path}: nested too deeply to read" in proc.stderr
     assert proc.stdout == ""
+
+
+def run_limited(*argv, cpu_seconds: int = 30) -> subprocess.CompletedProcess:
+    """``run_cli`` in a child that the kernel stops with SIGXCPU past ``cpu_seconds`` of CPU."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_CPU, (cpu_seconds, cpu_seconds))
+
+    return subprocess.run([sys.executable, "-m", "chartqa", *argv],
+                          capture_output=True, text=True, timeout=120, preexec_fn=limit)
+
+
+# a flow sequence opened a million times: a recursive reader overflows the C stack on it
+DEEP_FLOW = "[" * 10**6
+
+
+@pytest.mark.parametrize("where", ["template", "values.yaml", "Chart.yaml",
+                                   "requirements.yaml", "index", "config"])
+def test_deep_flow_nesting_is_a_typed_error_in_every_yaml_input(tmp_path, where):
+    files = chart_files(values={}, templates=CLEAN_TEMPLATES, maintainers=MAINTAINED)
+    argv = ["dupes", "--path", str(tmp_path / "charts")]
+    if where == "template":
+        files["templates/deep.yaml"] = DEEP_FLOW
+    elif where.endswith(".yaml"):
+        files[where] = DEEP_FLOW
+    else:
+        path = tmp_path / f"{where}.yaml"
+        path.write_text(DEEP_FLOW)
+        argv = ["irregularities", "--index", str(path)] if where == "index" \
+            else ["dupes", "--config", str(path), *argv[1:]]
+    write_chart_dir(tmp_path / "charts", "web", files)
+    proc = run_limited(*argv)
+    assert proc.returncode >= 0, f"killed by signal {-proc.returncode}"
+    assert "Traceback" not in proc.stderr, proc.stderr
+    if where == "template":  # the chart is read, and the template reported unparseable
+        assert proc.returncode == 0, proc.stderr
+        (chart,) = json.loads(proc.stdout)["sections"]["duplicates"]
+        (unparseable,) = chart["unparseable_templates"]
+        assert unparseable["template"] == "templates/deep.yaml"
+        assert "nested deeper than 100 levels" in unparseable["reason"]
+    elif where.endswith(".yaml"):  # the chart is skipped as unparseable
+        assert proc.returncode == 0, proc.stderr
+        assert f"{where} invalid: nested deeper than 100 levels" in proc.stderr
+        assert json.loads(proc.stdout)["sections"]["duplicates"] == []
+    else:
+        assert proc.returncode == 2
+        assert "nested deeper than 100 levels" in proc.stderr
+        assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("where", ["templates/deep.yaml", "values.yaml"])
+def test_analyze_reports_the_charts_beside_one_nested_too_deeply(tmp_path, where):
+    charts = tmp_path / "charts"
+    files = chart_files(name="deep", values={}, templates=CLEAN_TEMPLATES, maintainers=MAINTAINED)
+    files[where] = DEEP_FLOW
+    write_chart_dir(charts, "deep", files)
+    good = [f"good{n:02d}" for n in range(21)]
+    for name in good:
+        write_chart_dir(charts, name, chart_files(name=name, values={}, templates=DUPE_TEMPLATES,
+                                                  maintainers=MAINTAINED))
+    out = tmp_path / "out"
+    proc = run_limited("analyze", "--path", str(charts), "--jobs", "2", "--out", str(out))
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr and "worker process" not in proc.stderr, proc.stderr
+    reported = [chart["chart"] for chart in
+                json.loads((out / "report.json").read_text())["sections"]["quality"]]
+    assert [name for name in reported if name.startswith("good")] == \
+        [f"{name}-1.0.0.tgz" for name in good]
 
 
 def test_variability_kb_list_document_exits_two(tmp_path):

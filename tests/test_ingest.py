@@ -4,6 +4,7 @@ import datetime
 import gc
 import json
 import os
+import re
 import string
 import tempfile
 import warnings
@@ -191,6 +192,22 @@ def test_parse_repo_index_rejects_an_alias_bomb_in_a_text_field(field):
     raw = _bombed_index(field, 9)
     assert len(raw) < 1000
     with deadline(1.0), pytest.raises(IndexParseError, match=f"'c' has a non-scalar {field}$"):
+        parse_repo_index(raw, "memory:")
+
+
+@pytest.mark.parametrize("raw, problem", [
+    (b"entries:\n  db:\n    - version: 1.0.0\n  db:\n    - version: 2.0.0\n",
+     "not valid YAML: duplicate mapping key 'db'"),
+    (b"base: &b {name: db}\nentries:\n  db:\n    - <<: *b\n      version: 1.0.0\n",
+     "not valid YAML: could not determine a constructor for the tag 'tag:yaml.org,2002:merge'"),
+    (b"entries:\n  db:\n    - version: 1.0.0\n      =: x\n",
+     "not valid YAML: could not determine a constructor for the tag 'tag:yaml.org,2002:value'"),
+    (b"entries: &e\n  db: [*e]\n", "not valid YAML: recursive alias"),
+    (b"entries:\n  ~: 5\n", "entries for 'None' are not a list"),
+    (b"entries: !!set {db}\n", "entries for 'db' are not a list"),
+], ids=["duplicate-key", "merge-key", "value-key", "recursive-alias", "null-key", "set-tag"])
+def test_parse_repo_index_reads_by_the_rules_of_the_chart_files(raw, problem):
+    with pytest.raises(IndexParseError, match=re.escape(problem)):
         parse_repo_index(raw, "memory:")
 
 
@@ -431,8 +448,8 @@ def test_load_builds_entries_from_the_manifest_without_parsing(tmp_path, monkeyp
     assert repr(index.raw) not in repr(index)
 
 
-@pytest.mark.parametrize("mark", [{}, {"reader": 1}, {"reader": "2"}],
-                         ids=["unmarked", "older", "not-an-int"])
+@pytest.mark.parametrize("mark", [{}, {"reader": 1}, {"reader": "2"}, {"reader": 2}],
+                         ids=["unmarked", "older", "not-an-int", "before-the-walk"])
 def test_load_parses_entries_another_reader_cached(tmp_path, monkeypatch, mark):
     write_pre_reader_snapshot(str(tmp_path), "2018-05-14", **mark)
     calls = count_calls(monkeypatch, "parse_repo_index", ingest)

@@ -1,6 +1,7 @@
 """template-render: builtin engine subset, flattening, external adapter."""
 
 import random
+import re
 import stat
 
 import pytest
@@ -162,6 +163,33 @@ def test_multi_document_split_column_zero():
     assert [(i, doc) for _tp, i, doc in result.documents] == [
         (0, {"a": 1}), (1, {"b": 2}), (2, {"c": 3}),
     ]
+
+
+# the Source pattern the attribution used before, which backtracks once per
+# ``templates/`` on a long line
+OLD_SOURCE_MARK_RE = re.compile(r"^# Source:\s*\S*?(templates/\S+)\s*$", re.MULTILINE)
+
+
+def old_attribution(stdout: str) -> list[tuple[str, str]]:
+    per_template: dict[str, list[str]] = {}
+    for chunk in render._SEPARATOR_RE.split(stdout):
+        if chunk.strip():
+            m = OLD_SOURCE_MARK_RE.search(chunk)
+            per_template.setdefault(m.group(1) if m else "", []).append(chunk)
+    return [(path, "\n---\n".join(chunks)) for path, chunks in per_template.items()]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(["# Source:", " ", "\n", "\t", "---", "templates/", "templates",
+                                 "c/", "a.yaml", "x", "#", ":"]), max_size=16).map("".join))
+def test_source_attribution_groups_as_the_old_pattern(stdout):
+    assert ExternalEngine._attribute_output(stdout, None) == old_attribution(stdout)
+
+
+def test_a_long_source_line_is_attributed_in_linear_time():
+    line = "# Source: " + "templates/" * (5 * 2**20 // 10) + " x"
+    with deadline(1.0):
+        assert ExternalEngine._attribute_output(line, None) == [("", line)]
 
 
 def leaf_items(text):

@@ -2,6 +2,7 @@
 
 import contextlib
 import datetime
+import functools
 import json
 import re
 import signal
@@ -16,10 +17,11 @@ from chartqa.core import package_from_files
 from chartqa.errors import MetadataParseError
 from chartqa.render import render_chart
 from chartqa.yamlutil import (
-    _LiteralLoader,
     _SafeLoader,
     directive_spans,
     load_documents,
+    load_literal,
+    load_unique,
     sentinel_parse,
 )
 
@@ -60,7 +62,9 @@ def test_load_documents_rejects(text, problem):
 
 @pytest.mark.parametrize("text", [
     "a: 2001-02-30\n", "a: !!int abc\n", "a: !!bool maybe\n", "a: " + "9" * 5000 + "\n",
-], ids=["impossible-date", "int-tag-on-text", "bool-tag-on-text", "past-int-digit-limit"])
+    "a: !!int\n", "a: !!float ''\n", "a: !!timestamp abc\n",
+], ids=["impossible-date", "int-tag-on-text", "bool-tag-on-text", "past-int-digit-limit",
+        "empty-int", "empty-float", "timestamp-tag-on-text"])
 def test_a_scalar_its_tag_cannot_build_is_not_yaml(text):
     with pytest.raises(yaml.YAMLError, match="cannot build tag:yaml.org,2002:"):
         load_documents(text)
@@ -341,7 +345,101 @@ def test_walk_builds_what_the_constructor_builds(trees, style):
             assert (container[slot] if container is not None else body) is value
 
 
-# --- the loaders resolve tags as stock PyYAML does ---
+def containers(value):
+    """Every mapping and list in ``value``, ``value`` included."""
+    if isinstance(value, (dict, list)):
+        yield value
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from containers(item)
+
+
+def repeated_leaves(text: str) -> list[bool]:
+    """For each scalar leaf PyYAML's composer gives, depth-first, whether an
+    alias repeats it: its node was reached before."""
+    seen: set = set()
+    repeated: list[bool] = []
+
+    def walk(node):
+        if isinstance(node, yaml.ScalarNode):
+            repeated.append(node in seen)
+            seen.add(node)
+        else:
+            for item in node.value:
+                walk(item[1] if isinstance(node, yaml.MappingNode) else item)
+
+    for node in yaml.compose_all(text, Loader=STOCK_LOADER):
+        if node.tag != "tag:yaml.org,2002:null":
+            walk(node)
+    return repeated
+
+
+# one subtree three times: the dump writes an anchor and two aliases (a date is
+# an object PyYAML anchors too)
+SHARED_TREES = st.builds(
+    lambda shared, other: {"x": shared, "y": [shared, other], "z": shared},
+    st.one_of(st.lists(PLAIN_TREES, min_size=1, max_size=3),
+              st.dictionaries(PLAIN_KEYS, PLAIN_TREES, min_size=1, max_size=3), st.dates()),
+    PLAIN_TREES,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(SHARED_TREES, min_size=1, max_size=2), DUMP_STYLES)
+def test_aliases_replay_what_the_constructor_builds(trees, style):
+    text = yaml.safe_dump_all(trees, **style)
+    assume("{{" not in text)
+    documents = load_documents(text)
+    assert typed_documents(documents) == typed_documents(constructed_documents(text))
+    for body, _ in documents:  # each expansion is its own object
+        built = list(containers(body))
+        assert len({id(container) for container in built}) == len(built)
+    parse = sentinel_parse("templates/t.yaml", text)
+    assert [leaf.via_alias for leaf in parse.leaves] == repeated_leaves(text)
+    # the index read keeps an alias as the very object its anchor built
+    index = load_literal(yaml.safe_dump(trees[0], **style))
+    assert index["x"] is index["y"][0] is index["z"]
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("a: *x\n", "found undefined alias 'x'"),
+    ("a: &x 1\nb: &x 2\n", "found duplicate anchor 'x'"),
+    ("a: &x [&x 1]\n", "found duplicate anchor 'x'"),
+    ("*x : 1\n", "found undefined alias 'x'"),
+    ("a: &x [1]\n*x : 2\n", "non-scalar mapping key"),
+])
+def test_anchor_and_alias_errors(text, problem):
+    with pytest.raises(yaml.YAMLError, match=problem):
+        load_documents(text)
+    with pytest.raises(yaml.YAMLError, match=problem):
+        load_literal(text)
+
+
+def test_an_alias_may_name_a_key_and_replays_its_anchors_within():
+    ((body, leaves),) = load_documents("a: &k key\n*k : &v [&w 1, *w]\nc: *v\n")
+    assert body == {"a": "key", "key": [1, 1], "c": [1, 1]}
+    assert [path for path, *_ in leaves] == ["/a", "/key[0]", "/key[1]", "/c[0]", "/c[1]"]
+    # every repeat of the scalar is the one event its anchor recorded
+    assert len({id(leaf[1]) for leaf in leaves[1:]}) == 1
+    with pytest.raises(yaml.YAMLError, match="found undefined alias 'x'"):
+        load_documents("a: &x 1\n---\nb: *x\n")  # an anchor holds within its document
+
+
+@pytest.mark.parametrize("size", [10**5, 5 * 2**20])
+def test_deep_flow_nesting_is_rejected_as_it_is_read(size):
+    text = "[" * size
+    with deadline(1.0):
+        with pytest.raises(yaml.YAMLError, match="nested deeper than 100 levels"):
+            load_documents(text)
+        with pytest.raises(yaml.YAMLError, match="nested deeper than 100 levels"):
+            load_literal(text)
+        parse = sentinel_parse("templates/t.yaml", text)
+        result = render_chart(make_package(values={}, templates={"t.yaml": text}))
+    assert "nested deeper than 100 levels" in parse.error
+    assert [(f.template_path, f.category) for f in result.failures] == [
+        ("templates/t.yaml", "SyntaxError")]
+
+
+# --- the walk resolves and builds scalars as stock PyYAML does ---
 
 class _StockLiteralLoader(STOCK_LOADER):
     """Stock libyaml loading with the literal reading's constructors."""
@@ -353,30 +451,45 @@ class _StockLiteralLoader(STOCK_LOADER):
     }
 
 
-def node_tags(node):
-    if node is None:  # the text holds no document
-        return None
-    if isinstance(node, yaml.ScalarNode):
-        return node.tag, node.value, node.style
-    if isinstance(node, yaml.SequenceNode):
-        return node.tag, [node_tags(item) for item in node.value]
-    return node.tag, [(node_tags(key), node_tags(value)) for key, value in node.value]
+def spelt(value):
+    """``value`` with each key as its ``str()`` and each scalar with its type
+    (``repr``, so that ``.nan`` equals itself)."""
+    if isinstance(value, dict):
+        return [(str(key), spelt(item)) for key, item in value.items()]
+    if isinstance(value, list):
+        return [spelt(item) for item in value]
+    return type(value).__name__, repr(value)
 
 
-def loaded(text: str, loader):
-    """The tags of ``text``'s nodes and the value ``loader`` builds, each scalar
-    with its type (``repr``, so that ``.nan`` equals itself), or the error raised."""
-    def spelt(value):
-        if isinstance(value, dict):
-            return [(spelt(key), spelt(item)) for key, item in value.items()]
-        if isinstance(value, list):
-            return [spelt(item) for item in value]
-        return type(value).__name__, repr(value)
+# keys the walk does not build, where PyYAML's constructor merges (``<<``)
+# or reads them as str (``=``)
+MERGE_OR_VALUE = {"tag:yaml.org,2002:merge", "tag:yaml.org,2002:value"}
+
+
+def stock_built(text: str, loader):
+    """What ``loader`` builds from ``text``, spelt, or "error" where it raises
+    or where a mapping key is a merge or value key."""
+    def odd_key(node):
+        if isinstance(node, yaml.SequenceNode):
+            return any(map(odd_key, node.value))
+        if isinstance(node, yaml.MappingNode):
+            return any(key.tag in MERGE_OR_VALUE or odd_key(key) or odd_key(item)
+                       for key, item in node.value)
+        return False
 
     try:
-        return node_tags(yaml.compose(text, Loader=loader)), spelt(yaml.load(text, Loader=loader))
-    except yaml.YAMLError as exc:
-        return type(exc).__name__, str(exc)
+        if odd_key(yaml.compose(text, Loader=loader)):
+            return "error"
+        return spelt(yaml.load(text, Loader=loader))
+    except (yaml.YAMLError, ValueError):  # ValueError: an impossible date
+        return "error"
+
+
+def built(text: str, read):
+    try:
+        return spelt(read(text))
+    except yaml.YAMLError:
+        return "error"
 
 
 SCALAR_TEXTS = st.one_of(
@@ -401,17 +514,17 @@ SCALAR_FORMS = st.sampled_from([
 def test_loaders_resolve_and_build_scalars_as_stock_pyyaml(text, form):
     scalar = form(text)
     for document in (f"v: {scalar}\n", f"{scalar}: v\n", f"- {scalar}\n- [{scalar}]\n"):
-        for loader, stock in ((_SafeLoader, STOCK_LOADER),
-                              (_LiteralLoader, _StockLiteralLoader)):
-            expected = loaded(document, stock)
+        for read, stock in ((load_unique, STOCK_LOADER),
+                            (functools.partial(load_unique, literal=True), _StockLiteralLoader),
+                            (load_literal, _StockLiteralLoader)):
+            expected = stock_built(document, stock)
             # twice: the second parse takes the cached tags
-            assert loaded(document, loader) == expected
-            assert loaded(document, loader) == expected
+            assert built(document, read) == expected
+            assert built(document, read) == expected
 
 
 def test_loaders_register_no_path_resolver():
-    # the cached tags and the no-op path-resolver hooks are right only while this holds
+    # the cached tags are right only while this holds
     assert _SafeLoader.yaml_path_resolvers == {}
-    assert _LiteralLoader.yaml_path_resolvers == {}
     # and a scalar starting with a character no implicit resolver reads is a str
     assert None not in _SafeLoader.yaml_implicit_resolvers
