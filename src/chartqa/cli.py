@@ -159,11 +159,11 @@ def _load_then(fn, root: str, location: str):
     return index_entry(loaded), fn(loaded)
 
 
-def _map_charts(fn, args: argparse.Namespace) -> tuple[list[tuple[IndexEntry, Any]],
-                                                       list[IngestFailure]]:
+def _map_charts(fn, args: argparse.Namespace) -> list[tuple[IndexEntry, Any]]:
     """(index entry, ``fn`` of the chart) of each chart under --path, sorted
-    by file name, and the charts that failed to parse, each logged in the
-    order found. Each chart is read where ``fn`` runs on it."""
+    by file name; the charts that failed to parse are logged in the order
+    found. Each chart is read where ``fn`` runs on it. A tree with no chart,
+    or none that parses, is an error."""
     from .ingest import IngestFailure, chart_locations
 
     results = _per_chart(functools.partial(_load_then, fn, args.path),
@@ -171,7 +171,13 @@ def _map_charts(fn, args: argparse.Namespace) -> tuple[list[tuple[IndexEntry, An
     failures = [result for result in results if isinstance(result, IngestFailure)]
     _warn_skipped(failures)
     charts = [result for result in results if not isinstance(result, IngestFailure)]
-    return sorted(charts, key=lambda chart: chart[0].ref.file_name), failures
+    if not charts and failures:
+        raise ChartQAError(
+            "no parseable chart found: " + "; ".join(f.error for f in failures[:3])
+        )
+    if not charts:
+        raise ChartQAError(f"no chart found under {args.path}")
+    return sorted(charts, key=lambda chart: chart[0].ref.file_name)
 
 
 def _no_result(pkg) -> None:
@@ -185,7 +191,7 @@ def _load_index(args: argparse.Namespace) -> RepoIndex:
         return parse_repo_index(fetch_archive(args.index), args.index)
     if not args.path:
         raise ChartQAError("this command needs --index or --path")
-    return index_from_entries([entry for entry, _ in _map_charts(_no_result, args)[0]],
+    return index_from_entries([entry for entry, _ in _map_charts(_no_result, args)],
                               args.path)
 
 
@@ -210,6 +216,13 @@ def _cpus() -> int:
 MIN_CHARTS_PER_WORKER = 10
 
 
+# Most 4-byte records the pool deals through its pipe: all are written before the
+# first fork in one write of at most PIPE_BUF bytes (4096 on Linux), which an empty
+# pipe takes whole without blocking; each read of 4 bytes then takes one whole
+# record, and a read finds EOF once every record is taken.
+_DEAL_RECORDS = 1024
+
+
 def _per_chart(fn, charts, jobs: int) -> list:
     """``fn`` applied to each chart, results in input order.
 
@@ -217,58 +230,93 @@ def _per_chart(fn, charts, jobs: int) -> list:
     passes ``_load_then`` bound to the tree and to its own per-chart
     function (``detect_duplicates``, ``analyze_chart``, ``variable_values``,
     ``suggest_rewrite`` or ``_no_result``), and the charts are their
-    locations, so each worker reads its own charts and only index entries
-    and results come back. The charts go to
-    ``min(jobs, CPUs, charts // MIN_CHARTS_PER_WORKER)`` forked worker
-    processes; with one worker or fewer, or where the platform cannot fork,
-    they are handled here, in order. Reading, rendering and parsing hold
-    the GIL, so threads would only take turns.
+    locations, so each process reads its own charts and only index entries
+    and results come back. ``min(jobs, CPUs, charts // MIN_CHARTS_PER_WORKER)``
+    processes handle the charts, this one among them; with one or fewer,
+    or where the platform cannot fork, they are handled here, in order.
+    Reading, rendering and parsing hold the GIL, so threads would only
+    take turns.
 
-    Worker ``w`` of ``n`` takes charts ``w::n`` and inherits ``fn`` and its
-    charts through the fork (the CLI starts no threads that a fork could
-    break), so nothing is sent to it. It sends back all its results, or the
-    exception that stopped it, as one pickle through its own pipe, and
-    leaves through ``os._exit``. An exception raised in a worker is raised
-    again here, caused by the worker's traceback text; a worker that ends
-    without sending a whole reply is a WorkerFailed.
+    Charts are dealt on demand in blocks of ``ceil(charts / 1024)``:
+    process ``w`` (this one is 0) handles block ``w`` first, then after
+    each block takes the first chart number of another from a shared pipe,
+    until the pipe is empty. Forked children inherit ``fn``, the charts and
+    the pipe (the CLI starts no threads that a fork could break); each
+    sends back its (chart number, result) pairs, or the exception that
+    stopped it, as one pickle through its own pipe and leaves through
+    ``os._exit``. An exception raised in a child is raised again here,
+    caused by the child's traceback text; a child that ends without sending
+    a whole reply is a WorkerFailed. An exception in this process's own
+    share propagates as itself once the blocks left are taken from the
+    pipe, so the children stop after their current chart.
     """
     workers = min(jobs, _cpus(), len(charts) // MIN_CHARTS_PER_WORKER)
     if workers <= 1 or not hasattr(os, "fork"):
         return [fn(chart) for chart in charts]
+    import pickle  # noqa: F401  (imported before the forks, so no child imports it again)
+
+    size = -(-len(charts) // _DEAL_RECORDS)
+    deal, write_end = os.pipe()
+    try:
+        os.write(write_end, b"".join(
+            first.to_bytes(4, "little") for first in range(workers * size, len(charts), size)))
+    finally:
+        os.close(write_end)
+    share = functools.partial(_share, fn, charts, size, deal)
     pipes, pids = [], []
     try:
-        for worker in range(workers):
+        for worker in range(1, workers):
             read_end, write_end = os.pipe()
             pipes.append(os.fdopen(read_end, "rb"))
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _serve(fn, charts[worker::workers], write_end, pipes)
+                    _serve(functools.partial(share, worker * size), write_end, pipes)
                 pids.append(pid)
             finally:
-                # a later worker must not hold this pipe open, or its reader never sees EOF
+                # a later child must not hold this pipe open, or its reader never sees EOF
                 os.close(write_end)
+        done = share(0)
         replies = [pipe.read() for pipe in pipes]
     finally:
+        # records are left only where this process stopped early; taking them stops the children
+        while os.read(deal, 4 * _DEAL_RECORDS):
+            pass
+        os.close(deal)
         for pipe in pipes:
-            pipe.close()  # first, so a worker still writing gets EPIPE instead of blocking
+            pipe.close()  # first, so a child still writing gets EPIPE instead of blocking
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for pid, reply, status in zip(pids, replies, statuses):
+        done += _worker_results(pid, reply, status)
     results = [None] * len(charts)
-    for worker, (pid, reply, status) in enumerate(zip(pids, replies, statuses)):
-        results[worker::workers] = _worker_results(pid, reply, status)
+    for number, result in done:
+        results[number] = result
     return results
 
 
-def _serve(fn, charts, write_end: int, pipes) -> None:
-    """A forked worker's whole life: ``fn`` of each chart, or the exception
-    that stopped it, written as one pickle to ``write_end``; never returns."""
+def _share(fn, charts, size: int, deal: int, first: int) -> list:
+    """(chart number, ``fn`` of the chart) for the block of ``size`` charts
+    from number ``first``, then for each block dealt from ``deal`` until it is empty."""
+    done = []
+    while True:
+        done += [(number, fn(charts[number]))
+                 for number in range(first, min(first + size, len(charts)))]
+        record = os.read(deal, 4)
+        if not record:
+            return done
+        first = int.from_bytes(record, "little")
+
+
+def _serve(share, write_end: int, pipes) -> None:
+    """A forked child's whole life: the pairs ``share()`` returns, or the
+    exception that stopped it, written as one pickle to ``write_end``; never returns."""
     try:
         import pickle
 
-        for pipe in pipes:  # the read ends inherited, its own among them
+        for pipe in pipes:  # the result pipes' read ends inherited, its own among them
             pipe.close()
         try:
-            reply = (None, pickle.dumps([fn(chart) for chart in charts], pickle.HIGHEST_PROTOCOL))
+            reply = (None, pickle.dumps(share(), pickle.HIGHEST_PROTOCOL))
         except BaseException as exc:  # raised again in the parent; an unpicklable result too
             import traceback
 
@@ -349,7 +397,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise ChartQAError("--format csv needs --out to hold one file per table")
     analyze = functools.partial(analyze_chart, kb=_load_kb(args),
                                 config=_duplicate_config(args), engine=_engine(args))
-    charts, _ = _map_charts(analyze, args)
+    charts = _map_charts(analyze, args)
     reports = [report for _, report in charts]
     index = index_from_entries([entry for entry, _ in charts], args.path)
     irregularities = analytics.detect_irregularities(index)
@@ -376,7 +424,7 @@ def cmd_dupes(args: argparse.Namespace) -> int:
     from .quality import detect_duplicates
 
     detect = functools.partial(detect_duplicates, config=_duplicate_config(args))
-    reports = [report for _, report in _map_charts(detect, args)[0]]
+    reports = [report for _, report in _map_charts(detect, args)]
     document = report_mod.build_report(
         subject=args.path,
         sections={"duplicates": [report_mod.duplicate_report_to_mapping(r) for r in reports]},
@@ -392,7 +440,7 @@ def cmd_variability(args: argparse.Namespace) -> int:
     probe = functools.partial(variable_values, kb=kb, engine=_engine(args))
     learned = {}
     # every chart was probed against the knowledge base as loaded; see kb.merge
-    for entry, values in _map_charts(probe, args)[0]:
+    for entry, values in _map_charts(probe, args):
         if isinstance(values, RenderFailed):
             log.warning("skipping %s: %s", entry.ref.file_name, values)
         else:
@@ -409,7 +457,7 @@ def cmd_suggest(args: argparse.Namespace) -> int:
 
     suggest = functools.partial(rewrite.suggest_rewrite, kb=_load_kb(args),
                                 config=_duplicate_config(args), engine=_engine(args))
-    charts, _ = _map_charts(suggest, args)
+    charts = _map_charts(suggest, args)
     out = args.out or "."
     emitted = []
     for entry, (_, warnings, rewritten) in charts:
@@ -597,15 +645,8 @@ def cmd_livecheck(args: argparse.Namespace) -> int:
     from .quality import detect_duplicates
 
     detect = functools.partial(detect_duplicates, config=_duplicate_config(args))
-    charts, failures = _map_charts(detect, args)
-    if not charts and failures:
-        raise ChartQAError(
-            "no parseable chart found: " + "; ".join(f.error for f in failures[:3])
-        )
-    if not charts:
-        raise ChartQAError(f"no chart found under {args.path}")
     findings = []
-    for entry, dup in charts:
+    for entry, dup in _map_charts(detect, args):
         chart_findings = [
             {"kind": kind, "detail": analytics.CHART_RULES[kind]}
             for kind in analytics.chart_irregularities(entry.ref, entry.maintainers)

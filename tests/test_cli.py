@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, outputs."""
 
 import argparse
+import contextlib
 import datetime
 import functools
 import json
@@ -13,6 +14,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 import yaml
@@ -88,6 +90,24 @@ def test_livecheck_unreadable_path_exits_two(tmp_path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("tree, message", [
+    ("unparseable", "no parseable chart found: "), ("empty", "no chart found under ")])
+@pytest.mark.parametrize("command", ["livecheck", "dupes", "analyze", "variability", "suggest",
+                                     "authorsets", "irregularities", "graph"])
+def test_a_tree_without_a_readable_chart_exits_two(tmp_path, monkeypatch, caplog, capsys,
+                                                   command, tree, message):
+    charts = tmp_path / "charts"
+    charts.mkdir()
+    if tree == "unparseable":
+        write_chart_dir(charts, "web", dict(chart_files(maintainers=MAINTAINED),
+                                            **{"values.yaml": "a: [unclosed\n"}))
+    monkeypatch.chdir(tmp_path)
+    assert cli_dispatch([command, "--path", str(charts)]) == 2
+    assert message in caplog.text
+    assert capsys.readouterr().out == ""
+    assert sorted(os.listdir(tmp_path)) == ["charts"]
+
+
 def test_usage_error_and_help_exit_codes():
     assert cli_dispatch(["no-such-command"]) == 2
     assert cli_dispatch(["--help"]) == 0
@@ -143,8 +163,8 @@ def test_import_leaves_numpy_and_requests_unloaded():
 
 
 # runs cli_dispatch(argv[2:]) with its output discarded, then prints the exit code, the
-# number of workers forked and the modules loaded; argv[1] == "pool" makes per-chart
-# commands start two workers
+# number of processes forked and the modules loaded; argv[1] == "pool" makes per-chart
+# commands run on two processes, this one and one forked child
 LOADED_BY = """
 import contextlib, io, json, os, sys
 from chartqa import cli
@@ -166,7 +186,7 @@ def modules_loaded_by(*argv, pool: bool = False) -> set[str]:
     assert proc.returncode == 0, proc.stderr
     code, forks, modules = json.loads(proc.stdout)
     assert code in (0, 1), proc.stderr
-    assert forks == (2 if pool else 0)
+    assert forks == (1 if pool else 0)
     return set(modules)
 
 
@@ -216,7 +236,7 @@ def test_no_command_loads_dataclasses_or_a_process_pool_module(tmp_path):
         (False, ["graph", "--index", str(repo / "index.yaml")]),
         (False, ["irregularities", "--path", charts]),
         (False, ["livecheck", "--path", charts]),
-        # three charts, so two workers start where the pool is on
+        # three charts, so one child is forked where the pool is on
         (True, ["dupes", "--path", charts]),
         (True, ["analyze", "--path", charts, "--out", out]),
         (True, ["variability", "--path", charts, "--kb", f"{out}/kb.json", "--out", out]),
@@ -236,7 +256,7 @@ def test_per_chart_forked_workers_match_serial(tmp_path, monkeypatch, two_cpu_po
     packages = [make_package(name=f"c{i}", templates=DUPE_TEMPLATES) for i in range(4)]
     detect = functools.partial(detect_duplicates, config=DuplicateConfig(threshold=2))
     assert cli._per_chart(detect, packages, 2) == [detect(pkg) for pkg in packages]
-    # the per-chart commands' form: each worker reads its charts, one of which is corrupt
+    # the per-chart commands' form: each process reads its charts, one of which is corrupt
     for i in range(3):
         write_chart_dir(tmp_path, f"c{i}", chart_files(name=f"c{i}", templates=DUPE_TEMPLATES))
     (tmp_path / "corrupt-0.1.0.tgz").write_bytes(b"not a gzipped tar")
@@ -245,7 +265,7 @@ def test_per_chart_forked_workers_match_serial(tmp_path, monkeypatch, two_cpu_po
     results = cli._per_chart(load_detect, locations, 2)
     assert results == [load_detect(location) for location in locations]
     assert [type(result).__name__ for result in results] == ["IngestFailure"] + ["tuple"] * 3
-    assert len(forks) == 4  # two workers for each call
+    assert len(forks) == 2  # one child for each call; this process is the other worker
     _assert_no_child_left()
 
 
@@ -287,9 +307,10 @@ class _HoldsALock(Exception):
         self.lock = threading.Lock()
 
 
-def _raise_on_c3(error):
+def _raise_on_c1(error):
+    """Raises on c1, the first chart of the pool's one child."""
     def per_chart(chart):
-        if chart == "c3":
+        if chart == "c1":
             raise error()
         return chart
     return per_chart
@@ -301,11 +322,11 @@ def _assert_no_child_left() -> None:
 
 
 def test_a_worker_exception_is_raised_here_with_the_worker_traceback(two_cpu_pool):
-    with pytest.raises(KeyError, match="c3") as raised:
-        cli._per_chart(_raise_on_c3(lambda: KeyError("c3")), [f"c{i}" for i in range(4)], 2)
+    with pytest.raises(KeyError, match="c1") as raised:
+        cli._per_chart(_raise_on_c1(lambda: KeyError("c1")), [f"c{i}" for i in range(4)], 2)
     worker_traceback = str(raised.value.__cause__)
     assert "Traceback (most recent call last)" in worker_traceback
-    assert "in per_chart" in worker_traceback and "KeyError: 'c3'" in worker_traceback
+    assert "in per_chart" in worker_traceback and "KeyError: 'c1'" in worker_traceback
     _assert_no_child_left()
 
 
@@ -313,20 +334,21 @@ def test_a_worker_exception_is_raised_here_with_the_worker_traceback(two_cpu_poo
                          ids=["cannot-be-pickled", "cannot-be-unpickled"])
 def test_a_worker_exception_that_cannot_be_sent_back_is_still_an_error(two_cpu_pool, error):
     with pytest.raises(RuntimeError, match="could not be sent back") as raised:
-        cli._per_chart(_raise_on_c3(error), [f"c{i}" for i in range(4)], 2)
+        cli._per_chart(_raise_on_c1(error), [f"c{i}" for i in range(4)], 2)
     assert "in per_chart" in str(raised.value.__cause__)
     _assert_no_child_left()
 
 
 def test_an_unpicklable_worker_result_is_an_error(two_cpu_pool):
     with pytest.raises(TypeError, match="cannot pickle") as raised:
-        cli._per_chart(lambda chart: threading.Lock(), [f"c{i}" for i in range(4)], 2)
+        cli._per_chart(lambda chart: threading.Lock() if chart == "c1" else chart,
+                       [f"c{i}" for i in range(4)], 2)
     assert "Traceback" in str(raised.value.__cause__)
     _assert_no_child_left()
 
 
 def test_a_killed_worker_fails_the_call(two_cpu_pool):
-    def die_on_c1(chart):
+    def die_on_c1(chart):  # c1 is the first chart of the pool's one child
         if chart == "c1":
             os.kill(os.getpid(), signal.SIGKILL)
         return chart
@@ -334,6 +356,71 @@ def test_a_killed_worker_fails_the_call(two_cpu_pool):
     with pytest.raises(WorkerFailed, match=f"killed by signal {int(signal.SIGKILL)}"):
         cli._per_chart(die_on_c1, [f"c{i}" for i in range(4)], 2)
     _assert_no_child_left()
+
+
+@contextlib.contextmanager
+def _within(seconds: float):
+    """Fail, rather than hang, when the body takes more than ``seconds`` of wall time."""
+    def expire(signum, frame):
+        raise TimeoutError(f"took more than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _with_pid(item):
+    return item * item, os.getpid()
+
+
+def test_more_charts_than_records_are_dealt_in_blocks(monkeypatch, two_cpu_pool):
+    # four processes on two CPUs; 5000 charts make blocks of ceil(5000 / 1024) = 5
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    items = list(range(5000))
+    with _within(60):
+        results = cli._per_chart(_with_pid, items, 4)
+    assert [square for square, _ in results] == [item * item for item in items]
+    pids = [pid for _, pid in results]
+    assert all(len(set(pids[first:first + 5])) == 1 for first in range(0, 5000, 5))
+    assert pids[0:5] == [os.getpid()] * 5  # this process handles block 0 first
+    assert len({pids[5], pids[10], pids[15], os.getpid()}) == 4  # each child its own first block
+    _assert_no_child_left()
+
+
+def test_a_slow_chart_leaves_the_rest_to_the_other_process(two_cpu_pool):
+    def slow_first(item):
+        if item == 0:
+            time.sleep(0.3)
+        return os.getpid()
+
+    with _within(60):
+        pids = cli._per_chart(slow_first, list(range(40)), 2)
+    assert len(set(pids)) == 2
+    assert pids.count(pids[0]) < len(pids) - pids.count(pids[0])
+
+
+def test_an_exception_in_this_process_share_propagates_as_itself(tmp_path, two_cpu_pool):
+    error = KeyError("c0")
+    handled = tmp_path / "handled"
+
+    def per_chart(chart):
+        if chart == "c0":  # the first chart of this process's own share
+            raise error
+        with open(handled, "a", encoding="utf-8") as fh:
+            fh.write(f"{chart}\n")
+        time.sleep(0.005)
+        return chart
+
+    with _within(60), pytest.raises(KeyError) as raised:
+        cli._per_chart(per_chart, [f"c{i}" for i in range(400)], 2)
+    assert raised.value is error and raised.value.__cause__ is None
+    _assert_no_child_left()
+    # the child stopped after its current chart, far short of the other 399
+    assert 1 <= len(handled.read_text().split()) < 200
 
 
 def _mixed_tree(root) -> None:
@@ -368,7 +455,7 @@ def test_workers_reading_their_charts_match_a_serial_run(tmp_path, monkeypatch, 
         skipped = [record.getMessage().split(":")[0] for record in caplog.records
                    if "skipping" in record.getMessage()]
         runs.append((payload, skipped))
-    assert len(forks) == 2  # the first run forked two workers, the second ran here
+    assert len(forks) == 1  # the first run forked one child, the second ran here
     assert runs[0] == runs[1]
     assert runs[0][1] == ["skipping headless", "skipping nested/broken-0.1.0.tgz"]
 
@@ -426,7 +513,7 @@ def test_variability_suggest_and_index_commands_match_a_serial_run(tmp_path, mon
                  for path in sorted(out.rglob("*")) if path.is_file()}
         # knowledge-base values come from randAlphaNum, so only the keys compare
         runs.append((run, files, sorted(json.loads(kb.read_text()))))
-    assert len(forks) == 2 * len(commands)  # the first run forked two workers for each
+    assert len(forks) == len(commands)  # the first run forked one child for each
     assert runs[0] == runs[1]
     run, files, kb_keys = runs[0]
     skipped_archive = ("skipping broken-0.1.0.tgz: MalformedArchive: not a gzipped tar archive: "
@@ -1231,10 +1318,11 @@ def test_deep_flow_nesting_is_a_typed_error_in_every_yaml_input(tmp_path, where)
         (unparseable,) = chart["unparseable_templates"]
         assert unparseable["template"] == "templates/deep.yaml"
         assert "nested deeper than 100 levels" in unparseable["reason"]
-    elif where.endswith(".yaml"):  # the chart is skipped as unparseable
-        assert proc.returncode == 0, proc.stderr
+    elif where.endswith(".yaml"):  # the chart, the tree's only one, is skipped as unparseable
+        assert proc.returncode == 2, proc.stderr
         assert f"{where} invalid: nested deeper than 100 levels" in proc.stderr
-        assert json.loads(proc.stdout)["sections"]["duplicates"] == []
+        assert "no parseable chart found" in proc.stderr
+        assert proc.stdout == ""
     else:
         assert proc.returncode == 2
         assert "nested deeper than 100 levels" in proc.stderr
