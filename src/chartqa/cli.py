@@ -23,7 +23,7 @@ from . import DEFAULT_BLACKLIST, DEFAULT_THRESHOLD
 from .errors import ChartQAError, FetchError, InputFileError, RenderFailed, WorkerFailed
 
 if TYPE_CHECKING:
-    from .ingest import IndexEntry, IngestFailure, RepoIndex
+    from .ingest import IngestFailure, RepoIndex
     from .quality import DuplicateConfig, VariabilityKnowledgeBase
 
 log = logging.getLogger("chartqa")
@@ -159,12 +159,12 @@ def _load_then(fn, root: str, location: str):
     return index_entry(loaded), fn(loaded)
 
 
-def _map_charts(fn, args: argparse.Namespace) -> list[tuple[IndexEntry, Any]]:
-    """(index entry, ``fn`` of the chart) of each chart under --path, sorted
-    by file name; the charts that failed to parse are logged in the order
-    found. Each chart is read where ``fn`` runs on it. A tree with no chart,
-    or none that parses, is an error."""
-    from .ingest import IngestFailure, chart_locations
+def _map_charts(fn, args: argparse.Namespace) -> tuple[RepoIndex, list]:
+    """The synthesized index of the charts under --path that parse, listed by
+    file name, and ``fn`` of each of them in that order; the charts that
+    failed to parse are logged in the order found. Each chart is read where
+    ``fn`` runs on it. A tree with no chart, or none that parses, is an error."""
+    from .ingest import IngestFailure, chart_locations, index_from_entries
 
     results = _per_chart(functools.partial(_load_then, fn, args.path),
                          chart_locations(args.path), args.jobs)
@@ -177,7 +177,9 @@ def _map_charts(fn, args: argparse.Namespace) -> list[tuple[IndexEntry, Any]]:
         )
     if not charts:
         raise ChartQAError(f"no chart found under {args.path}")
-    return sorted(charts, key=lambda chart: chart[0].ref.file_name)
+    charts.sort(key=lambda chart: chart[0].ref.file_name)
+    return (index_from_entries([entry for entry, _ in charts], args.path),
+            [result for _, result in charts])
 
 
 def _no_result(pkg) -> None:
@@ -185,14 +187,13 @@ def _no_result(pkg) -> None:
 
 
 def _load_index(args: argparse.Namespace) -> RepoIndex:
-    from .ingest import fetch_archive, index_from_entries, parse_repo_index
+    from .ingest import fetch_archive, parse_repo_index
 
     if args.index:
         return parse_repo_index(fetch_archive(args.index), args.index)
     if not args.path:
         raise ChartQAError("this command needs --index or --path")
-    return index_from_entries([entry for entry, _ in _map_charts(_no_result, args)],
-                              args.path)
+    return _map_charts(_no_result, args)[0]
 
 
 def _load_kb(args: argparse.Namespace) -> VariabilityKnowledgeBase:
@@ -390,16 +391,13 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     from . import analytics, report as report_mod
-    from .ingest import index_from_entries
     from .quality import analyze_chart
 
     if args.format == "csv" and not args.out:
         raise ChartQAError("--format csv needs --out to hold one file per table")
     analyze = functools.partial(analyze_chart, kb=_load_kb(args),
                                 config=_duplicate_config(args), engine=_engine(args))
-    charts = _map_charts(analyze, args)
-    reports = [report for _, report in charts]
-    index = index_from_entries([entry for entry, _ in charts], args.path)
+    index, reports = _map_charts(analyze, args)
     irregularities = analytics.detect_irregularities(index)
     sets, metrics = analytics.compute_maintainer_sets(index)
     document = report_mod.build_report(
@@ -424,7 +422,7 @@ def cmd_dupes(args: argparse.Namespace) -> int:
     from .quality import detect_duplicates
 
     detect = functools.partial(detect_duplicates, config=_duplicate_config(args))
-    reports = [report for _, report in _map_charts(detect, args)]
+    _, reports = _map_charts(detect, args)
     document = report_mod.build_report(
         subject=args.path,
         sections={"duplicates": [report_mod.duplicate_report_to_mapping(r) for r in reports]},
@@ -440,7 +438,8 @@ def cmd_variability(args: argparse.Namespace) -> int:
     probe = functools.partial(variable_values, kb=kb, engine=_engine(args))
     learned = {}
     # every chart was probed against the knowledge base as loaded; see kb.merge
-    for entry, values in _map_charts(probe, args):
+    index, results = _map_charts(probe, args)
+    for entry, values in zip(index.entries, results):
         if isinstance(values, RenderFailed):
             log.warning("skipping %s: %s", entry.ref.file_name, values)
         else:
@@ -453,14 +452,13 @@ def cmd_variability(args: argparse.Namespace) -> int:
 
 def cmd_suggest(args: argparse.Namespace) -> int:
     from . import analytics, rewrite
-    from .ingest import index_from_entries
 
     suggest = functools.partial(rewrite.suggest_rewrite, kb=_load_kb(args),
                                 config=_duplicate_config(args), engine=_engine(args))
-    charts = _map_charts(suggest, args)
+    index, suggestions = _map_charts(suggest, args)
     out = args.out or "."
     emitted = []
-    for entry, (_, warnings, rewritten) in charts:
+    for entry, (_, warnings, rewritten) in zip(index.entries, suggestions):
         for warning in warnings:
             log.warning("%s", warning)
         if rewritten is None:
@@ -472,10 +470,9 @@ def cmd_suggest(args: argparse.Namespace) -> int:
         with open(diff_path, "w", encoding="utf-8") as fh:
             fh.write(diff_text)
         emitted.append({"chart": entry.ref.file_name, "variables": variables, "diff": diff_path})
-    index = index_from_entries([entry for entry, _ in charts], args.path)
     irregularities = analytics.detect_irregularities(index)
     batch = rewrite.build_issue_digests(
-        irregularities, [report for _, (report, _, _) in charts], index, args.base_url
+        irregularities, [report for report, _, _ in suggestions], index, args.base_url
     )
     outbox = rewrite.write_outbox(batch, os.path.join(out, "outbox"))
     _emit_json({
@@ -646,7 +643,8 @@ def cmd_livecheck(args: argparse.Namespace) -> int:
 
     detect = functools.partial(detect_duplicates, config=_duplicate_config(args))
     findings = []
-    for entry, dup in _map_charts(detect, args):
+    index, reports = _map_charts(detect, args)
+    for entry, dup in zip(index.entries, reports):
         chart_findings = [
             {"kind": kind, "detail": analytics.CHART_RULES[kind]}
             for kind in analytics.chart_irregularities(entry.ref, entry.maintainers)

@@ -9,7 +9,6 @@ comments and directive bodies are never touched.
 
 from __future__ import annotations
 
-import copy
 import difflib
 import os
 import re
@@ -19,12 +18,13 @@ import yaml
 
 from .analytics import CHART_RULES, IrregularityReport
 from .core import ChartPackage, ChartRef
-from .errors import ChartQAError, EmptyReport, SpanLocationFailed, SuggestionsDefined
+from .errors import (ChartQAError, EmptyReport, MetadataParseError, SpanLocationFailed,
+                     SuggestionsDefined)
 from .ingest import RepoIndex
 from .quality import (DuplicateConfig, DuplicateReport, VariabilityKnowledgeBase,
                       detect_duplicates, probe_variability)
 from .render import Renderer, render_chart
-from .yamlutil import SourceLeaf, sentinel_parse, sharing_compiles
+from .yamlutil import SourceLeaf, load_unique, sentinel_parse, sharing_compiles, splice
 
 UNADDRESSABLE = "unaddressable"
 SUBJECT_PREFIX = "chartqa"
@@ -122,60 +122,45 @@ def plan_rewrite(pkg: ChartPackage, report: DuplicateReport) -> RewritePlan:
     )
 
 
-def _placeholder(var_name: str) -> str:
-    return "{{ .Values.%s }}" % var_name
+def _rewritten_files(pkg: ChartPackage, plan: RewritePlan) -> tuple[tuple, str]:
+    """The plan's rewritten templates and values.yaml text.
 
-
-def _rewrite_template(body: str, edits: list[tuple[Occurrence, str]]) -> str:
-    out = body
-    for occ, var_name in sorted(edits, key=lambda e: e[0].span[0], reverse=True):
-        start, end = occ.span
-        placeholder = _placeholder(var_name)
-        if occ.quote:
-            out = out[:start + 1] + placeholder + out[end - 1:]
-        else:
-            out = out[:start] + placeholder + out[end:]
-    return out
-
-
-def _rewritten_values_text(pkg: ChartPackage, plan: RewritePlan) -> tuple[str, str]:
-    original = pkg.values_source()
-    updated = original
+    Each edited template is spliced in one pass; a quoted occurrence keeps
+    its quotes. The suggestions block replaces a values.yaml that is only
+    ``{}`` and is appended to any other.
+    """
+    edits: dict[str, list[tuple[tuple[int, int], str]]] = {}
+    for assignment in plan.assignments:
+        placeholder = "{{ .Values.%s }}" % assignment.var_name
+        for occ in assignment.target_occurrences:
+            start, end = occ.span
+            span = (start + 1, end - 1) if occ.quote else (start, end)
+            edits.setdefault(occ.template_path, []).append((span, placeholder))
+    templates = tuple((path, splice(body, sorted(edits.get(path, ()))))
+                      for path, body in pkg.templates)
+    values_text = pkg.values_source()
     if plan.values_patch:
-        if updated and not updated.endswith("\n"):
-            updated += "\n"
-        updated += plan.values_patch
-    return original, updated
+        if values_text.strip() == "{}":
+            values_text = ""
+        elif values_text and not values_text.endswith("\n"):
+            values_text += "\n"
+        values_text += plan.values_patch
+    return templates, values_text
 
 
 def apply_plan(pkg: ChartPackage, plan: RewritePlan) -> ChartPackage:
-    """Apply a rewrite plan in memory, yielding the rewritten package."""
-    edits_by_template: dict[str, list[tuple[Occurrence, str]]] = {}
-    for assignment in plan.assignments:
-        for occ in assignment.target_occurrences:
-            edits_by_template.setdefault(occ.template_path, []).append(
-                (occ, assignment.var_name)
-            )
-    templates = tuple(
-        (path, _rewrite_template(body, edits_by_template[path]))
-        if path in edits_by_template else (path, body)
-        for path, body in pkg.templates
-    )
-    values = copy.deepcopy(pkg.values) if isinstance(pkg.values, (dict, list)) else pkg.values
-    if plan.assignments:
-        if not isinstance(values, dict):
-            values = {}
-        values["suggestions"] = {
-            a.var_name.split(".", 1)[1]: a.value for a in plan.assignments
-        }
-    _, values_text = _rewritten_values_text(pkg, plan)
-    return ChartPackage(
-        metadata=pkg.metadata,
-        values=values,
-        templates=templates,
-        requirements=pkg.requirements,
-        values_text=values_text,
-    )
+    """Apply a rewrite plan in memory, yielding the rewritten package.
+
+    The package is read back from the rewritten files as a chart's files
+    are read; raises MetadataParseError where its values.yaml does not read.
+    """
+    templates, values_text = _rewritten_files(pkg, plan)
+    try:
+        values = load_unique(values_text)
+    except yaml.YAMLError as exc:
+        raise MetadataParseError(f"rewritten values.yaml invalid: {exc}") from exc
+    return pkg._replace(values={} if values is None else values, templates=templates,
+                        values_text=values_text)
 
 
 def _unified_file_diff(a_text: str, b_text: str, a_name: str, b_name: str) -> str:
@@ -199,22 +184,14 @@ def emit_diff(pkg: ChartPackage, plan: RewritePlan) -> str:
     patch tool applied with -p1 reproduces the rewritten package exactly.
     """
     chart_dir = pkg.metadata.name
-    rewritten = apply_plan(pkg, plan)
-    new_bodies = dict(rewritten.templates)
-    pieces = []
-    for path, body in sorted(pkg.templates):
-        if new_bodies[path] != body:
-            pieces.append(_unified_file_diff(
-                body, new_bodies[path],
-                f"a/{chart_dir}/{path}", f"b/{chart_dir}/{path}",
-            ))
-    original_values, updated_values = _rewritten_values_text(pkg, plan)
-    if updated_values != original_values:
-        pieces.append(_unified_file_diff(
-            original_values, updated_values,
-            f"a/{chart_dir}/values.yaml", f"b/{chart_dir}/values.yaml",
-        ))
-    return "".join(pieces)
+    templates, values_text = _rewritten_files(pkg, plan)
+    files = [(path, body, new_body)
+             for (path, body), (_, new_body) in sorted(zip(pkg.templates, templates))]
+    files.append(("values.yaml", pkg.values_source(), values_text))
+    return "".join(
+        _unified_file_diff(body, new_body, f"a/{chart_dir}/{path}", f"b/{chart_dir}/{path}")
+        for path, body, new_body in files if new_body != body
+    )
 
 
 @sharing_compiles
@@ -247,7 +224,10 @@ def verify_rewrite(
     before, learned = probe_variability(pkg, overrides, engine)
     if pkg.templates and not before.documents:
         return False
-    rewritten = apply_plan(pkg, plan)
+    try:
+        rewritten = apply_plan(pkg, plan)
+    except MetadataParseError:
+        return False
     after = render_chart(rewritten, {**overrides, **learned}, engine, earlier=before)
     changed = after.differing(before)
     if [doc for doc in before.documents if doc[0] in changed] != after.documents:

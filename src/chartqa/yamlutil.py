@@ -31,7 +31,7 @@ import datetime
 import functools
 import math
 import re
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 import yaml
 from yaml.constructor import ConstructorError, SafeConstructor
@@ -379,6 +379,17 @@ def _shape(body: Any, number: int, shape: list, homes: list, slots: list) -> Non
             slots.append(slot)
 
 
+def splice(source: str, edits: Iterable[tuple[tuple[int, int], str]]) -> str:
+    """``source`` with each ``(start, end)`` span replaced by its text, in one
+    pass; the spans are in source order and do not overlap."""
+    pieces, pos = [], 0
+    for (start, end), text in edits:
+        pieces += (source[pos:start], text)
+        pos = end
+    pieces.append(source[pos:])
+    return "".join(pieces)
+
+
 class CompiledTemplate:
     """A template source parsed once, with each directive replaced by a sentinel token.
 
@@ -426,12 +437,7 @@ class CompiledTemplate:
 
     def text(self, outputs: Sequence[str]) -> str:
         """The source with each directive replaced by its output."""
-        pieces, pos = [], 0
-        for (start, end), output in zip(self.spans, outputs):
-            pieces += (self.source[pos:start], output)
-            pos = end
-        pieces.append(self.source[pos:])
-        return "".join(pieces)
+        return splice(self.source, zip(self.spans, outputs))
 
     def fill(self, outputs: tuple[str, ...]) -> list[tuple[Any, Any]] | None:
         """The documents :func:`load_documents` builds from ``self.text(outputs)``,

@@ -7,14 +7,16 @@ import hashlib
 import io
 import json
 import os
+import shutil
+import subprocess
 import tarfile
 
 import pytest
 import yaml
 
 from chartqa import cli
-from chartqa.core import ChartPackage, package_from_files
-from chartqa.ingest import sha256_digest
+from chartqa.core import ChartPackage, package_from_files, write_package_dir
+from chartqa.ingest import package_from_dir, sha256_digest
 
 
 def chart_files(
@@ -65,6 +67,23 @@ def count_calls(monkeypatch, name: str, *modules) -> list[tuple]:
     for module in modules:
         monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def patched_package(root, pkg: ChartPackage, diff_text: str, tool: str = "patch") -> ChartPackage:
+    """Write ``pkg`` as the chart directory ``root/<chart name>``, apply
+    ``diff_text`` there with ``patch -p1`` (or ``git apply -p1``) and read the
+    directory back; skips the test where the tool is not installed."""
+    if shutil.which(tool) is None:
+        pytest.skip(f"{tool} not installed")
+    chart_dir = os.path.join(root, pkg.metadata.name)
+    write_package_dir(pkg, chart_dir)
+    patch_file = os.path.join(root, "fix.patch")
+    with open(patch_file, "w", encoding="utf-8") as fh:
+        fh.write(diff_text)
+    cmd = ["patch", "-p1", "--batch", "-i", patch_file] if tool == "patch" \
+        else ["git", "apply", "-p1", patch_file]
+    subprocess.run(cmd, cwd=root, check=True, capture_output=True)
+    return package_from_dir(chart_dir)
 
 
 def make_index_yaml(entries: dict[str, list[dict]], api_version: str = "v1") -> bytes:

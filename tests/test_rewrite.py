@@ -1,13 +1,16 @@
 """dedup-suggest: rewrite plans, diffs, verification, digests."""
 
 import copy
-import shutil
-import subprocess
+import logging
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from chartqa import quality, render, rewrite, yamlutil
-from chartqa.core import write_package_dir
+from chartqa.cli import cli_dispatch
+from chartqa.core import package_from_files
 from chartqa.errors import ChartQAError, EmptyReport, SuggestionsDefined
 from chartqa.ingest import index_entry, index_from_entries, package_from_dir
 from chartqa.quality import (
@@ -31,7 +34,8 @@ from chartqa.rewrite import (
     write_outbox,
 )
 
-from conftest import count_calls, make_package
+from conftest import chart_files, count_calls, make_package, patched_package, write_chart_dir
+from test_yamlutil import deadline
 
 
 def five_occurrence_package():
@@ -291,19 +295,12 @@ def test_no_blacklisted_value_in_assignments():
 
 
 def test_patch_round_trip_without_values_yaml(tmp_path):
-    if shutil.which("patch") is None:
-        pytest.skip("patch not installed")
     pkg = make_package(values=None, templates={
         "t.yaml": "a: dup-me\nb: dup-me\nc: dup-me\n",
     })
     assert pkg.values_text is None
     plan = plan_rewrite(pkg, detect_duplicates(pkg))
-    write_package_dir(pkg, str(tmp_path / "web"))
-    patch_file = tmp_path / "fix.patch"
-    patch_file.write_text(emit_diff(pkg, plan))
-    subprocess.run(["patch", "-p1", "--batch", "-i", str(patch_file)],
-                   cwd=tmp_path, check=True, capture_output=True)
-    patched = package_from_dir(str(tmp_path / "web"))
+    patched = patched_package(tmp_path, pkg, emit_diff(pkg, plan))
     assert patched.values == {"suggestions": {"var1": "dup-me"}}
     assert render.render_chart(patched).canonical_yaml() == \
         render.render_chart(pkg).canonical_yaml()
@@ -321,24 +318,138 @@ def test_multiline_directive_is_sentineled_not_counted():
 
 @pytest.mark.parametrize("tool", ["patch", "git"])
 def test_patch_tool_round_trip(tmp_path, tool):
-    if shutil.which(tool) is None:
-        pytest.skip(f"{tool} not installed")
     pkg = five_occurrence_package()
     plan = plan_rewrite(pkg, detect_duplicates(pkg))
-    diff_text = emit_diff(pkg, plan)
-    write_package_dir(pkg, str(tmp_path / "web"))
-    patch_file = tmp_path / "fix.patch"
-    patch_file.write_text(diff_text)
-    if tool == "patch":
-        cmd = ["patch", "-p1", "--batch", "-i", str(patch_file)]
-    else:
-        cmd = ["git", "apply", "-p1", str(patch_file)]
-    subprocess.run(cmd, cwd=tmp_path, check=True, capture_output=True)
-
-    patched = package_from_dir(str(tmp_path / "web"))
-    assert dict(patched.templates) == dict(apply_plan(pkg, plan).templates)
+    patched = patched_package(tmp_path, pkg, emit_diff(pkg, plan), tool)
+    rewritten = apply_plan(pkg, plan)
+    assert dict(patched.templates) == dict(rewritten.templates)
+    assert patched.values == rewritten.values
+    assert patched.values_text == rewritten.values_text
     assert render.render_chart(patched).canonical_yaml() == \
         render.render_chart(pkg).canonical_yaml()
+
+
+# values.yaml texts, each with whether suggest ships its rewrite: a text
+# the suggestions block cannot follow is refused by verification instead
+VALUES_SHAPES = {
+    "empty-flow-mapping": ("{}\n", True),
+    "document-end": ("image: nginx\n...\n", False),
+    "top-level-list": ("- a\n", False),
+    "null": ("~\n", False),
+    "comments-only": ("# nothing set\n", True),
+    "no-trailing-newline": ("app: web", True),
+}
+
+
+@pytest.mark.parametrize("shape", VALUES_SHAPES)
+def test_suggest_ships_only_diffs_whose_patched_chart_reads_as_the_rewrite(tmp_path, caplog,
+                                                                           shape):
+    values_text, shipped = VALUES_SHAPES[shape]
+    files = chart_files(templates={"t.yaml": "a: dup-me\nb: dup-me\nc: dup-me\n"})
+    files["values.yaml"] = values_text
+    chart_dir = write_chart_dir(tmp_path / "charts", "web", files)
+    out = tmp_path / "out"
+    with caplog.at_level(logging.WARNING, logger="chartqa"):
+        cli_dispatch(["suggest", "--path", str(tmp_path / "charts"), "--out", str(out)])
+    diff_path = out / "diffs" / "web-1.0.0.tgz.patch"
+    assert diff_path.exists() is shipped
+    if not shipped:
+        assert "web: rewrite failed verification, diff suppressed" in caplog.text
+        return
+    pkg = package_from_dir(chart_dir)
+    rewritten = apply_plan(pkg, plan_rewrite(pkg, detect_duplicates(pkg)))
+    patched = patched_package(tmp_path / "patched", pkg, diff_path.read_text())
+    assert patched.templates == rewritten.templates
+    assert patched.values == rewritten.values
+    assert patched.values_text == rewritten.values_text
+    assert patched.values["suggestions"] == {"var1": "dup-me"}
+
+
+def test_a_rewrite_whose_values_do_not_read_back_fails_verification():
+    pkg = make_package(templates={"t.yaml": "a: dup-me\nb: dup-me\nc: dup-me\n"})
+    pkg = pkg._replace(values=["a"], values_text="- a\n")
+    plan = plan_rewrite(pkg, detect_duplicates(pkg))
+    with pytest.raises(ChartQAError, match="values.yaml"):
+        apply_plan(pkg, plan)
+    assert verify_rewrite(pkg, plan) is False
+
+
+_DUPLICATES = ("dup-a", "dup b", "x.example.org")
+
+
+@st.composite
+def _planted_charts(draw):
+    """A chart of one to three templates holding each of a few values at
+    least three times, plain, double- or single-quoted, between unique
+    lines, comments, directives and document separators."""
+    templates = {}
+    key = 0
+    for number in range(draw(st.integers(1, 3))):
+        lines = []
+        for _ in range(draw(st.integers(1, 12))):
+            kind = draw(st.sampled_from(["dup", "dup", "unique", "directive", "document"]))
+            key += 1
+            if kind == "dup":
+                quote = draw(st.sampled_from(["", '"', "'"]))
+                value = draw(st.sampled_from(_DUPLICATES))
+                comment = draw(st.sampled_from(["", "  # same"]))
+                lines.append(f"k{key}: {quote}{value}{quote}{comment}\n")
+            elif kind == "unique":
+                lines.append(f"k{key}: only-{key}\n")
+            elif kind == "directive":
+                lines.append(f"k{key}: {{{{ .Values.app | default \"none\" }}}}\n")
+            elif lines:
+                lines.append("---\n")
+        body = "".join(lines)
+        if draw(st.booleans()):
+            body = body.rstrip("\n")
+        templates[f"t{number}.yaml"] = body
+    values_text = draw(st.sampled_from(["app: web\n", "app: web", "app: web\nport: 80", "{}\n"]))
+    files = chart_files(templates=templates)
+    files["values.yaml"] = values_text
+    return package_from_files(files)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_planted_charts())
+def test_a_verified_rewrite_patches_to_its_files_and_changes_only_the_planned_spans(pkg):
+    report = detect_duplicates(pkg)
+    assume(not report.is_empty)
+    plan = plan_rewrite(pkg, report)
+    assume(plan.assignments and verify_rewrite(pkg, plan))
+    rewritten = apply_plan(pkg, plan)
+    with tempfile.TemporaryDirectory() as root:
+        patched = patched_package(root, pkg, emit_diff(pkg, plan))
+    assert patched.templates == rewritten.templates
+    assert patched.values_text == rewritten.values_text
+    # putting each value back where its placeholder is gives the original bytes
+    for path, body in rewritten.templates:
+        for assignment in plan.assignments:
+            placeholder = "{{ .Values.%s }}" % assignment.var_name
+            planned = [occ for occ in assignment.target_occurrences if occ.template_path == path]
+            assert body.count(placeholder) == len(planned)
+            body = body.replace(placeholder, assignment.value)
+        assert body == dict(pkg.templates)[path]
+    original = pkg.values_source()
+    if original.strip() == "{}":
+        assert rewritten.values_text == plan.values_patch
+    else:
+        kept = original if original.endswith("\n") else original + "\n"
+        assert rewritten.values_text == kept + plan.values_patch
+
+
+def test_a_value_duplicated_forty_thousand_times_rewrites_in_linear_time():
+    body = "".join(f"k{n}: dup-me\n" for n in range(40_000))
+    assert 580_000 < len(body) < 600_000
+    pkg = make_package(values={}, templates={"t.yaml": body})
+    plan = plan_rewrite(pkg, detect_duplicates(pkg))
+    assert len(plan.assignments[0].target_occurrences) == 40_000
+    with deadline(1.0):
+        rewritten = apply_plan(pkg, plan)
+        diff_text = emit_diff(pkg, plan)
+    (edited,) = dict(rewritten.templates).values()
+    assert edited.count("{{ .Values.suggestions.var1 }}") == 40_000
+    assert diff_text.count("\n+k") == 40_000
 
 
 # --- digests ---
