@@ -23,7 +23,7 @@ from . import DEFAULT_BLACKLIST, DEFAULT_THRESHOLD
 from .errors import ChartQAError, FetchError, InputFileError, RenderFailed, WorkerFailed
 
 if TYPE_CHECKING:
-    from .ingest import IngestFailure, RepoIndex
+    from .ingest import RepoIndex
     from .quality import DuplicateConfig, VariabilityKnowledgeBase
 
 log = logging.getLogger("chartqa")
@@ -143,47 +143,44 @@ def _emit_json(document: Any, out_dir: str | None, file_name: str) -> None:
     _emit(report_mod.report_json(document), out_dir, file_name)
 
 
-def _warn_skipped(failures: list[IngestFailure]) -> None:
-    for failure in failures:
-        log.warning("skipping %s: %s", failure.location, failure.error)
-
-
-def _load_then(fn, root: str, location: str):
+def _load_then(fn, root: str, location: str) -> tuple:
     """(index entry, ``fn`` of the chart) for the chart at ``location`` under
-    ``root``, or the IngestFailure of a chart that cannot be read."""
-    from .ingest import IngestFailure, index_entry, load_chart
+    ``root``, or (``location``, why it cannot be read) where reading it
+    raises a ChartQAError or an OSError."""
+    from .ingest import index_entry, load_chart
 
-    loaded = load_chart(root, location)
-    if isinstance(loaded, IngestFailure):
-        return loaded
+    try:
+        loaded = load_chart(root, location)
+    except (ChartQAError, OSError) as exc:
+        return location, f"{type(exc).__name__}: {exc}"
     return index_entry(loaded), fn(loaded)
 
 
-def _map_charts(fn, args: argparse.Namespace) -> tuple[RepoIndex, list]:
+def _map_charts(fn, args: argparse.Namespace,
+                notes=lambda entry, result: ()) -> tuple[RepoIndex, list]:
     """The synthesized index of the charts under --path that parse, listed by
-    file name, and ``fn`` of each of them in that order; the charts that
-    failed to parse are logged in the order found. Each chart is read where
-    ``fn`` runs on it. A tree with no chart, or none that parses, is an error."""
-    from .ingest import IngestFailure, chart_locations, index_from_entries
+    file name, and ``fn`` of each of them in that order. Each chart is read
+    where ``fn`` runs on it. Every per-chart line is logged here: first why
+    each chart that cannot be read is skipped, in the order found, then the
+    lines ``notes`` gives for each chart's index entry and result, in
+    file-name order. A tree with no chart, or none that parses, is an error."""
+    from .ingest import chart_locations, index_from_entries
 
     results = _per_chart(functools.partial(_load_then, fn, args.path),
                          chart_locations(args.path), args.jobs)
-    failures = [result for result in results if isinstance(result, IngestFailure)]
-    _warn_skipped(failures)
-    charts = [result for result in results if not isinstance(result, IngestFailure)]
-    if not charts and failures:
+    skipped = [result for result in results if type(result[0]) is str]
+    charts = sorted((result for result in results if type(result[0]) is not str),
+                    key=lambda chart: chart[0].ref.file_name)
+    for line in [f"skipping {location}: {reason}" for location, reason in skipped] + \
+            [note for entry, result in charts for note in notes(entry, result)]:
+        log.warning("%s", line)
+    if not charts and skipped:
         raise ChartQAError(
-            "no parseable chart found: " + "; ".join(f.error for f in failures[:3])
-        )
+            "no parseable chart found: " + "; ".join(reason for _, reason in skipped[:3]))
     if not charts:
         raise ChartQAError(f"no chart found under {args.path}")
-    charts.sort(key=lambda chart: chart[0].ref.file_name)
     return (index_from_entries([entry for entry, _ in charts], args.path),
             [result for _, result in charts])
-
-
-def _no_result(pkg) -> None:
-    """The per-chart function of a command that needs only each chart's index entry."""
 
 
 def _load_index(args: argparse.Namespace) -> RepoIndex:
@@ -193,7 +190,7 @@ def _load_index(args: argparse.Namespace) -> RepoIndex:
         return parse_repo_index(fetch_archive(args.index), args.index)
     if not args.path:
         raise ChartQAError("this command needs --index or --path")
-    return _map_charts(_no_result, args)[0]
+    return _map_charts(lambda pkg: None, args)[0]
 
 
 def _load_kb(args: argparse.Namespace) -> VariabilityKnowledgeBase:
@@ -230,7 +227,7 @@ def _per_chart(fn, charts, jobs: int) -> list:
     ``fn`` is a pure per-chart function; every command that reads --path
     passes ``_load_then`` bound to the tree and to its own per-chart
     function (``detect_duplicates``, ``analyze_chart``, ``variable_values``,
-    ``suggest_rewrite`` or ``_no_result``), and the charts are their
+    ``suggest_rewrite`` or one returning None), and the charts are their
     locations, so each process reads its own charts and only index entries
     and results come back. ``min(jobs, CPUs, charts // MIN_CHARTS_PER_WORKER)``
     processes handle the charts, this one among them; with one or fewer,
@@ -438,11 +435,10 @@ def cmd_variability(args: argparse.Namespace) -> int:
     probe = functools.partial(variable_values, kb=kb, engine=_engine(args))
     learned = {}
     # every chart was probed against the knowledge base as loaded; see kb.merge
-    index, results = _map_charts(probe, args)
+    index, results = _map_charts(probe, args, lambda entry, values: (
+        [f"skipping {entry.ref.file_name}: {values}"] if isinstance(values, RenderFailed) else []))
     for entry, values in zip(index.entries, results):
-        if isinstance(values, RenderFailed):
-            log.warning("skipping %s: %s", entry.ref.file_name, values)
-        else:
+        if not isinstance(values, RenderFailed):
             learned[entry.ref.file_name] = kb.merge(entry.ref.stem, values)
     if args.kb:
         kb.save(args.kb)
@@ -455,12 +451,10 @@ def cmd_suggest(args: argparse.Namespace) -> int:
 
     suggest = functools.partial(rewrite.suggest_rewrite, kb=_load_kb(args),
                                 config=_duplicate_config(args), engine=_engine(args))
-    index, suggestions = _map_charts(suggest, args)
+    index, suggestions = _map_charts(suggest, args, lambda entry, suggestion: suggestion[1])
     out = args.out or "."
     emitted = []
-    for entry, (_, warnings, rewritten) in zip(index.entries, suggestions):
-        for warning in warnings:
-            log.warning("%s", warning)
+    for entry, (_, _, rewritten) in zip(index.entries, suggestions):
         if rewritten is None:
             continue
         diff_text, variables = rewritten

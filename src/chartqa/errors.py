@@ -46,7 +46,7 @@ class EmptyIndex(ChartQAError):
 
 
 class FetchError(ChartQAError):
-    """Archive could not be retrieved (network or IO)."""
+    """An archive or chart file could not be read: network, IO, a special file or a size bound."""
 
 
 class ChecksumMismatch(FetchError):

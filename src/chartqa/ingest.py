@@ -18,14 +18,14 @@ import hashlib
 import json
 import os
 import shutil
+import stat
 from typing import Any, Iterable, Mapping, NamedTuple
 
 from .core import (
-    ChartPackage, ChartRef, Maintainer, maintainers_from_field, package_from_files,
-    parse_chart_archive, unusable_file_name_part,
+    MAX_ARCHIVE_BYTES, MAX_FILE_BYTES, ChartPackage, ChartRef, Maintainer,
+    maintainers_from_field, package_from_files, parse_chart_archive, unusable_file_name_part,
 )
 from .errors import (
-    ChartQAError,
     ChecksumMismatch,
     DuplicateSnapshot,
     EmptyIndex,
@@ -187,27 +187,31 @@ def fetch_archive(url_or_path: str, expected_digest: str | None = None) -> bytes
     return data
 
 
-class IngestFailure(NamedTuple):
-    location: str
-    error: str
-
-
 def package_from_dir(chart_dir: str) -> ChartPackage:
-    """Load an unpacked chart directory into a ChartPackage."""
+    """Load an unpacked chart directory into a ChartPackage by an archive's
+    bounds: a FetchError names a chart file that is not regular (a FIFO is not
+    waited on) or holds over MAX_FILE_BYTES or its ``fstat`` size, the most read
+    (cheaper than a buffer of the bound), or a chart over MAX_ARCHIVE_BYTES."""
     files: dict[str, bytes] = {}
+    total = 0
     for root, _dirs, names in os.walk(chart_dir):
         for name in names:
             full = os.path.join(root, name)
             rel = os.path.relpath(full, chart_dir).replace(os.sep, "/")
-            if rel == "Chart.yaml" or rel == "values.yaml" or rel == "requirements.yaml" \
+            if rel in ("Chart.yaml", "values.yaml", "requirements.yaml") \
                     or rel.startswith("templates/"):
-                with open(full, "rb") as fh:
-                    files[rel] = fh.read()
+                with open(os.open(full, os.O_RDONLY | os.O_NONBLOCK), "rb") as fh:
+                    status = os.fstat(fh.fileno())
+                    if not stat.S_ISREG(status.st_mode):
+                        raise FetchError(f"{rel} is not a regular file")
+                    limit = min(status.st_size, MAX_FILE_BYTES)
+                    data = files[rel] = fh.read(limit + 1)
+                total += len(data)
+                if len(data) > limit:
+                    raise FetchError(f"{rel} holds over {limit} bytes")
+                if total > MAX_ARCHIVE_BYTES:
+                    raise FetchError(f"chart files hold over {MAX_ARCHIVE_BYTES} bytes")
     return package_from_files(files)
-
-
-def _looks_like_chart(entries: set[str]) -> bool:
-    return "Chart.yaml" in entries or "values.yaml" in entries or "templates" in entries
 
 
 def chart_locations(path: str) -> list[str]:
@@ -224,7 +228,8 @@ def chart_locations(path: str) -> list[str]:
         dirs.sort()
         entries = set(names) | set(dirs)
         # the root itself only counts when it is unambiguously a chart
-        candidate = "Chart.yaml" in entries if root == path else _looks_like_chart(entries)
+        candidate = "Chart.yaml" in entries if root == path \
+            else not entries.isdisjoint(("Chart.yaml", "values.yaml", "templates"))
         if candidate:
             locations.append(os.path.relpath(root, path))
             # do not descend into templates/ of a discovered chart, but keep
@@ -235,20 +240,14 @@ def chart_locations(path: str) -> list[str]:
     return locations
 
 
-def load_chart(path: str, location: str) -> ChartPackage | IngestFailure:
-    """The chart at ``location`` under ``path``, or why it cannot be read.
-
-    A directory is an unpacked chart, anything else an archive. A chart that
-    is not readable as one (a ``ChartQAError``) gives an IngestFailure.
-    """
+def load_chart(path: str, location: str) -> ChartPackage:
+    """The chart at ``location`` under ``path``, a directory or else an archive;
+    raises a ``ChartQAError`` or an ``OSError`` where it cannot be read."""
     full = os.path.join(path, location)
-    try:
-        if os.path.isdir(full):
-            return package_from_dir(full)
-        with open(full, "rb") as fh:
-            return parse_chart_archive(fh.read())
-    except ChartQAError as exc:
-        return IngestFailure(location, f"{type(exc).__name__}: {exc}")
+    if os.path.isdir(full):
+        return package_from_dir(full)
+    with open(full, "rb") as fh:
+        return parse_chart_archive(fh.read())
 
 
 _CACHED_FIELDS = ("name", "version", "maintainers", "urls", "digest")

@@ -126,8 +126,8 @@ def _rewritten_files(pkg: ChartPackage, plan: RewritePlan) -> tuple[tuple, str]:
     """The plan's rewritten templates and values.yaml text.
 
     Each edited template is spliced in one pass; a quoted occurrence keeps
-    its quotes. The suggestions block replaces a values.yaml that is only
-    ``{}`` and is appended to any other.
+    its quotes. The suggestions block is appended to values.yaml, or
+    replaces a text that reads as no values (``{}``, ``~``) and cannot take it.
     """
     edits: dict[str, list[tuple[tuple[int, int], str]]] = {}
     for assignment in plan.assignments:
@@ -140,11 +140,14 @@ def _rewritten_files(pkg: ChartPackage, plan: RewritePlan) -> tuple[tuple, str]:
                       for path, body in pkg.templates)
     values_text = pkg.values_source()
     if plan.values_patch:
-        if values_text.strip() == "{}":
-            values_text = ""
-        elif values_text and not values_text.endswith("\n"):
+        if values_text and not values_text.endswith("\n"):
             values_text += "\n"
         values_text += plan.values_patch
+        if not pkg.values:
+            try:
+                load_unique(values_text)
+            except yaml.YAMLError:
+                values_text = plan.values_patch
     return templates, values_text
 
 

@@ -4,7 +4,7 @@ Every YAML input is built by one walk over libyaml's parse events, which
 keeps its open mappings and lists on a stack of its own: template sources,
 rendered output and chart metadata by :func:`load_documents` or its
 single-document form :func:`load_unique`, the repository index by
-:func:`load_literal`. The walk names each scalar leaf with a key path
+:func:`load_literal`. :func:`load_documents` names each scalar leaf with a key path
 ``<templatePath>#<docIndex>/a/b[2]/c``: ``<docIndex>`` counts the
 documents of the template that hold a value (an empty, comment-only or
 null document takes no index), mapping keys are their ``str()`` forms
@@ -96,17 +96,18 @@ def _reject(problem: str, event: yaml.Event) -> None:
     raise ConstructorError(None, None, problem, event.start_mark)
 
 
-def _read(text: str | bytes, literal: bool = False, shared: bool = False) -> list:
+def _read(text: str | bytes, literal: bool = False, shared: bool = False,
+          paths: bool = False) -> list:
     """(body, scalar leaves) of each document of ``text``, built from its parse events.
 
     ``literal`` keeps int, float, bool and timestamp scalars as their
     written text. An alias replays the events its anchor recorded, or with
     ``shared`` gives the very object its anchor built; then no node bound
-    applies and no leaves are collected.
+    applies. Leaves and key paths are collected only with ``paths``.
     """
     loader = _SafeLoader(text)
     get_event = loader.get_event
-    limit, paths = (math.inf, False) if shared else (_MAX_NODES, True)
+    limit = math.inf if shared else _MAX_NODES
     documents: list = []
     # each open mapping or list, outermost first: [body, key path suffix, the
     # key awaiting its value or None, its anchor, the index of its start in log]
@@ -224,11 +225,11 @@ def load_documents(text: str) -> list[tuple[Any, list]]:
     cannot build, a duplicate or non-scalar key, a recursive or undefined
     alias, a repeated anchor, or past ``_MAX_DEPTH`` or ``_MAX_NODES``.
     """
-    return [(body, leaves) for body, leaves in _read(text) if body is not None]
+    return [(body, leaves) for body, leaves in _read(text, paths=True) if body is not None]
 
 
 def load_unique(text: str, literal: bool = False) -> Any:
-    """The single document of ``text``, built by the rules of :func:`load_documents`;
+    """The single document of ``text``, with no leaves, by the rules of :func:`load_documents`;
     ``literal`` keeps int, float, bool and timestamp scalars as their written text."""
     return _single(_read(text, literal))
 

@@ -7,8 +7,11 @@ import hashlib
 import io
 import json
 import os
+import resource
 import shutil
+import signal
 import subprocess
+import sys
 import tarfile
 
 import pytest
@@ -84,6 +87,30 @@ def patched_package(root, pkg: ChartPackage, diff_text: str, tool: str = "patch"
         else ["git", "apply", "-p1", patch_file]
     subprocess.run(cmd, cwd=root, check=True, capture_output=True)
     return package_from_dir(chart_dir)
+
+
+# the address space a child of run_limited may map: far above any chart here,
+# far below what a hostile input that outgrows its bounds would take
+CHILD_MEMORY = 2 << 30
+
+
+def run_limited(*argv, cpu_seconds: int = 30,
+                wall_seconds: float = 60) -> subprocess.CompletedProcess:
+    """``python -m chartqa *argv`` in a child process, with its exit code,
+    stdout and stderr. The child alone may map at most ``CHILD_MEMORY``
+    bytes, and is stopped by SIGXCPU past ``cpu_seconds`` of CPU and by
+    SIGALRM past ``wall_seconds``; asserts that it was not stopped by a
+    signal and wrote no traceback."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
+        resource.setrlimit(resource.RLIMIT_CPU, (cpu_seconds, cpu_seconds))
+        signal.setitimer(signal.ITIMER_REAL, wall_seconds)  # kept across exec
+
+    proc = subprocess.run([sys.executable, "-m", "chartqa", *argv],
+                          capture_output=True, text=True, preexec_fn=limit)
+    assert proc.returncode >= 0, f"killed by signal {-proc.returncode}: {proc.stderr}"
+    assert "Traceback" not in proc.stderr, proc.stderr
+    return proc
 
 
 def make_index_yaml(entries: dict[str, list[dict]], api_version: str = "v1") -> bytes:

@@ -8,7 +8,6 @@ import json
 import logging
 import os
 import re
-import resource
 import shutil
 import signal
 import subprocess
@@ -32,6 +31,7 @@ from conftest import (
     make_archive,
     make_index_yaml,
     make_package,
+    run_limited,
     write_chart_dir,
     write_pre_reader_snapshot,
     writes_outside,
@@ -264,7 +264,10 @@ def test_per_chart_forked_workers_match_serial(tmp_path, monkeypatch, two_cpu_po
     load_detect = functools.partial(cli._load_then, detect, str(tmp_path))
     results = cli._per_chart(load_detect, locations, 2)
     assert results == [load_detect(location) for location in locations]
-    assert [type(result).__name__ for result in results] == ["IngestFailure"] + ["tuple"] * 3
+    # a chart that cannot be read comes back as (location, "Type: message")
+    assert [type(result[0]).__name__ for result in results] == ["str"] + ["IndexEntry"] * 3
+    assert results[0][0] == "corrupt-0.1.0.tgz"
+    assert results[0][1].startswith("MalformedArchive: not a gzipped tar archive")
     assert len(forks) == 2  # one child for each call; this process is the other worker
     _assert_no_child_left()
 
@@ -1281,15 +1284,6 @@ def test_deeply_nested_json_is_a_typed_error_naming_the_file(tmp_path, reader):
     assert proc.stdout == ""
 
 
-def run_limited(*argv, cpu_seconds: int = 30) -> subprocess.CompletedProcess:
-    """``run_cli`` in a child that the kernel stops with SIGXCPU past ``cpu_seconds`` of CPU."""
-    def limit():
-        resource.setrlimit(resource.RLIMIT_CPU, (cpu_seconds, cpu_seconds))
-
-    return subprocess.run([sys.executable, "-m", "chartqa", *argv],
-                          capture_output=True, text=True, timeout=120, preexec_fn=limit)
-
-
 # a flow sequence opened a million times: a recursive reader overflows the C stack on it
 DEEP_FLOW = "[" * 10**6
 
@@ -1310,8 +1304,6 @@ def test_deep_flow_nesting_is_a_typed_error_in_every_yaml_input(tmp_path, where)
             else ["dupes", "--config", str(path), *argv[1:]]
     write_chart_dir(tmp_path / "charts", "web", files)
     proc = run_limited(*argv)
-    assert proc.returncode >= 0, f"killed by signal {-proc.returncode}"
-    assert "Traceback" not in proc.stderr, proc.stderr
     if where == "template":  # the chart is read, and the template reported unparseable
         assert proc.returncode == 0, proc.stderr
         (chart,) = json.loads(proc.stdout)["sections"]["duplicates"]
@@ -1342,11 +1334,65 @@ def test_analyze_reports_the_charts_beside_one_nested_too_deeply(tmp_path, where
     out = tmp_path / "out"
     proc = run_limited("analyze", "--path", str(charts), "--jobs", "2", "--out", str(out))
     assert proc.returncode == 1, proc.stderr
-    assert "Traceback" not in proc.stderr and "worker process" not in proc.stderr, proc.stderr
+    assert "worker process" not in proc.stderr, proc.stderr
     reported = [chart["chart"] for chart in
                 json.loads((out / "report.json").read_text())["sections"]["quality"]]
     assert [name for name in reported if name.startswith("good")] == \
         [f"{name}-1.0.0.tgz" for name in good]
+
+
+# 99 mappings nested under 1000-character keys around a list of 95 000 items
+# (289 KB): key paths for its leaves would take about 9.4 GB
+NESTED_KEYS = "{" + ("k" * 1000 + ": {") * 98 + "k" * 1000 + ": [" + "0," * 95_000 + "]" \
+    + "}" * 99 + "\n"
+# a chart file the --path tree's "bad" chart holds, what writes it there, and
+# why the chart is skipped, or None where it is read
+HOSTILE_FILES = {
+    "dangling-symlink": ("values.yaml", lambda path: os.symlink(f"{path}.gone", path),
+                         "FileNotFoundError: [Errno 2] No such file or directory"),
+    "fifo": ("templates/f.yaml", os.mkfifo, "FetchError: templates/f.yaml is not a regular file"),
+    "dev-zero": ("values.yaml", lambda path: os.symlink("/dev/zero", path),
+                 "FetchError: values.yaml is not a regular file"),
+    "oversize": ("values.yaml", lambda path: path.write_text("k: " + "x" * (6 << 20) + "\n"),
+                 "FetchError: values.yaml holds over 5242880 bytes"),
+    "nested-keys": ("values.yaml", lambda path: path.write_text(NESTED_KEYS), None),
+}
+
+
+@pytest.mark.parametrize("hostile", HOSTILE_FILES)
+def test_a_hostile_chart_file_skips_its_chart_and_the_tree_is_reported(tmp_path, hostile):
+    rel, make, reason = HOSTILE_FILES[hostile]
+    charts = tmp_path / "charts"
+    write_chart_dir(charts, "good", chart_files(name="good", values={}, templates=CLEAN_TEMPLATES,
+                                                maintainers=MAINTAINED))
+    write_chart_dir(charts, "bad", chart_files(name="bad", templates=CLEAN_TEMPLATES,
+                                               maintainers=MAINTAINED))
+    make(charts / "bad" / rel)
+    started = time.monotonic()
+    proc = run_limited("dupes", "--path", str(charts), cpu_seconds=2, wall_seconds=2)
+    elapsed = time.monotonic() - started
+    assert proc.returncode == 0, proc.stderr
+    reported = [chart["chart"] for chart in json.loads(proc.stdout)["sections"]["duplicates"]]
+    if reason is None:
+        assert reported == ["bad-1.0.0.tgz", "good-1.0.0.tgz"]
+        assert "skipping" not in proc.stderr
+        return
+    assert reported == ["good-1.0.0.tgz"]
+    assert f"WARNING skipping bad: {reason}" in proc.stderr
+    if hostile == "fifo":
+        assert elapsed < 1
+
+
+def test_a_two_document_values_yaml_skips_its_chart(tmp_path, caplog):
+    charts = tmp_path / "charts"
+    for name in ("bad", "good"):
+        write_chart_dir(charts, name, chart_files(name=name, values={}, maintainers=MAINTAINED))
+    (charts / "bad" / "values.yaml").write_text("a: 1\n---\nb: 2\n")
+    with caplog.at_level(logging.WARNING, logger="chartqa"):
+        assert cli_dispatch(["livecheck", "--path", str(charts)]) == 0
+    assert [record.getMessage() for record in caplog.records] == [
+        "skipping bad: MetadataParseError: values.yaml invalid: "
+        "expected a single document in the stream"]
 
 
 def test_variability_kb_list_document_exits_two(tmp_path):

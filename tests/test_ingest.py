@@ -23,10 +23,12 @@ from chartqa.errors import (
     EmptyIndex,
     FetchError,
     IndexParseError,
+    MalformedArchive,
+    MetadataParseError,
+    MissingMetadata,
     StorageError,
 )
 from chartqa.ingest import (
-    IngestFailure,
     SnapshotStore,
     chart_locations,
     fetch_archive,
@@ -290,10 +292,10 @@ def test_ingest_local_dir_reports_failures(tmp_path):
     bad["values.yaml"] = "a: 1\n"
     write_chart_dir(tmp_path, "bad", bad)
     root = str(tmp_path)
-    failure, good = (load_chart(root, location) for location in chart_locations(root))
-    assert good.metadata.name == "good"
-    assert isinstance(failure, IngestFailure) and failure.location == "bad"
-    assert "MissingMetadata" in failure.error
+    assert chart_locations(root) == ["bad", "good"]
+    assert load_chart(root, "good").metadata.name == "good"
+    with pytest.raises(MissingMetadata):
+        load_chart(root, "bad")
 
 
 @pytest.mark.parametrize("packed", [False, True], ids=["directory", "archive"])
@@ -307,11 +309,29 @@ def test_ingest_local_dir_skips_chart_file_that_is_not_utf8(tmp_path, packed):
         (tmp_path / "bad" / "templates").mkdir(exist_ok=True)
         (tmp_path / "bad" / "templates" / "cafe.yaml").write_bytes(bad["templates/cafe.yaml"])
     root = str(tmp_path)
-    loaded = {location: load_chart(root, location) for location in chart_locations(root)}
-    failure = loaded.pop("bad-1.0.0.tgz" if packed else "bad")
-    assert [pkg.metadata.name for pkg in loaded.values()] == ["good"]
-    assert isinstance(failure, IngestFailure)
-    assert failure.error.startswith("MetadataParseError: templates/cafe.yaml is not UTF-8")
+    bad_location = "bad-1.0.0.tgz" if packed else "bad"
+    assert chart_locations(root) == [bad_location, "good"]
+    assert load_chart(root, "good").metadata.name == "good"
+    with pytest.raises(MetadataParseError, match="^templates/cafe.yaml is not UTF-8"):
+        load_chart(root, bad_location)
+
+
+def test_a_directory_chart_is_read_within_the_archive_bounds(tmp_path, monkeypatch):
+    files = chart_files(name="web", values={"a": "x" * 200})
+    chart_dir = write_chart_dir(tmp_path, "web", files)
+    values_bytes = len(files["values.yaml"])
+    monkeypatch.setattr(ingest, "MAX_FILE_BYTES", values_bytes)
+    assert ingest.package_from_dir(chart_dir).values == {"a": "x" * 200}
+    monkeypatch.setattr(ingest, "MAX_FILE_BYTES", values_bytes - 1)
+    with pytest.raises(FetchError, match=f"^values.yaml holds over {values_bytes - 1} bytes$"):
+        ingest.package_from_dir(chart_dir)
+    monkeypatch.setattr(ingest, "MAX_FILE_BYTES", values_bytes)
+    total = sum(map(len, files.values()))
+    monkeypatch.setattr(ingest, "MAX_ARCHIVE_BYTES", total)
+    assert ingest.package_from_dir(chart_dir).metadata.name == "web"
+    monkeypatch.setattr(ingest, "MAX_ARCHIVE_BYTES", total - 1)
+    with pytest.raises(FetchError, match=f"^chart files hold over {total - 1} bytes$"):
+        ingest.package_from_dir(chart_dir)
 
 
 def test_ingest_local_dir_nested_depth(tmp_path):
@@ -340,9 +360,9 @@ def test_ingest_local_dir_archives_too(tmp_path):
     (tmp_path / "junk.tgz").write_bytes(b"not really a tarball")
     root = str(tmp_path)
     assert chart_locations(root) == ["junk.tgz", "redis-1.0.0.tgz"]
-    junk, redis = (load_chart(root, location) for location in chart_locations(root))
-    assert redis.metadata.name == "redis"
-    assert isinstance(junk, IngestFailure) and "MalformedArchive" in junk.error
+    assert load_chart(root, "redis-1.0.0.tgz").metadata.name == "redis"
+    with pytest.raises(MalformedArchive):
+        load_chart(root, "junk.tgz")
 
 
 def test_ingest_local_dir_reports_truncated_archive(tmp_path):
@@ -350,10 +370,10 @@ def test_ingest_local_dir_reports_truncated_archive(tmp_path):
     (tmp_path / "redis-1.0.0.tgz").write_bytes(archive[:len(archive) // 2])
     (tmp_path / "web-1.0.0.tgz").write_bytes(make_archive(chart_files()))
     root = str(tmp_path)
-    redis, web = (load_chart(root, location) for location in chart_locations(root))
-    assert web.metadata.name == "web"
-    assert isinstance(redis, IngestFailure) and redis.location == "redis-1.0.0.tgz"
-    assert "MalformedArchive" in redis.error
+    assert chart_locations(root) == ["redis-1.0.0.tgz", "web-1.0.0.tgz"]
+    assert load_chart(root, "web-1.0.0.tgz").metadata.name == "web"
+    with pytest.raises(MalformedArchive):
+        load_chart(root, "redis-1.0.0.tgz")
 
 
 def test_ingest_local_dir_closes_archive_files(tmp_path):

@@ -329,22 +329,28 @@ def test_patch_tool_round_trip(tmp_path, tool):
         render.render_chart(pkg).canonical_yaml()
 
 
-# values.yaml texts, each with whether suggest ships its rewrite: a text
-# the suggestions block cannot follow is refused by verification instead
+# values.yaml texts, each with what suggest does with the suggestions block:
+# appends it, replaces a text that reads as no values and cannot take it
+# after, or refuses in verification a text with values that cannot
 VALUES_SHAPES = {
-    "empty-flow-mapping": ("{}\n", True),
-    "document-end": ("image: nginx\n...\n", False),
-    "top-level-list": ("- a\n", False),
-    "null": ("~\n", False),
-    "comments-only": ("# nothing set\n", True),
-    "no-trailing-newline": ("app: web", True),
+    "empty-flow-mapping": ("{}\n", "replaced"),
+    "document-end": ("image: nginx\n...\n", "refused"),
+    "top-level-list": ("- a\n", "refused"),
+    "null": ("~\n", "replaced"),
+    "null-word": ("null\n", "replaced"),
+    "spaced-flow-mapping": ("{ }\n", "replaced"),
+    "flow-mapping-and-comment": ("{}  # none\n", "replaced"),
+    "document-start": ("---\n", "appended"),
+    "empty": ("", "appended"),
+    "comments-only": ("# nothing set\n", "appended"),
+    "no-trailing-newline": ("app: web", "appended"),
 }
 
 
 @pytest.mark.parametrize("shape", VALUES_SHAPES)
 def test_suggest_ships_only_diffs_whose_patched_chart_reads_as_the_rewrite(tmp_path, caplog,
                                                                            shape):
-    values_text, shipped = VALUES_SHAPES[shape]
+    values_text, outcome = VALUES_SHAPES[shape]
     files = chart_files(templates={"t.yaml": "a: dup-me\nb: dup-me\nc: dup-me\n"})
     files["values.yaml"] = values_text
     chart_dir = write_chart_dir(tmp_path / "charts", "web", files)
@@ -352,17 +358,20 @@ def test_suggest_ships_only_diffs_whose_patched_chart_reads_as_the_rewrite(tmp_p
     with caplog.at_level(logging.WARNING, logger="chartqa"):
         cli_dispatch(["suggest", "--path", str(tmp_path / "charts"), "--out", str(out)])
     diff_path = out / "diffs" / "web-1.0.0.tgz.patch"
-    assert diff_path.exists() is shipped
-    if not shipped:
+    assert diff_path.exists() is (outcome != "refused")
+    if outcome == "refused":
         assert "web: rewrite failed verification, diff suppressed" in caplog.text
         return
     pkg = package_from_dir(chart_dir)
-    rewritten = apply_plan(pkg, plan_rewrite(pkg, detect_duplicates(pkg)))
+    plan = plan_rewrite(pkg, detect_duplicates(pkg))
+    rewritten = apply_plan(pkg, plan)
     patched = patched_package(tmp_path / "patched", pkg, diff_path.read_text())
     assert patched.templates == rewritten.templates
     assert patched.values == rewritten.values
     assert patched.values_text == rewritten.values_text
     assert patched.values["suggestions"] == {"var1": "dup-me"}
+    kept = "" if outcome == "replaced" or not values_text else values_text.rstrip("\n") + "\n"
+    assert patched.values_text == kept + plan.values_patch
 
 
 def test_a_rewrite_whose_values_do_not_read_back_fails_verification():

@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from yaml.constructor import SafeConstructor
 
+from chartqa import yamlutil
 from chartqa.core import package_from_files
 from chartqa.errors import MetadataParseError
 from chartqa.render import render_chart
@@ -528,3 +529,23 @@ def test_loaders_register_no_path_resolver():
     assert _SafeLoader.yaml_path_resolvers == {}
     # and a scalar starting with a character no implicit resolver reads is a str
     assert None not in _SafeLoader.yaml_implicit_resolvers
+
+
+def test_compiles_past_the_cache_bound_are_dropped_oldest_first_and_parse_the_same():
+    # 3000 leaves a template, about 2.6 MB by the cache's count: the fourth passes 8 MiB
+    sources = ["".join(f"k{i}: v{n}\n" for i in range(3000)) for n in range(4)]
+    uncached = [sentinel_parse("t.yaml", source) for source in sources]
+
+    @yamlutil.sharing_compiles
+    def compile_all():
+        forms = [yamlutil.compile_template(source) for source in sources]
+        held = dict(yamlutil._COMPILED)
+        size = yamlutil._compiled_size
+        return forms, held, size, [sentinel_parse("t.yaml", source) for source in sources]
+
+    forms, held, size, parses = compile_all()
+    assert list(held) == sources[1:]
+    assert size == sum(form.size for form in held.values()) <= yamlutil._COMPILED_BYTES
+    assert all(held[source] is form for source, form in zip(sources[1:], forms[1:]))
+    assert parses == uncached
+    assert yamlutil._COMPILED == {} and yamlutil._compiled_size == 0
