@@ -260,6 +260,10 @@ MAX_ARCHIVE_MEMBERS = 10_000
 # one header block per member, and 1 MiB for long-name and pax header bodies,
 # the most Go's archive/tar (which Helm reads charts with) accepts for one
 MAX_HEADER_BYTES = MAX_ARCHIVE_MEMBERS * _TAR_BLOCK + 1024 * 1024
+# an archive file read from disk: the most the reader accepts decompressed
+# (MAX_ARCHIVE_BYTES of files, MAX_HEADER_BYTES besides, each file padded to
+# whole tar blocks) is under 111 MiB, and gzip adds 5 bytes per 64 KiB block
+MAX_ARCHIVE_FILE_BYTES = 128 * 1024 * 1024
 
 
 class _BoundedStream:

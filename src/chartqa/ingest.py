@@ -14,7 +14,6 @@ another reader built the entries.
 from __future__ import annotations
 
 import datetime
-import hashlib
 import json
 import os
 import shutil
@@ -22,7 +21,7 @@ import stat
 from typing import Any, Iterable, Mapping, NamedTuple
 
 from .core import (
-    MAX_ARCHIVE_BYTES, MAX_FILE_BYTES, ChartPackage, ChartRef, Maintainer,
+    MAX_ARCHIVE_BYTES, MAX_ARCHIVE_FILE_BYTES, MAX_FILE_BYTES, ChartPackage, ChartRef, Maintainer,
     maintainers_from_field, package_from_files, parse_chart_archive, unusable_file_name_part,
 )
 from .errors import (
@@ -157,6 +156,8 @@ def parse_repo_index(
 
 
 def sha256_digest(data: bytes) -> str:
+    import hashlib  # only snapshots and their loads hash; --path commands never do
+
     return hashlib.sha256(data).hexdigest()
 
 
@@ -187,11 +188,26 @@ def fetch_archive(url_or_path: str, expected_digest: str | None = None) -> bytes
     return data
 
 
+def _read_regular(full: str, name: str, limit: int) -> bytes:
+    """The bytes of the file at ``full``, opened without blocking. A FetchError
+    names as ``name`` a file that is not regular (a FIFO is not waited on) or
+    holds over ``limit`` bytes or its ``fstat`` size, the most read (cheaper
+    than a buffer of the bound)."""
+    with open(os.open(full, os.O_RDONLY | os.O_NONBLOCK), "rb") as fh:
+        status = os.fstat(fh.fileno())
+        if not stat.S_ISREG(status.st_mode):
+            raise FetchError(f"{name} is not a regular file")
+        limit = min(status.st_size, limit)
+        data = fh.read(limit + 1)
+    if len(data) > limit:
+        raise FetchError(f"{name} holds over {limit} bytes")
+    return data
+
+
 def package_from_dir(chart_dir: str) -> ChartPackage:
     """Load an unpacked chart directory into a ChartPackage by an archive's
-    bounds: a FetchError names a chart file that is not regular (a FIFO is not
-    waited on) or holds over MAX_FILE_BYTES or its ``fstat`` size, the most read
-    (cheaper than a buffer of the bound), or a chart over MAX_ARCHIVE_BYTES."""
+    bounds: each chart file is read by ``_read_regular`` within MAX_FILE_BYTES,
+    and a FetchError names a chart over MAX_ARCHIVE_BYTES."""
     files: dict[str, bytes] = {}
     total = 0
     for root, _dirs, names in os.walk(chart_dir):
@@ -200,15 +216,8 @@ def package_from_dir(chart_dir: str) -> ChartPackage:
             rel = os.path.relpath(full, chart_dir).replace(os.sep, "/")
             if rel in ("Chart.yaml", "values.yaml", "requirements.yaml") \
                     or rel.startswith("templates/"):
-                with open(os.open(full, os.O_RDONLY | os.O_NONBLOCK), "rb") as fh:
-                    status = os.fstat(fh.fileno())
-                    if not stat.S_ISREG(status.st_mode):
-                        raise FetchError(f"{rel} is not a regular file")
-                    limit = min(status.st_size, MAX_FILE_BYTES)
-                    data = files[rel] = fh.read(limit + 1)
+                data = files[rel] = _read_regular(full, rel, MAX_FILE_BYTES)
                 total += len(data)
-                if len(data) > limit:
-                    raise FetchError(f"{rel} holds over {limit} bytes")
                 if total > MAX_ARCHIVE_BYTES:
                     raise FetchError(f"chart files hold over {MAX_ARCHIVE_BYTES} bytes")
     return package_from_files(files)
@@ -241,13 +250,13 @@ def chart_locations(path: str) -> list[str]:
 
 
 def load_chart(path: str, location: str) -> ChartPackage:
-    """The chart at ``location`` under ``path``, a directory or else an archive;
-    raises a ``ChartQAError`` or an ``OSError`` where it cannot be read."""
+    """The chart at ``location`` under ``path``, a directory or else an archive
+    read by ``_read_regular`` within MAX_ARCHIVE_FILE_BYTES; raises a
+    ``ChartQAError`` or an ``OSError`` where it cannot be read."""
     full = os.path.join(path, location)
     if os.path.isdir(full):
         return package_from_dir(full)
-    with open(full, "rb") as fh:
-        return parse_chart_archive(fh.read())
+    return parse_chart_archive(_read_regular(full, location, MAX_ARCHIVE_FILE_BYTES))
 
 
 _CACHED_FIELDS = ("name", "version", "maintainers", "urls", "digest")

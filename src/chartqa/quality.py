@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple
 from . import DEFAULT_BLACKLIST, DEFAULT_THRESHOLD
 from .core import ChartPackage, ChartRef
 from .errors import KnowledgeBaseError, RenderFailed, SettingError
-from .yamlutil import SourceLeaf, sentinel_parse, sharing_compiles
+from .yamlutil import SourceLeaf, compile_template, sharing_compiles
 
 if TYPE_CHECKING:  # the functions that render import render, so duplicate checks never load it
     from .render import Renderer, RenderFailure, RenderResult
@@ -213,25 +213,26 @@ def detect_duplicates(
     """
     config = config or DuplicateConfig()
     blacklist = set(config.blacklist)
-    occurrences: dict[str, list[SourceLeaf]] = {}
+    # per value, where it is written: (template path, its compiled form, leaf);
+    # a SourceLeaf is built only for a group that is reported
+    occurrences: dict[str, list] = {}
     unparseable = []
     for path, body in pkg.templates:
-        parse = sentinel_parse(path, body)
-        if parse.error is not None:
-            unparseable.append((parse.template_path, parse.error))
+        compiled = compile_template(body)
+        if compiled.error is not None:
+            unparseable.append((path, compiled.error))
             continue
-        for leaf in parse.leaves:
-            if leaf.templated or leaf.via_alias or len(leaf.value) < MIN_VALUE_LENGTH:
+        for leaf in compiled.literals():
+            _, _, _, value, templated, via_alias = leaf
+            if templated or via_alias or len(value) < MIN_VALUE_LENGTH or value in blacklist:
                 continue
-            if leaf.value in blacklist:
-                continue
-            occurrences.setdefault(leaf.value, []).append(leaf)
+            occurrences.setdefault(value, []).append((path, compiled, leaf))
+    reported = sorted((item for item in occurrences.items() if len(item[1]) >= config.threshold),
+                      key=lambda item: (-len(item[1]), item[0]))
     groups = tuple(
-        DuplicateGroup(canonical_value=value, leaves=tuple(leaves))
-        for value, leaves in sorted(
-            occurrences.items(), key=lambda item: (-len(item[1]), item[0])
-        )
-        if len(leaves) >= config.threshold
+        DuplicateGroup(value, tuple(compiled.source_leaf(path, *leaf)
+                                    for path, compiled, leaf in found))
+        for value, found in reported
     )
     return DuplicateReport(
         chart=pkg.ref,

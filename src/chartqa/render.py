@@ -108,9 +108,6 @@ _ALPHANUM = string.ascii_letters + string.digits
 _RAND = random.SystemRandom()
 
 
-# cached at module level, where an engine's pickling does not reach it, and as
-# tuples, so no caller can change a cached stage
-@functools.lru_cache(maxsize=1 << 14)
 def _split_pipes(expr: str) -> tuple[tuple[str, ...], ...]:
     """The words of each ``|``-separated stage of a directive; a quoted ``|`` stays in its word."""
     stages, buf, quoted = [], [], False
@@ -124,6 +121,109 @@ def _split_pipes(expr: str) -> tuple[tuple[str, ...], ...]:
             buf.append(ch)
     stages.append("".join(buf))
     return tuple(tuple(_WORD_RE.findall(stage)) for stage in stages)
+
+
+def _literal(word: str) -> Any:
+    if len(word) >= 2 and word[0] == '"' and word[-1] == '"':
+        return word[1:-1].replace('\\"', '"')
+    if re.fullmatch(r"-?\d+", word):
+        try:
+            return int(word)
+        except ValueError:  # past int()'s limit of 4300 digits
+            return None
+    if re.fullmatch(r"-?\d+\.\d+", word):
+        return float(word)
+    return None
+
+
+def _primary(words: tuple[str, ...], expr: str) -> Callable[[ChartPackage], Any]:
+    """What gives the value of a directive's first stage for a package."""
+    head = words[0]
+    if head.startswith(".Values."):
+        if len(words) != 1:
+            raise _TemplateError(ENGINE_UNSUPPORTED, f"unsupported expression {expr!r}")
+        parts = head[len(".Values."):].split(".")
+
+        def lookup(pkg: ChartPackage) -> Any:
+            node: Any = pkg.values
+            for part in parts:
+                if isinstance(node, dict) and part in node:
+                    node = node[part]
+                else:
+                    return _MISSING
+            return node
+
+        return lookup
+    if head == ".Release.Name" and len(words) == 1:
+        return lambda pkg: "release-name"
+    if head == ".Chart.Name" and len(words) == 1:
+        return lambda pkg: pkg.metadata.name
+    if head == ".Chart.Version" and len(words) == 1:
+        return lambda pkg: pkg.metadata.version
+    if head == "randAlphaNum" and len(words) == 2 and words[1].isdecimal():
+        n = _literal(words[1])
+        if n is None or n > MAX_FILE_BYTES:
+            raise _TemplateError(ENGINE_UNSUPPORTED, _TOO_LONG)
+        return lambda pkg: "".join(_RAND.choice(_ALPHANUM) for _ in range(n))  # fresh each time
+    literal = _literal(head)
+    if literal is not None and len(words) == 1:
+        return lambda pkg: literal
+    raise _TemplateError(ENGINE_UNSUPPORTED, f"unsupported expression {expr!r}")
+
+
+def _pipe(words: tuple[str, ...], expr: str) -> Callable[[Any], Any]:
+    """What a pipe stage makes of the value it is given."""
+    if not words:
+        raise _TemplateError(ENGINE_UNSUPPORTED, f"empty pipe stage in {expr!r}")
+    func = words[0]
+    if func == "default" and len(words) == 2:
+        fallback = _literal(words[1])
+        if fallback is None:
+            raise _TemplateError(ENGINE_UNSUPPORTED, f"unsupported default arg in {expr!r}")
+        return lambda value: fallback if value is _MISSING or value is None or value == "" \
+            else value
+    if func == "quote" and len(words) == 1:
+        return lambda value: value if value is _MISSING or value is None \
+            else '"%s"' % canon(value).replace('"', '\\"')
+    if func == "upper" and len(words) == 1:
+        return lambda value: value if value is _MISSING or value is None else canon(value).upper()
+    if func == "lower" and len(words) == 1:
+        return lambda value: value if value is _MISSING or value is None else canon(value).lower()
+    raise _TemplateError(ENGINE_UNSUPPORTED, f"unsupported pipe {func!r} in {expr!r}")
+
+
+def _fail(category: str, reason: str, pkg: ChartPackage) -> str:
+    raise _TemplateError(category, reason)
+
+
+# cached at module level, where an engine's pickling does not reach it
+@functools.lru_cache(maxsize=1 << 14)
+def _evaluator(expr: str) -> Callable[[ChartPackage], str]:
+    """A directive's expression compiled once: a call giving its output for a
+    package, or raising its _TemplateError. An expression the engine does not
+    support fails the same way for every package."""
+    stages = _split_pipes(expr)
+    try:
+        if not stages[0]:
+            raise _TemplateError(ENGINE_UNSUPPORTED, f"empty directive {expr!r}")
+        primary = _primary(stages[0], expr)
+        pipes = tuple(_pipe(stage, expr) for stage in stages[1:])
+    except _TemplateError as exc:
+        return functools.partial(_fail, exc.category, exc.reason)
+
+    def evaluate(pkg: ChartPackage) -> str:
+        value = primary(pkg)
+        for pipe in pipes:
+            value = pipe(value)
+        if type(value) is str:
+            return value
+        if value is _MISSING or value is None:
+            raise _TemplateError(MISSING_VALUE, f"no value for {expr!r} and no default")
+        if not is_scalar(value):
+            raise _TemplateError(ENGINE_UNSUPPORTED, f"non-scalar value for {expr!r}")
+        return canon(value)
+
+    return evaluate
 
 
 # (template path, render key, a call giving its documents) of a rendered template
@@ -175,7 +275,7 @@ class BuiltinEngine:
         grown = 0  # characters the directives so far added to the text
         outputs = []
         for (start, end), expr in zip(compiled.spans, compiled.exprs):
-            output = self._eval(pkg, expr)
+            output = _evaluator(expr)(pkg)
             grown += len(output) - (end - start)
             if end + grown > MAX_FILE_BYTES:  # the text up to here
                 raise _TemplateError(ENGINE_UNSUPPORTED, _TOO_LONG)
@@ -183,81 +283,6 @@ class BuiltinEngine:
         if len(compiled.source) + grown > MAX_FILE_BYTES:
             raise _TemplateError(ENGINE_UNSUPPORTED, _TOO_LONG)
         return tuple(outputs)
-
-    def _eval(self, pkg: ChartPackage, expr: str) -> str:
-        stages = _split_pipes(expr)
-        if not stages or not stages[0]:
-            raise _TemplateError(ENGINE_UNSUPPORTED, f"empty directive {expr!r}")
-        value = self._primary(pkg, stages[0], expr)
-        for stage in stages[1:]:
-            value = self._apply(value, stage, expr)
-        if value is _MISSING or value is None:
-            raise _TemplateError(MISSING_VALUE, f"no value for {expr!r} and no default")
-        if not is_scalar(value):
-            raise _TemplateError(ENGINE_UNSUPPORTED, f"non-scalar value for {expr!r}")
-        return canon(value)
-
-    def _primary(self, pkg: ChartPackage, words: tuple[str, ...], expr: str) -> Any:
-        head = words[0]
-        if head.startswith(".Values."):
-            if len(words) != 1:
-                raise _TemplateError(ENGINE_UNSUPPORTED, f"unsupported expression {expr!r}")
-            node: Any = pkg.values
-            for part in head[len(".Values."):].split("."):
-                if isinstance(node, dict) and part in node:
-                    node = node[part]
-                else:
-                    return _MISSING
-            return node
-        if head == ".Release.Name" and len(words) == 1:
-            return "release-name"
-        if head == ".Chart.Name" and len(words) == 1:
-            return pkg.metadata.name
-        if head == ".Chart.Version" and len(words) == 1:
-            return pkg.metadata.version
-        if head == "randAlphaNum" and len(words) == 2 and words[1].isdecimal():
-            n = self._literal(words[1])
-            if n is None or n > MAX_FILE_BYTES:
-                raise _TemplateError(ENGINE_UNSUPPORTED, _TOO_LONG)
-            return "".join(_RAND.choice(_ALPHANUM) for _ in range(n))
-        literal = self._literal(head)
-        if literal is not None and len(words) == 1:
-            return literal
-        raise _TemplateError(ENGINE_UNSUPPORTED, f"unsupported expression {expr!r}")
-
-    @staticmethod
-    def _literal(word: str) -> Any:
-        if len(word) >= 2 and word[0] == '"' and word[-1] == '"':
-            return word[1:-1].replace('\\"', '"')
-        if re.fullmatch(r"-?\d+", word):
-            try:
-                return int(word)
-            except ValueError:  # past int()'s limit of 4300 digits
-                return None
-        if re.fullmatch(r"-?\d+\.\d+", word):
-            return float(word)
-        return None
-
-    def _apply(self, value: Any, words: tuple[str, ...], expr: str) -> Any:
-        if not words:
-            raise _TemplateError(ENGINE_UNSUPPORTED, f"empty pipe stage in {expr!r}")
-        func = words[0]
-        if func == "default" and len(words) == 2:
-            fallback = self._literal(words[1])
-            if fallback is None:
-                raise _TemplateError(ENGINE_UNSUPPORTED, f"unsupported default arg in {expr!r}")
-            if value is _MISSING or value is None or value == "":
-                return fallback
-            return value
-        if func == "quote" and len(words) == 1:
-            if value is _MISSING or value is None:
-                return value
-            return '"%s"' % canon(value).replace('"', '\\"')
-        if func == "upper" and len(words) == 1:
-            return value if value in (_MISSING, None) else canon(value).upper()
-        if func == "lower" and len(words) == 1:
-            return value if value in (_MISSING, None) else canon(value).lower()
-        raise _TemplateError(ENGINE_UNSUPPORTED, f"unsupported pipe {func!r} in {expr!r}")
 
 
 # a Source line's whole token, matched in time linear in the line's length

@@ -24,7 +24,7 @@ from .ingest import RepoIndex
 from .quality import (DuplicateConfig, DuplicateReport, VariabilityKnowledgeBase,
                       detect_duplicates, probe_variability)
 from .render import Renderer, render_chart
-from .yamlutil import SourceLeaf, load_unique, sentinel_parse, sharing_compiles, splice
+from .yamlutil import SourceLeaf, compile_template, load_unique, sharing_compiles, splice
 
 UNADDRESSABLE = "unaddressable"
 SUBJECT_PREFIX = "chartqa"
@@ -238,9 +238,9 @@ def verify_rewrite(
     values = {a.value for a in plan.assignments}
     edited = {occ.template_path for a in plan.assignments for occ in a.target_occurrences}
     return not any(
-        not leaf.templated and leaf.value in values
+        not templated and value in values
         for path, body in rewritten.templates if path in edited
-        for leaf in sentinel_parse(path, body).leaves
+        for _, _, _, value, templated, _ in compile_template(body).literals()
     )
 
 

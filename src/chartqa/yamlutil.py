@@ -31,7 +31,7 @@ import datetime
 import functools
 import math
 import re
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 import yaml
 from yaml.constructor import ConstructorError, SafeConstructor
@@ -90,6 +90,11 @@ _LITERAL_TAGS = frozenset(
 _MAX_NODES = 100_000
 # deeper nesting would overflow the stack in the walks over bodies
 _MAX_DEPTH = 100
+# The key path characters one text may build. Each node's path is a string of
+# its own, so 99 levels of 1000-character keys around 95 000 list items (289 KB
+# of text) would build 9.4 GB of them; the most any seed-7 perfbench template
+# builds is 1 135 characters (the `scan` and `rewrite` corpora).
+_MAX_PATH_CHARS = 1 << 25
 
 
 def _reject(problem: str, event: yaml.Event) -> None:
@@ -117,6 +122,7 @@ def _read(text: str | bytes, literal: bool = False, shared: bool = False,
     # one's (start, end) in ``log``, or with ``shared`` (value,); None while open
     log = anchors = None
     nodes = 0
+    budget = _MAX_PATH_CHARS  # key path characters left to build
     while True:
         fresh = not replays  # a replayed anchor was recorded when it was first read
         event = get_event() if fresh else next(replays[-1], None)
@@ -201,10 +207,13 @@ def _read(text: str | bytes, literal: bool = False, shared: bool = False,
         nodes += 1
         if nodes > limit:
             _reject(f"expands to more than {_MAX_NODES} nodes", event)
-        if kind is ScalarEvent:
-            if paths:
+        if paths:
+            budget -= len(path)
+            if budget < 0:
+                _reject(f"builds key paths of more than {_MAX_PATH_CHARS} characters", event)
+            if kind is ScalarEvent:
                 leaves.append((path, event, value, container, slot))
-        elif kind is not AliasEvent:
+        if kind is not ScalarEvent and kind is not AliasEvent:
             stack.append([value, path, None, anchor, start if anchor else 0])
 
 
@@ -223,7 +232,8 @@ def load_documents(text: str) -> list[tuple[Any, list]]:
     its key or index there, both None for a document that is one scalar.
     Raises ``yaml.YAMLError`` for text that is not YAML, a scalar its tag
     cannot build, a duplicate or non-scalar key, a recursive or undefined
-    alias, a repeated anchor, or past ``_MAX_DEPTH`` or ``_MAX_NODES``.
+    alias, a repeated anchor, or past ``_MAX_DEPTH``, ``_MAX_NODES`` or
+    ``_MAX_PATH_CHARS`` (the summed length of the key paths it builds).
     """
     return [(body, leaves) for body, leaves in _read(text, paths=True) if body is not None]
 
@@ -436,6 +446,32 @@ class CompiledTemplate:
             segments.append((out_pos, orig_pos, len(self.source) - orig_pos))
         return segments
 
+    def literals(self) -> Iterator[tuple[int, str, ScalarEvent, str, bool, bool]]:
+        """(document index, key path suffix, scalar event, canonical value,
+        templated, via alias) of each scalar leaf, in document order; none
+        for a template that is not YAML.
+
+        ``templated`` marks a value holding a sentinel token. ``via_alias``
+        marks a leaf that an alias repeats from a scalar an earlier leaf of
+        the template already gave: it shares that leaf's event.
+        """
+        seen: set[ScalarEvent] = set()
+        aliased = "*" in self.substituted  # else no leaf repeats another's event
+        for doc_index, (_, leaves) in enumerate(self.documents or ()):
+            for suffix, event, raw, _container, _slot in leaves:
+                value = raw if type(raw) is str else canon(raw)
+                yield doc_index, suffix, event, value, SENTINEL_PREFIX in value, \
+                    aliased and event in seen
+                if aliased:
+                    seen.add(event)
+
+    def source_leaf(self, template_path: str, doc_index: int, suffix: str, event: ScalarEvent,
+                    value: str, templated: bool, via_alias: bool) -> SourceLeaf:
+        """The :class:`SourceLeaf` of one of :meth:`literals`, named under ``template_path``."""
+        span = None if templated else _map_span(self.segments, event)
+        return SourceLeaf(template_path, f"{template_path}#{doc_index}{suffix}", value,
+                          event.style or None, span, templated, via_alias)
+
     def text(self, outputs: Sequence[str]) -> str:
         """The source with each directive replaced by its output."""
         return splice(self.source, zip(self.spans, outputs))
@@ -602,24 +638,13 @@ def _map_span(segments: list[tuple[int, int, int]], node: ScalarEvent) -> tuple[
 
 
 def sentinel_parse(template_path: str, source: str) -> SentinelParse:
-    """Parse a template source with directives replaced by sentinel tokens.
+    """Every scalar leaf of a template source, by :meth:`CompiledTemplate.literals`.
 
-    Produces every scalar leaf with its canonical value and source span.
     A template that is not YAML-shaped even after substitution yields an
     empty leaf list and a non-None error.
     """
     compiled = compile_template(source)
     if compiled.error is not None:
         return SentinelParse(template_path, [], error=compiled.error)
-    leaves = []
-    seen: set[ScalarEvent] = set()
-    for doc_index, (_, doc_leaves) in enumerate(compiled.documents):
-        prefix = f"{template_path}#{doc_index}"
-        for suffix, node, raw, _container, _slot in doc_leaves:
-            value = raw if type(raw) is str else canon(raw)
-            templated = SENTINEL_PREFIX in value
-            span = None if templated else _map_span(compiled.segments, node)
-            leaves.append(SourceLeaf(template_path, prefix + suffix, value, node.style or None,
-                                     span, templated, node in seen))
-            seen.add(node)
-    return SentinelParse(template_path, leaves)
+    return SentinelParse(template_path, [compiled.source_leaf(template_path, *leaf)
+                                         for leaf in compiled.literals()])

@@ -1383,6 +1383,37 @@ def test_a_hostile_chart_file_skips_its_chart_and_the_tree_is_reported(tmp_path,
         assert elapsed < 1
 
 
+def test_a_fifo_named_like_an_archive_skips_only_itself(tmp_path):
+    charts = tmp_path / "charts"
+    write_chart_dir(charts, "good", chart_files(name="good", values={}, templates=CLEAN_TEMPLATES,
+                                                maintainers=MAINTAINED))
+    os.mkfifo(charts / "x-1.0.0.tgz")
+    started = time.monotonic()
+    proc = run_limited("dupes", "--path", str(charts), cpu_seconds=2, wall_seconds=2)
+    assert time.monotonic() - started < 1
+    assert proc.returncode == 0, proc.stderr
+    reported = [chart["chart"] for chart in json.loads(proc.stdout)["sections"]["duplicates"]]
+    assert reported == ["good-1.0.0.tgz"]
+    assert "WARNING skipping x-1.0.0.tgz: FetchError: x-1.0.0.tgz is not a regular file" \
+        in proc.stderr
+
+
+def test_a_template_of_key_paths_past_the_bound_is_unparseable_and_its_chart_reported(tmp_path):
+    charts = tmp_path / "charts"
+    files = chart_files(name="bad", values={}, templates=CLEAN_TEMPLATES, maintainers=MAINTAINED)
+    files["templates/n.yaml"] = NESTED_KEYS
+    write_chart_dir(charts, "bad", files)
+    write_chart_dir(charts, "good", chart_files(name="good", values={}, templates=CLEAN_TEMPLATES,
+                                                maintainers=MAINTAINED))
+    proc = run_limited("dupes", "--path", str(charts), cpu_seconds=10, wall_seconds=10)
+    assert proc.returncode == 0, proc.stderr
+    bad, good = json.loads(proc.stdout)["sections"]["duplicates"]
+    assert (bad["chart"], good["chart"]) == ("bad-1.0.0.tgz", "good-1.0.0.tgz")
+    (unparseable,) = bad["unparseable_templates"]
+    assert unparseable["template"] == "templates/n.yaml"
+    assert "builds key paths of more than 33554432 characters" in unparseable["reason"]
+
+
 def test_a_two_document_values_yaml_skips_its_chart(tmp_path, caplog):
     charts = tmp_path / "charts"
     for name in ("bad", "good"):

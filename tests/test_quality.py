@@ -6,12 +6,15 @@ import random
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chartqa import quality, render, yamlutil
 from chartqa.errors import KnowledgeBaseError, RenderFailed, SettingError
 from chartqa.quality import (
     DEFAULT_BLACKLIST,
     DuplicateConfig,
+    DuplicateGroup,
     VariabilityKnowledgeBase,
     analyze_chart,
     detect_duplicates,
@@ -346,6 +349,102 @@ def test_detector_matches_brute_force_oracle():
         expected = brute_force_counts(trees, set(DEFAULT_BLACKLIST), report.threshold_used)
         actual = {g.canonical_value: g.count for g in report.groups}
         assert actual == expected
+
+
+# --- group first, then build: against the grouped sentinel_parse leaves ---
+
+# plain, quoted, templated, short, blacklisted, int, bool and null scalars
+SCALARS = ["web", "web", "data-1", "80", "8080", "1.5", "true", "yes", "~", "x", "v1", "0",
+           '"web"', "'web'", '"80"', "'data-1'", '"x"', "{{ .Values.a }}",
+           "web-{{ .Values.a }}", '"{{ .Values.a }}"']
+
+
+@st.composite
+def template_texts(draw):
+    """A template of a few documents, each a mapping whose values are scalars,
+    anchored scalars, aliases to an earlier anchor of the document, block or
+    flow lists, and anchored or aliased mappings."""
+    documents = []
+    for _ in range(draw(st.integers(1, 3))):
+        lines, anchors = [], []
+        for n in range(draw(st.integers(0, 6))):
+            kind = draw(st.sampled_from(["scalar", "scalar", "anchor", "alias", "list", "flow",
+                                         "mapping"]))
+            word = draw(st.sampled_from(SCALARS))
+            if kind == "alias" and anchors:
+                lines.append(f"k{n}: *{draw(st.sampled_from(anchors))}")
+            elif kind == "anchor":
+                anchors.append(f"a{n}")
+                lines.append(f"k{n}: &a{n} {word}")
+            elif kind == "list":
+                items = draw(st.lists(st.sampled_from(SCALARS), min_size=1, max_size=3))
+                lines.append(f"k{n}:\n" + "".join(f"  - {item}\n" for item in items).rstrip())
+            elif kind == "flow":
+                items = draw(st.lists(st.sampled_from(SCALARS), max_size=3))
+                lines.append(f"k{n}: [{', '.join(items)}]")
+            elif kind == "mapping":
+                anchors.append(f"a{n}")
+                other = draw(st.sampled_from(SCALARS))
+                lines.append(f"k{n}: &a{n}\n  inner: {word}\n  other: {other}")
+            else:
+                lines.append(f"k{n}: {word}")
+        documents.append("".join(line + "\n" for line in lines) or "# nothing here\n")
+    return "---\n".join(documents)
+
+
+def grouped_sentinel_leaves(pkg, config):
+    """Duplicate groups as detect_duplicates defined them over every leaf
+    sentinel_parse builds, and the unparseable templates."""
+    occurrences, unparseable = {}, []
+    for path, body in pkg.templates:
+        parse = sentinel_parse(path, body)
+        if parse.error is not None:
+            unparseable.append((path, parse.error))
+        for leaf in parse.leaves:
+            if not (leaf.templated or leaf.via_alias or len(leaf.value) < 2
+                    or leaf.value in config.blacklist):
+                occurrences.setdefault(leaf.value, []).append(leaf)
+    groups = [DuplicateGroup(value, tuple(leaves)) for value, leaves
+              in sorted(occurrences.items(), key=lambda item: (-len(item[1]), item[0]))
+              if len(leaves) >= config.threshold]
+    return groups, unparseable
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(template_texts() | st.just("k: [unclosed\n"), min_size=1, max_size=4),
+       st.integers(2, 4))
+def test_detector_equals_grouped_sentinel_leaves(texts, threshold):
+    pkg = make_package(values={"a": "v"}, templates={f"t{i}.yaml": text
+                                                     for i, text in enumerate(texts)})
+    config = DuplicateConfig(threshold=threshold)
+    report = detect_duplicates(pkg, config)
+    groups, unparseable = grouped_sentinel_leaves(pkg, config)
+    assert list(report.unparseable) == unparseable
+    assert [group.canonical_value for group in report.groups] == \
+        [group.canonical_value for group in groups]
+    for got, want in zip(report.groups, groups):
+        assert [leaf._asdict() for leaf in got.leaves] == [leaf._asdict() for leaf in want.leaves]
+
+
+def test_source_leaves_are_built_only_for_reported_occurrences(monkeypatch):
+    built = []
+
+    class CountingLeaf(yamlutil.SourceLeaf):
+        __slots__ = ()
+
+        def __new__(cls, *fields):
+            built.append(fields[1])
+            return super().__new__(cls, *fields)
+
+    monkeypatch.setattr(yamlutil, "SourceLeaf", CountingLeaf)
+    pkg = make_package(values={}, templates={
+        "a.yaml": "a: dup\nb: dup\nc: once\nd: [twice, other, 8080]\ne: &x seen\nf: *x\n",
+        "b.yaml": "a: dup\nb: twice\nc: {{ .Values.x }}\nd: v1\n---\ne: seen\n",
+    })
+    report = detect_duplicates(pkg, DuplicateConfig(threshold=2))
+    reported = [path for group in report.groups for path in group.occurrences]
+    assert report.total_duplicate_values == 7
+    assert built == reported
 
 
 # --- aggregation ---

@@ -15,6 +15,7 @@ from chartqa.errors import EngineUnavailable
 from chartqa.render import (
     BuiltinEngine,
     ExternalEngine,
+    _evaluator,
     _split_pipes,
     render_chart,
 )
@@ -66,6 +67,13 @@ def test_random_value_differs_between_renders():
     assert first["templates/t.yaml#0/fixed"] == second["templates/t.yaml#0/fixed"]
     assert first["templates/t.yaml#0/pw"] != second["templates/t.yaml#0/pw"]
     assert len(first["templates/t.yaml#0/pw"]) == 24
+
+
+def test_each_occurrence_of_one_random_expression_draws_afresh():
+    pkg = make_package(values={}, templates={
+        "t.yaml": "a: {{ randAlphaNum 24 }}\nb: {{ randAlphaNum 24 }}\n"})
+    leaves = render_single(pkg).leaf_values()
+    assert leaves["templates/t.yaml#0/a"] != leaves["templates/t.yaml#0/b"]
 
 
 def test_missing_value_failure():
@@ -262,7 +270,7 @@ def test_overrides_pin_rendered_leaves():
         "empty-middle-stage", "empty-last-stage", "empty-directive"])
 def test_split_pipes_stages(expr, stages):
     assert _split_pipes(expr) == stages
-    assert _split_pipes(expr) is _split_pipes(expr)
+    assert _evaluator(expr) is _evaluator(expr)  # compiled once per expression text
 
 
 def test_determinism_with_all_variable_keys_overridden():

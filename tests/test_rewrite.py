@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from chartqa import quality, render, rewrite, yamlutil
+from chartqa import render, rewrite, yamlutil
 from chartqa.cli import cli_dispatch
 from chartqa.core import package_from_files
 from chartqa.errors import ChartQAError, EmptyReport, SuggestionsDefined
@@ -230,11 +230,15 @@ def test_pipeline_parses_each_original_template_once(monkeypatch):
         "svc.yaml": "selector: httpd-data\n",
         "cm.yaml": "kind: ConfigMap\ndata: untouched\n",
     })
-    parses = count_calls(monkeypatch, "sentinel_parse", quality, rewrite)
-    plan = plan_rewrite(pkg, detect_duplicates(pkg))
-    assert verify_rewrite(pkg, plan) is True
-    originals = [args for args in parses if args in pkg.templates]
-    assert sorted(originals) == sorted(pkg.templates)
+    parses = count_calls(monkeypatch, "load_documents", yamlutil, render)
+
+    @yamlutil.sharing_compiles
+    def pipeline():
+        return verify_rewrite(pkg, plan_rewrite(pkg, detect_duplicates(pkg)))
+
+    assert pipeline() is True
+    bodies = [body for _, body in pkg.templates]
+    assert sorted(text for (text,) in parses if text in bodies) == sorted(bodies)
 
 
 def test_suggest_composes_each_original_and_each_edited_template_once(monkeypatch):
