@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple
 from . import DEFAULT_BLACKLIST, DEFAULT_THRESHOLD
 from .core import ChartPackage, ChartRef
 from .errors import KnowledgeBaseError, RenderFailed, SettingError
-from .yamlutil import SourceLeaf, compile_template, sharing_compiles
+from .yamlutil import SourceLeaf, sentinel_parse, sharing_compiles, source_leaf
 
 if TYPE_CHECKING:  # the functions that render import render, so duplicate checks never load it
     from .render import Renderer, RenderFailure, RenderResult
@@ -213,30 +213,32 @@ def detect_duplicates(
     """
     config = config or DuplicateConfig()
     blacklist = set(config.blacklist)
-    # per value, where it is written: (template path, its compiled form, leaf);
-    # a SourceLeaf is built only for a group that is reported
+    # per value, where it is written: ((template path, segments), leaf). A
+    # SourceLeaf is built only for a group that is reported, and a record
+    # holds no more of its template than that, so the rest is freed
     occurrences: dict[str, list] = {}
     unparseable = []
     for path, body in pkg.templates:
-        compiled = compile_template(body)
-        if compiled.error is not None:
-            unparseable.append((path, compiled.error))
+        parse = sentinel_parse(path, body)
+        if parse.error is not None:
+            unparseable.append((parse.template_path, parse.error))
             continue
-        for leaf in compiled.literals():
-            _, _, _, value, templated, via_alias = leaf
+        site = (parse.template_path, parse.segments)
+        for leaf in parse.literals:
+            _, _, value, templated, via_alias, _, _, _ = leaf
             if templated or via_alias or len(value) < MIN_VALUE_LENGTH or value in blacklist:
                 continue
-            occurrences.setdefault(value, []).append((path, compiled, leaf))
+            occurrences.setdefault(value, []).append((site, leaf))
     reported = sorted((item for item in occurrences.items() if len(item[1]) >= config.threshold),
                       key=lambda item: (-len(item[1]), item[0]))
-    groups = tuple(
-        DuplicateGroup(value, tuple(compiled.source_leaf(path, *leaf)
-                                    for path, compiled, leaf in found))
-        for value, found in reported
-    )
+    occurrences.clear()  # the records of values not reported
+    groups = []
+    for value, found in reported:
+        groups.append(DuplicateGroup(value, tuple(source_leaf(*site, leaf) for site, leaf in found)))
+        found.clear()  # a record goes once its leaf is built
     return DuplicateReport(
         chart=pkg.ref,
-        groups=groups,
+        groups=tuple(groups),
         threshold_used=config.threshold,
         blacklist_used=tuple(config.blacklist),
         unparseable=tuple(unparseable),

@@ -24,7 +24,7 @@ from .ingest import RepoIndex
 from .quality import (DuplicateConfig, DuplicateReport, VariabilityKnowledgeBase,
                       detect_duplicates, probe_variability)
 from .render import Renderer, render_chart
-from .yamlutil import SourceLeaf, compile_template, load_unique, sharing_compiles, splice
+from .yamlutil import SourceLeaf, load_unique, sentinel_parse, sharing_compiles, splice
 
 UNADDRESSABLE = "unaddressable"
 SUBJECT_PREFIX = "chartqa"
@@ -240,7 +240,7 @@ def verify_rewrite(
     return not any(
         not templated and value in values
         for path, body in rewritten.templates if path in edited
-        for _, _, _, value, templated, _ in compile_template(body).literals()
+        for _, _, value, templated, _, _, _, _ in sentinel_parse(path, body).literals
     )
 
 

@@ -31,7 +31,7 @@ import datetime
 import functools
 import math
 import re
-from typing import Any, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 import yaml
 from yaml.constructor import ConstructorError, SafeConstructor
@@ -293,9 +293,35 @@ class SourceLeaf(NamedTuple):
 
 
 class SentinelParse(NamedTuple):
+    """A template's scalar leaves as cheap records, from :func:`sentinel_parse`.
+
+    Each of ``literals`` is (document index, key path suffix, canonical
+    value, templated, via alias, style, start, end): ``templated`` marks a
+    value holding a sentinel token, ``via_alias`` a leaf whose scalar event
+    an earlier leaf of the template already gave, and start and end are the
+    scalar's span in the substituted text, which :func:`source_leaf` maps
+    back to the source through the compiled template's ``segments``.
+    """
+
     template_path: str
-    leaves: list[SourceLeaf]
+    literals: list[tuple[int, str, str, bool, bool, str | None, int, int]]
+    segments: list[tuple[int, int, int]]
     error: str | None = None
+
+    @property
+    def leaves(self) -> list[SourceLeaf]:
+        return [source_leaf(self.template_path, self.segments, literal)
+                for literal in self.literals]
+
+
+def source_leaf(template_path: str, segments: list[tuple[int, int, int]],
+                literal: tuple[int, str, str, bool, bool, str | None, int, int]) -> SourceLeaf:
+    """The :class:`SourceLeaf` of one of a :class:`SentinelParse`'s ``literals``,
+    given its ``template_path`` and ``segments``: key path, style and source span."""
+    doc_index, suffix, value, templated, via_alias, style, start, end = literal
+    span = None if templated else _map_span(segments, start, end)
+    return SourceLeaf(template_path, f"{template_path}#{doc_index}{suffix}", value, style, span,
+                      templated, via_alias)
 
 
 def directive_spans(text: str) -> list[tuple[int, int]]:
@@ -445,32 +471,6 @@ class CompiledTemplate:
         if orig_pos < len(self.source):
             segments.append((out_pos, orig_pos, len(self.source) - orig_pos))
         return segments
-
-    def literals(self) -> Iterator[tuple[int, str, ScalarEvent, str, bool, bool]]:
-        """(document index, key path suffix, scalar event, canonical value,
-        templated, via alias) of each scalar leaf, in document order; none
-        for a template that is not YAML.
-
-        ``templated`` marks a value holding a sentinel token. ``via_alias``
-        marks a leaf that an alias repeats from a scalar an earlier leaf of
-        the template already gave: it shares that leaf's event.
-        """
-        seen: set[ScalarEvent] = set()
-        aliased = "*" in self.substituted  # else no leaf repeats another's event
-        for doc_index, (_, leaves) in enumerate(self.documents or ()):
-            for suffix, event, raw, _container, _slot in leaves:
-                value = raw if type(raw) is str else canon(raw)
-                yield doc_index, suffix, event, value, SENTINEL_PREFIX in value, \
-                    aliased and event in seen
-                if aliased:
-                    seen.add(event)
-
-    def source_leaf(self, template_path: str, doc_index: int, suffix: str, event: ScalarEvent,
-                    value: str, templated: bool, via_alias: bool) -> SourceLeaf:
-        """The :class:`SourceLeaf` of one of :meth:`literals`, named under ``template_path``."""
-        span = None if templated else _map_span(self.segments, event)
-        return SourceLeaf(template_path, f"{template_path}#{doc_index}{suffix}", value,
-                          event.style or None, span, templated, via_alias)
 
     def text(self, outputs: Sequence[str]) -> str:
         """The source with each directive replaced by its output."""
@@ -623,9 +623,9 @@ def sharing_compiles(fn):
     return sharing
 
 
-def _map_span(segments: list[tuple[int, int, int]], node: ScalarEvent) -> tuple[int, int] | None:
-    """Map a scalar's substituted-text span back to the source, or None if it crosses a sentinel."""
-    start, end = node.start_mark.index, node.end_mark.index
+def _map_span(segments: list[tuple[int, int, int]], start: int, end: int
+              ) -> tuple[int, int] | None:
+    """Map a substituted-text span back to the source, or None if it crosses a sentinel."""
     # the segments are disjoint and in order: only the last one starting at or
     # before ``start`` can hold the span
     i = bisect.bisect_right(segments, (start, math.inf)) - 1
@@ -638,13 +638,22 @@ def _map_span(segments: list[tuple[int, int, int]], node: ScalarEvent) -> tuple[
 
 
 def sentinel_parse(template_path: str, source: str) -> SentinelParse:
-    """Every scalar leaf of a template source, by :meth:`CompiledTemplate.literals`.
+    """Parse a template source with directives replaced by sentinel tokens,
+    and walk its scalar leaves once, in document order.
 
-    A template that is not YAML-shaped even after substitution yields an
-    empty leaf list and a non-None error.
+    A template that is not YAML-shaped even after substitution yields no
+    leaves and a non-None error.
     """
     compiled = compile_template(source)
     if compiled.error is not None:
-        return SentinelParse(template_path, [], error=compiled.error)
-    return SentinelParse(template_path, [compiled.source_leaf(template_path, *leaf)
-                                         for leaf in compiled.literals()])
+        return SentinelParse(template_path, [], [], compiled.error)
+    literals = []
+    seen: set[ScalarEvent] = set()
+    for doc_index, (_, doc_leaves) in enumerate(compiled.documents):
+        for suffix, node, raw, _container, _slot in doc_leaves:
+            value = raw if type(raw) is str else canon(raw)
+            # the event's own fields, not the event: a kept record outlives the parse
+            literals.append((doc_index, suffix, value, SENTINEL_PREFIX in value, node in seen,
+                             node.style or None, node.start_mark.index, node.end_mark.index))
+            seen.add(node)
+    return SentinelParse(template_path, literals, compiled.segments)

@@ -447,6 +447,19 @@ def test_source_leaves_are_built_only_for_reported_occurrences(monkeypatch):
     assert built == reported
 
 
+def test_leaf_records_hold_no_parse_objects():
+    # the duplicate check keeps a record per candidate until the groups are
+    # built: plain fields let the parsed documents and scalar events go
+    parse = sentinel_parse("t.yaml", "a: &x web\nb: *x\nc: 'q-{{ .Values.v }}'\n"
+                                     "d: [80, true, ~]\n---\ne: \"web\"\n")
+    assert [literal[2:5] for literal in parse.literals] == [
+        ("web", False, False), ("web", False, True), ("q-__CHARTQA_SENTINEL_0__", True, False),
+        ("80", False, False), ("true", False, False), ("null", False, False),
+        ("web", False, False)]
+    assert all(type(field) in (int, str, bool, type(None))
+               for literal in parse.literals for field in literal)
+
+
 # --- aggregation ---
 
 def test_analyze_chart_leaves_kb_untouched():
