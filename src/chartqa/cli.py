@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import logging
 import math
 import os
@@ -86,15 +85,16 @@ def _resolve(args: argparse.Namespace) -> None:
     if getattr(args, "config", None):
         import yaml
 
+        from .files import MAX_FILE_BYTES, read_file
         from .yamlutil import load_unique
 
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                config = load_unique(fh.read()) or {}
-            except UnicodeDecodeError as exc:
-                raise InputFileError(f"{args.config}: config file is not UTF-8: {exc}") from exc
-            except yaml.YAMLError as exc:
-                raise InputFileError(f"{args.config}: config file is not YAML: {exc}") from exc
+        try:
+            config = load_unique(read_file(args.config, MAX_FILE_BYTES, InputFileError).decode())
+        except UnicodeDecodeError as exc:
+            raise InputFileError(f"{args.config}: config file is not UTF-8: {exc}") from exc
+        except yaml.YAMLError as exc:
+            raise InputFileError(f"{args.config}: config file is not YAML: {exc}") from exc
+        config = {} if config is None else config  # only an empty document is no settings
         if not isinstance(config, dict):
             raise InputFileError(f"{args.config}: config file must hold a YAML mapping")
         for key in config:
@@ -577,32 +577,20 @@ def cmd_trends(args: argparse.Namespace) -> int:
     return EXIT_CLEAN
 
 
-def _finite(v: int | float) -> bool:
+def _finite_numbers(value: Any) -> bool:
     try:
-        return math.isfinite(v)
+        return isinstance(value, list) and all(
+            type(v) in (int, float) and math.isfinite(v) for v in value)  # bools are not
     except OverflowError:  # an int too large for a float
         return False
 
 
-def _finite_numbers(value: Any) -> bool:
-    return isinstance(value, list) and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and _finite(v) for v in value
-    )
-
-
 def cmd_stats(args: argparse.Namespace) -> int:
     from . import report as report_mod, stats
+    from .files import MAX_FILE_BYTES, read_json
 
     groups_path = args.groups
-    with open(groups_path, encoding="utf-8") as fh:
-        try:
-            groups = json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise InputFileError(f"{groups_path}: not UTF-8: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputFileError(f"{groups_path}: not JSON: {exc}") from exc
-        except RecursionError as exc:
-            raise InputFileError(f"{groups_path}: nested too deeply to read") from exc
+    groups = read_json(groups_path, MAX_FILE_BYTES, InputFileError)
     if not isinstance(groups, dict) or not all(
         _finite_numbers(groups.get(name)) for name in ("n1", "n2")
     ):

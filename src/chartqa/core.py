@@ -7,6 +7,7 @@ import os
 from typing import Any, Iterable, Mapping, NamedTuple
 
 from .errors import EmptyCorpus, MalformedArchive, MetadataParseError, MissingMetadata
+from .files import MAX_FILE_BYTES
 
 # yaml, yamlutil, tarfile, gzip and zlib are imported by the functions that
 # parse, so a command that reads no chart and no index text loads none of them
@@ -251,8 +252,7 @@ def package_from_files(files: Mapping[str, bytes | str]) -> ChartPackage:
 
 
 _TAR_BLOCK = 512  # tarfile.BLOCKSIZE
-# Helm's own defaults for one decompressed file and for a whole chart
-MAX_FILE_BYTES = 5 * 1024 * 1024
+# Helm's own default for a whole chart, as files.MAX_FILE_BYTES is for one file
 MAX_ARCHIVE_BYTES = 100 * 1024 * 1024
 # a chart holds tens of files; an empty member costs no declared bytes but
 # still a header read and a TarInfo, so a stream of them is bounded by count
@@ -260,10 +260,6 @@ MAX_ARCHIVE_MEMBERS = 10_000
 # one header block per member, and 1 MiB for long-name and pax header bodies,
 # the most Go's archive/tar (which Helm reads charts with) accepts for one
 MAX_HEADER_BYTES = MAX_ARCHIVE_MEMBERS * _TAR_BLOCK + 1024 * 1024
-# an archive file read from disk: the most the reader accepts decompressed
-# (MAX_ARCHIVE_BYTES of files, MAX_HEADER_BYTES besides, each file padded to
-# whole tar blocks) is under 111 MiB, and gzip adds 5 bytes per 64 KiB block
-MAX_ARCHIVE_FILE_BYTES = 128 * 1024 * 1024
 
 
 class _BoundedStream:

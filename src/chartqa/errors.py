@@ -10,7 +10,7 @@ class SettingError(ChartQAError, ValueError):
 
 
 class InputFileError(ChartQAError):
-    """A config or groups file is not UTF-8, not in its format, or not of the shape wanted."""
+    """A config or groups file is special or too large, not UTF-8, or not of the shape wanted."""
 
 
 class WorkerFailed(ChartQAError):
@@ -46,7 +46,7 @@ class EmptyIndex(ChartQAError):
 
 
 class FetchError(ChartQAError):
-    """An archive or chart file could not be read: network, IO, a special file or a size bound."""
+    """An index, archive or chart file could not be read: network, IO, a special file or a bound."""
 
 
 class ChecksumMismatch(FetchError):
@@ -58,7 +58,7 @@ class DuplicateSnapshot(ChartQAError):
 
 
 class StorageError(ChartQAError):
-    """Snapshot store could not be written."""
+    """Snapshot store could not be written, or a snapshot in it read."""
 
 
 # --- rendering ---
@@ -87,7 +87,7 @@ class SuggestionsDefined(ChartQAError, ValueError):
 
 
 class KnowledgeBaseError(ChartQAError):
-    """Variability knowledge-base file is not a JSON object of string values."""
+    """Variability knowledge-base file is special or too large, or not a JSON object of strings."""
 
 
 # --- statistics ---

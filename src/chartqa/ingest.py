@@ -17,12 +17,11 @@ import datetime
 import json
 import os
 import shutil
-import stat
 from typing import Any, Iterable, Mapping, NamedTuple
 
 from .core import (
-    MAX_ARCHIVE_BYTES, MAX_ARCHIVE_FILE_BYTES, MAX_FILE_BYTES, ChartPackage, ChartRef, Maintainer,
-    maintainers_from_field, package_from_files, parse_chart_archive, unusable_file_name_part,
+    MAX_ARCHIVE_BYTES, ChartPackage, ChartRef, Maintainer, maintainers_from_field,
+    package_from_files, parse_chart_archive, unusable_file_name_part,
 )
 from .errors import (
     ChecksumMismatch,
@@ -32,6 +31,7 @@ from .errors import (
     IndexParseError,
     StorageError,
 )
+from .files import MAX_ARCHIVE_FILE_BYTES, MAX_FILE_BYTES, read_file, read_json, read_url
 
 
 class IndexEntry(NamedTuple):
@@ -162,21 +162,14 @@ def sha256_digest(data: bytes) -> str:
 
 
 def fetch_archive(url_or_path: str, expected_digest: str | None = None) -> bytes:
-    """Fetch raw archive bytes from an HTTP(S) URL or a filesystem path."""
+    """Fetch raw archive bytes from an HTTP(S) URL or a filesystem path, by
+    ``read_url`` or ``read_file`` within MAX_ARCHIVE_FILE_BYTES."""
     if url_or_path.startswith(("http://", "https://")):
-        import requests  # only http(s) fetches need it; importing chartqa stays cheap
-
-        try:
-            resp = requests.get(url_or_path, timeout=60)
-            resp.raise_for_status()
-            data = resp.content
-        except requests.RequestException as exc:
-            raise FetchError(f"cannot fetch {url_or_path}: {exc}") from exc
+        data = read_url(url_or_path, MAX_ARCHIVE_FILE_BYTES, FetchError)
     else:
         try:
-            with open(url_or_path, "rb") as fh:
-                data = fh.read()
-        except (OSError, ValueError) as exc:  # ValueError: a path holding NUL
+            data = read_file(url_or_path, MAX_ARCHIVE_FILE_BYTES, FetchError)
+        except (OSError, ValueError) as exc:
             raise FetchError(f"cannot read {url_or_path}: {exc}") from exc
     if expected_digest:
         expected = expected_digest.split(":", 1)[-1].lower()
@@ -188,25 +181,9 @@ def fetch_archive(url_or_path: str, expected_digest: str | None = None) -> bytes
     return data
 
 
-def _read_regular(full: str, name: str, limit: int) -> bytes:
-    """The bytes of the file at ``full``, opened without blocking. A FetchError
-    names as ``name`` a file that is not regular (a FIFO is not waited on) or
-    holds over ``limit`` bytes or its ``fstat`` size, the most read (cheaper
-    than a buffer of the bound)."""
-    with open(os.open(full, os.O_RDONLY | os.O_NONBLOCK), "rb") as fh:
-        status = os.fstat(fh.fileno())
-        if not stat.S_ISREG(status.st_mode):
-            raise FetchError(f"{name} is not a regular file")
-        limit = min(status.st_size, limit)
-        data = fh.read(limit + 1)
-    if len(data) > limit:
-        raise FetchError(f"{name} holds over {limit} bytes")
-    return data
-
-
 def package_from_dir(chart_dir: str) -> ChartPackage:
     """Load an unpacked chart directory into a ChartPackage by an archive's
-    bounds: each chart file is read by ``_read_regular`` within MAX_FILE_BYTES,
+    bounds: each chart file is read by ``read_file`` within MAX_FILE_BYTES,
     and a FetchError names a chart over MAX_ARCHIVE_BYTES."""
     files: dict[str, bytes] = {}
     total = 0
@@ -216,7 +193,7 @@ def package_from_dir(chart_dir: str) -> ChartPackage:
             rel = os.path.relpath(full, chart_dir).replace(os.sep, "/")
             if rel in ("Chart.yaml", "values.yaml", "requirements.yaml") \
                     or rel.startswith("templates/"):
-                data = files[rel] = _read_regular(full, rel, MAX_FILE_BYTES)
+                data = files[rel] = read_file(full, MAX_FILE_BYTES, FetchError, rel)
                 total += len(data)
                 if total > MAX_ARCHIVE_BYTES:
                     raise FetchError(f"chart files hold over {MAX_ARCHIVE_BYTES} bytes")
@@ -251,12 +228,12 @@ def chart_locations(path: str) -> list[str]:
 
 def load_chart(path: str, location: str) -> ChartPackage:
     """The chart at ``location`` under ``path``, a directory or else an archive
-    read by ``_read_regular`` within MAX_ARCHIVE_FILE_BYTES; raises a
+    read by ``read_file`` within MAX_ARCHIVE_FILE_BYTES; raises a
     ``ChartQAError`` or an ``OSError`` where it cannot be read."""
     full = os.path.join(path, location)
     if os.path.isdir(full):
         return package_from_dir(full)
-    return parse_chart_archive(_read_regular(full, location, MAX_ARCHIVE_FILE_BYTES))
+    return parse_chart_archive(read_file(full, MAX_ARCHIVE_FILE_BYTES, FetchError, location))
 
 
 _CACHED_FIELDS = ("name", "version", "maintainers", "urls", "digest")
@@ -335,10 +312,6 @@ class SnapshotStore:
             if os.path.isdir(os.path.join(self.root, d)) and not d.startswith(".")
         )
 
-    def _paths(self, snapshot_id: str) -> tuple[str, str, str]:
-        base = os.path.join(self.root, snapshot_id)
-        return base, os.path.join(base, "archives"), os.path.join(base, "manifest.json")
-
     def record(self, index: RepoIndex, archives: Mapping[str, bytes]) -> str:
         """Persist a snapshot atomically; returns the snapshot id.
 
@@ -346,7 +319,7 @@ class SnapshotStore:
         write leaves no partial snapshot behind.
         """
         snapshot_id = index.fetched_at.astimezone(datetime.timezone.utc).date().isoformat()
-        final, _, _ = self._paths(snapshot_id)
+        final = os.path.join(self.root, snapshot_id)
         if os.path.exists(final):
             raise DuplicateSnapshot(f"snapshot {snapshot_id} already recorded")
         staging = os.path.join(self.root, f".staging-{snapshot_id}")
@@ -388,17 +361,14 @@ class SnapshotStore:
         """The recorded snapshot; its entries come from the manifest when its
         digest matches ``index.yaml`` and this reader built them, else from
         parsing ``index.yaml``."""
-        base, _, manifest_path = self._paths(snapshot_id)
+        base = os.path.join(self.root, snapshot_id)
         try:
-            with open(manifest_path, encoding="utf-8") as fh:
-                manifest = json.load(fh)
-            with open(os.path.join(base, "index.yaml"), "rb") as fh:
-                raw_index = fh.read()
-        except (OSError, ValueError) as exc:
+            manifest = read_json(os.path.join(base, "manifest.json"), MAX_ARCHIVE_FILE_BYTES,
+                                 StorageError)
+            raw_index = read_file(os.path.join(base, "index.yaml"), MAX_ARCHIVE_FILE_BYTES,
+                                  StorageError)
+        except (OSError, ValueError, StorageError) as exc:
             raise StorageError(f"cannot load snapshot {snapshot_id}: {exc}") from exc
-        except RecursionError as exc:
-            raise StorageError(f"cannot load snapshot {snapshot_id}: {manifest_path}: "
-                               "nested too deeply to read") from exc
         source, fetched_at, digests, cache = _manifest_fields(manifest, snapshot_id)
         if (cache is None or cache["sha256"] != sha256_digest(raw_index)
                 or cache.get("reader") != _INDEX_READER):

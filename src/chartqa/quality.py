@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple
 from . import DEFAULT_BLACKLIST, DEFAULT_THRESHOLD
 from .core import ChartPackage, ChartRef
 from .errors import KnowledgeBaseError, RenderFailed, SettingError
+from .files import MAX_ARCHIVE_FILE_BYTES, read_json
 from .yamlutil import SourceLeaf, sentinel_parse, sharing_compiles, source_leaf
 
 if TYPE_CHECKING:  # the functions that render import render, so duplicate checks never load it
@@ -67,15 +68,7 @@ class VariabilityKnowledgeBase:
         kb = cls()
         if not os.path.exists(path):
             return kb
-        with open(path, encoding="utf-8") as fh:
-            try:
-                flat = json.load(fh)
-            except UnicodeDecodeError as exc:
-                raise KnowledgeBaseError(f"{path}: not UTF-8: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise KnowledgeBaseError(f"{path}: not JSON: {exc}") from exc
-            except RecursionError as exc:
-                raise KnowledgeBaseError(f"{path}: nested too deeply to read") from exc
+        flat = read_json(path, MAX_ARCHIVE_FILE_BYTES, KnowledgeBaseError)
         if not isinstance(flat, dict) or not all(isinstance(v, str) for v in flat.values()):
             raise KnowledgeBaseError(f"{path}: want a JSON object of string values")
         for key, value in flat.items():

@@ -306,13 +306,10 @@ class DigestBatch(NamedTuple):
 
 
 def _chart_emails(index: RepoIndex) -> dict[str, list[str]]:
-    emails: dict[str, list[str]] = {}
-    for entry in index.entries:
-        found = emails[entry.ref.file_name] = []
-        for maintainer in entry.maintainers:
-            if maintainer.normalized_email and maintainer.normalized_email not in found:
-                found.append(maintainer.normalized_email)
-    return emails
+    """Each chart file's distinct maintainer e-mails, in the order listed."""
+    return {entry.ref.file_name: list(dict.fromkeys(m.normalized_email for m in entry.maintainers
+                                                    if m.normalized_email))
+            for entry in index.entries}
 
 
 def build_issue_digests(
@@ -377,14 +374,8 @@ def build_issue_digests(
         per_recipient.setdefault(email, []).append(alias_issue)
 
     digests = tuple(
-        IssueDigest(
-            recipient_email=email,
-            issues=tuple(sorted(
-                issues, key=lambda i: (i.kind, i.chart.file_name if i.chart else "", i.detail)
-            )),
-        )
+        IssueDigest(recipient_email=email, issues=tuple(sorted(issues, key=Issue.identity)))
         for email, issues in sorted(per_recipient.items())
-        if issues
     )
     unique = {issue.identity() for digest in digests for issue in digest.issues}
     recipients = [d for d in digests if d.recipient_email != UNADDRESSABLE]
@@ -399,12 +390,17 @@ _FILENAME_SAFE_RE = re.compile(r"[^A-Za-z0-9._-]+")
 
 
 def write_outbox(batch: DigestBatch, outbox_dir: str) -> list[str]:
-    """Write one RFC-5322-style .eml text file per digest; transport is out of scope."""
+    """Write one RFC-5322-style .eml text file per digest; transport is out of scope.
+    A name another recipient's file took gets ``-2``, ``-3``, ... after its stem."""
     os.makedirs(outbox_dir, exist_ok=True)
-    written = []
+    written, taken = [], set()
     for digest in batch.digests:
         safe = _FILENAME_SAFE_RE.sub("_", digest.recipient_email.replace("@", "_at_"))
-        path = os.path.join(outbox_dir, f"{safe}.eml")
+        path, n = os.path.join(outbox_dir, f"{safe}.eml"), 1
+        while path in taken:
+            n += 1
+            path = os.path.join(outbox_dir, f"{safe}-{n}.eml")
+        taken.add(path)
         lines = [
             f"To: {digest.recipient_email}",
             f"Subject: {SUBJECT_PREFIX}: {len(digest.issues)} chart quality "

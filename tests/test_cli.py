@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, outputs."""
 
 import argparse
+import ast
 import contextlib
 import datetime
 import functools
@@ -150,12 +151,12 @@ def test_analyze_jobs_missing_external_renderer_exits_two(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
-def test_import_leaves_numpy_and_requests_unloaded():
+def test_import_leaves_numpy_and_urllib_request_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, chartqa, chartqa.cli; "
-         "print(sorted({'numpy', 'requests', 'multiprocessing', 'concurrent.futures.process'}"
-         " & set(sys.modules)))"],
+         "print(sorted({'numpy', 'urllib.request', 'multiprocessing', "
+         "'concurrent.futures.process'} & set(sys.modules)))"],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -194,14 +195,14 @@ def test_help_loads_only_the_parser():
     loaded = modules_loaded_by("--help")
     assert {m for m in loaded if m.startswith("chartqa")} == {
         "chartqa", "chartqa.cli", "chartqa.errors"}
-    assert "yaml" not in loaded
+    assert not loaded & {"yaml", "chartqa.files", "urllib.request"}  # no reader
 
 
 def test_single_chart_livecheck_loads_no_render_rewrite_or_stats():
     loaded = modules_loaded_by("livecheck", "--path", os.path.join(GOLDEN, "charts", "web"))
     assert "chartqa.quality" in loaded
     assert not loaded & {"chartqa.rewrite", "chartqa.stats", "chartqa.render", "difflib",
-                         "numpy", "requests"}
+                         "numpy", "urllib.request"}
 
 
 def test_stats_without_config_loads_no_yaml_render_or_quality(tmp_path):
@@ -210,6 +211,34 @@ def test_stats_without_config_loads_no_yaml_render_or_quality(tmp_path):
     loaded = modules_loaded_by("stats", "--groups", str(groups), "--iterations", "5")
     assert "chartqa.stats" in loaded
     assert not loaded & {"yaml", "chartqa.render", "chartqa.quality", "numpy"}
+
+
+def test_snapshot_of_a_local_index_loads_no_http_client(tmp_path):
+    repo = _write_repo(tmp_path, "1.0.0")
+    loaded = modules_loaded_by("snapshot", "--index", str(repo / "index.yaml"),
+                               "--snapshot-store", str(tmp_path / "store"))
+    assert "chartqa.files" in loaded
+    assert not loaded & {"urllib.request", "http.client"}
+
+
+def test_yaml_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    package = os.path.join(root, "src", "chartqa")
+    imported = set()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name.split(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.split(".")[0])
+    assert imported - sys.stdlib_module_names == {"yaml"}
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        dependencies = tomllib.load(fh)["project"]["dependencies"]
+    assert [re.match(r"[\w.-]+", spec).group() for spec in dependencies] == ["PyYAML"]
 
 
 def test_store_commands_on_cached_entries_load_no_yaml_or_archive_reader(tmp_path):
@@ -676,9 +705,12 @@ def test_config_file_precedence(tmp_path, capsys):
     ("renderer_bin: 5\n", "variability", "config key 'renderer_bin' must be a string"),
     ("thresold: 2\n", "dupes", "unknown config key 'thresold'"),
     ("threshold: 2\nthreshold: 9\n", "dupes", "duplicate mapping key 'threshold'"),
+    ("[]\n", "dupes", "config file must hold a YAML mapping"),
+    ("0\n", "livecheck", "config file must hold a YAML mapping"),
+    ("false\n", "stats", "config file must hold a YAML mapping"),
 ], ids=["not-yaml", "list-threshold", "bool-threshold", "int-blacklist", "mapping-in-blacklist",
         "list-iterations", "unknown-engine", "int-renderer-bin", "int-renderer-bin-builtin",
-        "misspelt-key", "duplicate-key"])
+        "misspelt-key", "duplicate-key", "empty-list", "zero", "false"])
 def test_malformed_config_file_exits_two(tmp_path, text, command, message):
     write_chart_dir(tmp_path / "charts", "web",
                     chart_files(values={}, templates=CLEAN_TEMPLATES, maintainers=MAINTAINED))
@@ -692,6 +724,14 @@ def test_malformed_config_file_exits_two(tmp_path, text, command, message):
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("text", ["", "# no settings\n", "---\n"])
+def test_an_empty_config_document_is_no_settings(tmp_path, text):
+    config = tmp_path / "chartqa.yaml"
+    config.write_text(text)
+    args = _resolved(["dupes", "--path", "x", "--config", str(config)])
+    assert args.threshold == cli._CONFIG_KEYS["threshold"][0]
 
 
 @pytest.mark.parametrize("flag, body, error, message", [
@@ -1396,6 +1436,51 @@ def test_a_fifo_named_like_an_archive_skips_only_itself(tmp_path):
     assert reported == ["good-1.0.0.tgz"]
     assert "WARNING skipping x-1.0.0.tgz: FetchError: x-1.0.0.tgz is not a regular file" \
         in proc.stderr
+
+
+def _reading_command(tmp_path, reads: str) -> tuple[list[str], str]:
+    """A command that reads the input ``reads`` names, and the path it reads it at."""
+    charts = tmp_path / "charts"
+    write_chart_dir(charts, "web", chart_files(values={}, templates=CLEAN_TEMPLATES,
+                                               maintainers=MAINTAINED))
+    if reads in ("kb", "config"):
+        path = tmp_path / "input"
+        command = "variability" if reads == "kb" else "dupes"
+        return [command, "--path", str(charts), f"--{reads}", str(path)], str(path)
+    if reads == "groups":
+        path = tmp_path / "groups.json"
+        return ["stats", "--groups", str(path), "--iterations", "5"], str(path)
+    if reads in ("index", "archive"):
+        repo = _write_repo(tmp_path, "1.0.0")
+        path = repo / ("index.yaml" if reads == "index" else "web-1.0.0.tgz")
+        return ["snapshot", "--index", str(repo / "index.yaml"),
+                "--snapshot-store", str(tmp_path / "store")], str(path)
+    store = _record_days(tmp_path / "store", "1.0.0", "1.1.0")
+    path = os.path.join(store.root, "2018-05-14", reads)
+    return ["changes", "--snapshot-store", store.root], path
+
+
+@pytest.mark.parametrize("kind", ["fifo", "dev-zero"])
+@pytest.mark.parametrize("reads", ["kb", "groups", "config", "index", "archive",
+                                   "manifest.json", "index.yaml"])
+def test_a_hostile_input_file_exits_two_naming_it(tmp_path, reads, kind):
+    argv, path = _reading_command(tmp_path, reads)
+    if os.path.lexists(path):
+        os.unlink(path)
+    if kind == "fifo":
+        os.mkfifo(path)
+    else:
+        os.symlink("/dev/zero", path)
+    started = time.monotonic()
+    proc = run_limited(*argv, cpu_seconds=2, wall_seconds=2)
+    elapsed = time.monotonic() - started
+    assert proc.returncode == 2, proc.stderr
+    assert f"{path} is not a regular file" in proc.stderr
+    if reads.endswith((".json", ".yaml")):
+        assert "ERROR cannot load snapshot 2018-05-14: " in proc.stderr
+    assert proc.stdout == ""
+    if kind == "fifo":
+        assert elapsed < 1
 
 
 def test_a_template_of_key_paths_past_the_bound_is_unparseable_and_its_chart_reported(tmp_path):

@@ -2,21 +2,24 @@
 
 import datetime
 import gc
+import http.server
 import json
 import os
 import re
+import socket
 import string
 import tempfile
+import threading
+import time
 import warnings
 
 import pytest
-import requests
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chartqa.core import package_from_files
-from chartqa import ingest
+from chartqa import files, ingest
 from chartqa.errors import (
     ChecksumMismatch,
     DuplicateSnapshot,
@@ -233,33 +236,92 @@ def test_snapshot_cli_keeps_hostile_index_inside_the_store(tmp_path):
     assert list(tmp_path.rglob("escaped*")) == []
 
 
-class _Response:
-    def __init__(self, content: bytes):
-        self.content = content
+ARCHIVE_BODY = b"archive bytes"
 
-    def raise_for_status(self) -> None:
+
+class _Handler(http.server.BaseHTTPRequestHandler):
+    """Loopback routes: a body, a 404, redirects, and a body sent a byte at a time."""
+
+    redirects = {"/moved": "/web-1.0.0.tgz", "/to-ftp": "ftp://127.0.0.1:1/web-1.0.0.tgz",
+                 "/to-file": "file:///etc/hostname"}
+
+    def do_GET(self):
+        if self.path in self.redirects:
+            self.send_response(302)
+            self.send_header("Location", self.redirects[self.path])
+            self.end_headers()
+        elif self.path in ("/web-1.0.0.tgz", "/trickle"):
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(ARCHIVE_BODY)))
+            self.end_headers()
+            try:
+                for byte in ARCHIVE_BODY:
+                    self.wfile.write(bytes([byte]))
+                    self.wfile.flush()
+                    if self.path == "/trickle":
+                        time.sleep(0.1)
+            except OSError:  # the client gave up
+                pass
+        else:
+            self.send_error(404)
+
+    def log_message(self, *args):
         pass
 
 
-def test_fetch_archive_http_returns_response_content(monkeypatch):
-    seen = []
+@pytest.fixture
+def http_base(monkeypatch):
+    """The base URL of a loopback server of ``_Handler``'s routes, reached without a proxy."""
+    for variable in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(variable, raising=False)
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+    threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True).start()
+    yield f"http://127.0.0.1:{server.server_address[1]}"
+    server.shutdown()
+    server.server_close()
 
-    def get(url, timeout):
-        seen.append(url)
-        return _Response(b"archive bytes")
 
-    monkeypatch.setattr(requests, "get", get)
-    assert fetch_archive("http://charts.example/web-1.0.0.tgz") == b"archive bytes"
-    assert seen == ["http://charts.example/web-1.0.0.tgz"]
+def test_fetch_archive_http_returns_response_content(http_base):
+    assert fetch_archive(f"{http_base}/web-1.0.0.tgz") == ARCHIVE_BODY
+    assert fetch_archive(f"{http_base}/moved") == ARCHIVE_BODY
+    assert fetch_archive(f"{http_base}/web-1.0.0.tgz",
+                         expected_digest=sha256_digest(ARCHIVE_BODY)) == ARCHIVE_BODY
 
 
-def test_fetch_archive_http_connection_error_is_fetch_error(monkeypatch):
-    def get(url, timeout):
-        raise requests.ConnectionError("refused")
+def test_fetch_archive_http_connection_error_is_fetch_error():
+    with socket.socket() as probe:  # a port nothing listens on once it is closed
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    with pytest.raises(FetchError, match="^cannot fetch .*Connection refused"):
+        fetch_archive(f"http://127.0.0.1:{port}/index.yaml")
 
-    monkeypatch.setattr(requests, "get", get)
-    with pytest.raises(FetchError, match="refused"):
-        fetch_archive("https://charts.example/index.yaml")
+
+def test_fetch_archive_http_error_status_is_fetch_error(http_base):
+    with pytest.raises(FetchError, match=f"^cannot fetch {http_base}/absent.tgz: HTTP Error 404"):
+        fetch_archive(f"{http_base}/absent.tgz")
+
+
+@pytest.mark.parametrize("route", ["/to-ftp", "/to-file"])
+def test_fetch_archive_http_follows_redirects_only_to_http(http_base, route):
+    with pytest.raises(FetchError, match=f"^cannot fetch {http_base}{route}: HTTP Error 302"):
+        fetch_archive(f"{http_base}{route}")
+
+
+def test_fetch_archive_http_body_over_the_bound_is_fetch_error(http_base, monkeypatch):
+    url = f"{http_base}/web-1.0.0.tgz"
+    monkeypatch.setattr(ingest, "MAX_ARCHIVE_FILE_BYTES", len(ARCHIVE_BODY))
+    assert fetch_archive(url) == ARCHIVE_BODY
+    monkeypatch.setattr(ingest, "MAX_ARCHIVE_FILE_BYTES", len(ARCHIVE_BODY) - 1)
+    with pytest.raises(FetchError, match=f"^{url} holds over {len(ARCHIVE_BODY) - 1} bytes$"):
+        fetch_archive(url)
+
+
+def test_fetch_archive_http_body_past_the_deadline_is_fetch_error(http_base, monkeypatch):
+    monkeypatch.setattr(files, "URL_DEADLINE_S", 0.3)
+    started = time.monotonic()
+    with pytest.raises(FetchError, match=f"^cannot fetch {http_base}/trickle within 0.3 s$"):
+        fetch_archive(f"{http_base}/trickle")
+    assert time.monotonic() - started < 1  # the whole body would take 1.3 s
 
 
 def test_fetch_archive_filesystem_and_digest(tmp_path):

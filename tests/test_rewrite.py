@@ -2,6 +2,7 @@
 
 import copy
 import logging
+import os
 import tempfile
 
 import pytest
@@ -526,6 +527,19 @@ def test_write_outbox(tmp_path):
     assert text.startswith("To: alice@example.org\n")
     assert "Subject: chartqa: 1 chart quality finding" in text
     assert "http://qa.local/diffs/app-a-1.0.0.tgz.patch" in text
+
+
+def test_write_outbox_gives_recipients_of_one_safe_name_distinct_files(tmp_path):
+    recipients = ["a+b@x.com", "a_b@x.com", "a_b@x.com-2", "c@x.com"]
+    batch = rewrite.DigestBatch(
+        digests=tuple(rewrite.IssueDigest(email, (rewrite.Issue("no-maintainer", email),))
+                      for email in recipients),
+        unique_issue_count=4, recipient_count=4)
+    written = write_outbox(batch, str(tmp_path))
+    assert [os.path.basename(path) for path in written] == [
+        "a_b_at_x.com.eml", "a_b_at_x.com-2.eml", "a_b_at_x.com-2-2.eml", "c_at_x.com.eml"]
+    for email, path in zip(recipients, written):
+        assert open(path, encoding="utf-8").read().startswith(f"To: {email}\n")
 
 
 def _plan(pkg, var_name, value, *spans):

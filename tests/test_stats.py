@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chartqa import stats
 from chartqa.errors import AllZeroDifferences, SettingError
 from chartqa.stats import (
     _draw,
@@ -176,6 +177,54 @@ def test_normal_branch_matches_scipy_approximation():
             )
         assert result.method == "normal"
         assert result.p_value == pytest.approx(ref.pvalue, rel=1e-9, abs=1e-12)
+
+
+def largest_exact_normal_gap(magnitudes) -> float:
+    """The largest |exact p - normal p| over every W that signs on ``magnitudes``
+    (tied where equal) reach: the exact p from ``_exact_p_table``, the normal p
+    from ``wilcoxon_signed_rank`` with the exact branch switched off."""
+    magnitudes = sorted(magnitudes)
+    double = [round(2 * r) for r in _midranks(magnitudes)]
+    exact = _exact_p_table(tuple(double))
+    reach = [{0}]  # reach[i]: the doubled W+ that signs on the first i ranks give
+    for rank in double:
+        reach.append(reach[-1] | {w + rank for w in reach[-1]})
+    gap, limit = 0.0, stats.EXACT_ENUMERATION_LIMIT
+    stats.EXACT_ENUMERATION_LIMIT = 0
+    try:
+        for w in sorted(w for w in reach[-1] if 2 * w <= sum(double)):
+            signs, rest = [], w  # a sign assignment whose doubled W+ is w, last rank first
+            for i in range(len(double), 0, -1):
+                positive = rest not in reach[i - 1]
+                rest -= double[i - 1] if positive else 0
+                signs.append(1 if positive else -1)
+            diffs = [sign * m for sign, m in zip(reversed(signs), magnitudes)]
+            result = wilcoxon_signed_rank(diffs, [0] * len(diffs))
+            assert result.method == "normal" and round(2 * result.statistic) == w
+            gap = max(gap, abs(result.p_value - exact[w]))
+    finally:
+        stats.EXACT_ENUMERATION_LIMIT = limit
+    return gap
+
+
+# the largest gap at n = 40 measures 0.0084 with distinct ranks, 0.0065 with ties in pairs
+GAP_BOUND_AT_40 = 0.01
+
+
+@pytest.mark.parametrize("tie_size", [1, 2], ids=["distinct", "pairs"])
+def test_exact_and_normal_p_converge_as_n_grows(tie_size):
+    gaps = [largest_exact_normal_gap([1 + i // tie_size for i in range(n)])
+            for n in (12, 20, 30, 40)]
+    assert gaps == sorted(gaps, reverse=True) and len(set(gaps)) == 4, gaps
+    assert gaps[-1] < GAP_BOUND_AT_40
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=40, max_size=40))
+def test_exact_and_normal_p_agree_at_n_40_with_ties(tie_sizes):
+    # 40 magnitudes in runs of tie_sizes equal values, the last run cut short
+    magnitudes = [group for group, size in enumerate(tie_sizes, 1) for _ in range(size)]
+    assert largest_exact_normal_gap(magnitudes[:40]) < GAP_BOUND_AT_40
 
 
 def test_mixed_sample_types_and_equal_length_checks():
