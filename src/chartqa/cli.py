@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import logging
 import math
 import os
 import sys
@@ -24,8 +23,6 @@ from .errors import ChartQAError, FetchError, InputFileError, RenderFailed, Work
 if TYPE_CHECKING:
     from .ingest import RepoIndex
     from .quality import DuplicateConfig, VariabilityKnowledgeBase
-
-log = logging.getLogger("chartqa")
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -56,6 +53,16 @@ _FLAGS = {
     "periods": {"help": "semicolon-separated label=START..END snapshot-id ranges"},
     "groups": {"help": "JSON file with n1 and n2 value arrays"},
 }
+
+
+def _log(level: str, message: str) -> None:
+    """``message`` at ``level`` (``"warning"`` or ``"error"``) on the ``chartqa``
+    logger, shown as ``LEVEL message`` on standard error; ``logging`` is imported
+    and configured with the first line, so a command that logs nothing never loads it."""
+    import logging
+
+    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
+    getattr(logging.getLogger("chartqa"), level)("%s", message)
 
 
 def _is_int(value: Any) -> bool:
@@ -173,7 +180,7 @@ def _map_charts(fn, args: argparse.Namespace,
                     key=lambda chart: chart[0].ref.file_name)
     for line in [f"skipping {location}: {reason}" for location, reason in skipped] + \
             [note for entry, result in charts for note in notes(entry, result)]:
-        log.warning("%s", line)
+        _log("warning", line)
     if not charts and skipped:
         raise ChartQAError(
             "no parseable chart found: " + "; ".join(reason for _, reason in skipped[:3]))
@@ -453,17 +460,17 @@ def cmd_suggest(args: argparse.Namespace) -> int:
                                 config=_duplicate_config(args), engine=_engine(args))
     index, suggestions = _map_charts(suggest, args, lambda entry, suggestion: suggestion[1])
     out = args.out or "."
+    diff_dir = os.path.join(out, "diffs")
+    rewrites = [(entry.ref.file_name, os.path.join(diff_dir, f"{entry.ref.file_name}.patch"),
+                 rewritten) for entry, (_, _, rewritten) in zip(index.entries, suggestions)
+                if rewritten is not None]
+    rewrite.remove_stale(diff_dir, ".patch", {diff_path for _, diff_path, _ in rewrites})
     emitted = []
-    for entry, (_, _, rewritten) in zip(index.entries, suggestions):
-        if rewritten is None:
-            continue
-        diff_text, variables = rewritten
-        diff_dir = os.path.join(out, "diffs")
+    for file_name, diff_path, (diff_text, variables) in rewrites:
         os.makedirs(diff_dir, exist_ok=True)
-        diff_path = os.path.join(diff_dir, f"{entry.ref.file_name}.patch")
         with open(diff_path, "w", encoding="utf-8") as fh:
             fh.write(diff_text)
-        emitted.append({"chart": entry.ref.file_name, "variables": variables, "diff": diff_path})
+        emitted.append({"chart": file_name, "variables": variables, "diff": diff_path})
     irregularities = analytics.detect_irregularities(index)
     batch = rewrite.build_issue_digests(
         irregularities, [report for report, _, _ in suggestions], index, args.base_url
@@ -683,7 +690,11 @@ class _CommandParser(argparse.ArgumentParser):
         return namespace, extra
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser of ``argv``: every command's subparser, so help and an unknown
+    command read as ever, but flags only on the one ``argv`` names, its first
+    argument that is not an option, the only subparser argparse will run."""
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
     parser = argparse.ArgumentParser(
         prog="chartqa",
         description="Quality assessment for declarative cloud-application charts.",
@@ -692,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
                                        parser_class=_CommandParser)
     for name, (_, help_text, flags) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
-        for flag in flags.split():
+        for flag in flags.split() if name == command else ():
             flag_name = flag.rstrip("!")
             spec = dict(_FLAGS[flag_name], required=flag.endswith("!"))
             default = _CONFIG_KEYS.get(flag_name.replace("-", "_"), (None,))[0]
@@ -703,10 +714,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cli_dispatch(argv: Sequence[str]) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
-    parser = build_parser()
+    argv = list(argv)
     try:
-        args = parser.parse_args(list(argv))
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors
         return EXIT_CLEAN if exc.code in (0, None) else EXIT_ERROR
@@ -714,12 +724,29 @@ def cli_dispatch(argv: Sequence[str]) -> int:
         _resolve(args)
         return _COMMANDS[args.command][0](args)
     except (ChartQAError, OSError) as exc:
-        log.error("%s", exc)
+        _log("error", str(exc))
         return EXIT_ERROR
 
 
 def main() -> None:
-    sys.exit(cli_dispatch(sys.argv[1:]))
+    """The console entry point: ``cli_dispatch`` of the arguments, then standard
+    output and error flushed and the process ended at once, skipping interpreter
+    teardown; every file a command writes is closed before ``cli_dispatch`` returns.
+    Output that cannot be flushed is an operational error, as a failed write
+    inside ``cli_dispatch`` is; an exception ``cli_dispatch`` raises propagates."""
+    code = cli_dispatch(sys.argv[1:])
+    try:
+        if sys.stdout:  # None where the process started with it closed
+            sys.stdout.flush()
+    except OSError as exc:
+        _log("error", str(exc))
+        code = EXIT_ERROR
+    try:
+        if sys.stderr:
+            sys.stderr.flush()
+    except OSError:
+        pass  # nowhere is left to report it
+    os._exit(code)
 
 
 if __name__ == "__main__":

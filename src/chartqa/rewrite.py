@@ -389,11 +389,25 @@ def build_issue_digests(
 _FILENAME_SAFE_RE = re.compile(r"[^A-Za-z0-9._-]+")
 
 
+def remove_stale(directory: str, suffix: str, keep: set[str]) -> None:
+    """Remove each file in ``directory`` whose name ends in ``suffix`` and whose
+    path is not in ``keep``: what an earlier run wrote there and this one does not."""
+    try:
+        with os.scandir(directory) as entries:
+            stale = [entry.path for entry in entries if entry.name.endswith(suffix)
+                     and entry.path not in keep and not entry.is_dir()]
+    except FileNotFoundError:
+        return
+    for path in stale:
+        os.remove(path)
+
+
 def write_outbox(batch: DigestBatch, outbox_dir: str) -> list[str]:
     """Write one RFC-5322-style .eml text file per digest; transport is out of scope.
-    A name another recipient's file took gets ``-2``, ``-3``, ... after its stem."""
+    A name another recipient's file took gets ``-2``, ``-3``, ... after its stem.
+    An ``.eml`` file an earlier run left that this batch does not write is removed."""
     os.makedirs(outbox_dir, exist_ok=True)
-    written, taken = [], set()
+    paths, taken = [], set()
     for digest in batch.digests:
         safe = _FILENAME_SAFE_RE.sub("_", digest.recipient_email.replace("@", "_at_"))
         path, n = os.path.join(outbox_dir, f"{safe}.eml"), 1
@@ -401,6 +415,9 @@ def write_outbox(batch: DigestBatch, outbox_dir: str) -> list[str]:
             n += 1
             path = os.path.join(outbox_dir, f"{safe}-{n}.eml")
         taken.add(path)
+        paths.append(path)
+    remove_stale(outbox_dir, ".eml", taken)
+    for digest, path in zip(batch.digests, paths):
         lines = [
             f"To: {digest.recipient_email}",
             f"Subject: {SUBJECT_PREFIX}: {len(digest.issues)} chart quality "
@@ -416,5 +433,4 @@ def write_outbox(batch: DigestBatch, outbox_dir: str) -> list[str]:
         lines.append("")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines))
-        written.append(path)
-    return written
+    return paths

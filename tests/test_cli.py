@@ -109,6 +109,68 @@ def test_a_tree_without_a_readable_chart_exits_two(tmp_path, monkeypatch, caplog
     assert sorted(os.listdir(tmp_path)) == ["charts"]
 
 
+def test_entry_point_prints_the_recorded_help_and_usage_errors():
+    """``python -m chartqa``'s standard output, standard error and exit code for
+    ``--help``, each command's ``--help`` and usage errors, as recorded when the
+    parser added every command's flags on each run."""
+    with open(os.path.join(GOLDEN, "entry_point.json"), encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    if "%d.%d" % sys.version_info[:2] != recorded["python"]:
+        pytest.skip(f"recorded with Python {recorded['python']}, whose argparse wording it pins")
+    assert {run["argv"][0] for run in recorded["runs"]
+            if run["argv"][1:] == ["--help"]} == set(cli._COMMANDS)
+    env = dict(os.environ, COLUMNS=str(recorded["columns"]), LINES="24")
+    for run in recorded["runs"]:
+        proc = subprocess.run([sys.executable, "-m", "chartqa", *run["argv"]],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert (proc.stdout, proc.stderr, proc.returncode) == (
+            run["stdout"], run["stderr"], run["exit_code"]), run["argv"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["stats", "--groups", os.path.join(GOLDEN, "groups.json"), "--iterations", "5"], 0),
+    (["livecheck", "--path", os.path.join(GOLDEN, "charts")], 1),
+    (["graph", "--index", os.path.join(GOLDEN, "no-such-index.yaml")], 2),
+])
+def test_entry_point_passes_the_exit_code_and_output_through(capsys, argv, code):
+    assert cli_dispatch(argv) == code
+    out = capsys.readouterr().out
+    # buffered, as a user's shell runs it: the output must be flushed before the process ends
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, "-m", "chartqa", *argv],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == code, proc.stderr
+    generated_at = re.compile(r'"generated_at": "[^"]*"')
+    assert generated_at.sub("", proc.stdout) == generated_at.sub("", out)
+
+
+@pytest.mark.parametrize("closed", ["1", "2"])
+def test_entry_point_started_with_a_stream_closed_exits_as_the_command_does(tmp_path, closed):
+    # started with its descriptor closed, Python's sys.stdout (or sys.stderr) is None
+    proc = subprocess.run(["sh", "-c", f'exec "$0" "$@" {closed}>&-', sys.executable, "-m",
+                           "chartqa", "graph", "--path", os.path.join(GOLDEN, "charts"),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "maintainers.dot").exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_output_that_cannot_be_written_exits_two_with_one_error_line(unbuffered):
+    # buffered, the write fails only in the flush after cli_dispatch returns
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w", encoding="utf-8") as full:
+        proc = subprocess.run([sys.executable, "-m", "chartqa", "graph", "--path",
+                               os.path.join(GOLDEN, "charts")],
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=120, env=env)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("ERROR "), proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
 def test_usage_error_and_help_exit_codes():
     assert cli_dispatch(["no-such-command"]) == 2
     assert cli_dispatch(["--help"]) == 0
@@ -181,7 +243,16 @@ print(json.dumps([code, len(forks), sorted(sys.modules)]))
 """
 
 
-def modules_loaded_by(*argv, pool: bool = False) -> set[str]:
+def modules_loaded_by(*argv, pool: bool = False, entry: bool = False) -> set[str]:
+    """The modules a run of ``argv`` loads; with ``entry``, those ``python -m chartqa``
+    imports, as ``-X importtime`` lists them, in a run that logs nothing."""
+    if entry:
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "chartqa", *argv],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode in (0, 1), proc.stderr
+        lines = proc.stderr.splitlines()
+        assert all(line.startswith("import time:") for line in lines), proc.stderr
+        return {line.rsplit("|", 1)[1].strip() for line in lines[1:]}  # below the header
     proc = subprocess.run([sys.executable, "-c", LOADED_BY, "pool" if pool else "here", *argv],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -247,6 +318,25 @@ def test_store_commands_on_cached_entries_load_no_yaml_or_archive_reader(tmp_pat
         loaded = modules_loaded_by(command, "--snapshot-store", store.root)
         assert "chartqa.analytics" in loaded
         assert not loaded & {"yaml", "chartqa.yamlutil", "tarfile", "dataclasses"}, command
+
+
+def test_commands_that_log_nothing_load_no_logging(tmp_path):
+    store = _record_days(tmp_path / "store", "1.0.0", "1.1.0")
+    groups = tmp_path / "groups.json"
+    groups.write_text(json.dumps({"n1": list(range(12)), "n2": [1, 2, 3, 5, 8]}))
+    for argv in (["changes", "--snapshot-store", store.root],
+                 ["trends", "--snapshot-store", store.root],
+                 ["stats", "--groups", str(groups), "--iterations", "5"]):
+        loaded = modules_loaded_by(*argv, entry=True)
+        assert "chartqa.cli" in loaded
+        assert "logging" not in loaded, argv
+    # the first line logged loads it, and shows as ``LEVEL message``
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "chartqa", "changes",
+                           "--snapshot-store", str(tmp_path / "empty")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert re.search(r"\| logging$", proc.stderr, re.MULTILINE)
+    assert proc.stderr.endswith("\nERROR changes needs two snapshots (or --from/--to)\n")
 
 
 def test_no_command_loads_dataclasses_or_a_process_pool_module(tmp_path):
@@ -753,7 +843,7 @@ def test_input_file_not_utf8_or_not_json_is_a_typed_error_naming_it(tmp_path, ca
                "--config": ["dupes", "--path", str(tmp_path / "charts")],
                "--kb": ["variability", "--path", str(tmp_path / "charts")]}[flag]
     argv = [*command, flag, str(bad)]
-    args = cli.build_parser().parse_args(argv)
+    args = cli.build_parser(argv).parse_args(argv)
     with pytest.raises(error, match=re.escape(f"{bad}: {message}")):
         cli._resolve(args)
         cli._COMMANDS[args.command][0](args)
@@ -762,7 +852,7 @@ def test_input_file_not_utf8_or_not_json_is_a_typed_error_naming_it(tmp_path, ca
 
 
 def _resolved(argv) -> argparse.Namespace:
-    args = cli.build_parser().parse_args(argv)
+    args = cli.build_parser(argv).parse_args(argv)
     cli._resolve(args)
     return args
 
@@ -956,6 +1046,27 @@ def test_suggest_writes_diffs_and_outbox(tmp_path, capsys):
     assert "{{ .Values.suggestions.var1 }}" in diff_text
     outbox = sorted(p.name for p in (out / "outbox").iterdir())
     assert outbox == ["a_at_x.io.eml"]
+
+
+def test_suggest_leaves_only_its_own_diffs_and_digests(tmp_path):
+    for name, email in (("web", "a@x.io"), ("api", "b@x.io")):
+        write_chart_dir(tmp_path / "both", name, chart_files(
+            name=name, templates=DUPE_TEMPLATES, maintainers=[{"name": name, "email": email}]))
+    write_chart_dir(tmp_path / "one", "web", chart_files(
+        name="web", templates=DUPE_TEMPLATES, maintainers=[{"name": "web", "email": "a@x.io"}]))
+    out = tmp_path / "out"
+    assert cli_dispatch(["suggest", "--path", str(tmp_path / "both"), "--out", str(out)]) == 1
+    assert sorted(os.listdir(out / "diffs")) == ["api-1.0.0.tgz.patch", "web-1.0.0.tgz.patch"]
+    assert sorted(os.listdir(out / "outbox")) == ["a_at_x.io.eml", "b_at_x.io.eml"]
+    for kept in ("diffs/notes.txt", "outbox/notes.txt"):  # not a file suggest writes
+        (out / kept).write_text("mine")
+    assert cli_dispatch(["suggest", "--path", str(tmp_path / "one"), "--out", str(out)]) == 1
+    summary = json.loads((out / "suggest.json").read_text())
+    assert [os.path.basename(diff["diff"]) for diff in summary["diffs"]] == [
+        "web-1.0.0.tgz.patch"]
+    assert [os.path.basename(path) for path in summary["outbox"]] == ["a_at_x.io.eml"]
+    assert sorted(os.listdir(out / "diffs")) == ["notes.txt", "web-1.0.0.tgz.patch"]
+    assert sorted(os.listdir(out / "outbox")) == ["a_at_x.io.eml", "notes.txt"]
 
 
 def test_suggest_verifies_charts_with_random_values(tmp_path):

@@ -11,6 +11,8 @@ import zlib
 
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chartqa.core import (
     MAX_ARCHIVE_BYTES,
@@ -57,9 +59,18 @@ def test_mangle_stem_examples(file_name, expected):
     assert mangle_stem(file_name) == expected
 
 
-def test_mangle_stem_idempotent_on_stems():
-    for stem in ("redis", "magicnamespace", "a", "prometheus"):
-        assert mangle_stem(f"{stem}-1.0.0.tgz") == stem
+_COMPONENT = st.text(st.characters(exclude_characters="-"), max_size=8)
+
+
+@given(first=_COMPONENT.filter(lambda text: text[:1] and not text[:1].isdigit()),
+       rest=st.lists(_COMPONENT, max_size=4), suffix=st.sampled_from(["", ".tgz"]),
+       version=st.from_regex(r"\A[0-9][0-9A-Za-z.+-]{0,8}\Z"))
+def test_mangle_stem_idempotent_on_stems(first, rest, suffix, version):
+    # the first component is kept, so no name here takes the all-digit fallback
+    stem = mangle_stem("-".join([first, *rest]) + suffix)
+    assert stem and "-" not in stem
+    assert mangle_stem(f"{stem}.tgz") == stem
+    assert mangle_stem(f"{stem}-{version}.tgz") == stem
 
 
 def test_mangle_stem_all_digit_fallback():

@@ -240,7 +240,8 @@ ARCHIVE_BODY = b"archive bytes"
 
 
 class _Handler(http.server.BaseHTTPRequestHandler):
-    """Loopback routes: a body, a 404, redirects, and a body sent a byte at a time."""
+    """Loopback routes: a body, a 404, redirects, and a body or a whole response
+    sent a byte at a time."""
 
     redirects = {"/moved": "/web-1.0.0.tgz", "/to-ftp": "ftp://127.0.0.1:1/web-1.0.0.tgz",
                  "/to-file": "file:///etc/hostname"}
@@ -250,6 +251,15 @@ class _Handler(http.server.BaseHTTPRequestHandler):
             self.send_response(302)
             self.send_header("Location", self.redirects[self.path])
             self.end_headers()
+        elif self.path == "/slow-headers":
+            try:
+                for byte in (b"HTTP/1.0 200 OK\r\nContent-Type: application/gzip\r\n"
+                             b"Content-Length: 13\r\n\r\n" + ARCHIVE_BODY):
+                    self.wfile.write(bytes([byte]))
+                    self.wfile.flush()
+                    time.sleep(0.1)
+            except OSError:  # the client gave up
+                pass
         elif self.path in ("/web-1.0.0.tgz", "/trickle"):
             self.send_response(200)
             self.send_header("Content-Length", str(len(ARCHIVE_BODY)))
@@ -322,6 +332,15 @@ def test_fetch_archive_http_body_past_the_deadline_is_fetch_error(http_base, mon
     with pytest.raises(FetchError, match=f"^cannot fetch {http_base}/trickle within 0.3 s$"):
         fetch_archive(f"{http_base}/trickle")
     assert time.monotonic() - started < 1  # the whole body would take 1.3 s
+
+
+def test_fetch_archive_http_headers_past_the_deadline_is_fetch_error(http_base, monkeypatch):
+    monkeypatch.setattr(files, "URL_DEADLINE_S", 0.3)
+    started = time.monotonic()
+    with pytest.raises(FetchError,
+                       match=f"^cannot fetch {http_base}/slow-headers within 0.3 s$"):
+        fetch_archive(f"{http_base}/slow-headers")
+    assert time.monotonic() - started < 1.5  # the status line and headers alone take 7 s
 
 
 def test_fetch_archive_filesystem_and_digest(tmp_path):
