@@ -121,13 +121,11 @@ class ChartRef(_ChartRefFields):
 
 
 class ChartMetadata(NamedTuple):
-    """Parsed Chart.yaml content; unknown fields are tolerated and dropped."""
+    """The Chart.yaml fields chartqa reads; the rest stay in the package's text."""
 
     name: str
     version: str
-    description: str | None = None
     maintainers: tuple[Maintainer, ...] = ()
-    icon: str | None = None
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "ChartMetadata":
@@ -141,40 +139,20 @@ class ChartMetadata(NamedTuple):
         unusable = unusable_file_name_part(name, version)
         if unusable:
             raise MetadataParseError(f"Chart.yaml has unusable {unusable}")
-        description = data.get("description")
-        icon = data.get("icon")
-        return cls(
-            name=name,
-            version=version,
-            description=str(description) if description is not None else None,
-            maintainers=maintainers_from_field(data.get("maintainers")),
-            icon=str(icon) if icon is not None else None,
-        )
-
-    def to_mapping(self) -> dict:
-        out: dict[str, Any] = {"name": self.name, "version": self.version}
-        if self.description is not None:
-            out["description"] = self.description
-        if self.maintainers:
-            out["maintainers"] = [
-                {k: v for k, v in (("name", m.name), ("email", m.email)) if v is not None}
-                for m in self.maintainers
-            ]
-        if self.icon is not None:
-            out["icon"] = self.icon
-        return out
+        return cls(name=name, version=version,
+                   maintainers=maintainers_from_field(data.get("maintainers")))
 
 
 class ChartPackage(NamedTuple):
-    """One unpacked chart: metadata, values, templates, requirements."""
+    """One unpacked chart: metadata, values, templates, and the text of its
+    Chart.yaml and values.yaml as read (rewrite diffs and the external
+    renderer need the original bytes, not a re-serialization)."""
 
     metadata: ChartMetadata
     values: ValueTree
     templates: tuple[tuple[str, str], ...]  # (path under chart root, body)
-    requirements: tuple[ChartRef, ...] = ()
-    # verbatim values.yaml source when the chart came from files; rewrite
-    # diffs need the original bytes, not a re-serialization
-    values_text: str | None = None
+    chart_text: str
+    values_text: str  # "" when the chart has no values.yaml
 
     @property
     def ref(self) -> ChartRef:
@@ -183,16 +161,6 @@ class ChartPackage(NamedTuple):
     @property
     def stem(self) -> str:
         return self.ref.stem
-
-    def values_source(self) -> str:
-        """values.yaml text: verbatim when known, else a canonical dump."""
-        if self.values_text is not None:
-            return self.values_text
-        if not self.values:
-            return ""
-        import yaml
-
-        return yaml.safe_dump(self.values, sort_keys=False)
 
 
 def package_from_files(files: Mapping[str, bytes | str]) -> ChartPackage:
@@ -213,22 +181,23 @@ def package_from_files(files: Mapping[str, bytes | str]) -> ChartPackage:
         except UnicodeDecodeError as exc:
             raise MetadataParseError(f"{path} is not UTF-8: {exc}") from exc
 
-    def parse(path: str, literal: bool = False) -> Any:
+    def parse(path: str, body: str, literal: bool = False) -> Any:
         try:
-            return load_unique(text(path), literal)
+            return load_unique(body, literal)
         except yaml.YAMLError as exc:
             raise MetadataParseError(f"{path} invalid: {exc}") from exc
 
     if "Chart.yaml" not in files:
         raise MissingMetadata("chart has no Chart.yaml")
+    chart_text = text("Chart.yaml")
     # names and versions as written, as Helm and the repository index read them
-    metadata = ChartMetadata.from_mapping(parse("Chart.yaml", literal=True) or {})
+    metadata = ChartMetadata.from_mapping(parse("Chart.yaml", chart_text, literal=True) or {})
 
     values: ValueTree = {}
-    values_text = None
+    values_text = ""
     if "values.yaml" in files:
         values_text = text("values.yaml")
-        values = parse("values.yaml")
+        values = parse("values.yaml", values_text)
         if values is None:
             values = {}
 
@@ -238,17 +207,11 @@ def package_from_files(files: Mapping[str, bytes | str]) -> ChartPackage:
         if path.startswith("templates/") and not path.endswith("/")
     )
 
-    reqs = parse("requirements.yaml", literal=True) if "requirements.yaml" in files else None
-    deps = (reqs.get("dependencies") or []) if isinstance(reqs, Mapping) else []
-    requirements = tuple(
-        ChartRef.from_name_version(str(dep["name"]), str(dep["version"]))
-        for dep in deps if isinstance(dep, Mapping) and dep.get("name") and dep.get("version")
-    )
+    if "requirements.yaml" in files:  # read only so a chart Helm would refuse is skipped
+        parse("requirements.yaml", text("requirements.yaml"), literal=True)
 
-    return ChartPackage(
-        metadata=metadata, values=values, templates=templates,
-        requirements=requirements, values_text=values_text,
-    )
+    return ChartPackage(metadata=metadata, values=values, templates=templates,
+                        chart_text=chart_text, values_text=values_text)
 
 
 _TAR_BLOCK = 512  # tarfile.BLOCKSIZE
@@ -340,18 +303,13 @@ def parse_chart_archive(archive: bytes) -> ChartPackage:
 
 
 def write_package_dir(pkg: ChartPackage, chart_dir: str) -> None:
-    """Serialize a package back to an unpacked chart directory."""
-    import yaml
-
-    os.makedirs(chart_dir, exist_ok=True)
-    with open(os.path.join(chart_dir, "Chart.yaml"), "w", encoding="utf-8") as fh:
-        yaml.safe_dump(pkg.metadata.to_mapping(), fh, sort_keys=False)
-    with open(os.path.join(chart_dir, "values.yaml"), "w", encoding="utf-8") as fh:
-        fh.write(pkg.values_source())
-    for path, body in pkg.templates:
+    """Write a package as an unpacked chart directory: its Chart.yaml,
+    values.yaml and templates exactly as read."""
+    for path, body in (("Chart.yaml", pkg.chart_text), ("values.yaml", pkg.values_text),
+                       *pkg.templates):
         full = os.path.join(chart_dir, path)
         os.makedirs(os.path.dirname(full), exist_ok=True)
-        with open(full, "w", encoding="utf-8") as fh:
+        with open(full, "w", encoding="utf-8", newline="") as fh:
             fh.write(body)
 
 

@@ -315,10 +315,15 @@ class SnapshotStore:
     def record(self, index: RepoIndex, archives: Mapping[str, bytes]) -> str:
         """Persist a snapshot atomically; returns the snapshot id.
 
-        Raises DuplicateSnapshot when this UTC day already has one; a failed
-        write leaves no partial snapshot behind.
+        Raises DuplicateSnapshot when this UTC day already has one, and
+        StorageError for an index without its document (a synthesized one),
+        which no snapshot could be loaded from; a failed write leaves no
+        partial snapshot behind.
         """
         snapshot_id = index.fetched_at.astimezone(datetime.timezone.utc).date().isoformat()
+        if index.raw is None:
+            raise StorageError(f"cannot persist snapshot {snapshot_id}: "
+                               f"index {index.source} has no document to store")
         final = os.path.join(self.root, snapshot_id)
         if os.path.exists(final):
             raise DuplicateSnapshot(f"snapshot {snapshot_id} already recorded")
@@ -329,7 +334,7 @@ class SnapshotStore:
             archive_dir = os.path.join(staging, "archives")
             os.makedirs(archive_dir)
             with open(os.path.join(staging, "index.yaml"), "wb") as fh:
-                fh.write(index.raw if index.raw is not None else b"")
+                fh.write(index.raw)
             digests = {}
             for file_name, data in archives.items():
                 with open(os.path.join(archive_dir, file_name), "wb") as fh:
@@ -341,14 +346,13 @@ class SnapshotStore:
                 "fetched_at": index.fetched_at.isoformat(),
                 "digest_algorithm": "sha256",
                 "digests": digests,
-            }
-            if index.raw is not None:
-                # entries of a parsed index, so load can skip the YAML parse
-                manifest["index"] = {
+                # entries of the parsed index, so load can skip the YAML parse
+                "index": {
                     "sha256": sha256_digest(index.raw),
                     "reader": _INDEX_READER,
                     "entries": [_cache_item(entry) for entry in index.entries],
-                }
+                },
+            }
             with open(os.path.join(staging, "manifest.json"), "w", encoding="utf-8") as fh:
                 json.dump(manifest, fh, indent=2, sort_keys=True)
             os.rename(staging, final)

@@ -43,7 +43,6 @@ class Assignment(NamedTuple):
 
 
 class RewritePlan(NamedTuple):
-    chart: ChartRef
     assignments: tuple[Assignment, ...]
     values_patch: str  # YAML fragment adding the suggestions block
     skipped_groups: tuple[tuple[str, str], ...] = ()  # (value, reason)
@@ -115,7 +114,6 @@ def plan_rewrite(pkg: ChartPackage, report: DuplicateReport) -> RewritePlan:
     values_patch = yaml.safe_dump({"suggestions": suggestions}, sort_keys=False) \
         if suggestions else ""
     return RewritePlan(
-        chart=pkg.ref,
         assignments=tuple(assignments),
         values_patch=values_patch,
         skipped_groups=tuple(skipped),
@@ -138,7 +136,7 @@ def _rewritten_files(pkg: ChartPackage, plan: RewritePlan) -> tuple[tuple, str]:
             edits.setdefault(occ.template_path, []).append((span, placeholder))
     templates = tuple((path, splice(body, sorted(edits.get(path, ()))))
                       for path, body in pkg.templates)
-    values_text = pkg.values_source()
+    values_text = pkg.values_text
     if plan.values_patch:
         if values_text and not values_text.endswith("\n"):
             values_text += "\n"
@@ -190,7 +188,7 @@ def emit_diff(pkg: ChartPackage, plan: RewritePlan) -> str:
     templates, values_text = _rewritten_files(pkg, plan)
     files = [(path, body, new_body)
              for (path, body), (_, new_body) in sorted(zip(pkg.templates, templates))]
-    files.append(("values.yaml", pkg.values_source(), values_text))
+    files.append(("values.yaml", pkg.values_text, values_text))
     return "".join(
         _unified_file_diff(body, new_body, f"a/{chart_dir}/{path}", f"b/{chart_dir}/{path}")
         for path, body, new_body in files if new_body != body

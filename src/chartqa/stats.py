@@ -111,11 +111,10 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> WilcoxonResu
 
     mean = n * (n + 1) / 4.0
     variance = n * (n + 1) * (2 * n + 1) / 24.0
+    # ties take at most (n^3 - n) / 48, so the variance stays >= n(n+1)^2 / 16
     for t in collections.Counter(sorted(abs(d) for d in nonzero)).values():
         if t > 1:
             variance -= (t ** 3 - t) / 48.0
-    if variance <= 0:
-        return WilcoxonResult(statistic, 1.0, n, "normal")
     z = (statistic - mean) / math.sqrt(variance)
     p = min(1.0, math.erfc(abs(z) / math.sqrt(2.0)))
     return WilcoxonResult(statistic, p, n, "normal")

@@ -134,6 +134,20 @@ def test_unmaintained_bucket_counts_in_headline_sets():
     assert metrics["unmaintained_chart_files"] == ["b-1.0.0.tgz", "c-1.0.0.tgz"]
 
 
+def test_a_maintainer_record_with_neither_name_nor_email_maintains_nothing():
+    index = make_index([
+        ("a", "1.0.0", [(None, None)]),
+        ("b", "1.0.0", [(None, None), ("m1", "m1@x.io")]),
+    ])
+    sets, metrics = compute_maintainer_sets(index)
+    assert [(tuple(m.key for m in s.members), s.chart_files) for s in sets] == [
+        (("email:m1@x.io",), ("b-1.0.0.tgz",)),
+    ]
+    assert metrics["maintainers"] == 1
+    assert metrics["unmaintained_chart_files"] == ["a-1.0.0.tgz"]
+    assert detect_irregularities(index).no_maintainer == (index.entries[0].ref,)
+
+
 # --- irregularities ---
 
 def test_name_collision_self_reference():

@@ -1654,6 +1654,21 @@ def test_trends_over_a_store_entry_not_named_by_date_exits_two(tmp_path, caplog)
     assert "snapshot 'copy': name is not a date" in caplog.text
 
 
+def test_trends_with_a_period_lacking_its_span_exits_two(tmp_path, caplog):
+    store = _record_days(tmp_path / "store", "1.0.0", "1.1.0")
+    with caplog.at_level(logging.ERROR, logger="chartqa"):
+        assert cli_dispatch(["trends", "--snapshot-store", store.root,
+                             "--periods", "q1=2018-05-14..2018-05-15;q2=2018-05-15"]) == 2
+    assert "bad period spec 'q2=2018-05-15', want label=START..END" in caplog.text
+
+
+def test_trends_over_one_snapshot_exits_two(tmp_path, caplog):
+    store = _record_days(tmp_path / "store", "1.0.0")
+    with caplog.at_level(logging.ERROR, logger="chartqa"):
+        assert cli_dispatch(["trends", "--snapshot-store", store.root]) == 2
+    assert "trends need at least two snapshots" in caplog.text
+
+
 def test_a_plain_value_error_in_a_handler_keeps_its_traceback(monkeypatch, tmp_path):
     def handler(args):
         raise ValueError("a bug, not an operational error")

@@ -10,7 +10,6 @@ import tracemalloc
 import zlib
 
 import pytest
-import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -25,9 +24,10 @@ from chartqa.core import (
     package_from_files,
     parse_chart_archive,
     versioning_overhead,
+    write_package_dir,
 )
 from chartqa.errors import EmptyCorpus, MalformedArchive, MetadataParseError, MissingMetadata
-from chartqa.ingest import parse_repo_index
+from chartqa.ingest import package_from_dir, parse_repo_index
 
 from conftest import chart_files, make_archive
 
@@ -156,9 +156,26 @@ def test_parse_chart_archive_minimal():
     assert pkg.metadata.name == "redis"
     assert pkg.metadata.version == "1.0.0"
     assert len(pkg.templates) == 2
-    assert pkg.requirements == ()
     assert pkg.values == {}  # missing values.yaml yields an empty tree
     assert all(path.startswith("templates/") for path, _ in pkg.templates)
+
+
+def test_parse_chart_archive_as_tar_writes_a_directory(tmp_path):
+    # tar czf lists each directory and keeps a symlink as a link member;
+    # only regular files are chart files
+    chart = tmp_path / "web"
+    (chart / "templates").mkdir(parents=True)
+    (chart / "Chart.yaml").write_text("name: web\nversion: 1.0.0\n")
+    (chart / "templates" / "deploy.yaml").write_text("kind: Deployment\n")
+    (chart / "templates" / "link.yaml").symlink_to("deploy.yaml")
+    buf = io.BytesIO()
+    with tarfile.open(fileobj=buf, mode="w:gz") as tar:
+        tar.add(chart, arcname="web")
+        types = {member.name: member.type for member in tar.getmembers()}
+    assert types["web"] == types["web/templates"] == tarfile.DIRTYPE
+    assert types["web/templates/link.yaml"] == tarfile.SYMTYPE
+    pkg = parse_chart_archive(buf.getvalue())
+    assert pkg.templates == (("templates/deploy.yaml", "kind: Deployment\n"),)
 
 
 def test_parse_chart_archive_missing_metadata():
@@ -256,7 +273,6 @@ def test_chart_yaml_name_and_version_read_as_written(written, file_name):
              "requirements.yaml": f"dependencies:\n- name: 2.0\n  version: {written}\n"}
     pkg = package_from_files(files)
     assert pkg.ref.file_name == file_name
-    assert pkg.requirements[0].file_name == "2.0-" + file_name[3:]
     index = parse_repo_index(f"entries:\n  db:\n    - version: {written}\n".encode(), "memory:")
     assert index.entries[0].ref.file_name == file_name
 
@@ -272,33 +288,40 @@ def test_chart_yaml_keeps_the_duplicate_key_and_alias_checks(text, problem):
 
 
 def test_parse_chart_archive_requirements_and_subchart():
-    requirements = "dependencies:\n- name: redis\n  version: 1.0.0\n"
     subchart = make_archive(chart_files(name="redis", version="1.0.0"), "redis")
-    files = dict(chart_files(name="parent", version="2.0.0"))
-    files["requirements.yaml"] = requirements
-    archive_files = dict(files)
-    archive_files["charts/redis-1.0.0.tgz"] = subchart
-    pkg = parse_chart_archive(make_archive(archive_files, "parent"))
-
-    # archive-listing oracle: the requirement count must equal the number
-    # of dependency records visible in the raw archive, not the number of
-    # bundled subchart files
-    with tarfile.open(fileobj=io.BytesIO(make_archive(archive_files, "parent"))) as tar:
-        member = tar.extractfile("parent/requirements.yaml")
-        declared = yaml.safe_load(member.read())["dependencies"]
-    assert len(pkg.requirements) == len(declared) == 1
-    assert pkg.requirements[0].name == "redis"
+    files = dict(chart_files(name="parent", version="2.0.0", templates={"a.yaml": "kind: A\n"}))
+    files["requirements.yaml"] = "dependencies:\n- name: redis\n  version: 1.0.0\n"
+    files["charts/redis-1.0.0.tgz"] = subchart
+    pkg = parse_chart_archive(make_archive(files, "parent"))
+    # the bundled subchart is not the parent's: its templates are not read
+    assert pkg.ref.file_name == "parent-2.0.0.tgz"
+    assert pkg.templates == (("templates/a.yaml", "kind: A\n"),)
+    files["requirements.yaml"] = "dependencies:\n- name: a\n  name: b\n"
+    with pytest.raises(MetadataParseError, match="requirements.yaml invalid"):
+        parse_chart_archive(make_archive(files, "parent"))
 
 
-def test_metadata_round_trip():
-    meta = ChartMetadata.from_mapping({
-        "name": "web", "version": "1.2.3", "description": "d",
-        "maintainers": [{"name": "alice", "email": "a@x.io"}, {"name": "bob"}],
-        "icon": "http://x/icon.png",
-        "unknown_field": {"ignored": True},
-    })
-    again = ChartMetadata.from_mapping(yaml.safe_load(yaml.safe_dump(meta.to_mapping())))
-    assert again == meta
+def test_write_package_dir_gives_back_the_chart_files_as_read(tmp_path):
+    files = {
+        "Chart.yaml": "apiVersion: v2\nname: web  # the app\nversion: 1.0.0\n"
+                      "appVersion: \"1.16\"\nkubeVersion: \">=1.20\"\n",
+        "values.yaml": "# defaults\nimage: {tag: latest}\r\nreplicas: 0x10\n",
+        "templates/deploy.yaml": "image: {{ .Values.image.tag }}\r\n",
+        "templates/svc.yaml": "kind: Service",
+    }
+    pkg = package_from_files(files)
+    write_package_dir(pkg, str(tmp_path / "web"))
+    for path, body in files.items():
+        assert (tmp_path / "web" / path).read_bytes() == body.encode()
+    assert package_from_dir(str(tmp_path / "web")) == pkg
+
+
+def test_write_package_dir_of_a_chart_without_values_yaml(tmp_path):
+    pkg = package_from_files(chart_files(templates={"t.yaml": "a: 1\n"}))
+    assert pkg.values_text == ""
+    write_package_dir(pkg, str(tmp_path / "web"))
+    assert (tmp_path / "web" / "values.yaml").read_bytes() == b""
+    assert package_from_dir(str(tmp_path / "web")) == pkg
 
 
 def test_parse_chart_archive_bounds_long_name_header_body():

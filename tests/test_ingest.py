@@ -35,6 +35,8 @@ from chartqa.ingest import (
     SnapshotStore,
     chart_locations,
     fetch_archive,
+    index_entry,
+    index_from_entries,
     load_chart,
     parse_repo_index,
     sha256_digest,
@@ -492,6 +494,20 @@ def test_snapshot_record_load_roundtrip(tmp_path):
         archives["web-1.0.0.tgz"]
     )
     assert len(snapshot.index.entries) == 1
+
+
+def test_snapshot_of_an_index_without_its_document_is_refused(tmp_path):
+    # as --path synthesizes one: no index.yaml to store, so none to load
+    pkg = package_from_files({"Chart.yaml": "name: web\nversion: 1.0.0\n"})
+    index = index_from_entries([index_entry(pkg)], "charts/")
+    store = SnapshotStore(str(tmp_path / "store"))
+    with pytest.raises(StorageError, match="has no document to store"):
+        store.record(index, {"web-1.0.0.tgz": b"archive"})
+    assert os.listdir(tmp_path / "store") == []
+    # the day can still be recorded from a parsed index
+    parsed = parse_repo_index(b"entries:\n  web:\n    - version: 1.0.0\n", "memory:",
+                              fetched_at=index.fetched_at)
+    assert store.load(store.record(parsed, {})).index.entries == index.entries
 
 
 def test_snapshot_duplicate_same_day_rejected(tmp_path):

@@ -128,6 +128,15 @@ def test_emit_dot_name_collision_collapses_to_self_loop():
     assert nodes == 1
 
 
+def test_emit_dot_labels_an_identity_without_a_name_by_its_email():
+    index = make_index([("redis", "1.0.0", [(None, "Ops@X.io")])])
+    sets, _ = compute_maintainer_sets(index)
+    text = emit_dot(sets, detect_irregularities(index))
+    assert check_dot_grammar(text) == (2, 1)
+    assert '"maintainer_ops@x.io" [label="ops@x.io", shape=ellipse' in text
+    assert '"maintainer_ops@x.io" -> "chart_redis";' in text
+
+
 def test_emit_dot_deterministic_ordering():
     index = make_index([
         ("zeta", "1.0.0", [("zoe", "z@x.io")]),

@@ -170,7 +170,6 @@ def test_verify_rewrite_rejects_inert_comment_span():
     pkg = make_package(values={}, templates={"t.yaml": body})
     comment_start = body.index("httpd-data")
     bogus = RewritePlan(
-        chart=pkg.ref,
         assignments=(Assignment(
             var_name="suggestions.var1",
             value="httpd-data",
@@ -190,7 +189,6 @@ def test_verify_rewrite_rejects_corrupting_span():
     first = assignment.target_occurrences[0]
     skewed = Occurrence(first.template_path, (first.span[0] - 3, first.span[1]), None)
     bad = RewritePlan(
-        chart=plan.chart,
         assignments=(Assignment(
             var_name=assignment.var_name,
             value=assignment.value,
@@ -274,7 +272,7 @@ def test_verify_rewrite_random_value_under_integer_key():
 
 def test_verify_rewrite_empty_plan_vacuously_true():
     pkg = make_package(values={}, templates={})
-    empty = RewritePlan(chart=pkg.ref, assignments=(), values_patch="")
+    empty = RewritePlan(assignments=(), values_patch="")
     assert verify_rewrite(pkg, empty) is True
 
 
@@ -287,6 +285,19 @@ def test_quoted_occurrences_keep_quoting_style():
     assert '"{{ .Values.suggestions.var1 }}"' in rewritten
     assert "'{{ .Values.suggestions.var1 }}'" in rewritten
     assert "b: {{ .Values.suggestions.var1 }}" in rewritten
+
+
+def test_a_quoted_duplicate_written_with_an_escape_is_skipped():
+    # the source bytes are not the value, so no span of them can be replaced
+    pkg = make_package(values={}, templates={"t.yaml": (
+        'a: dup-me\nb: dup-me\nc: "dup\\u002dme"\n'
+        "d: other-dup\ne: other-dup\nf: other-dup\n"
+    )})
+    plan = plan_rewrite(pkg, detect_duplicates(pkg))
+    assert [a.value for a in plan.assignments] == ["other-dup"]
+    assert plan.skipped_groups == (
+        ("dup-me", "templates/t.yaml#0/c: quoted source differs from value"),
+    )
 
 
 def test_no_blacklisted_value_in_assignments():
@@ -303,7 +314,7 @@ def test_patch_round_trip_without_values_yaml(tmp_path):
     pkg = make_package(values=None, templates={
         "t.yaml": "a: dup-me\nb: dup-me\nc: dup-me\n",
     })
-    assert pkg.values_text is None
+    assert pkg.values_text == ""
     plan = plan_rewrite(pkg, detect_duplicates(pkg))
     patched = patched_package(tmp_path, pkg, emit_diff(pkg, plan))
     assert patched.values == {"suggestions": {"var1": "dup-me"}}
@@ -444,7 +455,7 @@ def test_a_verified_rewrite_patches_to_its_files_and_changes_only_the_planned_sp
             assert body.count(placeholder) == len(planned)
             body = body.replace(placeholder, assignment.value)
         assert body == dict(pkg.templates)[path]
-    original = pkg.values_source()
+    original = pkg.values_text
     if original.strip() == "{}":
         assert rewritten.values_text == plan.values_patch
     else:
@@ -542,10 +553,9 @@ def test_write_outbox_gives_recipients_of_one_safe_name_distinct_files(tmp_path)
         assert open(path, encoding="utf-8").read().startswith(f"To: {email}\n")
 
 
-def _plan(pkg, var_name, value, *spans):
+def _plan(var_name, value, *spans):
     """A hand-made plan putting ``var_name``'s placeholder over each (template, start, end)."""
     return RewritePlan(
-        chart=pkg.ref,
         assignments=(Assignment(
             var_name=var_name,
             value=value,
@@ -562,9 +572,9 @@ def test_verify_rewrite_rejects_a_changed_document():
     pkg = make_package(values={}, templates={"t.yaml": body, "svc.yaml": "kind: Service\n"})
     spans = [("t.yaml", i, i + 6) for i in (3, 13, 23)]
     assert all(body[start:end] == "dup-me" for _, start, end in spans)
-    assert verify_rewrite(pkg, _plan(pkg, "suggestions.var1", "dup-me", *spans)) is True
+    assert verify_rewrite(pkg, _plan("suggestions.var1", "dup-me", *spans)) is True
     # the placeholder renders another value: only t.yaml's document changes
-    assert verify_rewrite(pkg, _plan(pkg, "suggestions.var1", "dup-mx", *spans)) is False
+    assert verify_rewrite(pkg, _plan("suggestions.var1", "dup-mx", *spans)) is False
 
 
 def test_verify_rewrite_rejects_a_template_rendered_on_one_side():
@@ -572,10 +582,10 @@ def test_verify_rewrite_rejects_a_template_rendered_on_one_side():
         "t.yaml": "a: dup-me\n", "svc.yaml": "kind: Service\n",
     })
     # the placeholder names no value, so t.yaml renders before the rewrite only
-    assert verify_rewrite(pkg, _plan(pkg, "missing.var1", "dup-me", ("t.yaml", 3, 9))) is False
+    assert verify_rewrite(pkg, _plan("missing.var1", "dup-me", ("t.yaml", 3, 9))) is False
     body = "a: {{ .Values.absent }}\n"
     pkg = make_package(values={}, templates={"t.yaml": body, "svc.yaml": "kind: Service\n"})
     # the rewrite fills a missing value, so t.yaml renders after it only
     end = body.index("\n")
-    assert verify_rewrite(pkg, _plan(pkg, "suggestions.var1", "filled", ("t.yaml", 3, end))) \
+    assert verify_rewrite(pkg, _plan("suggestions.var1", "filled", ("t.yaml", 3, end))) \
         is False
