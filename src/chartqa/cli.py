@@ -18,7 +18,8 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 # building the parser needs only these; each handler imports the modules it uses
 from . import DEFAULT_BLACKLIST, DEFAULT_THRESHOLD
-from .errors import ChartQAError, FetchError, InputFileError, RenderFailed, WorkerFailed
+from .errors import (ChartQAError, FetchError, InputFileError, RenderFailed, TooManyLeaves,
+                     WorkerFailed)
 
 if TYPE_CHECKING:
     from .ingest import RepoIndex
@@ -153,14 +154,17 @@ def _emit_json(document: Any, out_dir: str | None, file_name: str) -> None:
 def _load_then(fn, root: str, location: str) -> tuple:
     """(index entry, ``fn`` of the chart) for the chart at ``location`` under
     ``root``, or (``location``, why it cannot be read) where reading it
-    raises a ChartQAError or an OSError."""
+    raises a ChartQAError or an OSError, or ``fn`` raises TooManyLeaves."""
     from .ingest import index_entry, load_chart
 
     try:
         loaded = load_chart(root, location)
     except (ChartQAError, OSError) as exc:
         return location, f"{type(exc).__name__}: {exc}"
-    return index_entry(loaded), fn(loaded)
+    try:
+        return index_entry(loaded), fn(loaded)
+    except TooManyLeaves as exc:  # refused as its templates are read
+        return location, f"{type(exc).__name__}: {exc}"
 
 
 def _map_charts(fn, args: argparse.Namespace,

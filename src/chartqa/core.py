@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import io
 import os
-from typing import Any, Iterable, Mapping, NamedTuple
+import posixpath
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
-from .errors import EmptyCorpus, MalformedArchive, MetadataParseError, MissingMetadata
+from .errors import (EmptyCorpus, MalformedArchive, MetadataParseError, MissingMetadata,
+                     TooManyLeaves)
 from .files import MAX_FILE_BYTES
 
 # yaml, yamlutil, tarfile, gzip and zlib are imported by the functions that
@@ -60,7 +62,7 @@ class Maintainer(NamedTuple):
 
     @property
     def well_formed(self) -> bool:
-        return bool(self.name) or bool(self.email)
+        return bool(self.normalized_name or self.normalized_email)
 
     @property
     def normalized_name(self) -> str:
@@ -162,6 +164,18 @@ class ChartPackage(NamedTuple):
     def stem(self) -> str:
         return self.ref.stem
 
+    def compiled_templates(self) -> Iterator[tuple[str, Any]]:
+        """(path, compiled form) of each template; TooManyLeaves past MAX_CHART_LEAVES."""
+        from .yamlutil import compile_template
+
+        leaves = 0
+        for path, source in self.templates:
+            compiled = compile_template(source)
+            leaves += compiled.leaves
+            if leaves > MAX_CHART_LEAVES:
+                raise TooManyLeaves(f"templates hold over {MAX_CHART_LEAVES} scalar leaves")
+            yield path, compiled
+
 
 def package_from_files(files: Mapping[str, bytes | str]) -> ChartPackage:
     """Build a ChartPackage from chart-root-relative file contents.
@@ -223,6 +237,8 @@ MAX_ARCHIVE_MEMBERS = 10_000
 # one header block per member, and 1 MiB for long-name and pax header bodies,
 # the most Go's archive/tar (which Helm reads charts with) accepts for one
 MAX_HEADER_BYTES = MAX_ARCHIVE_MEMBERS * _TAR_BLOCK + 1024 * 1024
+# the scalar leaves a chart's templates may hold in all, each costing memory in every pass
+MAX_CHART_LEAVES = 1_000_000
 
 
 class _BoundedStream:
@@ -290,10 +306,12 @@ def parse_chart_archive(archive: bytes) -> ChartPackage:
                     raise MalformedArchive(f"archive files declare over {MAX_ARCHIVE_BYTES} bytes")
                 stream.allow(member.size)
                 parts = member.name.split("/")
-                # drop the single top-level chart directory
-                rel = "/".join(parts[1:]) if len(parts) > 1 else parts[0]
-                if not rel:
+                # drop the single top-level chart directory, and clean the rest as Helm does
+                rel = posixpath.normpath("/".join(parts[1:]) if len(parts) > 1 else parts[0])
+                if rel == ".":
                     continue
+                if rel.startswith(".."):
+                    raise MalformedArchive(f"{member.name} lies outside the chart directory")
                 extracted = tar.extractfile(member)
                 if extracted is not None:
                     files[rel] = extracted.read()

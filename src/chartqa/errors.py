@@ -31,6 +31,10 @@ class MetadataParseError(ChartQAError):
     """A chart file is not UTF-8, a chart YAML file is invalid, or mandatory fields are absent."""
 
 
+class TooManyLeaves(ChartQAError):
+    """A chart's templates hold more scalar leaves than a chart may (``core.MAX_CHART_LEAVES``)."""
+
+
 class EmptyCorpus(ChartQAError):
     """An operation that needs at least one chart got none."""
 

@@ -199,10 +199,10 @@ def detect_duplicates(
     """Find literal values repeated at or above the threshold within one chart.
 
     Values are grouped by canonical scalar form across all templates of the
-    chart; blacklisted values, values shorter than two characters and
-    anything carrying a directive placeholder are never reported. A value
-    is counted where it is written, so an alias to it adds nothing. Groups
-    are ordered by descending occurrence count, ties by value.
+    chart; blacklisted values, values shorter than two characters and anything
+    carrying a directive placeholder are never reported. A value is counted
+    where it is written, so an alias to it adds nothing. Groups are ordered by
+    descending count, ties by value. TooManyLeaves past the chart leaf budget.
     """
     config = config or DuplicateConfig()
     blacklist = set(config.blacklist)
@@ -211,8 +211,8 @@ def detect_duplicates(
     # holds no more of its template than that, so the rest is freed
     occurrences: dict[str, list] = {}
     unparseable = []
-    for path, body in pkg.templates:
-        parse = sentinel_parse(path, body)
+    for path, compiled in pkg.compiled_templates():
+        parse = sentinel_parse(path, compiled)
         if parse.error is not None:
             unparseable.append((parse.template_path, parse.error))
             continue

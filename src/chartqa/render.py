@@ -21,7 +21,7 @@ import yaml
 
 from .core import MAX_FILE_BYTES, ChartPackage, write_package_dir
 from .errors import EngineUnavailable
-from .yamlutil import CompiledTemplate, canon, compile_template, is_scalar, load_documents
+from .yamlutil import CompiledTemplate, canon, is_scalar, load_documents
 
 MISSING_VALUE = "MissingValue"
 SYNTAX_ERROR = "SyntaxError"
@@ -230,18 +230,11 @@ def _evaluator(expr: str) -> Callable[[ChartPackage], str]:
 Rendered = tuple[str, Any, Callable[[], list]]
 
 
-def _loaded(text: str) -> list[tuple[Any, list]]:
-    """:func:`load_documents` of ``text``, each leaf as (key path suffix, container, slot)."""
-    return [(body, [(suffix, container, slot) if container is not None else (suffix, (value,), 0)
-                    for suffix, _node, value, container, slot in leaves])
-            for body, leaves in load_documents(text)]
-
-
 def _filled(compiled: CompiledTemplate, outputs: tuple[str, ...]) -> list[tuple[Any, Any]]:
     """The documents of ``compiled`` rendered with ``outputs``: filled in where
     that is proven, else parsed from the rendered text."""
     filled = compiled.fill(outputs)
-    return filled if filled is not None else _loaded(compiled.text(outputs))
+    return filled if filled is not None else load_documents(compiled.text(outputs))
 
 
 class BuiltinEngine:
@@ -254,18 +247,18 @@ class BuiltinEngine:
 
         A render key is the template source with its directives' outputs,
         so each directive is evaluated once per render, and the documents
-        come from the template's compiled form.
+        come from the template's compiled form (TooManyLeaves past the budget).
         """
         rendered = []
         failures = []
-        for path, body in pkg.templates:
-            compiled = compile_template(body)
+        for path, compiled in pkg.compiled_templates():
             try:
                 outputs = self._outputs(pkg, compiled)
             except _TemplateError as exc:
                 failures.append(RenderFailure(path, exc.reason, exc.category))
                 continue
-            rendered.append((path, (body, outputs), functools.partial(_filled, compiled, outputs)))
+            rendered.append((path, (compiled.source, outputs),
+                             functools.partial(_filled, compiled, outputs)))
         return rendered, failures
 
     def _outputs(self, pkg: ChartPackage, compiled: CompiledTemplate) -> tuple[str, ...]:
@@ -321,7 +314,7 @@ class ExternalEngine:
                 raise EngineUnavailable(f"cannot execute renderer: {exc}") from exc
         if proc.returncode != 0:
             return [], self._failures_from_stderr(proc.stderr)
-        return [(path, text, functools.partial(_loaded, text))
+        return [(path, text, functools.partial(load_documents, text))
                 for path, text in self._attribute_output(proc.stdout, pkg)], []
 
     @staticmethod
@@ -398,8 +391,8 @@ def render_chart(
         for doc_index, (body, doc_leaves) in enumerate(parsed):
             documents.append((template_path, doc_index, body))
             prefix = f"{template_path}#{doc_index}"
-            for suffix, container, slot in doc_leaves:
-                leaves[prefix + suffix] = (template_path, container, slot)
+            for leaf in doc_leaves:  # (key path suffix, container, slot, ...)
+                leaves[prefix + leaf[0]] = (template_path, leaf[1], leaf[2])
 
     result = RenderResult(documents, leaves, failures, {path: key for path, key, _ in rendered})
     result.applied = result.pin(overrides or {})

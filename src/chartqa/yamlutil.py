@@ -4,7 +4,8 @@ Every YAML input is built by one walk over libyaml's parse events, which
 keeps its open mappings and lists on a stack of its own: template sources,
 rendered output and chart metadata by :func:`load_documents` or its
 single-document form :func:`load_unique`, the repository index by
-:func:`load_literal`. :func:`load_documents` names each scalar leaf with a key path
+:func:`load_literal`. :func:`load_documents` records each scalar leaf in
+plain fields, no parser event or mark among them, and names it with a key path
 ``<templatePath>#<docIndex>/a/b[2]/c``: ``<docIndex>`` counts the
 documents of the template that hold a value (an empty, comment-only or
 null document takes no index), mapping keys are their ``str()`` forms
@@ -165,7 +166,7 @@ def _read(text: str | bytes, literal: bool = False, shared: bool = False,
                 anchors[anchor] = (body,) if shared else (start, len(log))
             continue
         elif kind is DocumentStartEvent:
-            anchors, log, leaves = {}, None, []
+            anchors, log, leaves, leaf_events = {}, None, [], set()
             continue
         elif event is None:
             return documents
@@ -203,7 +204,7 @@ def _read(text: str | bytes, literal: bool = False, shared: bool = False,
                 path = paths and f"{frame[1]}/{slot}"
         else:  # the document's root
             documents.append((value, leaves))
-            container, slot, path = None, None, ""
+            container, slot, path = (value,), 0, ""
         nodes += 1
         if nodes > limit:
             _reject(f"expands to more than {_MAX_NODES} nodes", event)
@@ -212,7 +213,12 @@ def _read(text: str | bytes, literal: bool = False, shared: bool = False,
             if budget < 0:
                 _reject(f"builds key paths of more than {_MAX_PATH_CHARS} characters", event)
             if kind is ScalarEvent:
-                leaves.append((path, event, value, container, slot))
+                repeat = log is not None and event in leaf_events  # an alias replays it
+                if log is not None:  # only a logged event can be replayed
+                    leaf_events.add(event)
+                first, last = event.start_mark, event.end_mark
+                leaves.append((path, container, slot, value, event.style or None, first.index,
+                               last.index, first.line == last.line, repeat))
         if kind is not ScalarEvent and kind is not AliasEvent:
             stack.append([value, path, None, anchor, start if anchor else 0])
 
@@ -226,10 +232,12 @@ def _single(documents: list) -> Any:
 def load_documents(text: str) -> list[tuple[Any, list]]:
     """(body, scalar leaves) of each document of ``text`` that holds a value, in ``#N`` order.
 
-    Each leaf is (key path suffix, scalar event, value, container, slot) in
-    depth-first order: the suffix as in ``/a/b[2]``, the event with the
-    scalar's marks and style, and the mapping or list holding the value with
-    its key or index there, both None for a document that is one scalar.
+    Each leaf is (key path suffix, container, slot, value, style, start, end,
+    one line, via alias) in depth-first order: the suffix as in ``/a/b[2]``,
+    the mapping or list holding the value with its key or index there
+    (``(value,)`` and 0 for a document that is one scalar), the scalar's
+    style (None when plain), its span in ``text`` and whether that is on one
+    line, and whether an alias repeats it from a scalar an earlier leaf gave.
     Raises ``yaml.YAMLError`` for text that is not YAML, a scalar its tag
     cannot build, a duplicate or non-scalar key, a recursive or undefined
     alias, a repeated anchor, or past ``_MAX_DEPTH``, ``_MAX_NODES`` or
@@ -279,8 +287,7 @@ class SourceLeaf(NamedTuple):
     ``span`` addresses the scalar in the original template source (for
     quoted styles including the quotes); it is None when the leaf or its
     span overlaps substituted directives. ``via_alias`` marks a leaf that
-    an alias repeats from a scalar an earlier leaf of the template already
-    gave; it shares that leaf's scalar event and span.
+    an alias repeats from a scalar an earlier leaf of the template gave.
     """
 
     template_path: str
@@ -297,10 +304,10 @@ class SentinelParse(NamedTuple):
 
     Each of ``literals`` is (document index, key path suffix, canonical
     value, templated, via alias, style, start, end): ``templated`` marks a
-    value holding a sentinel token, ``via_alias`` a leaf whose scalar event
-    an earlier leaf of the template already gave, and start and end are the
-    scalar's span in the substituted text, which :func:`source_leaf` maps
-    back to the source through the compiled template's ``segments``.
+    value holding a sentinel token, ``via_alias`` a leaf an alias repeats
+    (see :func:`load_documents`), and start and end are the scalar's span
+    in the substituted text, which :func:`source_leaf` maps back to the
+    source through the compiled template's ``segments``.
     """
 
     template_path: str
@@ -448,6 +455,7 @@ class CompiledTemplate:
             self.documents = load_documents(self.substituted)
         except yaml.YAMLError as exc:
             self.error = str(exc).replace("\n", " ")
+        self.leaves = sum(len(leaves) for _, leaves in self.documents or ())
 
     @functools.cached_property
     def exprs(self) -> list[str]:
@@ -478,8 +486,8 @@ class CompiledTemplate:
 
     def fill(self, outputs: tuple[str, ...]) -> list[tuple[Any, Any]] | None:
         """The documents :func:`load_documents` builds from ``self.text(outputs)``,
-        as (body, leaves) with each leaf (key path suffix, container, slot),
-        or None where that is not proven without parsing the text.
+        as (body, leaves) with each leaf starting (key path suffix, container,
+        slot), or None where that is not proven without parsing the text.
 
         The documents are copies of the compiled ones with each templated
         scalar set from its literal pieces and outputs. That is proven only
@@ -494,9 +502,9 @@ class CompiledTemplate:
         if self._plan is None or not all(outputs):
             return None
         filled = []
-        for body, scalar_leaves, suffixes, shape, homes, slots, fills in self._plan:
-            if scalar_leaves is not None:  # a document that is one scalar
-                filled.append((body, scalar_leaves))
+        for body, suffixes, shape, homes, slots, fills in self._plan:
+            if shape is None:  # a document that is one scalar: its leaves
+                filled.append((body, suffixes))
                 continue
             copies = [body.copy()]
             for parent, slot in shape:
@@ -526,19 +534,19 @@ class CompiledTemplate:
 
     @functools.cached_property
     def _plan(self) -> list | None:
-        """Per document: its body; for a document that is one scalar, its
-        leaves, else None, the leaves' key path suffixes, the shape and leaf
-        homes ``_shape`` gives, and (leaf index, style, literal pieces,
-        directive numbers) of each templated scalar, with pieces None and
-        one number for a scalar that is one directive. None where a
-        directive is not inside exactly one such scalar."""
+        """Per document: its body; its leaves' key path suffixes, or for a
+        document that is one scalar its leaves and None for the next three;
+        the shape and leaf homes ``_shape`` gives, and (leaf index, style,
+        literal pieces, directive numbers) of each templated scalar, with
+        pieces None and one number for a scalar that is one directive. None
+        where a directive is not inside exactly one such scalar."""
         if self.documents is None:
             return None
         plan, numbers = [], []
         substituted = self.substituted
         for body, leaves in self.documents:
             fills = []
-            for index, (_, node, value, container, _) in enumerate(leaves):
+            for index, (_, container, _, value, style, start, _, one_line, _) in enumerate(leaves):
                 if type(value) is not str or SENTINEL_PREFIX not in value:
                     continue
                 number = value[len(SENTINEL_PREFIX):-2]
@@ -549,12 +557,11 @@ class CompiledTemplate:
                     parts = _TOKEN_RE.split(value)
                     if len(parts) == 1:  # a literal that only looks like a token
                         continue
-                start, end, style = node.start_mark, node.end_mark, node.style or None
                 # A block scalar (| or >) always spans lines. A tag would stand
                 # before a plain value; on a quoted one it builds a str or
                 # fails the compile, and an anchor changes nothing unaliased.
-                if container is None or start.line != end.line or style is None \
-                        and not substituted.startswith(value, start.index):
+                if type(container) is tuple or not one_line or style is None \
+                        and not substituted.startswith(value, start):
                     return None
                 found = [int(n) for n in parts[1::2]]
                 numbers += found
@@ -562,19 +569,17 @@ class CompiledTemplate:
                 fills.append((index, style, None, found[0]) if whole
                              else (index, style, parts[0::2], found))
             if type(body) is dict or type(body) is list:
-                shape: list = []
-                homes: list = []
-                slots: list = []
+                shape, homes, slots = [], [], []
                 _shape(body, 0, shape, homes, slots)
-                plan.append((body, None, [leaf[0] for leaf in leaves], shape, homes, slots, fills))
-            else:
-                plan.append((body, [("", (body,), 0)], None, None, None, None, fills))
+                plan.append((body, [leaf[0] for leaf in leaves], shape, homes, slots, fills))
+            else:  # no directive is in it: filled, it is as compiled
+                plan.append((body, leaves, None, None, None, fills))
         return plan if sorted(numbers) == list(range(len(self.spans))) else None
 
 
-# rough bytes a compiled leaf holds (event, marks, leaf tuple, key path, body
-# slot, plan); a cached form's ``size`` adds two bytes per source character
-_LEAF_BYTES = 850
+# bytes a compiled leaf holds (record, key path, body slot, plan), beside the two a
+# cached form's ``size`` adds per source character: 652-705 on seed-7 perfbench templates
+_LEAF_BYTES = 700
 # The compiled forms kept while a chart is read (see ``sharing_compiles``),
 # oldest first, with their total size and the number of calls sharing them.
 # Kept for longer, they cost more than they save: reading charts one after
@@ -595,8 +600,7 @@ def compile_template(source: str) -> CompiledTemplate:
     compiled = _COMPILED.pop(source, None)
     if compiled is None:
         compiled = CompiledTemplate(source)
-        leaves = sum(len(doc_leaves) for _, doc_leaves in compiled.documents or ())
-        compiled.size = 2 * len(source) + _LEAF_BYTES * leaves
+        compiled.size = 2 * len(source) + _LEAF_BYTES * compiled.leaves
         _compiled_size += compiled.size
         while _COMPILED and _compiled_size > _COMPILED_BYTES:
             _compiled_size -= _COMPILED.pop(next(iter(_COMPILED))).size
@@ -637,23 +641,20 @@ def _map_span(segments: list[tuple[int, int, int]], start: int, end: int
     return None
 
 
-def sentinel_parse(template_path: str, source: str) -> SentinelParse:
-    """Parse a template source with directives replaced by sentinel tokens,
-    and walk its scalar leaves once, in document order.
+def sentinel_parse(template_path: str, source: str | CompiledTemplate) -> SentinelParse:
+    """Parse a template source (or take its compiled form) with directives
+    replaced by sentinel tokens, and walk its scalar leaves once, in document order.
 
     A template that is not YAML-shaped even after substitution yields no
     leaves and a non-None error.
     """
-    compiled = compile_template(source)
+    compiled = compile_template(source) if type(source) is str else source
     if compiled.error is not None:
         return SentinelParse(template_path, [], [], compiled.error)
     literals = []
-    seen: set[ScalarEvent] = set()
     for doc_index, (_, doc_leaves) in enumerate(compiled.documents):
-        for suffix, node, raw, _container, _slot in doc_leaves:
+        for suffix, _, _, raw, style, start, end, _, via_alias in doc_leaves:
             value = raw if type(raw) is str else canon(raw)
-            # the event's own fields, not the event: a kept record outlives the parse
-            literals.append((doc_index, suffix, value, SENTINEL_PREFIX in value, node in seen,
-                             node.style or None, node.start_mark.index, node.end_mark.index))
-            seen.add(node)
+            literals.append((doc_index, suffix, value, SENTINEL_PREFIX in value, via_alias,
+                             style, start, end))
     return SentinelParse(template_path, literals, compiled.segments)

@@ -94,15 +94,15 @@ def patched_package(root, pkg: ChartPackage, diff_text: str, tool: str = "patch"
 CHILD_MEMORY = 2 << 30
 
 
-def run_limited(*argv, cpu_seconds: int = 30,
-                wall_seconds: float = 60) -> subprocess.CompletedProcess:
+def run_limited(*argv, cpu_seconds: int = 30, wall_seconds: float = 60,
+                memory: int = CHILD_MEMORY) -> subprocess.CompletedProcess:
     """``python -m chartqa *argv`` in a child process, with its exit code,
-    stdout and stderr. The child alone may map at most ``CHILD_MEMORY``
-    bytes, and is stopped by SIGXCPU past ``cpu_seconds`` of CPU and by
-    SIGALRM past ``wall_seconds``; asserts that it was not stopped by a
-    signal and wrote no traceback."""
+    stdout and stderr. The child alone may map at most ``memory`` bytes,
+    and is stopped by SIGXCPU past ``cpu_seconds`` of CPU and by SIGALRM
+    past ``wall_seconds``; asserts that it was not stopped by a signal and
+    wrote no traceback."""
     def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
         resource.setrlimit(resource.RLIMIT_CPU, (cpu_seconds, cpu_seconds))
         signal.setitimer(signal.ITIMER_REAL, wall_seconds)  # kept across exec
 

@@ -148,6 +148,16 @@ def test_a_maintainer_record_with_neither_name_nor_email_maintains_nothing():
     assert detect_irregularities(index).no_maintainer == (index.entries[0].ref,)
 
 
+def test_a_maintainer_named_only_by_spaces_maintains_nothing_by_either_rule():
+    index = make_index([
+        ("a", "1.0.0", [("  ", None), (None, " \t")]),
+        ("b", "1.0.0", [("m1", "m1@x.io")]),
+    ])
+    _, metrics = compute_maintainer_sets(index)
+    assert metrics["unmaintained_chart_files"] == ["a-1.0.0.tgz"]
+    assert detect_irregularities(index).no_maintainer == (index.entries[0].ref,)
+
+
 # --- irregularities ---
 
 def test_name_collision_self_reference():

@@ -19,7 +19,7 @@ import time
 import pytest
 import yaml
 
-from chartqa import analytics, cli, ingest, quality
+from chartqa import analytics, cli, core, ingest, quality
 from chartqa.cli import cli_dispatch
 from chartqa.errors import EngineUnavailable, InputFileError, KnowledgeBaseError, WorkerFailed
 from chartqa.ingest import SnapshotStore, parse_repo_index, sha256_digest
@@ -1547,6 +1547,66 @@ def test_a_fifo_named_like_an_archive_skips_only_itself(tmp_path):
     assert reported == ["good-1.0.0.tgz"]
     assert "WARNING skipping x-1.0.0.tgz: FetchError: x-1.0.0.tgz is not a regular file" \
         in proc.stderr
+
+
+def test_an_archive_member_outside_its_chart_skips_only_its_chart(tmp_path):
+    charts = tmp_path / "charts"
+    write_chart_dir(charts, "good", chart_files(name="good", values={}, templates=CLEAN_TEMPLATES,
+                                                maintainers=MAINTAINED))
+    files = chart_files(name="web", values={}, templates=CLEAN_TEMPLATES, maintainers=MAINTAINED)
+    files["templates/../../../escaped.yaml"] = "a: b\n"
+    (charts / "web-1.0.0.tgz").write_bytes(make_archive(files))
+    proc = run_limited("dupes", "--path", str(charts))
+    assert proc.returncode == 0, proc.stderr
+    reported = [chart["chart"] for chart in json.loads(proc.stdout)["sections"]["duplicates"]]
+    assert reported == ["good-1.0.0.tgz"]
+    assert "WARNING skipping web-1.0.0.tgz: MalformedArchive: " \
+        "web/templates/../../../escaped.yaml lies outside the chart directory" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["livecheck", "dupes", "analyze", "variability", "suggest"])
+def test_every_path_command_skips_a_chart_past_the_leaf_budget(tmp_path, monkeypatch, caplog,
+                                                              capsys, command):
+    monkeypatch.setattr(core, "MAX_CHART_LEAVES", 3)
+    charts = tmp_path / "charts"
+    write_chart_dir(charts, "good", chart_files(name="good", values={}, templates=DUPE_TEMPLATES,
+                                                maintainers=MAINTAINED))
+    write_chart_dir(charts, "leafy", chart_files(name="leafy", values={}, maintainers=MAINTAINED,
+                                                 templates={"a.yaml": "a: [1, 2]\n",
+                                                            "b.yaml": "b: [3, 4]\n"}))
+    monkeypatch.chdir(tmp_path)
+    findings = 0 if command == "variability" else 1  # the good chart's duplicates
+    assert cli_dispatch([command, "--path", str(charts)]) == findings
+    assert "skipping leafy: TooManyLeaves: templates hold over 3 scalar leaves" in caplog.text
+    if command == "livecheck":
+        assert [chart["chart"] for chart in json.loads(capsys.readouterr().out)["charts"]] == \
+            ["good-1.0.0.tgz"]
+
+
+# 22 templates of 99 000 distinct list items (26 MB), about 2.2 million
+# leaves: read in full, the chart needs more than 1 GiB (MemoryError in dupes
+# and analyze), as the 88 such templates the byte bounds allow need more than 2 GiB
+@pytest.fixture(scope="module")
+def leafy_tree(tmp_path_factory):
+    charts = tmp_path_factory.mktemp("leafy") / "charts"
+    write_chart_dir(charts, "good", chart_files(name="good", values={}, templates=DUPE_TEMPLATES,
+                                                maintainers=MAINTAINED))
+    templates = {f"t{t:02d}.yaml": "".join(f"- a{t * 99_000 + n:08d}\n" for n in range(99_000))
+                 for t in range(22)}
+    write_chart_dir(charts, "leafy", chart_files(name="leafy", templates=templates,
+                                                 maintainers=MAINTAINED))
+    return charts
+
+
+@pytest.mark.parametrize("command, section", [("dupes", "duplicates"), ("analyze", "quality")])
+def test_a_chart_past_the_leaf_budget_is_skipped_within_bounded_memory(leafy_tree, command,
+                                                                       section):
+    proc = run_limited(command, "--path", str(leafy_tree), memory=1 << 30)
+    assert proc.returncode == 1, proc.stderr  # the good chart's duplicates
+    assert "WARNING skipping leafy: TooManyLeaves: templates hold over " \
+        f"{core.MAX_CHART_LEAVES} scalar leaves" in proc.stderr
+    reported = [chart["chart"] for chart in json.loads(proc.stdout)["sections"][section]]
+    assert reported == ["good-1.0.0.tgz"]
 
 
 def _reading_command(tmp_path, reads: str) -> tuple[list[str], str]:

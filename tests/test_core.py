@@ -178,6 +178,15 @@ def test_parse_chart_archive_as_tar_writes_a_directory(tmp_path):
     assert pkg.templates == (("templates/deploy.yaml", "kind: Deployment\n"),)
 
 
+def test_parse_chart_archive_cleans_member_paths_and_refuses_one_outside_the_chart():
+    files = chart_files(templates={"sub/../a.yaml": "kind: A\n"})
+    assert parse_chart_archive(make_archive(files)).templates == (("templates/a.yaml", "kind: A\n"),)
+    files["templates/../../../escaped.yaml"] = "kind: B\n"
+    with pytest.raises(MalformedArchive, match=r"^web/templates/\.\./\.\./\.\./escaped\.yaml lies "
+                                               "outside the chart directory$"):
+        parse_chart_archive(make_archive(files))
+
+
 def test_parse_chart_archive_missing_metadata():
     archive = make_archive({"values.yaml": "a: 1\n"}, "broken")
     with pytest.raises(MissingMetadata):

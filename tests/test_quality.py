@@ -9,8 +9,8 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chartqa import quality, render, yamlutil
-from chartqa.errors import KnowledgeBaseError, RenderFailed, SettingError
+from chartqa import core, quality, render, yamlutil
+from chartqa.errors import KnowledgeBaseError, RenderFailed, SettingError, TooManyLeaves
 from chartqa.quality import (
     DEFAULT_BLACKLIST,
     DuplicateConfig,
@@ -458,6 +458,18 @@ def test_leaf_records_hold_no_parse_objects():
         ("web", False, False)]
     assert all(type(field) in (int, str, bool, type(None))
                for literal in parse.literals for field in literal)
+
+
+def test_a_chart_past_the_leaf_budget_is_refused_by_each_pass(monkeypatch):
+    monkeypatch.setattr(core, "MAX_CHART_LEAVES", 6)
+    pkg = make_package(values={}, templates={"a.yaml": "a: dup\nb: dup\nc: dup\n",
+                                             "b.yaml": "d: [1, 2, 3]\n"})
+    assert detect_duplicates(pkg).total_duplicate_values == 3  # six leaves: at the budget
+    assert analyze_chart(pkg).render_failures == ()
+    bigger = pkg._replace(templates=pkg.templates + (("templates/c.yaml", "e: 4\n"),))
+    for check in (detect_duplicates, render_chart, analyze_chart):
+        with pytest.raises(TooManyLeaves, match="^templates hold over 6 scalar leaves$"):
+            check(bigger)
 
 
 # --- aggregation ---

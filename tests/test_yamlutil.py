@@ -3,9 +3,12 @@
 import contextlib
 import datetime
 import functools
+import gc
 import json
 import re
 import signal
+import tracemalloc
+import types
 
 import pytest
 import yaml
@@ -42,9 +45,9 @@ def test_alias_expands_into_its_own_copy():
     ((body, leaves),) = load_documents("a: &x {b: 1}\nc: *x\n")
     assert body == {"a": {"b": 1}, "c": {"b": 1}}
     assert body["a"] is not body["c"]
-    assert [(path, value, slot) for path, _node, value, _container, slot in leaves] == \
+    assert [(path, value, slot) for path, _container, slot, value, *_ in leaves] == \
         [("/a/b", 1, "b"), ("/c/b", 1, "b")]
-    assert leaves[0][3] is body["a"] and leaves[1][3] is body["c"]
+    assert leaves[0][1] is body["a"] and leaves[1][1] is body["c"]
 
 
 @pytest.mark.parametrize("text, problem", [
@@ -279,13 +282,14 @@ STOCK_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def constructed_documents(text: str) -> list:
-    """load_documents' result when every scalar and key goes through SafeConstructor."""
+    """load_documents' result when every scalar and key goes through SafeConstructor,
+    each leaf as (key path suffix, start, value)."""
     constructor = SafeConstructor()
 
     def build(node, path, leaves):
         if isinstance(node, yaml.ScalarNode):
             value = constructor.construct_object(node, deep=True)
-            leaves.append((path, node, value))
+            leaves.append((path, node.start_mark.index, value))
             return value
         if isinstance(node, yaml.SequenceNode):
             return [build(item, f"{path}[{i}]", leaves) for i, item in enumerate(node.value)]
@@ -313,8 +317,13 @@ def typed(value):
 
 
 def typed_documents(documents) -> list:
-    return [(typed(body), [(path, node.start_mark.index, typed(value))
-                           for path, node, value, *_ in leaves])
+    return [(typed(body), [(path, start, typed(value)) for path, start, value in leaves])
+            for body, leaves in documents]
+
+
+def placed(documents) -> list:
+    """load_documents' result with each leaf as (key path suffix, start, value)."""
+    return [(body, [(leaf[0], leaf[5], leaf[3]) for leaf in leaves])
             for body, leaves in documents]
 
 
@@ -339,11 +348,13 @@ def test_walk_builds_what_the_constructor_builds(trees, style):
     assume(not any(isinstance(event, yaml.AliasEvent)
                    for event in yaml.parse(text, Loader=_SafeLoader)))
     documents = load_documents(text)
-    assert typed_documents(documents) == typed_documents(constructed_documents(text))
+    assert typed_documents(placed(documents)) == typed_documents(constructed_documents(text))
     # each leaf names where its value sits: in its container, or as the whole document
     for body, leaves in documents:
-        for _path, _node, value, container, slot in leaves:
-            assert (container[slot] if container is not None else body) is value
+        for _path, container, slot, value, *_ in leaves:
+            assert container[slot] is value
+        if not isinstance(body, (dict, list)):  # a document that is one scalar
+            assert [leaf[1:3] for leaf in leaves] == [((body,), 0)]
 
 
 def containers(value):
@@ -390,7 +401,7 @@ def test_aliases_replay_what_the_constructor_builds(trees, style):
     text = yaml.safe_dump_all(trees, **style)
     assume("{{" not in text)
     documents = load_documents(text)
-    assert typed_documents(documents) == typed_documents(constructed_documents(text))
+    assert typed_documents(placed(documents)) == typed_documents(constructed_documents(text))
     for body, _ in documents:  # each expansion is its own object
         built = list(containers(body))
         assert len({id(container) for container in built}) == len(built)
@@ -419,10 +430,39 @@ def test_an_alias_may_name_a_key_and_replays_its_anchors_within():
     ((body, leaves),) = load_documents("a: &k key\n*k : &v [&w 1, *w]\nc: *v\n")
     assert body == {"a": "key", "key": [1, 1], "c": [1, 1]}
     assert [path for path, *_ in leaves] == ["/a", "/key[0]", "/key[1]", "/c[0]", "/c[1]"]
-    # every repeat of the scalar is the one event its anchor recorded
-    assert len({id(leaf[1]) for leaf in leaves[1:]}) == 1
+    # each alias repeats the leaves its anchor gave; as a key, ``*k`` gives none
+    assert [leaf[-1] for leaf in leaves] == [False, False, True, True, True]
     with pytest.raises(yaml.YAMLError, match="found undefined alias 'x'"):
         load_documents("a: &x 1\n---\nb: *x\n")  # an anchor holds within its document
+
+
+def test_compiled_leaves_hold_no_parser_object():
+    compiled = yamlutil.compile_template("a: &x web\nb: *x\nc: [1, 'q-{{ .Values.v }}']\n"
+                                         "d: |\n  block\n---\nplain\n")
+    assert compiled.fill(("v",)) is not None  # and the fill plan, built from the leaves
+    seen, stack, parser_objects = set(), [compiled], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if type(obj).__module__.partition(".")[0] == "yaml":  # an event, a mark or a node
+            parser_objects.append(obj)
+        stack.extend(gc.get_referents(obj))
+    assert parser_objects == []
+
+
+def test_a_compiled_leaf_holds_at_most_400_bytes():
+    text = "".join(f"- a{n:08d}\n" for n in range(99_000))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        compiled = yamlutil.CompiledTemplate(text)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert compiled.leaves == 99_000
+    assert held / compiled.leaves <= 400
 
 
 @pytest.mark.parametrize("size", [10**5, 5 * 2**20])
@@ -532,7 +572,7 @@ def test_loaders_register_no_path_resolver():
 
 
 def test_compiles_past_the_cache_bound_are_dropped_oldest_first_and_parse_the_same():
-    # 3000 leaves a template, about 2.6 MB by the cache's count: the fourth passes 8 MiB
+    # 3000 leaves a template, about 2.2 MB by the cache's count: the fourth passes 8 MiB
     sources = ["".join(f"k{i}: v{n}\n" for i in range(3000)) for n in range(4)]
     uncached = [sentinel_parse("t.yaml", source) for source in sources]
 
